@@ -17,6 +17,8 @@ Status codes returned by :func:`integrate_core`:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 KERNEL_NAME = "python"
@@ -44,25 +46,19 @@ _ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 SAFETY = 0.9
+H_FLOOR = 1e3 * np.finfo(float).tiny
 
 
 def _rhs(beta, omega_i, delta_i, mu, r, y, out):
-    n = beta.size - 1
+    """Model right-hand side on raw arrays, written into ``out``; the single
+    Python copy, also behind :func:`waningsim.model.vector_field`."""
     s = y[:-1]
     i = y[-1]
     inf = beta * s * i
     out[0] = omega_i @ s - delta_i[0] * s[0] + r * i - inf[0] - mu * s[0]
-    if n >= 1:
-        k = np.arange(1, n + 1)
-        out[1 : n + 1] = (
-            -omega_i[k] * s[k]
-            + delta_i[k - 1] * s[k - 1]
-            - delta_i[k] * s[k]
-            - inf[k]
-            - mu * s[k]
-        )
-    out[n] += mu  # births enter the least-immune tier
-    out[n + 1] = (beta @ s) * i - r * i - mu * i
+    out[1:-1] = -omega_i[1:] * s[1:] + delta_i[:-1] * s[:-1] - delta_i[1:] * s[1:] - inf[1:] - mu * s[1:]
+    out[-2] += mu  # births enter the least-immune tier
+    out[-1] = (beta @ s) * i - r * i - mu * i
     return out
 
 
@@ -107,13 +103,14 @@ def integrate_core(
     targets = np.ascontiguousarray(targets, dtype=float)
 
     k = np.empty((7, m))
-    work = [np.empty(m) for _ in range(2)]
+    rows = list(k)  # stage rows as views made once, not on every step
+    y_new, acc = np.empty(m), np.empty(m)
     times = [0.0]
     states = [y.copy()]
 
-    _rhs(beta, omega_i, delta_i, mu, r, y, k[0])
+    _rhs(beta, omega_i, delta_i, mu, r, y, rows[0])
     h = fixed_step if fixed_step > 0 else _initial_step(
-        k[0], y, t_end, atol, rtol, targets[0] if targets.size else t_end
+        rows[0], y, t_end, atol, rtol, targets[0] if targets.size else t_end
     )
 
     t = 0.0
@@ -128,8 +125,8 @@ def integrate_core(
             return _finish(times, states, STATUS_MAX_STEPS, n_accepted, n_rejected, t)
         if fixed_step > 0:
             h = fixed_step
-        h = max(h, 1e3 * np.finfo(float).tiny)
-        hmin = 16.0 * np.spacing(max(abs(t), 1.0))
+        h = max(h, H_FLOOR)
+        hmin = 16.0 * math.ulp(max(abs(t), 1.0))
         if h < hmin and fixed_step <= 0:
             return _finish(times, states, STATUS_UNDERFLOW, n_accepted, n_rejected, t)
 
@@ -139,18 +136,16 @@ def integrate_core(
         clipped = 1.02 * h >= target - t
         h_use = target - t if clipped else h
 
-        # seven stages; k[6] is the derivative at the proposed solution (FSAL)
-        y_new = work[0]
+        # seven stages; rows[6] is the derivative at the proposed solution (FSAL)
         for stage in range(1, 7):
-            acc = work[1]
-            np.multiply(k[0], _A[stage - 1][0], out=acc)
+            np.multiply(rows[0], _A[stage - 1][0], out=acc)
             for j in range(1, stage):
-                acc += _A[stage - 1][j] * k[j]
+                acc += _A[stage - 1][j] * rows[j]
             np.multiply(acc, h_use, out=acc)
             np.add(y, acc, out=y_new if stage == 6 else acc)
-            _rhs(beta, omega_i, delta_i, mu, r, y_new if stage == 6 else acc, k[stage])
+            _rhs(beta, omega_i, delta_i, mu, r, y_new if stage == 6 else acc, rows[stage])
 
-        if not np.all(np.isfinite(y_new)):
+        if not np.isfinite(y_new).all():
             return _finish(times, states, STATUS_NONFINITE, n_accepted, n_rejected, t)
 
         if fixed_step > 0:
@@ -161,10 +156,10 @@ def integrate_core(
             err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
             accept = err_norm <= 1.0
 
-        if accept and np.any(y_new < -NEG_CLAMP):
+        if accept and (y_new < -NEG_CLAMP).any():
             # a component dipped below the roundoff clamp: retry smaller, and
             # only give up once the step cannot shrink any further
-            if fixed_step > 0 or h_use <= 32.0 * np.spacing(max(abs(t), 1.0)):
+            if fixed_step > 0 or h_use <= 32.0 * math.ulp(max(abs(t), 1.0)):
                 return _finish(times, states, STATUS_NEGATIVE, n_accepted, n_rejected, t)
             n_rejected += 1
             h = h_use * 0.25
@@ -174,20 +169,18 @@ def integrate_core(
             t = target if clipped else t + h_use
             if clipped:
                 idx += 1
-            clamped = False
-            for j in range(m):
-                if y_new[j] < 0.0:
-                    y_new[j] = 0.0
-                    clamped = True
+            negative = y_new < 0.0
+            clamped = negative.any()
+            y_new[negative] = 0.0
             y[:] = y_new
             if clamped:
-                _rhs(beta, omega_i, delta_i, mu, r, y, k[6])
-            k[0][:] = k[6]
+                _rhs(beta, omega_i, delta_i, mu, r, y, rows[6])
+            rows[0][:] = rows[6]
             n_accepted += 1
             times.append(t)
             states.append(y.copy())
 
-            fnorm = float(np.sqrt(k[0] @ k[0]))
+            fnorm = float(np.sqrt(rows[0] @ rows[0]))
             quiet_run = quiet_run + 1 if fnorm < eq_tol else 0
             if stop_at_equilibrium and quiet_run >= eq_run:
                 return _finish(times, states, STATUS_CONVERGED, n_accepted, n_rejected, t)

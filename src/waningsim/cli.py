@@ -77,7 +77,6 @@ def cmd_simulate(args) -> int:
             "atol": args.atol,
             "max_steps": args.max_steps,
             "format": args.format,
-            "seed": args.seed,
         },
     )
     if args.format == "json":
@@ -94,7 +93,7 @@ def cmd_analyze(args) -> int:
     if report["consistency"]["checked"] and not report["consistency"]["consistent"]:
         print(f"regime consistency violated: {report['consistency']['note']}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    manifest = build_manifest("analyze", config, {"seed": args.seed})
+    manifest = build_manifest("analyze", config, {})
     _write(args.out, json_document(manifest, report))
     return EXIT_OK
 
@@ -105,14 +104,14 @@ def cmd_dfe(args) -> int:
     numeric = solve_dfe_numeric(config)
     data = closed.to_dict()
     data["numeric_gap"] = float(max(abs(a - b) for a, b in zip(closed.s, numeric.s)))
-    manifest = build_manifest("dfe", config, {"seed": args.seed})
+    manifest = build_manifest("dfe", config, {})
     _write(args.out, json_document(manifest, data))
     return EXIT_OK
 
 
 def cmd_r0(args) -> int:
     config = load_config(args.config)
-    manifest = build_manifest("r0", config, {"seed": args.seed})
+    manifest = build_manifest("r0", config, {})
     _write(args.out, json_document(manifest, basic_reproduction_number(config).to_dict()))
     return EXIT_OK
 
@@ -159,7 +158,6 @@ def cmd_sweep(args) -> int:
             "t_end": spec.t_end,
             "jobs": args.jobs,
             "format": args.format,
-            "seed": args.seed,
         },
     )
     if args.format == "json":
@@ -192,7 +190,6 @@ def cmd_fit(args) -> int:
             "log_sse": args.log_sse,
             "max_iterations": args.max_iterations,
             "restarts": args.restarts,
-            "seed": args.seed,
         },
     )
     _write(args.out, json_document(manifest, result.to_json_dict()))
@@ -208,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--seed", type=int, default=0, help="recorded in the run manifest")
 
     p = sub.add_parser("simulate", parents=[common], help="integrate the model and export the trajectory")
     p.add_argument("--config", required=True)

@@ -8,8 +8,8 @@ monic quadratic ``Q(x) = x^2 + a x + b``; for small waning rates the true
 prevalence is trapped in intervals of width ``O(sqrt(delta))`` around the
 roots of ``Q``, and a contractive fixed-point iteration pins it down inside
 the certified interval.  For waning rates beyond the contraction certificate
-the module falls back to safeguarded bisection and reports the result as
-uncertified.
+the module scans the condition on a grid over ``[0, 1]``, refines every
+sign change with Brent's method, and reports the result as uncertified.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .dfe import susceptible_block_matrix
 from .model import ModelConfig, diagonal_coefficients, vector_field
@@ -39,12 +40,15 @@ __all__ = [
     "existence_margin",
     "localize_endemic",
     "refine_endemic",
+    "sign_change_brackets",
     "perturbation_norms",
 ]
 
 FIXED_POINT_TOL = 1e-13
 MAX_FIXED_POINT_ITERATIONS = 200
 BISECTION_GRID = 256
+# relative equilibrium residual per tier that counts as rounding noise
+ROUNDING_RESIDUAL = 64 * np.finfo(float).eps
 
 
 class NoEndemicEquilibriumError(ValueError):
@@ -67,47 +71,55 @@ class SingularBlockError(ArithmeticError):
         self.prevalence = prevalence
 
 
-def _equilibrium_rhs(config: ModelConfig, prevalence: float) -> np.ndarray:
+def _equilibrium_rhs(config: ModelConfig, prevalence) -> np.ndarray:
     """Right-hand side of the steady-state susceptible system: recovery inflow
-    enters the top tier, births enter the bottom tier (both negated)."""
-    b = np.zeros(config.n + 1)
-    b[0] = -config.r * prevalence
-    b[-1] = -config.mu
+    enters the top tier, births enter the bottom tier (both negated).  One row
+    per prevalence when ``prevalence`` is an array."""
+    x = np.asarray(prevalence, dtype=float)
+    b = np.zeros(x.shape + (config.n + 1,))
+    b[..., 0] = -config.r * x
+    b[..., -1] = -config.mu
     return b
 
 
-def solve_susceptible_block(config: ModelConfig, prevalence: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve the susceptible-block system at a fixed prevalence.
+def solve_susceptible_block(config: ModelConfig, prevalence, rhs: np.ndarray) -> np.ndarray:
+    """Solve the susceptible-block system at one prevalence or at an array of them.
 
-    Exploits the bidiagonal-plus-first-row structure: two forward
-    substitutions and a rank-one (Sherman-Morrison) correction, O(n) and
-    never forming an inverse.
+    For ``prevalence`` of shape ``P`` the solution has shape ``P + (n+1,)``
+    and ``rhs`` broadcasts against it.  Exploits the bidiagonal-plus-first-row
+    structure: one forward substitution over the ``n+1`` tiers, applied to
+    ``rhs`` and the first unit vector together, and a rank-one
+    (Sherman-Morrison) correction; O(n) per prevalence, never forming an
+    inverse.
+
+    Raises:
+        SingularBlockError: at the first prevalence where the rank-one
+            correction breaks down.
     """
-    n = config.n
-    d = diagonal_coefficients(config, prevalence)
-    sub = config.delta_i[:-1]
+    x = np.asarray(prevalence, dtype=float)
+    d = diagonal_coefficients(config, x)
+    fwd = np.zeros(x.shape + (2, config.n + 1))
+    fwd[..., 0, :] = rhs
+    fwd[..., 1, 0] = 1.0
+    f, dt = fwd.T, d.T  # tier-major views: f[k] is tier k of both right-hand sides
+    f[0] /= dt[0]
+    for k in range(1, config.n + 1):
+        f[k] -= config.delta_i[k - 1] * f[k - 1]
+        f[k] /= dt[k]
+    s, u = fwd[..., 0, :], fwd[..., 1, :]
+    denom = 1.0 + u @ config.omega_i
+    singular = ~np.isfinite(denom) | (np.abs(denom) < 1e-300)
+    if np.any(singular):
+        raise SingularBlockError(float(x[singular][0]))
+    return s - u * ((s @ config.omega_i) / denom)[..., None]
 
-    def fwd(b: np.ndarray) -> np.ndarray:
-        x = np.empty(n + 1)
-        x[0] = b[0] / d[0]
-        for k in range(1, n + 1):
-            x[k] = (b[k] - sub[k - 1] * x[k - 1]) / d[k]
-        return x
 
-    x = fwd(rhs)
-    u = fwd(np.eye(n + 1)[0])
-    denom = 1.0 + float(config.omega_i @ u)
-    if not math.isfinite(denom) or abs(denom) < 1e-300:
-        raise SingularBlockError(prevalence)
-    return x - u * (float(config.omega_i @ x) / denom)
-
-
-def equilibrium_transmission(config: ModelConfig, prevalence: float) -> float:
+def equilibrium_transmission(config: ModelConfig, prevalence):
     """Transmission sum ``beta . S`` of the steady susceptible profile at the
-    given prevalence; an endemic equilibrium solves
-    ``equilibrium_transmission(x) = r + mu``."""
+    given prevalence (elementwise for an array); an endemic equilibrium
+    solves ``equilibrium_transmission(x) = r + mu``."""
     s = solve_susceptible_block(config, prevalence, _equilibrium_rhs(config, prevalence))
-    return float(config.beta @ s)
+    return s @ config.beta
 
 
 def equilibrium_transmission_no_waning(config: ModelConfig, prevalence: float) -> float:
@@ -295,7 +307,9 @@ class EndemicSolution:
     ``residual`` is the defect in the scalar equilibrium identity
     ``beta . S* = r + mu``; ``certification`` is ``"certified-contraction"``
     when the Banach iteration ran under a verified certificate and
-    ``"numeric-uncertified"`` for the large-waning bisection fallback.
+    ``"numeric-uncertified"`` for the large-waning grid-scan fallback.
+    ``iterations`` counts fixed-point steps on the certified path and Brent
+    iterations summed over all sign-change brackets on the fallback path.
     """
 
     i_star: float
@@ -319,6 +333,12 @@ class EndemicSolution:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
+
+
+def _residual_at_rounding_level(config: ModelConfig, prevalence: float) -> bool:
+    target = config.r + config.mu
+    residual = abs(equilibrium_transmission(config, prevalence) - target)
+    return residual <= ROUNDING_RESIDUAL * (config.n + 1) * target
 
 
 def _finish_solution(config, i_star, iterations, certification, candidates=1) -> EndemicSolution:
@@ -352,18 +372,21 @@ def refine_endemic(
     ``u <- G(u)`` started at the localized root; the contraction factor is
     ``O(delta^{1/3})`` so convergence is fast.  Non-convergence under a valid
     certificate is reported as :class:`RefinementError`, never silently
-    bisected.  When the certificate fails (large waning rate) the equilibrium
-    is found by safeguarded bisection and flagged ``"numeric-uncertified"``.
+    handed to the fallback.  When the certificate fails (large waning rate)
+    the equilibrium condition is scanned on a grid of ``BISECTION_GRID``
+    cells over ``[0, 1]``, every sign change is refined by Brent's method,
+    the largest positive root is returned, and the result is flagged
+    ``"numeric-uncertified"``.
 
     Raises:
         NoEndemicEquilibriumError: when the localization says no equilibrium
-            exists (certified regime) or no bisection bracket is found.
+            exists (certified regime) or the grid scan finds no sign change.
         RefinementError: root-separation violation or non-convergence.
     """
     loc = localization if localization is not None else localize_endemic(config)
 
     if not loc.validity:
-        return _bisection_fallback(config)
+        return _grid_fallback(config)
 
     if loc.exists == "none":
         raise NoEndemicEquilibriumError(
@@ -396,13 +419,16 @@ def refine_endemic(
             diff = equilibrium_transmission(config, x) - equilibrium_transmission_no_waning(config, x)
             return (beta_n * x + mu + omega_n) * diff / (beta_n * (r + mu))
 
-    u = 0.0
+    # Under the certificate the gaps shrink; one that does not is rounding
+    # noise, and the point ends the loop only if it solves the equilibrium
+    # condition to rounding level.
+    u, gap = 0.0, math.inf
     for iteration in range(1, max_iterations + 1):
         u_new = step(y + u)
-        if abs(u_new - u) < tol:
-            u = u_new
-            break
+        gap, last_gap = abs(u_new - u), gap
         u = u_new
+        if gap < tol or (gap >= last_gap and _residual_at_rounding_level(config, y + u)):
+            break
     else:
         raise RefinementError(
             f"fixed-point iteration did not converge in {max_iterations} iterations; "
@@ -415,37 +441,39 @@ def refine_endemic(
     return _finish_solution(config, i_star, iteration, "certified-contraction")
 
 
-def _bisection_fallback(config: ModelConfig) -> EndemicSolution:
-    """Safeguarded bisection on the equilibrium condition over [0, 1]."""
+def sign_change_brackets(grid, values) -> list:
+    """Grid cells that hold a root of a sampled function, in grid order.
 
-    def g(x: float) -> float:
+    A sample that is exactly zero gives the degenerate cell ``(a, a)``;
+    adjacent nonzero samples of opposite sign give ``(a, b)``, a bracket for
+    :func:`scipy.optimize.brentq`.
+    """
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    zero, negative = values == 0.0, values < 0.0
+    change = (negative[:-1] != negative[1:]) & ~zero[:-1] & ~zero[1:]
+    cells = [(j, j) for j in np.flatnonzero(zero)] + [(j, j + 1) for j in np.flatnonzero(change)]
+    return [(float(grid[a]), float(grid[b])) for a, b in sorted(cells)]
+
+
+def _grid_fallback(config: ModelConfig) -> EndemicSolution:
+    """Grid scan of the equilibrium condition over [0, 1], refined by Brent's
+    method on every sign change; the largest positive root is returned."""
+
+    def g(x):
         return config.r + config.mu - equilibrium_transmission(config, x)
 
     grid = np.linspace(0.0, 1.0, BISECTION_GRID + 1)
-    values = [g(x) for x in grid]
-    brackets = [
-        (grid[j], grid[j + 1])
-        for j in range(BISECTION_GRID)
-        if values[j] == 0.0 or (values[j] < 0.0) != (values[j + 1] < 0.0)
-    ]
     roots = []
     total_iterations = 0
-    for lo, hi in brackets:
-        glo = g(lo)
-        if glo == 0.0:
+    for lo, hi in sign_change_brackets(grid, g(grid)):
+        if lo == hi:
             roots.append(lo)
             continue
-        for _ in range(90):
-            total_iterations += 1
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if (g(mid) < 0.0) == (glo < 0.0):
-                lo = mid
-                glo = g(lo)
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
+        # a vanishing xtol leaves the default rtol (4 eps) to end the search
+        root, info = brentq(g, lo, hi, xtol=1e-300, full_output=True)
+        roots.append(root)
+        total_iterations += info.iterations
     roots = [x for x in roots if x > 0.0]
     if not roots:
         raise NoEndemicEquilibriumError("no sign change of the equilibrium condition on (0, 1]")

@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._stepper_py import _rhs
+
 __all__ = [
     "ConfigError",
     "ModelConfig",
@@ -206,11 +208,6 @@ def is_last_only(config: ModelConfig) -> bool:
     return bool(np.all(config.p[:-1] == 0.0))
 
 
-def is_all_but_last(config: ModelConfig) -> bool:
-    """True when the least-immune tier has no vaccination coverage."""
-    return config.p[-1] == 0.0
-
-
 @dataclass(frozen=True)
 class StateVector:
     """A point ``(S_0, ..., S_n, I)`` on the unit simplex.
@@ -267,6 +264,8 @@ def vector_field(config: ModelConfig, state) -> np.ndarray:
 
     The component sum of the output is ``mu * (1 - total population)``, which
     vanishes identically on the simplex; the flow conserves total population.
+    The arithmetic is the integration kernel's own right-hand side, so the
+    two cannot drift apart.
 
     Args:
         state: a :class:`StateVector` or an array of length ``n + 2``.
@@ -275,33 +274,21 @@ def vector_field(config: ModelConfig, state) -> np.ndarray:
         Array of length ``n + 2`` with the derivatives.
     """
     y = _as_state_array(config, state)
-    n = config.n
-    s, i = y[:-1], y[-1]
-    beta, om, de, mu, rr = config.beta, config.omega_i, config.delta_i, config.mu, config.r
-
-    out = np.empty(n + 2)
-    infection = beta * s * i
-    # most-immune tier: vaccination inflow, waning outflow, recovery inflow
-    out[0] = float(om @ s) - de[0] * s[0] + rr * i - infection[0] - mu * s[0]
-    if n >= 2:
-        k = np.arange(1, n)
-        out[1:n] = -om[k] * s[k] + de[k - 1] * s[k - 1] - de[k] * s[k] - infection[k] - mu * s[k]
-    # least-immune tier receives all births
-    out[n] = mu - om[n] * s[n] + de[n - 1] * s[n - 1] - infection[n] - mu * s[n]
-    out[n + 1] = float(beta @ s) * i - rr * i - mu * i
-    return out
+    return _rhs(config.beta, config.omega_i, config.delta_i, config.mu, config.r, y, np.empty(config.n + 2))
 
 
-def diagonal_coefficients(config: ModelConfig, prevalence: float) -> np.ndarray:
+def diagonal_coefficients(config: ModelConfig, prevalence) -> np.ndarray:
     """Per-tier total outflow coefficients ``-(delta_i + omega_i + mu + beta_i * I)``.
 
     These are the diagonal entries of the susceptible-block matrix at
     infection level ``prevalence``; they are strictly negative since
-    ``mu > 0``.
+    ``mu > 0``.  An array of prevalences of shape ``P`` gives shape
+    ``P + (n+1,)``.
     """
-    if prevalence < 0:
+    prevalence = np.asarray(prevalence, dtype=float)
+    if np.any(prevalence < 0):
         raise ValueError(f"prevalence must be >= 0, got {prevalence}")
-    return -(config.delta_i + config.omega_i + config.mu + config.beta * float(prevalence))
+    return -(config.delta_i + config.omega_i + config.mu + config.beta * prevalence[..., None])
 
 
 # -- strict JSON configuration format ---------------------------------------

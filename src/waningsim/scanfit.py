@@ -3,12 +3,12 @@
 Sweeps substitute one parameter along a grid and record an observable plus an
 equilibrium classification per point; grid points are independent, so they
 can be evaluated in a process pool with deterministic, grid-ordered output.
-Threshold crossings are refined by bisection on either the reproduction
-number or the small-waning existence condition.  Time-series files are plain
-CSV (annual prevalence, or cases with population); fitting minimizes the sum
-of squared prevalence residuals with a restarted Nelder-Mead simplex and
-quadratic out-of-bounds penalties, since the ODE objective has no usable
-gradients.
+Threshold crossings are located by a grid scan plus Brent's method on
+either the reproduction number or the small-waning existence condition.
+Time-series files are plain CSV (annual prevalence, or cases with
+population); fitting minimizes the sum of squared prevalence residuals with a
+restarted Nelder-Mead simplex and quadratic out-of-bounds penalties, since the
+ODE objective has no usable gradients.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import scipy.optimize
 
 from .dfe import basic_reproduction_number
 from .dynamics import integrate
-from .endemic import NoEndemicEquilibriumError, existence_margin, refine_endemic
-from .model import ConfigError, ModelConfig, config_from_dict, config_to_dict, epidemic_start
+from .endemic import NoEndemicEquilibriumError, existence_margin, refine_endemic, sign_change_brackets
+from .model import ConfigError, ModelConfig, config_to_dict, epidemic_start
 from .stability import dfe_spectrum
 
 __all__ = [
@@ -143,22 +143,20 @@ class SweepResult:
         }
 
 
-def _classify(config: ModelConfig) -> str:
-    regime = basic_reproduction_number(config).regime
-    return {"stable": "dfe_stable", "unstable": "endemic", "critical": "critical"}[regime]
+_CLASSIFICATION = {"stable": "dfe_stable", "unstable": "endemic", "critical": "critical"}
 
 
 def _evaluate_point(args) -> SweepPoint:
-    config_dict, parameter, value, observable, t_end = args
-    base = config_from_dict(config_dict)
+    base, parameter, value, observable, t_end = args
     try:
         cfg = substitute_parameter(base, parameter, value)
     except ConfigError as exc:
         return SweepPoint(value=value, observable=float("nan"), classification="error", error=str(exc))
     try:
-        classification = _classify(cfg)
+        r0 = basic_reproduction_number(cfg)
+        classification = _CLASSIFICATION[r0.regime]
         if observable == "r0":
-            obs = basic_reproduction_number(cfg).r0
+            obs = r0.r0
         elif observable == "max_real_part":
             obs = dfe_spectrum(cfg).max_real_part
         elif observable == "endemic_I":
@@ -185,7 +183,7 @@ def sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     recorded in the result rather than aborting the sweep.
     """
     tasks = [
-        (config_to_dict(spec.base_config), spec.parameter, float(v), spec.observable, spec.t_end)
+        (spec.base_config, spec.parameter, float(v), spec.observable, spec.t_end)
         for v in spec.grid
     ]
     if jobs > 1:
@@ -199,10 +197,10 @@ def sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 def find_bifurcation(spec: SweepSpec, criterion: str = "r0", tol: float = 1e-8) -> float:
     """Locate a threshold crossing of the swept parameter.
 
-    ``criterion="r0"`` bisects ``R0 - 1 = 0``; ``criterion="existence"``
-    bisects the small-waning endemic existence margin.  The grid supplies the
-    initial bracket (first adjacent sign change); bisection refines it below
-    ``tol``.
+    ``criterion="r0"`` solves ``R0 - 1 = 0``; ``criterion="existence"``
+    solves for a zero of the small-waning endemic existence margin.  The grid
+    supplies the bracket (the first grid zero or adjacent sign change);
+    Brent's method refines it to within ``tol``.
 
     Raises:
         ValueError: if the criterion does not change sign across the grid.
@@ -216,28 +214,11 @@ def find_bifurcation(spec: SweepSpec, criterion: str = "r0", tol: float = 1e-8) 
     else:
         raise ValueError(f"unknown bifurcation criterion {criterion!r}")
 
-    grid = spec.grid
-    values = [f(v) for v in grid]
-    bracket = None
-    for j in range(len(grid) - 1):
-        if values[j] == 0.0:
-            return float(grid[j])
-        if (values[j] < 0.0) != (values[j + 1] < 0.0):
-            bracket = (float(grid[j]), float(grid[j + 1]), values[j])
-            break
-    if bracket is None:
+    brackets = sign_change_brackets(spec.grid, [f(v) for v in spec.grid])
+    if not brackets:
         raise ValueError(f"no sign change of criterion {criterion!r} across the grid")
-    lo, hi, flo = bracket
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lo, hi = brackets[0]
+    return lo if lo == hi else scipy.optimize.brentq(f, lo, hi, xtol=tol)
 
 
 class TimeSeriesError(ValueError):

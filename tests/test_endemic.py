@@ -58,6 +58,16 @@ class TestBlockSolve:
             dense = np.linalg.solve(susceptible_block_matrix(cfg, prevalence), b)
             np.testing.assert_allclose(fast, dense, rtol=1e-9, atol=1e-12)
 
+            # an array of prevalences: row j solves the system at prevalences[j]
+            prevalences = rng.uniform(0, 1, 5)
+            rows = rng.normal(size=(5, cfg.n + 1))
+            for rhs in (rows, b):
+                fast = solve_susceptible_block(cfg, prevalences, rhs)
+                assert fast.shape == (5, cfg.n + 1)
+                for j, x in enumerate(prevalences):
+                    dense = np.linalg.solve(susceptible_block_matrix(cfg, x), np.broadcast_to(rhs, fast.shape)[j])
+                    np.testing.assert_allclose(fast[j], dense, rtol=1e-9, atol=1e-12)
+
 
 class TestTransmissionFunctions:
     def test_zero_waning_closed_form_matches_matrix_path(self):
@@ -267,6 +277,24 @@ class TestRefine:
             assert sol.vf_norm < 1e-9
             assert np.all(sol.s_star >= 0)
 
+    def test_rounding_level_two_cycle_is_accepted(self):
+        # pertussis-scale rates under a valid certificate: the fixed-point gaps
+        # stop shrinking at ~1e-13, just above FIXED_POINT_TOL, in a 2-cycle
+        cfg = build_general(
+            4,
+            (47.91068635947344, 58.26298704242893, 61.77673101565805, 167.93631386184282, 278.7321769996347),
+            0.0007688885862420106,
+            0.02,
+            17.0,
+            20.0,
+            (0.0, 0.4491001936557365, 0.39878599213166555, 0.26340148529094404, 0.28766869750999086),
+        )
+        assert localize_endemic(cfg).validity
+        sol = refine_endemic(cfg)
+        assert sol.certification == "certified-contraction"
+        assert sol.residual < 1e-10
+        assert sol.i_star == pytest.approx(0.64528, abs=1e-5)
+
     def test_unstable_dfe_pertussis_variant_residual(self, pertussis):
         # past the waning-rate bifurcation the reconstructed config is endemic
         cfg = pertussis.replace(delta=0.25)
@@ -282,7 +310,7 @@ class TestRefine:
             refine_endemic(cfg)
 
     def test_uncertified_none_raises_too(self, pertussis):
-        # R0 < 1 for the baseline reconstruction: bisection finds no bracket
+        # R0 < 1 for the baseline reconstruction: the grid scan finds no sign change
         with pytest.raises(NoEndemicEquilibriumError):
             refine_endemic(pertussis)
 

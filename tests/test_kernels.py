@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -88,6 +86,4 @@ class TestCompiledKernel:
         )
 
     def test_active_kernel_reports_compiled(self):
-        if os.environ.get("WANINGSIM_PURE_PYTHON", "").strip() not in ("", "0"):
-            pytest.skip("pure-Python override active")
         assert stepper.active_kernel() == "cython"

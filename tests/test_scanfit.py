@@ -1,4 +1,4 @@
-"""Sweeps, bifurcation bisection, CSV ingestion, and fit round trips."""
+"""Sweeps, bifurcation location, CSV ingestion, and fit round trips."""
 
 from __future__ import annotations
 
