@@ -7,9 +7,9 @@ spectra and certificates (:mod:`.stability`), time integration
 (:mod:`.dynamics`), parameter sweeps / bifurcation detection / fitting
 (:mod:`.scanfit`), and a file-based CLI (:mod:`.cli`).
 
-The time integrator runs on a compiled kernel when the Cython extension is
-available and on a pure-NumPy kernel otherwise; see
-:func:`waningsim.stepper.active_kernel`.
+The time integrator runs on the C kernel ``_stepper.c``, compiled on first
+import when a C compiler is available, and on a pure-NumPy kernel otherwise;
+see :func:`waningsim.stepper.active_kernel`.
 """
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Pure-NumPy adaptive Runge-Kutta 5(4) stepper (Dormand-Prince pair).
 
-Reference implementation of the integration kernel.  The compiled Cython
-twin in ``_stepper_cy.pyx`` mirrors this algorithm statement by statement;
-keep the two in sync.  The kernel works on raw parameter arrays so it stays
+Reference implementation of the integration kernel.  The compiled C twin in
+``_stepper.c`` mirrors this algorithm statement by statement; keep the two
+in sync.  The kernel works on raw parameter arrays so it stays
 picklable and free of package types.
 
 Status codes returned by :func:`integrate_core`:

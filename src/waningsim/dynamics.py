@@ -155,11 +155,19 @@ def integrate(
             the detection threshold for the required run of accepted steps.
 
     Raises:
+        ValueError: on a bad ``t_end``, ``rtol``/``atol``, ``max_steps`` or
+            ``fixed_step`` (checks below), or an off-simplex initial state.
         IntegrationError: on step-size underflow, exhausted step budget,
             non-finite states, or negativity beyond the roundoff clamp.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    if not (math.isfinite(rtol) and math.isfinite(atol) and rtol >= 0 and atol >= 0) or rtol == atol == 0:
+        raise ValueError(f"rtol and atol must be finite, >= 0 and not both 0, got rtol={rtol}, atol={atol}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if fixed_step is not None and not (math.isfinite(fixed_step) and fixed_step > 0):
+        raise ValueError(f"fixed_step must be None or finite and positive, got {fixed_step}")
     y0 = initial_state.as_array() if isinstance(initial_state, StateVector) else np.asarray(initial_state, dtype=float)
     if y0.shape != (config.n + 2,):
         raise ValueError(f"initial state must have length n+2={config.n + 2}")
@@ -187,7 +195,7 @@ def integrate(
         float(atol),
         targets,
         int(max_steps),
-        float(fixed_step) if fixed_step else 0.0,
+        0.0 if fixed_step is None else float(fixed_step),
         bool(stop_at_equilibrium),
         EQUILIBRIUM_VF_TOL,
         EQUILIBRIUM_RUN,

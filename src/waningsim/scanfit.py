@@ -22,7 +22,7 @@ import numpy as np
 import scipy.optimize
 
 from .dfe import basic_reproduction_number
-from .dynamics import integrate
+from .dynamics import IntegrationError, integrate
 from .endemic import NoEndemicEquilibriumError, existence_margin, refine_endemic, sign_change_brackets
 from .model import ConfigError, ModelConfig, config_to_dict, epidemic_start
 from .stability import dfe_spectrum
@@ -339,6 +339,7 @@ class FitResult:
     residuals: np.ndarray
     converged: bool
     evaluations: int
+    failed_evaluations: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -348,6 +349,7 @@ class FitResult:
             "residuals": [float(x) for x in self.residuals],
             "converged": self.converged,
             "evaluations": self.evaluations,
+            "failed_evaluations": self.failed_evaluations,
         }
 
 
@@ -413,7 +415,9 @@ def fit(
     The whole transmission vector is scaled jointly (``beta_scale``), which
     preserves its ordering.  Out-of-bounds proposals are simulated at their
     clipped values with a quadratic penalty added, keeping the objective
-    finite everywhere for the simplex search.  Deterministic given options.
+    finite everywhere for the simplex search.  Trial points that fail to
+    integrate or form no valid configuration score ``1e6`` plus the penalty
+    and are counted in ``failed_evaluations``.  Deterministic given options.
 
     Returns the best point found with ``converged=False`` when the simplex
     stalls without meeting its tolerances.
@@ -446,6 +450,7 @@ def fit(
     x0 = np.clip(x0, lo, hi)
     observed = timeseries.prevalence
     evaluations = 0
+    failed_evaluations = 0
 
     def residuals_at(x: np.ndarray) -> np.ndarray:
         cfg, i0 = _apply_parameters(config_template, names, x, opts.initial_prevalence)
@@ -458,13 +463,14 @@ def fit(
         return simulated - observed
 
     def objective(x: np.ndarray) -> float:
-        nonlocal evaluations
+        nonlocal evaluations, failed_evaluations
         evaluations += 1
         clipped = np.clip(x, lo, hi)
         penalty = float(np.sum(((x - clipped) / (hi - lo)) ** 2))
         try:
             res = residuals_at(clipped)
-        except Exception:
+        except (IntegrationError, ConfigError):
+            failed_evaluations += 1
             return 1e6 + penalty
         return float(res @ res) + penalty
 
@@ -499,4 +505,5 @@ def fit(
         residuals=final_residuals,
         converged=converged,
         evaluations=evaluations,
+        failed_evaluations=failed_evaluations,
     )

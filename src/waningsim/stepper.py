@@ -1,19 +1,27 @@
-"""Integration kernel selection: compiled extension with pure-Python fallback.
+"""Integration kernel selection: compiled C kernel with pure-Python fallback.
 
-The compiled kernel is used whenever it is importable; otherwise the NumPy
-reference kernel runs.  :func:`kernels` lists every importable kernel.
+The first import compiles ``_stepper.c`` with the C compiler Python was built
+with (``$CC`` overrides it) into ``$XDG_CACHE_HOME/waningsim/`` (default
+``~/.cache/waningsim/``), under a name keyed by source, compiler and
+platform, and loads it with :mod:`ctypes`.  If that fails, the NumPy
+reference kernel runs.  :func:`kernels` lists every usable kernel.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+import types
+from pathlib import Path
+
+import numpy as np
+
 from . import _stepper_py
-
-try:
-    from . import _stepper_cy as _impl  # type: ignore[attr-defined]
-except ImportError:
-    _impl = _stepper_py
-
-integrate_core = _impl.integrate_core
 
 STATUS_REACHED_END = _stepper_py.STATUS_REACHED_END
 STATUS_CONVERGED = _stepper_py.STATUS_CONVERGED
@@ -21,20 +29,103 @@ STATUS_UNDERFLOW = _stepper_py.STATUS_UNDERFLOW
 STATUS_MAX_STEPS = _stepper_py.STATUS_MAX_STEPS
 STATUS_NONFINITE = _stepper_py.STATUS_NONFINITE
 STATUS_NEGATIVE = _stepper_py.STATUS_NEGATIVE
+_NO_MEMORY = -5  # the C kernel's allocation failure
+
+_SOURCE = Path(__file__).with_name("_stepper.c")
+
+
+class _Record(ctypes.Structure):
+    """``ws_record`` of ``_stepper.c``: one row ``(t, *state)`` per accepted step."""
+
+    _fields_ = [
+        ("rows", ctypes.POINTER(ctypes.c_double)),
+        ("n_rows", ctypes.c_int64),
+        ("n_accepted", ctypes.c_int64),
+        ("n_rejected", ctypes.c_int64),
+        ("t_reached", ctypes.c_double),
+    ]
+
+
+def _library_path(compiler) -> Path:
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    digest = hashlib.sha256(_SOURCE.read_bytes())
+    digest.update("\0".join([*compiler, sysconfig.get_platform()]).encode())
+    return Path(cache) / "waningsim" / f"_stepper-{digest.hexdigest()[:16]}.so"
+
+
+def _build(compiler, path: Path) -> None:
+    """Compile into a private directory, then move the library into place in
+    one step, so a concurrent import never loads a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
+        built = os.path.join(tmp, path.name)
+        command = [*compiler, "-O3", "-shared", "-fPIC", "-o", built, str(_SOURCE), "-lm"]
+        subprocess.run(command, check=True, capture_output=True, timeout=300)
+        os.replace(built, path)
+
+
+def _load_library():
+    """The compiled kernel library, built on first use; ``None`` if unusable."""
+    try:
+        compiler = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+        path = _library_path(compiler)
+        if not path.exists():
+            _build(compiler, path)
+        lib = ctypes.CDLL(str(path))
+        array = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+        lib.ws_integrate.restype = ctypes.c_int
+        lib.ws_integrate.argtypes = [
+            ctypes.c_int64, array, array, array, ctypes.c_double, ctypes.c_double, array,
+            ctypes.c_double, ctypes.c_double, ctypes.c_double, array, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_double, ctypes.c_int, ctypes.c_double, ctypes.c_int64, ctypes.POINTER(_Record),
+        ]
+        lib.ws_free.restype = None
+        lib.ws_free.argtypes = [ctypes.POINTER(_Record)]
+        return lib
+    except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
+        return None
+
+
+_lib = _load_library()
+
+
+def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, t_end, rtol, atol, targets, max_steps, fixed_step,
+                      stop_at_equilibrium, eq_tol, eq_run):
+    """See ``_stepper_py.integrate_core``; identical contract."""
+    beta, omega_i, delta_i, y, targets = (
+        np.ascontiguousarray(a, dtype=np.float64) for a in (beta, omega_i, delta_i, y0, targets))
+    m = y.size
+    if y.ndim != 1 or m < 2 or not beta.shape == omega_i.shape == delta_i.shape == (m - 1,):
+        raise ValueError(f"rate arrays must have length {m - 1}, one less than the state's")
+    rec = _Record()
+    status = _lib.ws_integrate(
+        m, beta, omega_i, delta_i, float(mu), float(r), y, float(t_end), float(rtol), float(atol),
+        targets, targets.size, int(max_steps), float(fixed_step), bool(stop_at_equilibrium),
+        float(eq_tol), int(eq_run), ctypes.byref(rec),
+    )
+    try:
+        if status == _NO_MEMORY:
+            raise MemoryError("the C kernel could not allocate its step record")
+        rows = np.ctypeslib.as_array(rec.rows, (rec.n_rows, m + 1))
+        times, states = rows[:, 0].copy(), rows[:, 1:].copy()
+    finally:
+        _lib.ws_free(ctypes.byref(rec))
+    return times, states, status, rec.n_accepted, rec.n_rejected, rec.t_reached
+
+
+_KERNELS = {"python": _stepper_py}
+if _lib is not None:
+    _KERNELS["c"] = types.SimpleNamespace(KERNEL_NAME="c", integrate_core=_c_integrate_core)
+_impl = _KERNELS.get("c", _stepper_py)
+
+integrate_core = _impl.integrate_core
 
 
 def active_kernel() -> str:
-    """Name of the kernel in use: ``"cython"`` or ``"python"``."""
+    """Name of the kernel in use: ``"c"`` or ``"python"``."""
     return _impl.KERNEL_NAME
 
 
 def kernels():
-    """All importable kernels, for parity tests and benchmarks."""
-    out = {"python": _stepper_py}
-    try:
-        from . import _stepper_cy
-
-        out["cython"] = _stepper_cy
-    except ImportError:
-        pass
-    return out
+    """All usable kernels, for parity tests and benchmarks."""
+    return dict(_KERNELS)

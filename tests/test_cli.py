@@ -79,6 +79,10 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--t-end", "5"]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_nan_horizon_exits_2(self, endemic_config_path, capsys):
+        assert main(["simulate", "--config", endemic_config_path, "--t-end", "nan"]) == 2
+        assert "t_end must be finite" in capsys.readouterr().err
+
     def test_stiff_blowup_exits_3(self, tmp_path, capsys):
         stiff = tmp_path / "stiff.json"
         stiff.write_text(config_to_json(build_general(1, (1e6, 1e6), 0.0, 1.0, 1.0, 0.0, (0.0, 0.0))))

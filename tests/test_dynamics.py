@@ -114,6 +114,28 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="length"):
             integrate(ENDEMIC_CFG, np.array([0.5, 0.5]), 10.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"t_end": float("nan")},
+            {"t_end": float("inf")},
+            {"t_end": 0.0},
+            {"rtol": float("nan")},
+            {"atol": float("inf")},
+            {"rtol": -1e-10},
+            {"atol": -1e-12},
+            {"rtol": 0.0, "atol": 0.0},
+            {"max_steps": 0},
+            {"fixed_step": -0.1},
+            {"fixed_step": 0.0},
+            {"fixed_step": float("nan")},
+        ],
+    )
+    def test_rejects_bad_arguments(self, bad):
+        kwargs = {"t_end": 10.0, **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), **kwargs)
+
     def test_tolerance_tightening_reduces_error(self, waning_chain):
         rng = np.random.default_rng(53)
         s0 = rng.uniform(0.1, 1.0, 4)

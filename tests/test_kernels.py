@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -52,24 +54,24 @@ def test_python_kernel_is_deterministic():
     assert a[2:] == b[2:]
 
 
-@pytest.mark.skipif("cython" not in stepper.kernels(), reason="compiled kernel not built")
+@pytest.mark.skipif("c" not in stepper.kernels(), reason="compiled kernel not built")
 class TestCompiledKernel:
     def test_terminal_state_parity(self):
         results = {name: run_kernel(impl, CFG, t_end=200.0) for name, impl in stepper.kernels().items()}
-        py, cy = results["python"], results["cython"]
-        assert py[2] == cy[2]  # status
-        np.testing.assert_allclose(py[1][-1], cy[1][-1], rtol=1e-7, atol=1e-10)
+        py, c = results["python"], results["c"]
+        assert py[2] == c[2]  # status
+        np.testing.assert_allclose(py[1][-1], c[1][-1], rtol=1e-7, atol=1e-10)
 
     def test_single_fixed_step_near_bitwise(self):
         # one fixed step exercises every tableau coefficient in both kernels
         py = run_kernel(stepper.kernels()["python"], CFG, t_end=0.25, fixed_step=0.25)
-        cy = run_kernel(stepper.kernels()["cython"], CFG, t_end=0.25, fixed_step=0.25)
-        assert py[1].shape == cy[1].shape == (2, 4)
-        np.testing.assert_allclose(py[1][1], cy[1][1], rtol=1e-14, atol=1e-17)
+        c = run_kernel(stepper.kernels()["c"], CFG, t_end=0.25, fixed_step=0.25)
+        assert py[1].shape == c[1].shape == (2, 4)
+        np.testing.assert_allclose(py[1][1], c[1][1], rtol=1e-14, atol=1e-17)
 
     def test_compiled_kernel_is_deterministic(self):
-        a = run_kernel(stepper.kernels()["cython"], CFG)
-        b = run_kernel(stepper.kernels()["cython"], CFG)
+        a = run_kernel(stepper.kernels()["c"], CFG)
+        b = run_kernel(stepper.kernels()["c"], CFG)
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_equilibrium_early_stop_parity(self):
@@ -80,10 +82,31 @@ class TestCompiledKernel:
                 CFG.beta, CFG.omega_i, CFG.delta_i, CFG.mu, CFG.r, y0,
                 2000.0, 1e-10, 1e-12, np.array([2000.0]), 5_000_000, 0.0, True, 1e-10, 50,
             )
-        assert out["python"][2] == out["cython"][2] == stepper.STATUS_CONVERGED
+        assert out["python"][2] == out["c"][2] == stepper.STATUS_CONVERGED
         np.testing.assert_allclose(
-            out["python"][1][-1], out["cython"][1][-1], rtol=1e-7, atol=1e-10
+            out["python"][1][-1], out["c"][1][-1], rtol=1e-7, atol=1e-10
         )
 
     def test_active_kernel_reports_compiled(self):
-        assert stepper.active_kernel() == "cython"
+        assert stepper.active_kernel() == "c"
+
+    def test_step_record_grows_past_initial_capacity(self, pertussis):
+        # 4096 rows are allocated up front; this run records about 5000
+        results = {name: run_kernel(impl, pertussis, t_end=1200.0) for name, impl in stepper.kernels().items()}
+        py, c = results["python"], results["c"]
+        assert c[3] > 4096
+        assert c[0].shape == (c[3] + 1,) and c[1].shape == (c[3] + 1, pertussis.n + 2)
+        assert py[2] == c[2]
+        np.testing.assert_allclose(py[1][-1], c[1][-1], rtol=1e-7, atol=1e-10)
+
+
+def test_unusable_compiler_falls_back_to_python(monkeypatch, tmp_path):
+    try:
+        with monkeypatch.context() as patch:
+            patch.setenv("CC", str(tmp_path / "no-such-compiler"))
+            patch.setenv("XDG_CACHE_HOME", str(tmp_path))
+            importlib.reload(stepper)
+            assert stepper.active_kernel() == "python"
+            assert list(stepper.kernels()) == ["python"]
+    finally:
+        importlib.reload(stepper)

@@ -7,7 +7,9 @@ import io
 import numpy as np
 import pytest
 
+from waningsim import scanfit
 from waningsim.dfe import basic_reproduction_number
+from waningsim.dynamics import IntegrationError
 from waningsim.model import ConfigError, build_general, build_last_only
 from waningsim.scanfit import (
     FitOptions,
@@ -264,3 +266,34 @@ class TestFit:
             FitOptions(initial_prevalence=1e-4, max_iterations=120, restarts=0),
         )
         assert result.sse == pytest.approx(float(result.residuals @ result.residuals), rel=1e-14)
+
+    def test_failed_trial_points_are_counted(self, monkeypatch):
+        years = np.arange(2000, 2010)
+        data = synthetic_series(FIT_TRUTH, years, i0=1e-4)
+        calls = []
+
+        def flaky(config, *args, **kwargs):
+            calls.append(config.omega)
+            if len(calls) in (2, 3):
+                raise IntegrationError("step budget exhausted (stiff regime)", 0.5)
+            return simulate_annual_prevalence(config, *args, **kwargs)
+
+        monkeypatch.setattr(scanfit, "simulate_annual_prevalence", flaky)
+        result = fit(
+            FIT_TRUTH.replace(omega=2.0),
+            ["omega"],
+            data,
+            FitOptions(initial_prevalence=1e-4, max_iterations=120, restarts=0),
+        )
+        assert len(calls) > 3
+        assert result.failed_evaluations == 2
+        assert result.to_json_dict()["failed_evaluations"] == 2
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a trial-point failure")
+
+        monkeypatch.setattr(scanfit, "simulate_annual_prevalence", broken)
+        data = synthetic_series(FIT_TRUTH, np.arange(2000, 2005), i0=1e-4)
+        with pytest.raises(TypeError, match="not a trial-point failure"):
+            fit(FIT_TRUTH, ["omega"], data, FitOptions(initial_prevalence=1e-4))
