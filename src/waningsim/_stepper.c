@@ -12,6 +12,8 @@ enum { REACHED_END = 0, CONVERGED = 1, UNDERFLOW = -1, MAX_STEPS = -2, NONFINITE
        NO_MEMORY = -5 };
 
 static const double NEG_CLAMP = 1e-12, MIN_FACTOR = 0.2, MAX_FACTOR = 10.0, SAFETY = 0.9;
+static const double EQUILIBRIUM_VF_TOL = 1e-10; /* equilibrium: |f| below this ... */
+static const int64_t EQUILIBRIUM_RUN = 50;      /* ... over this many accepted steps in a row */
 static const double H_FLOOR = 1e3 * 2.2250738585072014e-308;
 static const int64_t INITIAL_CAPACITY = 4096; /* rows */
 
@@ -85,7 +87,7 @@ void ws_free(ws_record *rec) { free(rec->rows); }
 int ws_integrate(int64_t m, const double *beta, const double *omega_i, const double *delta_i,
                  double mu, double r, const double *y0, double t_end, double rtol, double atol,
                  const double *targets, int64_t n_targets, int64_t max_steps, double fixed_step,
-                 int stop_at_equilibrium, double eq_tol, int64_t eq_run, ws_record *rec)
+                 int stop_at_equilibrium, ws_record *rec)
 {
     int64_t n = m - 2, cap = INITIAL_CAPACITY;
     double *k = malloc((size_t)(10 * m) * sizeof(double)); /* seven stage rows, then three states */
@@ -190,8 +192,8 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
             double fnorm = 0.0;
             for (int64_t j = 0; j < m; j++)
                 fnorm += k[j] * k[j];
-            quiet_run = sqrt(fnorm) < eq_tol ? quiet_run + 1 : 0;
-            if (stop_at_equilibrium && quiet_run >= eq_run) { status = CONVERGED; break; }
+            quiet_run = sqrt(fnorm) < EQUILIBRIUM_VF_TOL ? quiet_run + 1 : 0;
+            if (stop_at_equilibrium && quiet_run >= EQUILIBRIUM_RUN) { status = CONVERGED; break; }
         } else {
             n_rejected++;
         }
@@ -208,7 +210,8 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
         }
     }
 
-    if (status == REACHED_END && (quiet_run >= eq_run || (quiet_run == n_accepted && n_accepted >= 1)))
+    if (status == REACHED_END
+        && (quiet_run >= EQUILIBRIUM_RUN || (quiet_run == n_accepted && n_accepted >= 1)))
         status = CONVERGED;
     free(k);
     rec->n_accepted = n_accepted;

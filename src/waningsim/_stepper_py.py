@@ -8,7 +8,8 @@ picklable and free of package types.
 Status codes returned by :func:`integrate_core`:
 
 *  0 - reached ``t_end``
-*  1 - equilibrium detected (derivative norm below threshold, sustained)
+*  1 - equilibrium detected (derivative norm below ``EQUILIBRIUM_VF_TOL`` for
+       ``EQUILIBRIUM_RUN`` accepted steps in a row)
 * -1 - step size underflow (stiffness signal)
 * -2 - step budget exhausted (stiffness signal)
 * -3 - non-finite state encountered
@@ -31,6 +32,8 @@ STATUS_NONFINITE = -3
 STATUS_NEGATIVE = -4
 
 NEG_CLAMP = 1e-12
+EQUILIBRIUM_VF_TOL = 1e-10
+EQUILIBRIUM_RUN = 50
 
 # Dormand-Prince 5(4) tableau (FSAL: stage 7 equals the propagated solution)
 _A = (
@@ -84,8 +87,6 @@ def integrate_core(
     max_steps,
     fixed_step,
     stop_at_equilibrium,
-    eq_tol,
-    eq_run,
 ):
     """Integrate the model ODE from t=0 to ``t_end``.
 
@@ -181,8 +182,8 @@ def integrate_core(
             states.append(y.copy())
 
             fnorm = float(np.sqrt(rows[0] @ rows[0]))
-            quiet_run = quiet_run + 1 if fnorm < eq_tol else 0
-            if stop_at_equilibrium and quiet_run >= eq_run:
+            quiet_run = quiet_run + 1 if fnorm < EQUILIBRIUM_VF_TOL else 0
+            if stop_at_equilibrium and quiet_run >= EQUILIBRIUM_RUN:
                 return _finish(times, states, STATUS_CONVERGED, n_accepted, n_rejected, t)
         else:
             n_rejected += 1
@@ -198,7 +199,7 @@ def integrate_core(
             else:
                 h = h_use * factor
 
-    if quiet_run >= eq_run or (quiet_run == n_accepted and n_accepted >= 1):
+    if quiet_run >= EQUILIBRIUM_RUN or (quiet_run == n_accepted and n_accepted >= 1):
         status = STATUS_CONVERGED
     return _finish(times, states, status, n_accepted, n_rejected, t)
 

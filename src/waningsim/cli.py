@@ -53,6 +53,8 @@ def _csv_with_manifest(manifest: dict, body: str) -> str:
 
 
 def cmd_simulate(args) -> int:
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     config = load_config(args.config)
     grid = np.linspace(0.0, args.t_end, args.samples + 1) if args.samples else None
     trajectory = integrate(

@@ -15,7 +15,6 @@ used here as a closed-form trajectory evaluator.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -24,7 +23,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from . import stepper
-from .model import ModelConfig, StateVector, config_digest, vector_field
+from .model import ModelConfig, StateVector, config_digest
 
 __all__ = [
     "IntegrationError",
@@ -34,14 +33,11 @@ __all__ = [
     "infection_free_solution",
     "RateFit",
     "convergence_rate",
-    "detect_equilibrium",
 ]
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 DEFAULT_MAX_STEPS = 5_000_000
-EQUILIBRIUM_VF_TOL = 1e-10
-EQUILIBRIUM_RUN = 50
 DFE_PREVALENCE_THRESHOLD = 1e-10
 
 _STATUS_MESSAGES = {
@@ -106,17 +102,12 @@ class Trajectory:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         return replace(self, times=times, states=self.sample(times))
 
-    def to_csv(self, fh=None) -> str | None:
+    def to_csv(self) -> str:
         """CSV with header ``t,S_0,...,S_n,I``, full-precision floats."""
-        own = fh is None
-        out = io.StringIO() if own else fh
         n = self.states.shape[1] - 2
-        out.write("t," + ",".join(f"S_{i}" for i in range(n + 1)) + ",I\n")
-        for t, row in zip(self.times, self.states):
-            out.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-        if own:
-            return out.getvalue()
-        return None
+        rows = (repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n"
+                for t, row in zip(self.times, self.states))
+        return "t," + ",".join(f"S_{i}" for i in range(n + 1)) + ",I\n" + "".join(rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,7 +143,8 @@ def integrate(
             by step clipping.  ``t_end`` is always included.
         fixed_step: disable adaptivity and force this step (order tests).
         stop_at_equilibrium: stop early once the derivative norm stays below
-            the detection threshold for the required run of accepted steps.
+            ``EQUILIBRIUM_VF_TOL`` for ``EQUILIBRIUM_RUN`` accepted steps in a
+            row (constants of ``_stepper_py``, twinned in ``_stepper.c``).
 
     Raises:
         ValueError: on a bad ``t_end``, ``rtol``/``atol``, ``max_steps`` or
@@ -197,8 +189,6 @@ def integrate(
         int(max_steps),
         0.0 if fixed_step is None else float(fixed_step),
         bool(stop_at_equilibrium),
-        EQUILIBRIUM_VF_TOL,
-        EQUILIBRIUM_RUN,
     )
     if status < 0:
         raise IntegrationError(_STATUS_MESSAGES[status], t_reached)
@@ -346,35 +336,3 @@ def convergence_rate(trajectory: Trajectory, target_state) -> RateFit:
     slope = np.polyfit(times[peaks], np.log(dist[peaks]), 1)[0]
     return RateFit(kappa=float(-slope), envelope=True, n_points=len(peaks))
 
-
-def detect_equilibrium(
-    trajectory: Trajectory,
-    config: ModelConfig,
-    vf_tol: float = EQUILIBRIUM_VF_TOL,
-    run_length: int = EQUILIBRIUM_RUN,
-    dfe_threshold: float = DFE_PREVALENCE_THRESHOLD,
-):
-    """Classify the trajectory endpoint.
-
-    Converged when the derivative norm stayed below ``vf_tol`` over the last
-    ``run_length`` accepted steps (or over the entire, everywhere-quiet
-    trajectory); the equilibrium type is decided by rounding the final
-    prevalence at ``dfe_threshold``.
-
-    Returns ``(status, point)`` with the final state as the point.
-    """
-    m = trajectory.times.size
-    run = 0
-    for idx in range(m - 1, -1, -1):
-        if np.linalg.norm(vector_field(config, trajectory.states[idx])) < vf_tol:
-            run += 1
-            if run >= run_length:
-                break
-        else:
-            break
-    converged = run >= run_length or run == m
-    point = trajectory.final_state
-    if not converged:
-        return "max_time", point
-    status = "converged_dfe" if point[-1] < dfe_threshold else "converged_endemic"
-    return status, point

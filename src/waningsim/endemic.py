@@ -363,8 +363,6 @@ def _finish_solution(config, i_star, iterations, certification, candidates=1) ->
 def refine_endemic(
     config: ModelConfig,
     localization: LocalizationResult | None = None,
-    max_iterations: int = MAX_FIXED_POINT_ITERATIONS,
-    tol: float = FIXED_POINT_TOL,
 ) -> EndemicSolution:
     """Compute the endemic equilibrium.
 
@@ -423,15 +421,15 @@ def refine_endemic(
     # noise, and the point ends the loop only if it solves the equilibrium
     # condition to rounding level.
     u, gap = 0.0, math.inf
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
         u_new = step(y + u)
         gap, last_gap = abs(u_new - u), gap
         u = u_new
-        if gap < tol or (gap >= last_gap and _residual_at_rounding_level(config, y + u)):
+        if gap < FIXED_POINT_TOL or (gap >= last_gap and _residual_at_rounding_level(config, y + u)):
             break
     else:
         raise RefinementError(
-            f"fixed-point iteration did not converge in {max_iterations} iterations; "
+            f"fixed-point iteration did not converge in {MAX_FIXED_POINT_ITERATIONS} iterations; "
             "the waning rate is too large for the contraction"
         )
 

@@ -212,9 +212,9 @@ def is_last_only(config: ModelConfig) -> bool:
 class StateVector:
     """A point ``(S_0, ..., S_n, I)`` on the unit simplex.
 
-    Construction validates non-negativity and that the components sum to 1
-    within ``SIMPLEX_TOL``.  Renormalization is never silent; call
-    :meth:`normalized` explicitly when needed.
+    Construction validates non-negativity (NaN fails it) and that the
+    components sum to 1 within ``SIMPLEX_TOL``.  Renormalization is never
+    silent; call :meth:`normalized` explicitly when needed.
     """
 
     s: np.ndarray
@@ -226,8 +226,8 @@ class StateVector:
         object.__setattr__(self, "i", float(self.i))
         if s.ndim != 1 or s.size < 2:
             raise ValueError(f"s must be a vector of length n+1 >= 2, got shape {s.shape}")
-        if np.any(s < 0) or self.i < 0:
-            raise ValueError("state components must be non-negative")
+        if not (np.all(s >= 0) and self.i >= 0):  # false for NaN as well
+            raise ValueError("state components must be non-negative, not NaN")
         total = math.fsum(s.tolist()) + self.i
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"state must sum to 1 within {SIMPLEX_TOL:g}, got {total!r}")

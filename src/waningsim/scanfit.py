@@ -14,7 +14,6 @@ ODE objective has no usable gradients.
 from __future__ import annotations
 
 import csv
-import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -47,6 +46,7 @@ __all__ = [
 
 SWEEP_PARAMETERS = ("beta0", "omega", "delta", "omega_n", "p_n")
 SWEEP_OBSERVABLES = ("terminal_prevalence", "r0", "endemic_I", "max_real_part")
+BIFURCATION_XTOL = 1e-8
 
 
 def substitute_parameter(config: ModelConfig, parameter: str, value: float) -> ModelConfig:
@@ -93,6 +93,8 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep parameter {self.parameter!r}")
         if self.observable not in SWEEP_OBSERVABLES:
             raise ConfigError(f"unknown observable {self.observable!r}")
+        if not np.all(np.isfinite(grid)):
+            raise ConfigError("grid points must be finite")
         if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
             raise ConfigError("grid must be a strictly increasing vector with >= 2 points")
 
@@ -119,13 +121,9 @@ class SweepResult:
     def observables(self) -> np.ndarray:
         return np.array([p.observable for p in self.points])
 
-    def to_csv(self, fh=None) -> str | None:
-        own = fh is None
-        out = io.StringIO() if own else fh
-        out.write("param_value,observable,classification\n")
-        for p in self.points:
-            out.write(f"{p.value!r},{p.observable!r},{p.classification}\n")
-        return out.getvalue() if own else None
+    def to_csv(self) -> str:
+        rows = [f"{p.value!r},{p.observable!r},{p.classification}\n" for p in self.points]
+        return "param_value,observable,classification\n" + "".join(rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -194,13 +192,14 @@ def sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     return SweepResult(parameter=spec.parameter, observable=spec.observable, points=tuple(points))
 
 
-def find_bifurcation(spec: SweepSpec, criterion: str = "r0", tol: float = 1e-8) -> float:
+def find_bifurcation(spec: SweepSpec, criterion: str = "r0") -> float:
     """Locate a threshold crossing of the swept parameter.
 
     ``criterion="r0"`` solves ``R0 - 1 = 0``; ``criterion="existence"``
     solves for a zero of the small-waning endemic existence margin.  The grid
     supplies the bracket (the first grid zero or adjacent sign change);
-    Brent's method refines it to within ``tol``.
+    Brent's method refines it to within ``BIFURCATION_XTOL`` (absolute, in
+    the swept parameter).
 
     Raises:
         ValueError: if the criterion does not change sign across the grid.
@@ -218,7 +217,7 @@ def find_bifurcation(spec: SweepSpec, criterion: str = "r0", tol: float = 1e-8) 
     if not brackets:
         raise ValueError(f"no sign change of criterion {criterion!r} across the grid")
     lo, hi = brackets[0]
-    return lo if lo == hi else scipy.optimize.brentq(f, lo, hi, xtol=tol)
+    return lo if lo == hi else scipy.optimize.brentq(f, lo, hi, xtol=BIFURCATION_XTOL)
 
 
 class TimeSeriesError(ValueError):
@@ -292,10 +291,7 @@ def ingest_timeseries(source) -> TimeSeries:
         rows.append((year, value))
     if header is None or not rows:
         raise TimeSeriesError("no data rows found")
-    years = [r[0] for r in rows]
-    if any(b <= a for a, b in zip(years, years[1:])):
-        raise TimeSeriesError("years must be strictly increasing")
-    return TimeSeries(years=np.array(years), prevalence=np.array([r[1] for r in rows]))
+    return TimeSeries(years=np.array([r[0] for r in rows]), prevalence=np.array([r[1] for r in rows]))
 
 
 # -- least-squares fitting ----------------------------------------------------
@@ -308,6 +304,10 @@ FREE_PARAMETER_BOUNDS = {
     "omega": (0.0, 60.0),
     "i0": (1e-10, 0.1),
 }
+# simulated prevalence is read this long after the start of each observation year
+YEAR_END_OFFSET = 1.0
+SIMPLEX_XATOL = 1e-10
+SIMPLEX_FATOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -315,20 +315,31 @@ class FitOptions:
     """Fitting controls.
 
     Simulated prevalence is the instantaneous infectious proportion at the
-    end of each observation year (offset 1.0 from the simulation start at
-    ``start_year``); cumulative incidence is deliberately not modeled.
+    end of each observation year (``YEAR_END_OFFSET`` = 1.0 after the start
+    of that year, counted from the simulation start at ``start_year``);
+    cumulative incidence is deliberately not modeled.  Each Nelder-Mead run
+    stops after ``max_iterations`` iterations or once the simplex meets
+    ``SIMPLEX_XATOL`` and ``SIMPLEX_FATOL``; the search restarts from the best
+    point up to ``restarts`` times while it keeps improving.  ``rtol`` and
+    ``atol`` are the integration tolerances of every trial simulation.
+
+    Raises:
+        ConfigError: for ``restarts < 0`` or ``max_iterations < 1``.
     """
 
     start_year: int | None = None
     initial_prevalence: float = 1e-6
-    year_end_offset: float = 1.0
     log_sse: bool = False
     max_iterations: int = 2000
     restarts: int = 2
-    xatol: float = 1e-10
-    fatol: float = 1e-16
     rtol: float = 1e-9
     atol: float = 1e-12
+
+    def __post_init__(self):
+        if self.restarts < 0:
+            raise ConfigError(f"restarts must be >= 0, got {self.restarts}")
+        if self.max_iterations < 1:
+            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -390,13 +401,12 @@ def simulate_annual_prevalence(
     years,
     start_year: int,
     i0: float,
-    year_end_offset: float = 1.0,
     rtol: float = 1e-9,
     atol: float = 1e-12,
 ) -> np.ndarray:
     """Prevalence at the end of each observation year."""
     years = np.asarray(years, dtype=int)
-    t_obs = years - start_year + year_end_offset
+    t_obs = years - start_year + YEAR_END_OFFSET
     if np.any(t_obs <= 0):
         raise ValueError("observation years must come after the simulation start")
     traj = integrate(config, epidemic_start(config, i0), float(t_obs[-1]), rtol=rtol, atol=atol, t_eval=t_obs)
@@ -455,7 +465,7 @@ def fit(
     def residuals_at(x: np.ndarray) -> np.ndarray:
         cfg, i0 = _apply_parameters(config_template, names, x, opts.initial_prevalence)
         simulated = simulate_annual_prevalence(
-            cfg, timeseries.years, start_year, i0, opts.year_end_offset, opts.rtol, opts.atol
+            cfg, timeseries.years, start_year, i0, opts.rtol, opts.atol
         )
         if opts.log_sse:
             floor = 1e-12
@@ -483,8 +493,8 @@ def fit(
             method="Nelder-Mead",
             options={
                 "maxiter": opts.max_iterations,
-                "xatol": opts.xatol,
-                "fatol": opts.fatol,
+                "xatol": SIMPLEX_XATOL,
+                "fatol": SIMPLEX_FATOL,
                 "adaptive": True,
             },
         )

@@ -37,6 +37,8 @@ MARGINAL_BAND = 1e-10
 
 STALE_RESIDUAL = 1e-9
 
+MAX_CHARACTERISTIC_N = 6
+
 
 class StaleSolutionError(ValueError):
     """The endemic solution's residual is too large to trust its spectrum."""
@@ -214,20 +216,18 @@ class CharacteristicSignReport:
         return self.sign_changes > 0
 
 
-def characteristic_sign_report(
-    config: ModelConfig, solution: EndemicSolution, max_n: int = 6
-) -> CharacteristicSignReport:
+def characteristic_sign_report(config: ModelConfig, solution: EndemicSolution) -> CharacteristicSignReport:
     """Expand det(zI - J) at the endemic point and report coefficient signs.
 
     Uses the Faddeev-LeVerrier recursion (exact in rational arithmetic,
     numerically adequate at the small sizes allowed here).
 
     Raises:
-        ValueError: for ``n > max_n``; the expansion is only intended for
-            small systems.
+        ValueError: for ``n > MAX_CHARACTERISTIC_N``; the expansion is only
+            intended for small systems.
     """
-    if config.n > max_n:
-        raise ValueError(f"characteristic expansion limited to n <= {max_n}, got n={config.n}")
+    if config.n > MAX_CHARACTERISTIC_N:
+        raise ValueError(f"characteristic expansion limited to n <= {MAX_CHARACTERISTIC_N}, got n={config.n}")
     if solution.residual >= STALE_RESIDUAL:
         raise StaleSolutionError(
             f"endemic solution residual {solution.residual:g} exceeds {STALE_RESIDUAL:g}"

@@ -77,7 +77,7 @@ def _load_library():
         lib.ws_integrate.argtypes = [
             ctypes.c_int64, array, array, array, ctypes.c_double, ctypes.c_double, array,
             ctypes.c_double, ctypes.c_double, ctypes.c_double, array, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_double, ctypes.c_int, ctypes.c_double, ctypes.c_int64, ctypes.POINTER(_Record),
+            ctypes.c_double, ctypes.c_int, ctypes.POINTER(_Record),
         ]
         lib.ws_free.restype = None
         lib.ws_free.argtypes = [ctypes.POINTER(_Record)]
@@ -90,7 +90,7 @@ _lib = _load_library()
 
 
 def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, t_end, rtol, atol, targets, max_steps, fixed_step,
-                      stop_at_equilibrium, eq_tol, eq_run):
+                      stop_at_equilibrium):
     """See ``_stepper_py.integrate_core``; identical contract."""
     beta, omega_i, delta_i, y, targets = (
         np.ascontiguousarray(a, dtype=np.float64) for a in (beta, omega_i, delta_i, y0, targets))
@@ -100,8 +100,7 @@ def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, t_end, rtol, atol, targ
     rec = _Record()
     status = _lib.ws_integrate(
         m, beta, omega_i, delta_i, float(mu), float(r), y, float(t_end), float(rtol), float(atol),
-        targets, targets.size, int(max_steps), float(fixed_step), bool(stop_at_equilibrium),
-        float(eq_tol), int(eq_run), ctypes.byref(rec),
+        targets, targets.size, int(max_steps), float(fixed_step), bool(stop_at_equilibrium), ctypes.byref(rec),
     )
     try:
         if status == _NO_MEMORY:

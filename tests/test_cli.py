@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import waningsim
 from waningsim.cli import main
 from waningsim.model import build_general, config_to_json
 from waningsim.scanfit import simulate_annual_prevalence
@@ -82,6 +85,15 @@ class TestSimulate:
     def test_nan_horizon_exits_2(self, endemic_config_path, capsys):
         assert main(["simulate", "--config", endemic_config_path, "--t-end", "nan"]) == 2
         assert "t_end must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["-1", "-5"])
+    def test_negative_samples_exits_2(self, endemic_config_path, samples, capsys):
+        assert main(["simulate", "--config", endemic_config_path, "--t-end", "5", "--samples", samples]) == 2
+        assert f"--samples must be >= 0, got {samples}" in capsys.readouterr().err
+
+    def test_nan_initial_prevalence_exits_2(self, endemic_config_path, capsys):
+        assert main(["simulate", "--config", endemic_config_path, "--t-end", "5", "--i0", "nan"]) == 2
+        assert "not NaN" in capsys.readouterr().err
 
     def test_stiff_blowup_exits_3(self, tmp_path, capsys):
         stiff = tmp_path / "stiff.json"
@@ -208,6 +220,13 @@ class TestFit:
     def test_missing_data_file_exits_2(self, config_path, tmp_path):
         assert main(["fit", "--config", config_path, "--data", str(tmp_path / "none.csv")]) == 2
 
+    @pytest.mark.parametrize("option", [["--restarts", "-3"], ["--max-iterations", "0"]])
+    def test_search_that_would_be_skipped_exits_2(self, config_path, option, capsys):
+        from waningsim.data import synthetic_prevalence_path
+
+        assert main(["fit", "--config", config_path, "--data", str(synthetic_prevalence_path()), *option]) == 2
+        assert "must be >=" in capsys.readouterr().err
+
     def test_shipped_synthetic_dataset_round_trip(self, tmp_path, capsys):
         from waningsim.data import synthetic_prevalence_path, synthetic_truth_config
 
@@ -226,11 +245,15 @@ class TestFit:
 
 
 def test_module_entry_point_smoke(config_path):
+    # the child imports the same waningsim as this test, wherever that lives
+    src = str(Path(waningsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "waningsim", "r0", "--config", config_path],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

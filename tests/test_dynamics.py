@@ -9,7 +9,6 @@ import scipy.linalg
 from waningsim.dynamics import (
     IntegrationError,
     convergence_rate,
-    detect_equilibrium,
     infection_free_solution,
     integrate,
 )
@@ -261,27 +260,25 @@ class TestConvergenceRate:
 
 
 class TestDetectEquilibrium:
+    """The kernels' equilibrium stop rule, seen through ``terminal_status``."""
+
     def test_dfe_start_converges_immediately(self):
         cfg = build_general(2, (0.0, 1.0, 2.0), 0.3, 0.05, 2.0, 8.0, (0.0, 0.4, 0.0))
         y0 = np.array([0.0, 0.0, 1.0, 0.0])
         traj = integrate(cfg, y0, 10.0)
-        status, point = detect_equilibrium(traj, cfg)
-        assert status == "converged_dfe"
-        np.testing.assert_array_equal(point, y0)
+        assert traj.terminal_status == "converged_dfe"
+        np.testing.assert_array_equal(traj.final_state, y0)
 
     def test_supercritical_run_lands_in_localization_interval(self):
         loc = localize_endemic(ENDEMIC_CFG)
         traj = integrate(
             ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 2000.0, stop_at_equilibrium=True
         )
-        status, point = detect_equilibrium(traj, ENDEMIC_CFG)
-        assert status == "converged_endemic"
-        assert any(lo <= point[-1] <= hi for lo, hi in loc.intervals)
+        assert traj.terminal_status == "converged_endemic"
+        assert any(lo <= traj.final_prevalence <= hi for lo, hi in loc.intervals)
 
     def test_short_run_reports_max_time(self):
         traj = integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 0.5)
-        status, _ = detect_equilibrium(traj, ENDEMIC_CFG)
-        assert status == "max_time"
         assert traj.terminal_status == "max_time"
 
 

@@ -32,8 +32,6 @@ def run_kernel(impl, cfg, t_end=50.0, fixed_step=0.0):
         1_000_000,
         fixed_step,
         False,
-        1e-10,
-        50,
     )
 
 
@@ -80,7 +78,7 @@ class TestCompiledKernel:
         for name, impl in stepper.kernels().items():
             out[name] = impl.integrate_core(
                 CFG.beta, CFG.omega_i, CFG.delta_i, CFG.mu, CFG.r, y0,
-                2000.0, 1e-10, 1e-12, np.array([2000.0]), 5_000_000, 0.0, True, 1e-10, 50,
+                2000.0, 1e-10, 1e-12, np.array([2000.0]), 5_000_000, 0.0, True,
             )
         assert out["python"][2] == out["c"][2] == stepper.STATUS_CONVERGED
         np.testing.assert_allclose(

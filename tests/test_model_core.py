@@ -123,6 +123,11 @@ class TestStateVector:
         with pytest.raises(ValueError, match="non-negative"):
             StateVector(s=np.array([-0.1, 0.9]), i=0.2)
 
+    @pytest.mark.parametrize("s, i", [([0.5, math.nan], 0.5), ([0.5, 0.5], math.nan)])
+    def test_nan_rejected(self, s, i):
+        with pytest.raises(ValueError, match="not NaN"):
+            StateVector(s=np.array(s), i=i)
+
     def test_within_tolerance_accepted(self):
         StateVector(s=np.array([0.3, 0.5 + 5e-10]), i=0.2)
 

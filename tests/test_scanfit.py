@@ -109,6 +109,11 @@ class TestSweep:
         with pytest.raises(ConfigError, match="strictly increasing"):
             SweepSpec(BASE, "delta", np.array([0.5, 0.1]), "r0")
 
+    @pytest.mark.parametrize("grid", [[0.1, np.nan, 0.05], [np.nan, 0.1], [0.1, np.inf]])
+    def test_grid_must_be_finite(self, grid):
+        with pytest.raises(ConfigError, match="finite"):
+            SweepSpec(BASE, "delta", np.array(grid), "r0")
+
 
 class TestBifurcation:
     def test_last_only_zero_waning_analytic_threshold(self):
@@ -230,6 +235,11 @@ class TestFit:
             bounds={"delta": (0.0, 0.06)},
         )
         assert 0.0 <= result.parameters["delta"] <= 0.06
+
+    @pytest.mark.parametrize("options", [{"restarts": -3}, {"max_iterations": 0}, {"max_iterations": -4}])
+    def test_options_that_skip_the_search_rejected(self, options):
+        with pytest.raises(ConfigError, match="restarts|max_iterations"):
+            FitOptions(**options)
 
     def test_unknown_parameter_rejected(self):
         years = np.arange(2000, 2005)
