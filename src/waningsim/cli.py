@@ -244,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-year", dest="start_year", type=int, default=None)
     p.add_argument("--i0", type=float, default=1e-6)
     p.add_argument("--log-sse", dest="log_sse", action="store_true")
-    p.add_argument("--max-iterations", dest="max_iterations", type=int, default=2000)
-    p.add_argument("--restarts", type=int, default=2)
+    p.add_argument("--max-iterations", dest="max_iterations", type=int, default=2000,
+                   help="residual evaluations per least-squares run, finite-difference Jacobian ones not counted")
+    p.add_argument("--restarts", type=int, default=2, help="re-runs from the best point while the SSE falls")
     p.set_defaults(func=cmd_fit)
     return parser
 

@@ -147,8 +147,9 @@ def integrate(
             row (constants of ``_stepper_py``, twinned in ``_stepper.c``).
 
     Raises:
-        ValueError: on a bad ``t_end``, ``rtol``/``atol``, ``max_steps`` or
-            ``fixed_step`` (checks below), or an off-simplex initial state.
+        ValueError: on a bad ``t_end``, ``rtol``/``atol``, ``max_steps``,
+            ``fixed_step`` or ``t_eval`` (checks below), or an off-simplex
+            initial state.
         IntegrationError: on step-size underflow, exhausted step budget,
             non-finite states, or negativity beyond the roundoff clamp.
     """
@@ -169,6 +170,8 @@ def integrate(
         targets = np.array([float(t_end)])
     else:
         targets = np.unique(np.asarray(t_eval, dtype=float))
+        if not np.all(np.isfinite(targets)):
+            raise ValueError("t_eval times must be finite")
         if targets.size and (targets[0] < 0 or targets[-1] > t_end + 1e-12):
             raise ValueError("t_eval times must lie in [0, t_end]")
         targets = targets[targets > 0]

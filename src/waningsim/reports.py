@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from datetime import datetime, timezone
 
 from . import __version__
@@ -118,7 +119,27 @@ def analyze_config(config: ModelConfig) -> dict:
     return report
 
 
+def _finite_or_null(value):
+    """Copy of a JSON-ready value with NaN and infinities replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def json_document(manifest: dict, data) -> str:
     """Standard CLI artifact layout: manifest beside a deterministic data
-    section (re-running identical inputs reproduces the data bytes)."""
-    return json.dumps({"manifest": manifest, "data": data}, indent=2) + "\n"
+    section (re-running identical inputs reproduces the data bytes).
+
+    Non-finite floats are written as ``null``, so the artifact is valid
+    RFC 8259 JSON; documents without them are serialized once, unwalked.
+    """
+    document = {"manifest": manifest, "data": data}
+    try:
+        text = json.dumps(document, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_or_null(document), indent=2)
+    return text + "\n"

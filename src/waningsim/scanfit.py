@@ -6,9 +6,10 @@ can be evaluated in a process pool with deterministic, grid-ordered output.
 Threshold crossings are located by a grid scan plus Brent's method on
 either the reproduction number or the small-waning existence condition.
 Time-series files are plain CSV (annual prevalence, or cases with
-population); fitting minimizes the sum of squared prevalence residuals with a
-restarted Nelder-Mead simplex and quadratic out-of-bounds penalties, since the
-ODE objective has no usable gradients.
+population); fitting minimizes the sum of squared prevalence residuals by
+bounded trust-region reflective least squares (Branch, Coleman & Li, SIAM J.
+Sci. Comput. 21, 1999) on a finite-difference Jacobian of the residual
+vector, so box bounds hold at every trial point.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ class SweepSpec:
             raise ConfigError(f"unknown observable {self.observable!r}")
         if not np.all(np.isfinite(grid)):
             raise ConfigError("grid points must be finite")
+        if not (np.isfinite(self.t_end) and self.t_end > 0):
+            raise ConfigError(f"t_end must be finite and positive, got {self.t_end}")
         if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
             raise ConfigError("grid must be a strictly increasing vector with >= 2 points")
 
@@ -306,8 +309,8 @@ FREE_PARAMETER_BOUNDS = {
 }
 # simulated prevalence is read this long after the start of each observation year
 YEAR_END_OFFSET = 1.0
-SIMPLEX_XATOL = 1e-10
-SIMPLEX_FATOL = 1e-16
+# every residual of a trial point that fails to integrate or to form a config
+FAILED_RESIDUAL = 1e3
 
 
 @dataclass(frozen=True)
@@ -317,11 +320,12 @@ class FitOptions:
     Simulated prevalence is the instantaneous infectious proportion at the
     end of each observation year (``YEAR_END_OFFSET`` = 1.0 after the start
     of that year, counted from the simulation start at ``start_year``);
-    cumulative incidence is deliberately not modeled.  Each Nelder-Mead run
-    stops after ``max_iterations`` iterations or once the simplex meets
-    ``SIMPLEX_XATOL`` and ``SIMPLEX_FATOL``; the search restarts from the best
-    point up to ``restarts`` times while it keeps improving.  ``rtol`` and
-    ``atol`` are the integration tolerances of every trial simulation.
+    cumulative incidence is deliberately not modeled.  Each least-squares
+    run stops at SciPy's default tolerances or after ``max_iterations``
+    residual evaluations, not counting those of the finite-difference
+    Jacobian; the search restarts from the best point up to ``restarts``
+    times while the SSE keeps falling.  ``rtol`` and ``atol`` are the
+    integration tolerances of every trial simulation.
 
     Raises:
         ConfigError: for ``restarts < 0`` or ``max_iterations < 1``.
@@ -423,14 +427,15 @@ def fit(
     """Least-squares fit of selected parameters to annual prevalence data.
 
     The whole transmission vector is scaled jointly (``beta_scale``), which
-    preserves its ordering.  Out-of-bounds proposals are simulated at their
-    clipped values with a quadratic penalty added, keeping the objective
-    finite everywhere for the simplex search.  Trial points that fail to
-    integrate or form no valid configuration score ``1e6`` plus the penalty
-    and are counted in ``failed_evaluations``.  Deterministic given options.
+    preserves its ordering.  Every trial point, finite-difference ones
+    included, lies inside the bounds.  Trial points that fail to integrate
+    or form no valid configuration get every residual ``FAILED_RESIDUAL``
+    and are counted in ``failed_evaluations``; ``evaluations`` counts every
+    residual evaluation, Jacobian ones included.  Deterministic given
+    options.
 
-    Returns the best point found with ``converged=False`` when the simplex
-    stalls without meeting its tolerances.
+    Returns the best point found with ``converged=False`` when no run met a
+    convergence test before its evaluation budget ran out.
     """
     opts = options or FitOptions()
     names = list(free_parameters)
@@ -472,45 +477,36 @@ def fit(
             return np.log(np.maximum(simulated, floor)) - np.log(np.maximum(observed, floor))
         return simulated - observed
 
-    def objective(x: np.ndarray) -> float:
+    def residual_vector(x: np.ndarray) -> np.ndarray:
         nonlocal evaluations, failed_evaluations
         evaluations += 1
-        clipped = np.clip(x, lo, hi)
-        penalty = float(np.sum(((x - clipped) / (hi - lo)) ** 2))
         try:
-            res = residuals_at(clipped)
+            return residuals_at(x)
         except (IntegrationError, ConfigError):
             failed_evaluations += 1
-            return 1e6 + penalty
-        return float(res @ res) + penalty
+            return np.full(observed.size, FAILED_RESIDUAL)
 
-    best_x, best_f = x0, objective(x0)
+    best = None
     converged = False
     for _ in range(opts.restarts + 1):
-        result = scipy.optimize.minimize(
-            objective,
-            best_x,
-            method="Nelder-Mead",
-            options={
-                "maxiter": opts.max_iterations,
-                "xatol": SIMPLEX_XATOL,
-                "fatol": SIMPLEX_FATOL,
-                "adaptive": True,
-            },
+        result = scipy.optimize.least_squares(
+            residual_vector,
+            x0 if best is None else best.x,
+            bounds=(lo, hi),
+            method="trf",
+            x_scale="jac",
+            max_nfev=opts.max_iterations,
         )
-        improved = result.fun < best_f - 1e-18
-        if result.fun < best_f:
-            best_x, best_f = np.clip(result.x, lo, hi), float(result.fun)
-        if result.success:
-            converged = True
-        if not improved:
+        converged = converged or result.status > 0
+        if best is not None and result.cost >= best.cost:
             break
+        best = result
 
-    fitted_config, i0 = _apply_parameters(config_template, names, best_x, opts.initial_prevalence)
-    final_residuals = residuals_at(best_x)
+    fitted_config, i0 = _apply_parameters(config_template, names, best.x, opts.initial_prevalence)
+    final_residuals = residuals_at(best.x)
     return FitResult(
         fitted_config=fitted_config,
-        parameters=dict(zip(names, (float(v) for v in best_x))),
+        parameters=dict(zip(names, (float(v) for v in best.x))),
         sse=float(final_residuals @ final_residuals),
         residuals=final_residuals,
         converged=converged,

@@ -196,6 +196,25 @@ class TestSweep:
         assert main(["sweep", "--spec", spec]) == 2
         assert "nonsense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_end", [float("nan"), -5.0])
+    def test_bad_t_end_exits_2(self, tmp_path, capsys, t_end):
+        spec = self.write_spec(tmp_path, observable="terminal_prevalence", grid=[1.0, 2.0], t_end=t_end)
+        assert main(["sweep", "--spec", spec]) == 2
+        assert "t_end must be finite and positive" in capsys.readouterr().err
+
+    def test_json_is_strict_rfc_8259(self, tmp_path, capsys):
+        # a negative waning rate is a per-point error whose observable is NaN
+        spec = self.write_spec(tmp_path, grid=[-0.1, 0.0, 0.1])
+        assert main(["sweep", "--spec", spec, "--format", "json"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        points = json.loads(capsys.readouterr().out, parse_constant=reject)["data"]["points"]
+        assert points[0]["observable"] is None
+        assert points[0]["classification"] == "error" and points[0]["error"]
+        assert all(isinstance(p["observable"], float) for p in points[1:])
+
 
 class TestFit:
     def test_round_trip_fixture(self, tmp_path, capsys):

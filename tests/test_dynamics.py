@@ -128,6 +128,7 @@ class TestIntegrate:
             {"fixed_step": -0.1},
             {"fixed_step": 0.0},
             {"fixed_step": float("nan")},
+            {"t_eval": [float("nan"), 5.0]},
         ],
     )
     def test_rejects_bad_arguments(self, bad):

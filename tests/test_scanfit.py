@@ -114,6 +114,11 @@ class TestSweep:
         with pytest.raises(ConfigError, match="finite"):
             SweepSpec(BASE, "delta", np.array(grid), "r0")
 
+    @pytest.mark.parametrize("t_end", [np.nan, np.inf, -5.0, 0.0])
+    def test_t_end_must_be_finite_and_positive(self, t_end):
+        with pytest.raises(ConfigError, match="t_end must be finite and positive"):
+            SweepSpec(BASE, "delta", np.array([0.1, 0.2]), "terminal_prevalence", t_end=t_end)
+
 
 class TestBifurcation:
     def test_last_only_zero_waning_analytic_threshold(self):
@@ -213,6 +218,18 @@ class TestFit:
         truth = {"beta_scale": 1.0, "delta": FIT_TRUTH.delta, "omega": FIT_TRUTH.omega}
         for name, expected in truth.items():
             assert abs(result.parameters[name] - expected) <= 1e-4 * max(abs(expected), 1e-3), name
+
+    def test_zero_noise_fit_is_cheap_and_exact(self):
+        years = np.arange(2000, 2025)
+        data = synthetic_series(FIT_TRUTH, years, i0=1e-4)
+        template = FIT_TRUTH.replace(delta=0.05, omega=2.5)
+        options = FitOptions(initial_prevalence=1e-4, rtol=1e-11, atol=1e-13)
+        result = fit(template, ["beta_scale", "delta", "omega"], data, options)
+        assert result.evaluations <= 100
+        assert result.failed_evaluations == 0
+        truth = {"beta_scale": 1.0, "delta": FIT_TRUTH.delta, "omega": FIT_TRUTH.omega}
+        for name, expected in truth.items():
+            assert result.parameters[name] == pytest.approx(expected, rel=1e-8, abs=0.0), name
 
     def test_noisy_fit_reaches_noise_floor(self):
         years = np.arange(2000, 2025)
