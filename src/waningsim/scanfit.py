@@ -311,6 +311,12 @@ FREE_PARAMETER_BOUNDS = {
 YEAR_END_OFFSET = 1.0
 # every residual of a trial point that fails to integrate or to form a config
 FAILED_RESIDUAL = 1e3
+# relative stopping tests (cost change, step length); SciPy's gradient test
+# is off, as it is absolute in residual units and stops small-prevalence fits
+FIT_FTOL = 1e-8
+FIT_XTOL = 1e-8
+# forward-difference step relative to max(1, |x|), as SciPy takes it
+FD_RELATIVE_STEP = np.finfo(float).eps ** 0.5
 
 
 @dataclass(frozen=True)
@@ -321,7 +327,7 @@ class FitOptions:
     end of each observation year (``YEAR_END_OFFSET`` = 1.0 after the start
     of that year, counted from the simulation start at ``start_year``);
     cumulative incidence is deliberately not modeled.  Each least-squares
-    run stops at SciPy's default tolerances or after ``max_iterations``
+    run stops at ``FIT_FTOL``/``FIT_XTOL`` or after ``max_iterations``
     residual evaluations, not counting those of the finite-difference
     Jacobian; the search restarts from the best point up to ``restarts``
     times while the SSE keeps falling.  ``rtol`` and ``atol`` are the
@@ -436,6 +442,10 @@ def fit(
 
     Returns the best point found with ``converged=False`` when no run met a
     convergence test before its evaluation budget ran out.
+
+    Raises:
+        ConfigError: when the start point itself fails to integrate or to
+            form a valid configuration.
     """
     opts = options or FitOptions()
     names = list(free_parameters)
@@ -477,14 +487,40 @@ def fit(
             return np.log(np.maximum(simulated, floor)) - np.log(np.maximum(observed, floor))
         return simulated - observed
 
+    failed = np.full(observed.size, FAILED_RESIDUAL)
+    latest = {}
+
     def residual_vector(x: np.ndarray) -> np.ndarray:
         nonlocal evaluations, failed_evaluations
         evaluations += 1
         try:
-            return residuals_at(x)
-        except (IntegrationError, ConfigError):
+            f = residuals_at(x)
+        except (IntegrationError, ConfigError) as exc:
+            # least_squares evaluates the start point first and then accepts
+            # only steps that lower the cost, which a failed point never does
+            if evaluations == 1:
+                raise ConfigError(f"fit start point cannot be evaluated: {exc}") from exc
             failed_evaluations += 1
-            return np.full(observed.size, FAILED_RESIDUAL)
+            f = failed
+        latest.update(x=x.copy(), f=f)
+        return f
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        # SciPy's "2-point" differences in its column-major layout, so the
+        # search is the same bit for bit, except that a neighbour that fails
+        # gives way to the one on the other side
+        f = latest["f"] if np.array_equal(latest["x"], x) else residual_vector(x)
+        J = np.empty((observed.size, x.size), order="F")
+        for j in range(x.size):
+            h = FD_RELATIVE_STEP * max(1.0, abs(x[j]))
+            for xj in (x[j] + h, x[j] - h):
+                shifted = x.copy()
+                shifted[j] = xj
+                fj = residual_vector(shifted) if lo[j] <= xj <= hi[j] else failed
+                if fj is not failed:
+                    break
+            J[:, j] = (fj - f) / (xj - x[j])
+        return J
 
     best = None
     converged = False
@@ -492,9 +528,13 @@ def fit(
         result = scipy.optimize.least_squares(
             residual_vector,
             x0 if best is None else best.x,
+            jac=jacobian,
             bounds=(lo, hi),
             method="trf",
             x_scale="jac",
+            ftol=FIT_FTOL,
+            xtol=FIT_XTOL,
+            gtol=None,
             max_nfev=opts.max_iterations,
         )
         converged = converged or result.status > 0
@@ -502,13 +542,12 @@ def fit(
             break
         best = result
 
-    fitted_config, i0 = _apply_parameters(config_template, names, best.x, opts.initial_prevalence)
-    final_residuals = residuals_at(best.x)
+    fitted_config, _ = _apply_parameters(config_template, names, best.x, opts.initial_prevalence)
     return FitResult(
         fitted_config=fitted_config,
         parameters=dict(zip(names, (float(v) for v in best.x))),
-        sse=float(final_residuals @ final_residuals),
-        residuals=final_residuals,
+        sse=float(best.fun @ best.fun),
+        residuals=best.fun,
         converged=converged,
         evaluations=evaluations,
         failed_evaluations=failed_evaluations,

@@ -246,6 +246,18 @@ class TestFit:
         assert main(["fit", "--config", config_path, "--data", str(synthetic_prevalence_path()), *option]) == 2
         assert "must be >=" in capsys.readouterr().err
 
+    def test_start_point_that_fails_exits_2(self, config_path, monkeypatch, capsys):
+        from waningsim import scanfit
+        from waningsim.data import synthetic_prevalence_path
+        from waningsim.dynamics import IntegrationError
+
+        def failing(*args, **kwargs):
+            raise IntegrationError("step budget exhausted (stiff regime)", 0.5)
+
+        monkeypatch.setattr(scanfit, "simulate_annual_prevalence", failing)
+        assert main(["fit", "--config", config_path, "--data", str(synthetic_prevalence_path())]) == 2
+        assert "start point cannot be evaluated" in capsys.readouterr().err
+
     def test_shipped_synthetic_dataset_round_trip(self, tmp_path, capsys):
         from waningsim.data import synthetic_prevalence_path, synthetic_truth_config
 

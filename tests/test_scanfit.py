@@ -283,6 +283,23 @@ class TestFit:
         assert result.parameters["omega"] < 1.0  # started at 20
         assert result.parameters["beta_scale"] > 1.2
 
+    def test_fit_to_small_prevalences_does_not_stop_early(self):
+        # pertussis prevalences are about 1e-5, so the gradient of the SSE is
+        # tiny in absolute terms; a stopping test absolute in those units
+        # ends this search at its start point, twice the true omega
+        from waningsim.data import pertussis_config
+
+        truth = pertussis_config().replace(omega=0.04)
+        data = synthetic_series(truth, np.arange(2000, 2012), i0=1e-4)
+        result = fit(
+            truth.replace(omega=0.08),
+            ["omega"],
+            data,
+            FitOptions(initial_prevalence=1e-4, max_iterations=150, restarts=0),
+        )
+        assert result.converged
+        assert result.parameters["omega"] == pytest.approx(0.04, rel=1e-6)
+
     def test_sse_equals_sum_of_squared_residuals(self):
         years = np.arange(2000, 2010)
         data = synthetic_series(FIT_TRUTH, years, i0=1e-4)
@@ -315,6 +332,40 @@ class TestFit:
         assert len(calls) > 3
         assert result.failed_evaluations == 2
         assert result.to_json_dict()["failed_evaluations"] == 2
+
+    def test_failed_difference_neighbour_does_not_stop_the_fit(self, monkeypatch):
+        # the second evaluation is the forward neighbour of the start point;
+        # the backward one takes its place in the Jacobian
+        years = np.arange(2000, 2010)
+        data = synthetic_series(FIT_TRUTH, years, i0=1e-4)
+        calls = []
+
+        def flaky(config, *args, **kwargs):
+            calls.append(config.omega)
+            if len(calls) == 2:
+                raise IntegrationError("step budget exhausted (stiff regime)", 0.5)
+            return simulate_annual_prevalence(config, *args, **kwargs)
+
+        monkeypatch.setattr(scanfit, "simulate_annual_prevalence", flaky)
+        result = fit(
+            FIT_TRUTH.replace(omega=2.0),
+            ["omega"],
+            data,
+            FitOptions(initial_prevalence=1e-4, max_iterations=120, restarts=0),
+        )
+        assert calls[2] < 2.0 < calls[1]
+        assert result.failed_evaluations == 1
+        assert result.converged
+        assert result.parameters["omega"] == pytest.approx(FIT_TRUTH.omega, rel=1e-6)
+
+    def test_start_point_that_fails_is_a_config_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise IntegrationError("step budget exhausted (stiff regime)", 0.5)
+
+        monkeypatch.setattr(scanfit, "simulate_annual_prevalence", failing)
+        data = synthetic_series(FIT_TRUTH, np.arange(2000, 2005), i0=1e-4)
+        with pytest.raises(ConfigError, match="start point cannot be evaluated: step budget"):
+            fit(FIT_TRUTH, ["omega"], data, FitOptions(initial_prevalence=1e-4))
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
