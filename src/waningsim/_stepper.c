@@ -80,16 +80,18 @@ static int record(ws_record *rec, int64_t *cap, int64_t m, double t, const doubl
 
 void ws_free(ws_record *rec) { free(rec->rows); }
 
-/* Integrate the m = n + 2 component model ODE from t = 0 to t_end (see
+/* Integrate the m = n + 2 component model ODE from t = 0 to the last of the
+ * n_targets >= 1 sample times, t_end = targets[n_targets - 1] (see
  * _stepper_py.integrate_core), recording every accepted step as a row
  * (t, y_0, ..., y_{m-1}) in rec->rows, grown with realloc and released by
  * ws_free.  Returns a _stepper_py status code, or NO_MEMORY. */
 int ws_integrate(int64_t m, const double *beta, const double *omega_i, const double *delta_i,
-                 double mu, double r, const double *y0, double t_end, double rtol, double atol,
-                 const double *targets, int64_t n_targets, int64_t max_steps, double fixed_step,
+                 double mu, double r, const double *y0, double rtol, double atol,
+                 const double *targets, int64_t n_targets, int64_t max_steps,
                  int stop_at_equilibrium, ws_record *rec)
 {
     int64_t n = m - 2, cap = INITIAL_CAPACITY;
+    double t_end = targets[n_targets - 1];
     double *k = malloc((size_t)(10 * m) * sizeof(double)); /* seven stage rows, then three states */
     *rec = (ws_record){malloc((size_t)(cap * (m + 1)) * sizeof(double)), 0, 0, 0, 0.0};
     if (k == NULL || rec->rows == NULL) { free(k); return NO_MEMORY; }
@@ -98,36 +100,29 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
     record(rec, &cap, m, 0.0, y);
     rhs(n, beta, omega_i, delta_i, mu, r, y, k);
 
-    double h;
-    if (fixed_step > 0) {
-        h = fixed_step;
-    } else {
-        double d0 = 0.0, d1 = 0.0;
-        for (int64_t j = 0; j < m; j++) {
-            double sc = atol + rtol * fabs(y[j]);
-            d0 += (y[j] / sc) * (y[j] / sc);
-            d1 += (k[j] / sc) * (k[j] / sc);
-        }
-        d0 = sqrt(d0 / m);
-        d1 = sqrt(d1 / m);
-        h = d1 > 1e-30 ? 0.01 * d0 / d1 : t_end / 100.0;
-        h = PY_MIN(h, t_end / 10.0);
-        h = PY_MIN(h, n_targets ? targets[0] : t_end);
+    double d0 = 0.0, d1 = 0.0;
+    for (int64_t j = 0; j < m; j++) {
+        double sc = atol + rtol * fabs(y[j]);
+        d0 += (y[j] / sc) * (y[j] / sc);
+        d1 += (k[j] / sc) * (k[j] / sc);
     }
+    d0 = sqrt(d0 / m);
+    d1 = sqrt(d1 / m);
+    double h = d1 > 1e-30 ? 0.01 * d0 / d1 : t_end / 100.0;
+    h = PY_MIN(h, t_end / 10.0);
+    h = PY_MIN(h, targets[0]);
 
     double t = 0.0;
     int64_t idx = 0, n_accepted = 0, n_rejected = 0, quiet_run = 0;
     int status = REACHED_END;
     while (t < t_end) {
         if (n_accepted + n_rejected >= max_steps) { status = MAX_STEPS; break; }
-        if (fixed_step > 0)
-            h = fixed_step;
         h = PY_MAX(h, H_FLOOR);
-        if (h < 16.0 * ulp_from_one(t) && fixed_step <= 0) { status = UNDERFLOW; break; }
+        if (h < 16.0 * ulp_from_one(t)) { status = UNDERFLOW; break; }
 
         /* clip to the next requested sample time; the 2% stretch prevents a
          * sliver step from being left behind after a near-exact hit */
-        double target = idx < n_targets ? targets[idx] : t_end;
+        double target = targets[idx];
         int clipped = 1.02 * h >= target - t;
         double h_use = clipped ? target - t : h;
 
@@ -150,27 +145,22 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
         }
         if (!finite) { status = NONFINITE; break; }
 
-        int accept;
         double err_norm = 0.0;
-        if (fixed_step > 0) {
-            accept = 1;
-        } else {
-            for (int64_t j = 0; j < m; j++) {
-                double err_j = 0.0;
-                for (int stage = 0; stage < 7; stage++)
-                    err_j += E_TAB[stage] * k[stage * m + j];
-                err_j *= h_use;
-                double sc = atol + rtol * PY_MAX(fabs(y[j]), fabs(y_new[j]));
-                err_norm += (err_j / sc) * (err_j / sc);
-            }
-            err_norm = sqrt(err_norm / m);
-            accept = err_norm <= 1.0;
+        for (int64_t j = 0; j < m; j++) {
+            double err_j = 0.0;
+            for (int stage = 0; stage < 7; stage++)
+                err_j += E_TAB[stage] * k[stage * m + j];
+            err_j *= h_use;
+            double sc = atol + rtol * PY_MAX(fabs(y[j]), fabs(y_new[j]));
+            err_norm += (err_j / sc) * (err_j / sc);
         }
+        err_norm = sqrt(err_norm / m);
+        int accept = err_norm <= 1.0;
 
         if (accept && negative) {
             /* a component dipped below the roundoff clamp: retry smaller, and
              * only give up once the step cannot shrink any further */
-            if (fixed_step > 0 || h_use <= 32.0 * ulp_from_one(t)) { status = NEGATIVE; break; }
+            if (h_use <= 32.0 * ulp_from_one(t)) { status = NEGATIVE; break; }
             n_rejected++;
             h = h_use * 0.25;
             continue;
@@ -198,16 +188,14 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
             n_rejected++;
         }
 
-        if (fixed_step <= 0) {
-            double factor = err_norm == 0.0 ? MAX_FACTOR : SAFETY * pow(err_norm, -0.2);
-            factor = PY_MIN(MAX_FACTOR, PY_MAX(MIN_FACTOR, factor));
-            if (!accept)
-                h = h_use * PY_MIN(factor, 1.0);
-            else if (clipped) /* a clipped step says nothing against the controller's preference */
-                h = PY_MAX(h, h_use * factor);
-            else
-                h = h_use * factor;
-        }
+        double factor = err_norm == 0.0 ? MAX_FACTOR : SAFETY * pow(err_norm, -0.2);
+        factor = PY_MIN(MAX_FACTOR, PY_MAX(MIN_FACTOR, factor));
+        if (!accept)
+            h = h_use * PY_MIN(factor, 1.0);
+        else if (clipped) /* a clipped step says nothing against the controller's preference */
+            h = PY_MAX(h, h_use * factor);
+        else
+            h = h_use * factor;
     }
 
     if (status == REACHED_END

@@ -2,12 +2,12 @@
 
 Reference implementation of the integration kernel.  The compiled C twin in
 ``_stepper.c`` mirrors this algorithm statement by statement; keep the two
-in sync.  The kernel works on raw parameter arrays so it stays
-picklable and free of package types.
+in sync.  The kernel works on raw parameter arrays and integrates from t = 0
+to the last of its sample times, ``targets[-1]``.
 
 Status codes returned by :func:`integrate_core`:
 
-*  0 - reached ``t_end``
+*  0 - reached ``targets[-1]``
 *  1 - equilibrium detected (derivative norm below ``EQUILIBRIUM_VF_TOL`` for
        ``EQUILIBRIUM_RUN`` accepted steps in a row)
 * -1 - step size underflow (stiffness signal)
@@ -80,19 +80,17 @@ def integrate_core(
     mu,
     r,
     y0,
-    t_end,
     rtol,
     atol,
     targets,
     max_steps,
-    fixed_step,
     stop_at_equilibrium,
 ):
-    """Integrate the model ODE from t=0 to ``t_end``.
+    """Integrate the model ODE from t=0 to ``t_end = targets[-1]``.
 
-    ``targets`` is a sorted array of times in ``(0, t_end]`` ending exactly at
-    ``t_end``; steps are clipped so each target is hit exactly (no dense-output
-    interpolation error at sample times).  Every accepted step is recorded.
+    ``targets`` is a non-empty sorted array of times in ``(0, t_end]``; steps
+    are clipped so each target is hit exactly (no dense-output interpolation
+    error at sample times).  Every accepted step is recorded.
 
     Returns ``(times, states, status, n_accepted, n_rejected, t_reached)``.
     """
@@ -102,6 +100,7 @@ def integrate_core(
     y = np.array(y0, dtype=float)
     m = y.size
     targets = np.ascontiguousarray(targets, dtype=float)
+    t_end = float(targets[-1])
 
     k = np.empty((7, m))
     rows = list(k)  # stage rows as views made once, not on every step
@@ -110,9 +109,7 @@ def integrate_core(
     states = [y.copy()]
 
     _rhs(beta, omega_i, delta_i, mu, r, y, rows[0])
-    h = fixed_step if fixed_step > 0 else _initial_step(
-        rows[0], y, t_end, atol, rtol, targets[0] if targets.size else t_end
-    )
+    h = _initial_step(rows[0], y, t_end, atol, rtol, targets[0])
 
     t = 0.0
     idx = 0
@@ -124,16 +121,13 @@ def integrate_core(
     while t < t_end:
         if n_accepted + n_rejected >= max_steps:
             return _finish(times, states, STATUS_MAX_STEPS, n_accepted, n_rejected, t)
-        if fixed_step > 0:
-            h = fixed_step
         h = max(h, H_FLOOR)
-        hmin = 16.0 * math.ulp(max(abs(t), 1.0))
-        if h < hmin and fixed_step <= 0:
+        if h < 16.0 * math.ulp(max(abs(t), 1.0)):
             return _finish(times, states, STATUS_UNDERFLOW, n_accepted, n_rejected, t)
 
         # clip to the next requested sample time; the 2% stretch prevents a
         # sliver step from being left behind after a near-exact hit
-        target = targets[idx] if idx < targets.size else t_end
+        target = targets[idx]
         clipped = 1.02 * h >= target - t
         h_use = target - t if clipped else h
 
@@ -149,18 +143,15 @@ def integrate_core(
         if not np.isfinite(y_new).all():
             return _finish(times, states, STATUS_NONFINITE, n_accepted, n_rejected, t)
 
-        if fixed_step > 0:
-            accept, err_norm = True, 0.0
-        else:
-            err = (_ERR @ k) * h_use
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            accept = err_norm <= 1.0
+        err = (_ERR @ k) * h_use
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        accept = err_norm <= 1.0
 
         if accept and (y_new < -NEG_CLAMP).any():
             # a component dipped below the roundoff clamp: retry smaller, and
             # only give up once the step cannot shrink any further
-            if fixed_step > 0 or h_use <= 32.0 * math.ulp(max(abs(t), 1.0)):
+            if h_use <= 32.0 * math.ulp(max(abs(t), 1.0)):
                 return _finish(times, states, STATUS_NEGATIVE, n_accepted, n_rejected, t)
             n_rejected += 1
             h = h_use * 0.25
@@ -188,16 +179,15 @@ def integrate_core(
         else:
             n_rejected += 1
 
-        if fixed_step <= 0:
-            factor = MAX_FACTOR if err_norm == 0.0 else SAFETY * err_norm ** -0.2
-            factor = min(MAX_FACTOR, max(MIN_FACTOR, factor))
-            if not accept:
-                h = h_use * min(factor, 1.0)
-            elif clipped:
-                # a clipped step says nothing against the controller's preference
-                h = max(h, h_use * factor)
-            else:
-                h = h_use * factor
+        factor = MAX_FACTOR if err_norm == 0.0 else SAFETY * err_norm ** -0.2
+        factor = min(MAX_FACTOR, max(MIN_FACTOR, factor))
+        if not accept:
+            h = h_use * min(factor, 1.0)
+        elif clipped:
+            # a clipped step says nothing against the controller's preference
+            h = max(h, h_use * factor)
+        else:
+            h = h_use * factor
 
     if quiet_run >= EQUILIBRIUM_RUN or (quiet_run == n_accepted and n_accepted >= 1):
         status = STATUS_CONVERGED

@@ -10,7 +10,6 @@ as a trust anchor in the tests.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -85,9 +84,6 @@ class DfeSolution:
 
     def to_dict(self) -> dict:
         return {"s": [float(x) for x in self.s], "i": 0.0, "c": self.c, "det": self.det}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def solve_dfe_closed_form(config: ModelConfig) -> DfeSolution:
@@ -168,9 +164,6 @@ class R0Report:
 
     def to_dict(self) -> dict:
         return {"r0": self.r0, "threshold_sum": self.threshold_sum, "regime": self.regime}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def basic_reproduction_number(config: ModelConfig) -> R0Report:

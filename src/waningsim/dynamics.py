@@ -15,7 +15,6 @@ used here as a closed-form trajectory evaluator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -121,9 +120,6 @@ class Trajectory:
             "states": [[float(v) for v in row] for row in self.states],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def integrate(
     config: ModelConfig,
@@ -133,23 +129,21 @@ def integrate(
     atol: float = DEFAULT_ATOL,
     t_eval=None,
     max_steps: int = DEFAULT_MAX_STEPS,
-    fixed_step: float | None = None,
     stop_at_equilibrium: bool = False,
 ) -> Trajectory:
     """Integrate the model from a simplex state over ``[0, t_end]``.
 
     Args:
-        t_eval: optional sample times in ``(0, t_end]``; each is hit exactly
-            by step clipping.  ``t_end`` is always included.
-        fixed_step: disable adaptivity and force this step (order tests).
+        t_eval: optional sample times in ``[0, t_end]``; each is hit exactly
+            by step clipping.  ``t_end`` is always included, and a time less
+            than 1e-12 above it counts as ``t_end``.
         stop_at_equilibrium: stop early once the derivative norm stays below
             ``EQUILIBRIUM_VF_TOL`` for ``EQUILIBRIUM_RUN`` accepted steps in a
             row (constants of ``_stepper_py``, twinned in ``_stepper.c``).
 
     Raises:
-        ValueError: on a bad ``t_end``, ``rtol``/``atol``, ``max_steps``,
-            ``fixed_step`` or ``t_eval`` (checks below), or an off-simplex
-            initial state.
+        ValueError: on a bad ``t_end``, ``rtol``/``atol``, ``max_steps`` or
+            ``t_eval`` (checks below), or an off-simplex initial state.
         IntegrationError: on step-size underflow, exhausted step budget,
             non-finite states, or negativity beyond the roundoff clamp.
     """
@@ -159,24 +153,20 @@ def integrate(
         raise ValueError(f"rtol and atol must be finite, >= 0 and not both 0, got rtol={rtol}, atol={atol}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    if fixed_step is not None and not (math.isfinite(fixed_step) and fixed_step > 0):
-        raise ValueError(f"fixed_step must be None or finite and positive, got {fixed_step}")
     y0 = initial_state.as_array() if isinstance(initial_state, StateVector) else np.asarray(initial_state, dtype=float)
     if y0.shape != (config.n + 2,):
         raise ValueError(f"initial state must have length n+2={config.n + 2}")
     StateVector.from_array(y0)  # validates simplex membership
 
-    if t_eval is None:
-        targets = np.array([float(t_end)])
-    else:
-        targets = np.unique(np.asarray(t_eval, dtype=float))
-        if not np.all(np.isfinite(targets)):
-            raise ValueError("t_eval times must be finite")
-        if targets.size and (targets[0] < 0 or targets[-1] > t_end + 1e-12):
-            raise ValueError("t_eval times must lie in [0, t_end]")
-        targets = targets[targets > 0]
-        if targets.size == 0 or targets[-1] < t_end:
-            targets = np.append(targets, float(t_end))
+    t_end = float(t_end)
+    targets = np.unique(np.asarray(() if t_eval is None else t_eval, dtype=float))
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("t_eval times must be finite")
+    if targets.size and (targets[0] < 0 or targets[-1] > t_end + 1e-12):
+        raise ValueError("t_eval times must lie in [0, t_end]")
+    # the kernel's horizon is targets[-1]: t_end exactly, which absorbs times
+    # within the allowance above it
+    targets = np.append(targets[(targets > 0) & (targets < t_end)], t_end)
 
     times, states, status, n_acc, n_rej, t_reached = stepper.integrate_core(
         config.beta,
@@ -185,12 +175,10 @@ def integrate(
         config.mu,
         config.r,
         y0,
-        float(t_end),
         float(rtol),
         float(atol),
         targets,
         int(max_steps),
-        0.0 if fixed_step is None else float(fixed_step),
         bool(stop_at_equilibrium),
     )
     if status < 0:

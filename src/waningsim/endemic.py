@@ -14,7 +14,6 @@ sign change with Brent's method, and reports the result as uncertified.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -330,9 +329,6 @@ class EndemicSolution:
             "vf_norm": self.vf_norm,
             "candidates": self.candidates,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _residual_at_rounding_level(config: ModelConfig, prevalence: float) -> bool:

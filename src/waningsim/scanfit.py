@@ -182,7 +182,12 @@ def sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     process pool with output order fixed by the grid, so results are
     deterministic either way.  Per-point configuration violations are
     recorded in the result rather than aborting the sweep.
+
+    Raises:
+        ConfigError: for ``jobs < 1``.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     tasks = [
         (spec.base_config, spec.parameter, float(v), spec.observable, spec.t_end)
         for v in spec.grid
@@ -441,7 +446,9 @@ def fit(
     options.
 
     Returns the best point found with ``converged=False`` when no run met a
-    convergence test before its evaluation budget ran out.
+    convergence test before its evaluation budget ran out, or every run that
+    met one stopped on a step taken from a Jacobian with a column it could
+    not form (both finite-difference neighbours failed).
 
     Raises:
         ConfigError: when the start point itself fails to integrate or to
@@ -489,6 +496,8 @@ def fit(
 
     failed = np.full(observed.size, FAILED_RESIDUAL)
     latest = {}
+    blind = False  # the latest Jacobian has a column built from ``failed``
+    blind_step = False  # the latest trial point was stepped to from such a Jacobian
 
     def residual_vector(x: np.ndarray) -> np.ndarray:
         nonlocal evaluations, failed_evaluations
@@ -505,10 +514,18 @@ def fit(
         latest.update(x=x.copy(), f=f)
         return f
 
+    def trial_vector(x: np.ndarray) -> np.ndarray:
+        # least_squares checks its stopping tests right after a trial point
+        nonlocal blind_step
+        blind_step = blind
+        return residual_vector(x)
+
     def jacobian(x: np.ndarray) -> np.ndarray:
         # SciPy's "2-point" differences in its column-major layout, so the
         # search is the same bit for bit, except that a neighbour that fails
         # gives way to the one on the other side
+        nonlocal blind
+        blind = False
         f = latest["f"] if np.array_equal(latest["x"], x) else residual_vector(x)
         J = np.empty((observed.size, x.size), order="F")
         for j in range(x.size):
@@ -519,6 +536,7 @@ def fit(
                 fj = residual_vector(shifted) if lo[j] <= xj <= hi[j] else failed
                 if fj is not failed:
                     break
+            blind = blind or fj is failed
             J[:, j] = (fj - f) / (xj - x[j])
         return J
 
@@ -526,7 +544,7 @@ def fit(
     converged = False
     for _ in range(opts.restarts + 1):
         result = scipy.optimize.least_squares(
-            residual_vector,
+            trial_vector,
             x0 if best is None else best.x,
             jac=jacobian,
             bounds=(lo, hi),
@@ -537,7 +555,7 @@ def fit(
             gtol=None,
             max_nfev=opts.max_iterations,
         )
-        converged = converged or result.status > 0
+        converged = converged or (result.status > 0 and not blind_step)
         if best is not None and result.cost >= best.cost:
             break
         best = result

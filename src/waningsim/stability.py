@@ -12,7 +12,6 @@ that serves as an independent cross-check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,9 +91,6 @@ class StabilityVerdict:
             "gershgorin_certified": self.gershgorin_certified,
             "reduced_quadratic": list(self.reduced_quadratic) if self.reduced_quadratic else None,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _classify(max_real: float) -> str:

@@ -76,8 +76,8 @@ def _load_library():
         lib.ws_integrate.restype = ctypes.c_int
         lib.ws_integrate.argtypes = [
             ctypes.c_int64, array, array, array, ctypes.c_double, ctypes.c_double, array,
-            ctypes.c_double, ctypes.c_double, ctypes.c_double, array, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_double, ctypes.c_int, ctypes.POINTER(_Record),
+            ctypes.c_double, ctypes.c_double, array, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int, ctypes.POINTER(_Record),
         ]
         lib.ws_free.restype = None
         lib.ws_free.argtypes = [ctypes.POINTER(_Record)]
@@ -89,18 +89,19 @@ def _load_library():
 _lib = _load_library()
 
 
-def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, t_end, rtol, atol, targets, max_steps, fixed_step,
-                      stop_at_equilibrium):
+def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_steps, stop_at_equilibrium):
     """See ``_stepper_py.integrate_core``; identical contract."""
     beta, omega_i, delta_i, y, targets = (
         np.ascontiguousarray(a, dtype=np.float64) for a in (beta, omega_i, delta_i, y0, targets))
     m = y.size
     if y.ndim != 1 or m < 2 or not beta.shape == omega_i.shape == delta_i.shape == (m - 1,):
         raise ValueError(f"rate arrays must have length {m - 1}, one less than the state's")
+    if targets.ndim != 1 or targets.size == 0:
+        raise ValueError("targets must be a non-empty 1-d array ending at the horizon")
     rec = _Record()
     status = _lib.ws_integrate(
-        m, beta, omega_i, delta_i, float(mu), float(r), y, float(t_end), float(rtol), float(atol),
-        targets, targets.size, int(max_steps), float(fixed_step), bool(stop_at_equilibrium), ctypes.byref(rec),
+        m, beta, omega_i, delta_i, float(mu), float(r), y, float(rtol), float(atol),
+        targets, targets.size, int(max_steps), bool(stop_at_equilibrium), ctypes.byref(rec),
     )
     try:
         if status == _NO_MEMORY:

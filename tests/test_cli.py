@@ -202,6 +202,13 @@ class TestSweep:
         assert main(["sweep", "--spec", spec]) == 2
         assert "t_end must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs_exits_2(self, tmp_path, capsys, jobs):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--spec", self.write_spec(tmp_path), "--jobs", jobs, "--out", str(out)]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_is_strict_rfc_8259(self, tmp_path, capsys):
         # a negative waning rate is a per-point error whose observable is NaN
         spec = self.write_spec(tmp_path, grid=[-0.1, 0.0, 0.1])

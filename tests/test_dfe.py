@@ -260,13 +260,13 @@ class TestTransmissionThreshold:
 class TestSerialization:
     def test_dfe_solution_round_trip(self, pertussis):
         sol = solve_dfe_closed_form(pertussis)
-        data = json.loads(sol.to_json())
+        data = json.loads(json.dumps(sol.to_dict()))
         assert data["s"] == [float(x) for x in sol.s]  # repr round-trips exactly
         assert data["c"] == sol.c
         assert data["i"] == 0.0
 
     def test_r0_report_round_trip(self, pertussis):
         rep = basic_reproduction_number(pertussis)
-        data = json.loads(rep.to_json())
+        data = json.loads(json.dumps(rep.to_dict()))
         assert data["r0"] == rep.r0
         assert data["regime"] == rep.regime

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from waningsim._stepper_py import _A, _ERR
 from waningsim.dynamics import (
     IntegrationError,
     convergence_rate,
@@ -13,7 +16,7 @@ from waningsim.dynamics import (
     integrate,
 )
 from waningsim.endemic import localize_endemic, refine_endemic
-from waningsim.model import StateVector, build_general, build_last_only, epidemic_start
+from waningsim.model import StateVector, build_general, build_last_only, epidemic_start, vector_field
 from waningsim.stability import endemic_spectrum
 
 
@@ -67,19 +70,36 @@ class TestIntegrate:
         with pytest.raises(KeyError):
             traj.sample([0.31])
 
-    def test_fixed_step_order_is_fifth(self, waning_chain):
-        rng = np.random.default_rng(52)
-        s0 = rng.uniform(0.1, 1.0, 4)
-        s0 /= s0.sum()
-        y0 = np.concatenate([s0, [0.0]])
-        closed = infection_free_solution(waning_chain)
-        ref = np.concatenate([closed.evaluate(s0, 8.0), [0.0]])
-        errors = []
-        for h in (0.5, 0.25):
-            traj = integrate(waning_chain, y0, 8.0, fixed_step=h)
-            errors.append(np.max(np.abs(traj.final_state - ref)))
-        ratio = errors[0] / errors[1]
-        assert 16 < ratio < 64  # nominal 2^5 = 32
+    def test_sample_time_within_allowance_folds_into_t_end(self):
+        traj = integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 20.0, t_eval=[5.0, 20.0 + 5e-13])
+        assert traj.times[-1] == 20.0
+        assert traj.times[-2] < 20.0
+        with pytest.raises(ValueError, match="t_eval"):
+            integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 20.0, t_eval=[20.0 + 1e-9])
+
+    def test_tableau_linear_order_conditions(self):
+        # b . A^(k-1) . 1 = 1/k! for k up to the order: what a linear system
+        # such as the waning chain sees of a Runge-Kutta method
+        a = np.zeros((7, 7))
+        for row, coefficients in enumerate(_A, start=1):
+            a[row, : len(coefficients)] = coefficients
+        b = a[6]  # FSAL: the last stage row is the propagated weights
+        b_hat = b - _ERR  # the error estimate is the fifth- minus the fourth-order solution
+        for weights, order in ((b, 5), (b_hat, 4)):
+            terms = [weights @ np.linalg.matrix_power(a, k - 1) @ np.ones(7) for k in range(1, order + 2)]
+            expected = [1.0 / math.factorial(k) for k in range(1, order + 2)]
+            np.testing.assert_allclose(terms[:order], expected[:order], rtol=1e-14)
+            assert abs(terms[order] - expected[order]) > 1e-6 * expected[order]  # and no higher
+
+    def test_first_step_is_one_dormand_prince_step(self):
+        y0 = epidemic_start(ENDEMIC_CFG).as_array()
+        traj = integrate(ENDEMIC_CFG, y0, 10.0)
+        h = traj.times[1]
+        k = [vector_field(ENDEMIC_CFG, y0)]
+        for coefficients in _A:
+            k.append(vector_field(ENDEMIC_CFG, y0 + h * sum(c * kj for c, kj in zip(coefficients, k))))
+        np.testing.assert_allclose(traj.states[1], y0 + h * sum(c * kj for c, kj in zip(_A[-1], k)),
+                                   rtol=0, atol=1e-14)
 
     def test_stiff_budget_exhaustion_reports_time(self):
         # near its endemic point this config has a contraction rate ~1e6/yr,
@@ -125,9 +145,6 @@ class TestIntegrate:
             {"atol": -1e-12},
             {"rtol": 0.0, "atol": 0.0},
             {"max_steps": 0},
-            {"fixed_step": -0.1},
-            {"fixed_step": 0.0},
-            {"fixed_step": float("nan")},
             {"t_eval": [float("nan"), 5.0]},
         ],
     )

@@ -16,7 +16,7 @@ from conftest import random_config, random_simplex_state
 CFG = build_general(2, (1.5, 2.0, 4.0), 0.05, 0.3, 1.2, 2.0, (0.0, 0.1, 0.5))
 
 
-def run_kernel(impl, cfg, t_end=50.0, fixed_step=0.0):
+def run_kernel(impl, cfg, t_end=50.0):
     y0 = epidemic_start(cfg).as_array()
     return impl.integrate_core(
         cfg.beta,
@@ -25,12 +25,10 @@ def run_kernel(impl, cfg, t_end=50.0, fixed_step=0.0):
         cfg.mu,
         cfg.r,
         y0,
-        t_end,
         1e-10,
         1e-12,
         np.array([t_end]),
         1_000_000,
-        fixed_step,
         False,
     )
 
@@ -60,11 +58,12 @@ class TestCompiledKernel:
         assert py[2] == c[2]  # status
         np.testing.assert_allclose(py[1][-1], c[1][-1], rtol=1e-7, atol=1e-10)
 
-    def test_single_fixed_step_near_bitwise(self):
-        # one fixed step exercises every tableau coefficient in both kernels
-        py = run_kernel(stepper.kernels()["python"], CFG, t_end=0.25, fixed_step=0.25)
-        c = run_kernel(stepper.kernels()["c"], CFG, t_end=0.25, fixed_step=0.25)
-        assert py[1].shape == c[1].shape == (2, 4)
+    def test_first_accepted_step_near_bitwise(self):
+        # one step exercises every tableau coefficient and the initial-step
+        # rule in both kernels
+        py = run_kernel(stepper.kernels()["python"], CFG, t_end=0.25)
+        c = run_kernel(stepper.kernels()["c"], CFG, t_end=0.25)
+        assert py[0][1] == c[0][1]
         np.testing.assert_allclose(py[1][1], c[1][1], rtol=1e-14, atol=1e-17)
 
     def test_compiled_kernel_is_deterministic(self):
@@ -78,7 +77,7 @@ class TestCompiledKernel:
         for name, impl in stepper.kernels().items():
             out[name] = impl.integrate_core(
                 CFG.beta, CFG.omega_i, CFG.delta_i, CFG.mu, CFG.r, y0,
-                2000.0, 1e-10, 1e-12, np.array([2000.0]), 5_000_000, 0.0, True,
+                1e-10, 1e-12, np.array([2000.0]), 5_000_000, True,
             )
         assert out["python"][2] == out["c"][2] == stepper.STATUS_CONVERGED
         np.testing.assert_allclose(
