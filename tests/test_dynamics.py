@@ -145,6 +145,9 @@ class TestIntegrate:
             {"atol": -1e-12},
             {"rtol": 0.0, "atol": 0.0},
             {"max_steps": 0},
+            {"t_end": -1.0},
+            {"t_eval": [-1.0, 5.0]},
+            {"t_eval": [5.0, 11.0]},
             {"t_eval": [float("nan"), 5.0]},
         ],
     )

@@ -206,20 +206,30 @@ def synthetic_series(cfg, years, i0=1e-4, noise=0.0, seed=0):
     return TimeSeries(years=np.asarray(years), prevalence=np.clip(values, 0, 1))
 
 
+@pytest.fixture(scope="module")
+def zero_noise_fit():
+    # one 3-parameter fit, started away from the truth, shared by the two tests below
+    years = np.arange(2000, 2025)
+    data = synthetic_series(FIT_TRUTH, years, i0=1e-4)
+    template = FIT_TRUTH.replace(delta=0.05, omega=2.5)
+    options = FitOptions(initial_prevalence=1e-4, rtol=1e-11, atol=1e-13)
+    return fit(template, ["beta_scale", "delta", "omega"], data, options)
+
+
 class TestFit:
-    def test_zero_noise_round_trip_three_parameters(self):
-        years = np.arange(2000, 2025)
-        data = synthetic_series(FIT_TRUTH, years, i0=1e-4)
-        # start the search away from the truth
-        template = FIT_TRUTH.replace(delta=0.05, omega=2.5)
-        options = FitOptions(initial_prevalence=1e-4, rtol=1e-11, atol=1e-13)
-        result = fit(template, ["beta_scale", "delta", "omega"], data, options)
+    def test_zero_noise_round_trip_three_parameters(self, zero_noise_fit):
+        result = zero_noise_fit
         assert result.converged
+        truth = {"beta_scale": 1.0, "delta": FIT_TRUTH.delta, "omega": FIT_TRUTH.omega}
+        for name, expected in truth.items():
+            assert abs(result.parameters[name] - expected) <= 1e-4 * max(abs(expected), 1e-3), name
+
+    def test_zero_noise_fit_is_cheap_and_exact(self, zero_noise_fit):
+        result = zero_noise_fit
         assert result.evaluations <= 100
         assert result.failed_evaluations == 0
         truth = {"beta_scale": 1.0, "delta": FIT_TRUTH.delta, "omega": FIT_TRUTH.omega}
         for name, expected in truth.items():
-            assert abs(result.parameters[name] - expected) <= 1e-4 * max(abs(expected), 1e-3), name
             assert result.parameters[name] == pytest.approx(expected, rel=1e-8, abs=0.0), name
 
     def test_noisy_fit_reaches_noise_floor(self):
