@@ -61,7 +61,8 @@ class Trajectory:
 
     ``times`` are strictly increasing and include every requested sample time
     exactly.  ``terminal_status`` is ``"converged_dfe"``,
-    ``"converged_endemic"`` or ``"max_time"``.
+    ``"converged_endemic"`` or ``"max_time"``.  ``config`` is the integrated
+    configuration; its digest is computed only when asked for.
     """
 
     times: np.ndarray
@@ -71,7 +72,11 @@ class Trajectory:
     n_rejected: int
     rtol: float
     atol: float
-    config_hash: str
+    config: ModelConfig
+
+    @property
+    def config_hash(self) -> str:
+        return config_digest(self.config)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -89,7 +94,7 @@ class Trajectory:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         idx = np.minimum(np.searchsorted(self.times, times), self.times.size - 1)
         bad = np.abs(self.times[idx] - times) > 1e-9
-        if np.any(bad):
+        if bad.any():
             raise KeyError(f"times not on the stored grid: {times[bad]}")
         return self.states[idx]
 
@@ -116,8 +121,8 @@ class Trajectory:
             "terminal_status": self.terminal_status,
             "n_accepted": self.n_accepted,
             "n_rejected": self.n_rejected,
-            "times": [float(t) for t in self.times],
-            "states": [[float(v) for v in row] for row in self.states],
+            "times": self.times.tolist(),
+            "states": self.states.tolist(),
         }
 
 
@@ -153,14 +158,16 @@ def integrate(
         raise ValueError(f"rtol and atol must be finite, >= 0 and not both 0, got rtol={rtol}, atol={atol}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    y0 = initial_state.as_array() if isinstance(initial_state, StateVector) else np.asarray(initial_state, dtype=float)
+    raw = not isinstance(initial_state, StateVector)
+    y0 = np.asarray(initial_state, dtype=float) if raw else initial_state.as_array()
     if y0.shape != (config.n + 2,):
         raise ValueError(f"initial state must have length n+2={config.n + 2}")
-    StateVector.from_array(y0)  # validates simplex membership
+    if raw:  # a StateVector checked its simplex membership when it was built
+        StateVector.from_array(y0)
 
     t_end = float(t_end)
     targets = np.unique(np.asarray(() if t_eval is None else t_eval, dtype=float))
-    if not np.all(np.isfinite(targets)):
+    if not np.isfinite(targets).all():
         raise ValueError("t_eval times must be finite")
     if targets.size and (targets[0] < 0 or targets[-1] > t_end + 1e-12):
         raise ValueError("t_eval times must lie in [0, t_end]")
@@ -199,7 +206,7 @@ def integrate(
         n_rejected=n_rej,
         rtol=rtol,
         atol=atol,
-        config_hash=config_digest(config),
+        config=config,
     )
 
 

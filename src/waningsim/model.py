@@ -100,12 +100,12 @@ class ModelConfig:
         """Return a revalidated copy with the given fields substituted."""
         base = {
             "n": self.n,
-            "beta": np.array(self.beta),
+            "beta": self.beta,
             "delta": self.delta,
             "mu": self.mu,
             "r": self.r,
             "omega": self.omega,
-            "p": np.array(self.p),
+            "p": self.p,
         }
         base.update(changes)
         return build_general(**base)
@@ -129,22 +129,24 @@ def build_general(
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ConfigError(f"n must be an integer >= 1, got {n!r}")
     n = int(n)
-    beta = np.asarray(beta, dtype=float)
-    p = np.asarray(p, dtype=float)
+    beta = np.array(beta, dtype=float)  # private copies, made read-only below
+    p = np.array(p, dtype=float)
     if beta.shape != (n + 1,):
         raise ConfigError(f"beta must have length n+1={n + 1}, got shape {beta.shape}")
     if p.shape != (n + 1,):
         raise ConfigError(f"p must have length n+1={n + 1}, got shape {p.shape}")
-    if not np.all(np.isfinite(beta)) or np.any(beta < 0):
+    # ndarray methods, not np.all/np.any, which cost several microseconds
+    # each per trial point of a fit; a NaN fails every comparison
+    if not (np.isfinite(beta) & (beta >= 0)).all():
         raise ConfigError("beta entries must be finite and >= 0")
-    if np.any(np.diff(beta) < 0):
+    if (beta[1:] < beta[:-1]).any():
         raise ConfigError(f"beta must be non-decreasing, got {beta.tolist()}")
     for name, value, lower_open in (("delta", delta, False), ("mu", mu, True), ("r", r, True), ("omega", omega, False)):
         value = float(value)
         if not math.isfinite(value) or value < 0 or (lower_open and value == 0):
             bound = "> 0" if lower_open else ">= 0"
             raise ConfigError(f"{name} must be finite and {bound}, got {value}")
-    if not np.all(np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
+    if not ((p >= 0) & (p <= 1)).all():
         raise ConfigError(f"coverage p must lie in [0, 1], got {p.tolist()}")
     if p[0] != 0.0:
         raise ConfigError(f"p[0] must be 0 (the most-immune tier is never vaccinated), got {p[0]}")
@@ -152,16 +154,18 @@ def build_general(
     omega_i = p * float(omega)
     delta_i = (1.0 - p) * float(delta)
     delta_i[n] = 0.0  # no compartment beyond S_n; stored as 0 for uniform indexing
+    for a in (beta, p, omega_i, delta_i):
+        a.flags.writeable = False
     return ModelConfig(
         n=n,
-        beta=_readonly(beta),
+        beta=beta,
         delta=float(delta),
         mu=float(mu),
         r=float(r),
         omega=float(omega),
-        p=_readonly(p),
-        omega_i=_readonly(omega_i),
-        delta_i=_readonly(delta_i),
+        p=p,
+        omega_i=omega_i,
+        delta_i=delta_i,
     )
 
 
@@ -226,7 +230,7 @@ class StateVector:
         object.__setattr__(self, "i", float(self.i))
         if s.ndim != 1 or s.size < 2:
             raise ValueError(f"s must be a vector of length n+1 >= 2, got shape {s.shape}")
-        if not (np.all(s >= 0) and self.i >= 0):  # false for NaN as well
+        if not ((s >= 0).all() and self.i >= 0):  # false for NaN as well
             raise ValueError("state components must be non-negative, not NaN")
         total = math.fsum(s.tolist()) + self.i
         if abs(total - 1.0) > SIMPLEX_TOL:
@@ -297,12 +301,12 @@ def diagonal_coefficients(config: ModelConfig, prevalence) -> np.ndarray:
 def config_to_dict(config: ModelConfig) -> dict:
     return {
         "n": config.n,
-        "beta": [float(b) for b in config.beta],
+        "beta": config.beta.tolist(),
         "delta": config.delta,
         "mu": config.mu,
         "r": config.r,
         "omega": config.omega,
-        "p": [float(x) for x in config.p],
+        "p": config.p.tolist(),
     }
 
 

@@ -359,6 +359,13 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Outcome of :func:`fit`.
+
+    ``evaluations`` counts the trial points integrated, each distinct point
+    once, finite-difference neighbours and restarts included;
+    ``failed_evaluations`` counts those that failed.
+    """
+
     fitted_config: ModelConfig
     parameters: dict
     sse: float
@@ -372,7 +379,7 @@ class FitResult:
             "parameters": {k: float(v) for k, v in self.parameters.items()},
             "config": config_to_dict(self.fitted_config),
             "sse": self.sse,
-            "residuals": [float(x) for x in self.residuals],
+            "residuals": self.residuals.tolist(),
             "converged": self.converged,
             "evaluations": self.evaluations,
             "failed_evaluations": self.failed_evaluations,
@@ -384,7 +391,7 @@ def _apply_parameters(template: ModelConfig, names, values, i0_default: float):
     i0 = i0_default
     for name, value in zip(names, values):
         if name == "beta_scale":
-            changes["beta"] = np.array(template.beta) * value
+            changes["beta"] = template.beta * value
         elif name == "i0":
             i0 = value
         elif name.startswith("p_"):
@@ -397,15 +404,17 @@ def _apply_parameters(template: ModelConfig, names, values, i0_default: float):
 
 
 def _bounds_for(template: ModelConfig, names):
+    coverage = {f"p_{k}" for k in range(1, template.n + 1)}
     bounds = []
-    for name in names:
-        if name.startswith("p_"):
-            k = int(name[2:])
-            if not 1 <= k <= template.n:
-                raise ConfigError(f"coverage index out of range in {name!r}")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"free parameter {name!r} is listed twice")
+        if name in coverage:
             bounds.append((0.0, 1.0))
         elif name in FREE_PARAMETER_BOUNDS:
             bounds.append(FREE_PARAMETER_BOUNDS[name])
+        elif name.startswith("p_"):
+            raise ConfigError(f"coverage index out of range in {name!r}: use p_1 .. p_{template.n}")
         else:
             raise ConfigError(f"unknown free parameter {name!r}")
     return bounds
@@ -441,9 +450,9 @@ def fit(
     preserves its ordering.  Every trial point, finite-difference ones
     included, lies inside the bounds.  Trial points that fail to integrate
     or form no valid configuration get every residual ``FAILED_RESIDUAL``
-    and are counted in ``failed_evaluations``; ``evaluations`` counts every
-    residual evaluation, Jacobian ones included.  Deterministic given
-    options.
+    and are counted in ``failed_evaluations``.  Each distinct trial point is
+    integrated once, even when a restart or a Jacobian returns to it, and
+    ``evaluations`` counts those integrations.  Deterministic given options.
 
     Returns the best point found with ``converged=False`` when no run met a
     convergence test before its evaluation budget ran out, or every run that
@@ -495,12 +504,17 @@ def fit(
         return simulated - observed
 
     failed = np.full(observed.size, FAILED_RESIDUAL)
-    latest = {}
+    # residuals, or ``failed``, of every trial point integrated so far: a
+    # restart and its first Jacobian revisit the point the last run stopped at
+    seen = {}
     blind = False  # the latest Jacobian has a column built from ``failed``
     blind_step = False  # the latest trial point was stepped to from such a Jacobian
 
     def residual_vector(x: np.ndarray) -> np.ndarray:
         nonlocal evaluations, failed_evaluations
+        key = x.tobytes()
+        if key in seen:
+            return seen[key]
         evaluations += 1
         try:
             f = residuals_at(x)
@@ -511,7 +525,7 @@ def fit(
                 raise ConfigError(f"fit start point cannot be evaluated: {exc}") from exc
             failed_evaluations += 1
             f = failed
-        latest.update(x=x.copy(), f=f)
+        seen[key] = f
         return f
 
     def trial_vector(x: np.ndarray) -> np.ndarray:
@@ -526,7 +540,7 @@ def fit(
         # gives way to the one on the other side
         nonlocal blind
         blind = False
-        f = latest["f"] if np.array_equal(latest["x"], x) else residual_vector(x)
+        f = residual_vector(x)
         J = np.empty((observed.size, x.size), order="F")
         for j in range(x.size):
             h = FD_RELATIVE_STEP * max(1.0, abs(x[j]))

@@ -72,7 +72,9 @@ def _load_library():
         if not path.exists():
             _build(compiler, path)
         lib = ctypes.CDLL(str(path))
-        array = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+        # a raw address: the caller makes each array C-contiguous float64 and
+        # checks its length first, which ndpointer would check again per call
+        array = ctypes.c_void_p
         lib.ws_integrate.restype = ctypes.c_int
         lib.ws_integrate.argtypes = [
             ctypes.c_int64, array, array, array, ctypes.c_double, ctypes.c_double, array,
@@ -100,8 +102,9 @@ def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, ma
         raise ValueError("targets must be a non-empty 1-d array ending at the horizon")
     rec = _Record()
     status = _lib.ws_integrate(
-        m, beta, omega_i, delta_i, float(mu), float(r), y, float(rtol), float(atol),
-        targets, targets.size, int(max_steps), bool(stop_at_equilibrium), ctypes.byref(rec),
+        m, beta.ctypes.data, omega_i.ctypes.data, delta_i.ctypes.data, float(mu), float(r), y.ctypes.data,
+        float(rtol), float(atol), targets.ctypes.data, targets.size, int(max_steps), bool(stop_at_equilibrium),
+        ctypes.byref(rec),
     )
     try:
         if status == _NO_MEMORY:

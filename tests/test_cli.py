@@ -253,6 +253,14 @@ class TestFit:
         assert main(["fit", "--config", config_path, "--data", str(synthetic_prevalence_path()), *option]) == 2
         assert "must be >=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("free", ["omega,omega", "p_x"])
+    def test_bad_free_parameter_list_exits_2(self, config_path, free, capsys):
+        from waningsim.data import synthetic_prevalence_path
+
+        assert main(["fit", "--config", config_path, "--data", str(synthetic_prevalence_path()),
+                     "--free", free]) == 2
+        assert repr(free.split(",")[-1]) in capsys.readouterr().err
+
     def test_start_point_that_fails_exits_2(self, config_path, monkeypatch, capsys):
         from waningsim import scanfit
         from waningsim.data import synthetic_prevalence_path

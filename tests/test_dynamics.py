@@ -16,7 +16,7 @@ from waningsim.dynamics import (
     integrate,
 )
 from waningsim.endemic import localize_endemic, refine_endemic
-from waningsim.model import StateVector, build_general, build_last_only, epidemic_start, vector_field
+from waningsim.model import StateVector, build_general, build_last_only, config_digest, epidemic_start, vector_field
 from waningsim.stability import endemic_spectrum
 
 
@@ -177,6 +177,14 @@ class TestIntegrate:
         parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         np.testing.assert_array_equal(parsed[:, 0], traj.times)
         np.testing.assert_array_equal(parsed[:, 1:], traj.states)
+
+    def test_json_dict_carries_config_digest_and_exact_floats(self):
+        traj = integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 5.0, t_eval=[1.0, 5.0])
+        doc = traj.to_json_dict()
+        assert doc["config_hash"] == config_digest(ENDEMIC_CFG)
+        assert all(type(v) is float for row in doc["states"] for v in row)
+        np.testing.assert_array_equal(doc["times"], traj.times)
+        np.testing.assert_array_equal(doc["states"], traj.states)
 
 
 class TestInfectionFreeSolution:

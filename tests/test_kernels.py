@@ -84,6 +84,23 @@ class TestCompiledKernel:
             out["python"][1][-1], out["c"][1][-1], rtol=1e-7, atol=1e-10
         )
 
+    def test_strided_and_integer_arguments_match_float64_copies(self):
+        # the C kernel reads raw addresses: the wrapper must pass contiguous
+        # float64 copies of whatever arrays it is given
+        c = stepper.kernels()["c"]
+        y0 = epidemic_start(CFG).as_array()
+        beta = np.repeat(CFG.beta, 2)[::2]
+        targets = np.array([1, 5, 20])
+        assert not beta.flags.c_contiguous and targets.dtype.kind == "i"
+        got = c.integrate_core(beta, CFG.omega_i, CFG.delta_i, CFG.mu, CFG.r, y0, 1e-10, 1e-12, targets,
+                               1_000_000, False)
+        want = c.integrate_core(np.array(CFG.beta), CFG.omega_i, CFG.delta_i, CFG.mu, CFG.r, y0, 1e-10, 1e-12,
+                                targets.astype(np.float64), 1_000_000, False)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2:] == want[2:]
+        assert got[0][-1] == 20.0
+
     def test_active_kernel_reports_compiled(self):
         assert stepper.active_kernel() == "c"
 

@@ -54,6 +54,11 @@ class TestBuilders:
             dict(omega=-2.0),
             dict(p=(0.0, 1.5)),
             dict(p=(0.2, 0.3)),  # p[0] must be 0
+            dict(beta=(math.nan, 2.0)),
+            dict(beta=(1.0, math.inf)),
+            dict(beta=(-1.0, 2.0)),
+            dict(p=(0.0, math.nan)),
+            dict(p=(0.0, -0.5)),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

@@ -10,7 +10,7 @@ import pytest
 from waningsim import scanfit
 from waningsim.dfe import basic_reproduction_number
 from waningsim.dynamics import IntegrationError
-from waningsim.model import ConfigError, build_general, build_last_only
+from waningsim.model import ConfigError, build_general, build_last_only, config_digest
 from waningsim.scanfit import (
     FitOptions,
     SweepSpec,
@@ -360,6 +360,31 @@ class TestFit:
         assert result.failed_evaluations == 1
         assert result.converged
         assert result.parameters["omega"] == pytest.approx(FIT_TRUTH.omega, rel=1e-6)
+
+    def test_restarts_integrate_no_point_twice(self, monkeypatch):
+        # each restart begins where the previous run stopped, and its first
+        # Jacobian differences around that point again
+        data = synthetic_series(FIT_TRUTH, np.arange(2000, 2010), i0=1e-4)
+        integrated = []
+
+        def counting(config, *args, **kwargs):
+            integrated.append(config_digest(config))
+            return simulate_annual_prevalence(config, *args, **kwargs)
+
+        monkeypatch.setattr(scanfit, "simulate_annual_prevalence", counting)
+        result = fit(
+            FIT_TRUTH.replace(omega=2.0),
+            ["omega"],
+            data,
+            FitOptions(initial_prevalence=1e-4, max_iterations=120, restarts=2),
+        )
+        assert len(set(integrated)) == len(integrated) == result.evaluations
+
+    @pytest.mark.parametrize("free", [["omega", "omega"], ["p_x"], ["p_0"], ["p_3"]])
+    def test_bad_free_parameter_list_rejected(self, free):
+        data = synthetic_series(FIT_TRUTH, np.arange(2000, 2005), i0=1e-4)
+        with pytest.raises(ConfigError, match=repr(free[-1])):
+            fit(FIT_TRUTH, free, data)
 
     def test_start_point_that_fails_is_a_config_error(self, monkeypatch):
         def failing(*args, **kwargs):
