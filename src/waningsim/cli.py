@@ -15,6 +15,7 @@ with identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .dfe import basic_reproduction_number, solve_dfe_closed_form, solve_dfe_numeric
 from .dynamics import IntegrationError, integrate
-from .model import ConfigError, config_from_dict, epidemic_start, load_config
+from .model import ConfigError, config_from_dict, epidemic_start, json_number, load_config
 from .reports import analyze_config, build_manifest, json_document
 from .scanfit import (
     SweepSpec,
@@ -133,15 +134,22 @@ def _load_sweep_spec(path: str) -> SweepSpec:
         config = config_from_dict(raw["config"])
         grid_spec = raw["grid"]
         if isinstance(grid_spec, dict):
-            grid = np.linspace(grid_spec["start"], grid_spec["stop"], int(grid_spec["num"]))
+            num = grid_spec["num"]
+            if isinstance(num, bool) or not isinstance(num, int):
+                raise ConfigError(f"grid num must be an integer, got {num!r}")
+            grid = np.linspace(json_number("grid start", grid_spec["start"]),
+                               json_number("grid stop", grid_spec["stop"]), num)
+        elif isinstance(grid_spec, list):
+            grid = np.array([json_number(f"grid[{k}]", value) for k, value in enumerate(grid_spec)])
         else:
-            grid = np.asarray(grid_spec, dtype=float)
+            raise ConfigError(f"grid must be a list of numbers or an object with start, stop and num, "
+                              f"got {grid_spec!r}")
         return SweepSpec(
             base_config=config,
             parameter=raw["parameter"],
             grid=grid,
             observable=raw["observable"],
-            t_end=float(raw.get("t_end", 2000.0)),
+            t_end=json_number("t_end", raw.get("t_end", 2000.0)),
         )
     except KeyError as exc:
         raise ConfigError(f"sweep spec missing key {exc}") from exc
@@ -198,7 +206,13 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use.
+
+    Sharing it is safe: ``parse_args`` returns a fresh namespace each call
+    and every default is an immutable scalar.
+    """
     parser = argparse.ArgumentParser(
         prog="waningsim",
         description="Waning-immunity compartment models: simulation, equilibria, sweeps, fitting.",
@@ -252,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, ``argv`` without the program name (default
+    ``sys.argv[1:]``), and return its exit code."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except IntegrationError as exc:

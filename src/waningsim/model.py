@@ -36,6 +36,7 @@ __all__ = [
     "epidemic_start",
     "config_to_dict",
     "config_from_dict",
+    "json_number",
     "config_to_json",
     "config_from_json",
     "load_config",
@@ -324,6 +325,13 @@ def config_from_dict(data: dict) -> ModelConfig:
     missing = [k for k in CONFIG_KEYS if k not in data]
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
+    for key in ("delta", "mu", "r", "omega"):
+        json_number(key, data[key])
+    for key in ("beta", "p"):
+        if not isinstance(data[key], list):
+            raise ConfigError(f"{key} must be a list of numbers, got {data[key]!r}")
+        for k, value in enumerate(data[key]):
+            json_number(f"{key}[{k}]", value)
     return build_general(
         n=data["n"],
         beta=data["beta"],
@@ -333,6 +341,14 @@ def config_from_dict(data: dict) -> ModelConfig:
         omega=data["omega"],
         p=data["p"],
     )
+
+
+def json_number(name: str, value) -> float:
+    """``value`` as a float if it is a JSON number, else a :class:`ConfigError`
+    naming the field ``name``.  A bool or a numeric string is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def config_to_json(config: ModelConfig, indent: int | None = 2) -> str:

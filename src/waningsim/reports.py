@@ -15,9 +15,9 @@ map to the identical key; timestamps live next to it without affecting it.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .dfe import basic_reproduction_number, solve_dfe_closed_form, solve_dfe_numeric
@@ -119,27 +119,54 @@ def analyze_config(config: ModelConfig) -> dict:
     return report
 
 
-def _finite_or_null(value):
-    """Copy of a JSON-ready value with NaN and infinities replaced by None."""
+def _encode(value, level: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at nesting
+    ``level`` (the indent of its own line), non-finite floats as ``null``."""
     if isinstance(value, float):
-        return value if math.isfinite(value) else None
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = level + "  "
     if isinstance(value, dict):
-        return {k: _finite_or_null(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring_ascii(key)}: {_encode(item, inner)}")
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + level + "}"
     if isinstance(value, (list, tuple)):
-        return [_finite_or_null(v) for v in value]
-    return value
+        if not value:
+            return "[]"
+        sep = ",\n" + inner
+        try:  # fast path: a list of floats
+            body = sep.join(map(float.__repr__, value))
+        except TypeError:  # an element is not a float
+            body = None
+        if body is None or "n" in body:  # the "n" of nan or inf: each element on its own
+            body = sep.join([_encode(item, inner) for item in value])
+        return "[\n" + inner + body + "\n" + level + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def json_document(manifest: dict, data) -> str:
     """Standard CLI artifact layout: manifest beside a deterministic data
     section (re-running identical inputs reproduces the data bytes).
 
-    Non-finite floats are written as ``null``, so the artifact is valid
-    RFC 8259 JSON; documents without them are serialized once, unwalked.
+    The text is byte for byte ``json.dumps({"manifest": manifest, "data":
+    data}, indent=2) + "\\n"``, except that non-finite floats are written as
+    ``null``, so the artifact is valid RFC 8259 JSON.  Dict keys must be
+    ``str``; other keys, and values ``json.dumps`` rejects, raise
+    ``TypeError``.  One pass writes it, because ``json.dumps`` with an
+    indent runs its pure-Python encoder.
     """
-    document = {"manifest": manifest, "data": data}
-    try:
-        text = json.dumps(document, indent=2, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_finite_or_null(document), indent=2)
-    return text + "\n"
+    return _encode({"manifest": manifest, "data": data}, "") + "\n"

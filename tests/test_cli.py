@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import waningsim
-from waningsim.cli import main
+from waningsim.cli import build_parser, main
 from waningsim.model import build_general, config_to_json
 from waningsim.scanfit import simulate_annual_prevalence
 
@@ -81,6 +81,25 @@ class TestSimulate:
         bad.write_text('{"n": 1, "beta": [1, 2], "delta": 0.1, "mu": 0.1, "r": 1, "omega": 0, "p": [0, 0], "betas": 3}')
         assert main(["simulate", "--config", str(bad), "--t-end", "5"]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("delta", None, "delta must be a number, got None"),
+        ("mu", [0.1], "mu must be a number, got [0.1]"),
+        ("omega", {}, "omega must be a number, got {}"),
+        ("delta", "0.1", "delta must be a number, got '0.1'"),
+        ("delta", True, "delta must be a number, got True"),
+        ("beta", [True, 2.0, 4.0], "beta[0] must be a number, got True"),
+        ("beta", [1.5, "2", 4.0], "beta[1] must be a number, got '2'"),
+        ("p", [False, 0.1, 0.5], "p[0] must be a number, got False"),
+        ("p", {"0": 0.0}, "p must be a list of numbers"),
+    ])
+    def test_wrongly_typed_config_field_exits_2(self, tmp_path, capsys, field, value, message):
+        cfg = json.loads(config_to_json(ENDEMIC_CFG))
+        cfg[field] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--t-end", "5"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_nan_horizon_exits_2(self, endemic_config_path, capsys):
         assert main(["simulate", "--config", endemic_config_path, "--t-end", "nan"]) == 2
@@ -202,6 +221,20 @@ class TestSweep:
         assert main(["sweep", "--spec", spec]) == 2
         assert "t_end must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"t_end": None}, "t_end must be a number, got None"),
+        ({"t_end": "5"}, "t_end must be a number, got '5'"),
+        ({"grid": [0.0, "0.1", 0.2]}, "grid[1] must be a number, got '0.1'"),
+        ({"grid": {"start": None, "stop": 0.5, "num": 11}}, "grid start must be a number, got None"),
+        ({"grid": {"start": 0.0, "stop": 0.5, "num": "11"}}, "grid num must be an integer, got '11'"),
+        ({"grid": {"start": 0.0, "stop": 0.5, "num": True}}, "grid num must be an integer, got True"),
+        ({"grid": "0:1"}, "grid must be a list of numbers or an object"),
+        ({"config": dict(json.loads(config_to_json(ENDEMIC_CFG)), r=None)}, "r must be a number, got None"),
+    ])
+    def test_wrongly_typed_spec_field_exits_2(self, tmp_path, capsys, overrides, message):
+        assert main(["sweep", "--spec", self.write_spec(tmp_path, **overrides)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_bad_jobs_exits_2(self, tmp_path, capsys, jobs):
         out = tmp_path / "s.csv"
@@ -288,6 +321,69 @@ class TestFit:
         doc = json.loads(capsys.readouterr().out)
         assert doc["data"]["converged"] is True
         assert abs(doc["data"]["parameters"]["omega"] - 2.0) < 1e-2
+
+
+class TestParserBuiltOnce:
+    """``main`` builds its parser once per process; no command may leave
+    state behind in it for the next."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, endemic_config_path):
+        years = np.arange(2000, 2006)
+        values = simulate_annual_prevalence(ENDEMIC_CFG, years, 1999, 1e-4)
+        data = tmp_path / "data.csv"
+        data.write_text("year,prevalence\n" + "".join(f"{y},{float(v)!r}\n" for y, v in zip(years, values)))
+        template = tmp_path / "template.json"
+        template.write_text(config_to_json(ENDEMIC_CFG.replace(omega=2.4)))
+        spec = TestSweep().write_spec(tmp_path)
+        return {"config": endemic_config_path, "template": str(template), "data": str(data), "spec": spec,
+                "dir": tmp_path}
+
+    @staticmethod
+    def data_section(argv, out) -> str:
+        assert main(argv + ["--out", str(out)]) == 0
+        text = out.read_text()
+        if text.startswith("{"):
+            return json.dumps(json.loads(text)["data"])
+        return split_csv_artifact(text)[1]
+
+    @pytest.mark.parametrize("first, second", [
+        (["simulate", "--t-end", "20", "--samples", "0"], ["simulate", "--t-end", "20"]),
+        (["fit", "--free", "omega", "--start-year", "1999", "--max-iterations", "3", "--restarts", "0",
+          "--log-sse"],
+         ["fit", "--free", "omega", "--start-year", "1999", "--max-iterations", "3", "--restarts", "0"]),
+        (["sweep", "--format", "json"], ["sweep"]),
+    ])
+    def test_options_do_not_leak_between_commands(self, inputs, first, second):
+        def argv(words):
+            files = {"simulate": ["--config", inputs["config"]],
+                     "fit": ["--config", inputs["template"], "--data", inputs["data"], "--i0", "1e-4"],
+                     "sweep": ["--spec", inputs["spec"]]}[words[0]]
+            return words[:1] + files + words[1:]
+
+        out = inputs["dir"] / "out"
+        fresh = {}
+        for words in (first, second):
+            build_parser.cache_clear()
+            fresh[tuple(words)] = self.data_section(argv(words), out)
+        build_parser.cache_clear()
+        for words in (first, second, first, second):
+            assert self.data_section(argv(words), out) == fresh[tuple(words)]
+        assert fresh[tuple(first)] != fresh[tuple(second)]
+
+    def test_bad_arguments_leave_the_parser_usable(self, inputs):
+        good = ["simulate", "--config", inputs["config"], "--t-end", "20"]
+        build_parser.cache_clear()
+        expected = self.data_section(good, inputs["dir"] / "a.csv")
+        for bad in (["simulate", "--config", inputs["config"], "--t-end", "20", "--samples", "many"],
+                    ["simulate", "--t-end", "20"],
+                    ["sweep", "--spec", inputs["spec"], "--format", "xml"],
+                    ["no-such-command"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            assert self.data_section(good, inputs["dir"] / "b.csv") == expected
+        assert build_parser() is build_parser()
 
 
 def test_module_entry_point_smoke(config_path):

@@ -1,0 +1,91 @@
+"""The JSON artifact writer: the bytes ``json.dumps(indent=2)`` writes, with
+``null`` for non-finite floats."""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from waningsim.reports import json_document
+
+CHARS = "az09 _-\"\\/\x00\x01\x1f\x7f\t\n\ré€ß ☃\U0001f600\ud800"
+
+
+def random_float(rng) -> float:
+    kind = rng.integers(5)
+    if kind == 0:
+        return float(rng.choice([0.0, -0.0, 1.0, -2.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-5]))
+    if kind == 1:
+        return float(rng.integers(-1000, 1000))
+    return float(rng.standard_normal() * 10.0 ** rng.uniform(-300, 300))
+
+
+def random_string(rng) -> str:
+    return "".join(rng.choice(list(CHARS), size=rng.integers(0, 8)))
+
+
+def random_value(rng, depth: int = 0):
+    kind = rng.integers(11 if depth < 4 else 7)
+    if kind == 0:
+        return random_float(rng)
+    if kind == 1:
+        return int(rng.choice([0, -1, 7, 2**70, -(2**64)]))
+    if kind == 2:
+        return bool(rng.integers(2))
+    if kind == 3:
+        return None
+    if kind == 4:
+        return np.float64(random_float(rng))
+    if kind == 5:
+        return random_string(rng)
+    if kind == 6:  # the list fast path
+        return [random_float(rng) for _ in range(rng.integers(0, 6))]
+    if kind == 7:
+        return {random_string(rng): random_value(rng, depth + 1) for _ in range(rng.integers(0, 4))}
+    if kind == 8:
+        return tuple(random_value(rng, depth + 1) for _ in range(rng.integers(0, 4)))
+    if kind == 9:
+        return [[random_float(rng) for _ in range(3)] for _ in range(rng.integers(0, 3))]
+    return [random_value(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+
+
+def reference(manifest, data) -> str:
+    return json.dumps({"manifest": manifest, "data": data}, indent=2) + "\n"
+
+
+def test_bytes_of_json_dumps_on_random_finite_documents():
+    rng = np.random.default_rng(20261018)
+    for _ in range(500):
+        manifest = {random_string(rng): random_value(rng, 2) for _ in range(rng.integers(0, 4))}
+        data = random_value(rng)
+        assert json_document(manifest, data) == reference(manifest, data)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_floats_are_null(bad):
+    data = {
+        "scalar": bad,
+        "numpy": np.float64(bad),
+        "floats": [1.5, bad, -2.0],
+        "ints": [1, bad, 3],
+        "rows": [[0.25, bad], (bad,)],
+    }
+    nulled = {
+        "scalar": None,
+        "numpy": None,
+        "floats": [1.5, None, -2.0],
+        "ints": [1, None, 3],
+        "rows": [[0.25, None], [None]],
+    }
+    text = json_document({"k": bad}, data)
+    assert text == reference({"k": None}, nulled)
+    json.loads(text, parse_constant=pytest.fail)
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), {1.0, 2.0}, [0.5, {"x"}], {"a": {1: 2}}])
+def test_values_json_cannot_write_raise_type_error(bad):
+    # an int key is written as a string by json.dumps; artifacts only have str keys
+    with pytest.raises(TypeError):
+        json_document({}, bad)
