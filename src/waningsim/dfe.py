@@ -11,7 +11,7 @@ as a trust anchor in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,8 +106,7 @@ def solve_dfe_closed_form(config: ModelConfig) -> DfeSolution:
     # prefix_delta[k] = prod_{i<k} delta_i ; tail_d[k] = prod_{i=k+1}^{n-1} |d_i|
     prefix_delta = np.concatenate(([1.0], np.cumprod(config.delta_i[:-1])))
     tail_d = np.ones(n + 1)
-    for k in range(n - 2, -1, -1):
-        tail_d[k] = tail_d[k + 1] * ad[k + 1]
+    tail_d[: n - 1] = np.cumprod(ad[n - 1 : 0 : -1])[::-1]
 
     shape = np.empty(n + 1)
     shape[:n] = prefix_delta[:n] * tail_d[:n]
@@ -155,12 +154,14 @@ class R0Report:
     equilibrium; the infection grows iff it exceeds the removal rate
     ``r + mu``.  ``regime`` is ``"critical"`` inside a relative band of
     ``1e-12`` around the threshold so callers near criticality get an
-    explicit flag rather than a silently chosen side.
+    explicit flag rather than a silently chosen side.  ``dfe`` is the
+    equilibrium it was computed from, not part of the report's value.
     """
 
     r0: float
     threshold_sum: float
     regime: str
+    dfe: DfeSolution = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {"r0": self.r0, "threshold_sum": self.threshold_sum, "regime": self.regime}
@@ -168,7 +169,8 @@ class R0Report:
 
 def basic_reproduction_number(config: ModelConfig) -> R0Report:
     """R0 = (transmission at the DFE) / (removal rate)."""
-    threshold = float(config.beta @ solve_dfe_closed_form(config).s)
+    dfe = solve_dfe_closed_form(config)
+    threshold = float(config.beta @ dfe.s)
     removal = config.r + config.mu
     if abs(threshold - removal) < CRITICAL_BAND * removal:
         regime = "critical"
@@ -176,7 +178,7 @@ def basic_reproduction_number(config: ModelConfig) -> R0Report:
         regime = "stable"
     else:
         regime = "unstable"
-    return R0Report(r0=threshold / removal, threshold_sum=threshold, regime=regime)
+    return R0Report(r0=threshold / removal, threshold_sum=threshold, regime=regime, dfe=dfe)
 
 
 def last_only_transmission_threshold(config: ModelConfig, omega_n: float) -> float:

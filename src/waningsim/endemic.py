@@ -396,8 +396,7 @@ def refine_endemic(
     mu, r, omega_n = config.mu, config.r, config.omega_n
 
     if beta0 > 0.0:
-        quad = prevalence_quadratic(config)
-        y, y_other = quad.y2, quad.y1
+        y_other, y = loc.roots
 
         def step(x: float) -> float:
             num = (beta0 * x + mu) * (beta_n * x + mu + omega_n)
@@ -405,8 +404,8 @@ def refine_endemic(
             return num / (beta0 * beta_n * mu * (x - y_other)) * diff
 
     else:
-        y = prevalence_linear_root(config)
-        if y is None:
+        y = loc.roots[0]
+        if not 0.0 <= y <= 1.0:
             raise NoEndemicEquilibriumError("linear-case root fell outside [0, 1]")
 
         def step(x: float) -> float:

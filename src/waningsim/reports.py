@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .dfe import basic_reproduction_number, solve_dfe_closed_form, solve_dfe_numeric
+from .dfe import basic_reproduction_number, solve_dfe_numeric
 from .endemic import (
     NoEndemicEquilibriumError,
     RefinementError,
@@ -88,7 +88,7 @@ def _consistency(report: dict) -> dict:
 def analyze_config(config: ModelConfig) -> dict:
     """Full equilibrium and stability report for one configuration."""
     r0 = basic_reproduction_number(config)
-    dfe = solve_dfe_closed_form(config)
+    dfe = r0.dfe
     numeric_gap = float(max(abs(a - b) for a, b in zip(dfe.s, solve_dfe_numeric(config).s)))
     loc = localize_endemic(config)
 
@@ -109,7 +109,7 @@ def analyze_config(config: ModelConfig) -> dict:
         "r0": r0.to_dict(),
         "dfe": dfe.to_dict(),
         "dfe_numeric_gap": numeric_gap,
-        "dfe_stability": dfe_spectrum(config).to_dict(),
+        "dfe_stability": dfe_spectrum(config, dfe).to_dict(),
         "localization": loc.to_dict(),
         "endemic": endemic,
         "endemic_stability": endemic_verdict,

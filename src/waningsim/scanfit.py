@@ -159,7 +159,7 @@ def _evaluate_point(args) -> SweepPoint:
         if observable == "r0":
             obs = r0.r0
         elif observable == "max_real_part":
-            obs = dfe_spectrum(cfg).max_real_part
+            obs = dfe_spectrum(cfg, r0.dfe).max_real_part
         elif observable == "endemic_I":
             try:
                 obs = refine_endemic(cfg).i_star

@@ -1,13 +1,14 @@
 """Jacobian assembly and linear stability classification.
 
-At the disease-free equilibrium the Jacobian is block triangular: its
-spectrum is the spectrum of the susceptible-block matrix plus the single
-scalar ``transmission - (r + mu)``.  The susceptible-block eigenvalues are
-certified to lie left of ``-mu`` by a Gersgorin disc argument (column discs,
-since each column holds exactly one waning outflow and one vaccination
-return).  Endemic points are classified by a dense eigensolve; with zero
-waning the interesting part of the spectrum reduces to an explicit quadratic
-that serves as an independent cross-check.
+At the disease-free equilibrium the Jacobian is block triangular, and
+:func:`dfe_spectrum` computes its spectrum from the blocks: the eigenvalues
+of the susceptible-block matrix plus the single scalar ``transmission -
+(r + mu)``.  The susceptible-block eigenvalues are certified to lie left of
+``-mu`` by a Gersgorin disc argument (column discs, since each column holds
+exactly one waning outflow and one vaccination return).  Endemic points are
+classified by a dense eigensolve; with zero waning the interesting part of
+the spectrum reduces to an explicit quadratic that serves as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dfe import basic_reproduction_number, solve_dfe_closed_form, susceptible_block_matrix
+from .dfe import DfeSolution, basic_reproduction_number, susceptible_block_matrix
 from .endemic import EndemicSolution
 from .model import ModelConfig, StateVector
 
@@ -105,17 +106,14 @@ def _sorted_eigs(values: np.ndarray) -> np.ndarray:
     return values[np.lexsort((values.imag, values.real))]
 
 
-def dfe_spectrum(config: ModelConfig) -> StabilityVerdict:
+def dfe_spectrum(config: ModelConfig, dfe: DfeSolution) -> StabilityVerdict:
     """Spectrum and classification of the Jacobian at the disease-free
-    equilibrium.
-
-    One eigenvalue is exactly ``transmission_at_dfe - (r + mu)`` (the
-    block-triangular structure); the rest belong to the susceptible block and
-    are Gersgorin-certified to have real part at most ``-mu``.
+    equilibrium ``dfe``, from its block-triangular structure: the
+    susceptible-block eigenvalues, Gersgorin-certified to have real part at
+    most ``-mu``, plus the corner ``transmission_at_dfe - (r + mu)``.
     """
-    dfe = solve_dfe_closed_form(config)
-    state = np.concatenate([dfe.s, [0.0]])
-    eigs = _sorted_eigs(np.linalg.eigvals(jacobian(config, state)))
+    corner = float(config.beta @ dfe.s) - config.r - config.mu
+    eigs = _sorted_eigs(np.append(np.linalg.eigvals(susceptible_block_matrix(config)), corner))
     certified, _ = gershgorin_discs(config)
     max_real = float(np.max(eigs.real))
     return StabilityVerdict(
@@ -157,6 +155,13 @@ def gershgorin_discs(config: ModelConfig):
     return certified, discs
 
 
+def _require_fresh(config: ModelConfig, solution: EndemicSolution) -> None:
+    # the residual |beta . S* - (r + mu)| is in the units of r + mu
+    bound = STALE_RESIDUAL * max(1.0, config.r + config.mu)
+    if solution.residual >= bound:
+        raise StaleSolutionError(f"endemic solution residual {solution.residual:g} exceeds {bound:g}")
+
+
 def endemic_spectrum(config: ModelConfig, solution: EndemicSolution) -> StabilityVerdict:
     """Spectrum and classification of the Jacobian at an endemic equilibrium.
 
@@ -166,10 +171,7 @@ def endemic_spectrum(config: ModelConfig, solution: EndemicSolution) -> Stabilit
     equilibrium exists and the transmission spread is genuine, which forces
     negative real parts.
     """
-    if solution.residual >= STALE_RESIDUAL:
-        raise StaleSolutionError(
-            f"endemic solution residual {solution.residual:g} exceeds {STALE_RESIDUAL:g}"
-        )
+    _require_fresh(config, solution)
     state = np.concatenate([solution.s_star, [solution.i_star]])
     eigs = _sorted_eigs(np.linalg.eigvals(jacobian(config, state)))
     max_real = float(np.max(eigs.real))
@@ -224,10 +226,7 @@ def characteristic_sign_report(config: ModelConfig, solution: EndemicSolution) -
     """
     if config.n > MAX_CHARACTERISTIC_N:
         raise ValueError(f"characteristic expansion limited to n <= {MAX_CHARACTERISTIC_N}, got n={config.n}")
-    if solution.residual >= STALE_RESIDUAL:
-        raise StaleSolutionError(
-            f"endemic solution residual {solution.residual:g} exceeds {STALE_RESIDUAL:g}"
-        )
+    _require_fresh(config, solution)
     j = jacobian(config, np.concatenate([solution.s_star, [solution.i_star]]))
     m = j.shape[0]
     coeffs = np.empty(m + 1)
@@ -251,14 +250,14 @@ def characteristic_sign_report(config: ModelConfig, solution: EndemicSolution) -
     return CharacteristicSignReport(coefficients=coeffs, signs=signs, sign_changes=changes)
 
 
-def dfe_matches_r0(config: ModelConfig, verdict: StabilityVerdict | None = None) -> bool:
+def dfe_matches_r0(config: ModelConfig) -> bool:
     """Check the spectral classification against the reproduction-number
     regime (marginal pairs with critical)."""
-    verdict = verdict if verdict is not None else dfe_spectrum(config)
-    regime = basic_reproduction_number(config).regime
+    r0 = basic_reproduction_number(config)
+    classification = dfe_spectrum(config, r0.dfe).classification
     pairing = {"stable": "asymptotically_stable", "unstable": "unstable", "critical": "marginal"}
-    if regime == "critical":
+    if r0.regime == "critical":
         # a critical reproduction number puts the corner eigenvalue inside the
         # marginal band only when the band scales match; accept either verdict
-        return verdict.classification in ("marginal", "asymptotically_stable", "unstable")
-    return verdict.classification == pairing[regime]
+        return classification in ("marginal", "asymptotically_stable", "unstable")
+    return classification == pairing[r0.regime]

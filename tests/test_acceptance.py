@@ -244,7 +244,7 @@ def test_criterion_6_stability_certificates():
             np.linalg.eigvals(susceptible_block_matrix(cfg)),
             [complex(float(cfg.beta @ dfe.s) - cfg.r - cfg.mu)],
         ])
-        worst_pairing = max(worst_pairing, greedy_pair_distance(dfe_spectrum(cfg).eigenvalues, predicted))
+        worst_pairing = max(worst_pairing, greedy_pair_distance(dfe_spectrum(cfg, dfe).eigenvalues, predicted))
     if worst_pairing >= 1e-9:
         failures.append(f"factorization pairing error {worst_pairing:.2e}")
 

@@ -152,6 +152,26 @@ class TestAnalyze:
         assert data["endemic"]["certification"] == "numeric-uncertified"
         assert not data["consistency"]["checked"]
 
+    def test_fast_rates_fresh_solution_accepted(self, tmp_path, capsys):
+        # a certified solution whose residual |beta . S* - (r + mu)| is
+        # 1.3e-9 in absolute terms but 4.6e-13 relative to r + mu ~ 2867
+        cfg = build_general(
+            2,
+            (0.0716025958484413, 2367.287618846118, 4687.155969853261),
+            0.8159213016594168,
+            7.610923899440758,
+            2859.394996798647,
+            3.5838634774146807,
+            (0.0, 0.09004517838160708, 0.6412439283923741),
+        )
+        path = tmp_path / "fast_rates.json"
+        path.write_text(config_to_json(cfg))
+        assert main(["analyze", "--config", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert data["endemic"]["certification"] == "certified-contraction"
+        assert data["endemic_stability"]["classification"] == "asymptotically_stable"
+        assert data["consistency"]["consistent"]
+
 
 class TestSmallCommands:
     def test_dfe_document(self, config_path, capsys):

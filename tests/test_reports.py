@@ -1,14 +1,17 @@
-"""The JSON artifact writer: the bytes ``json.dumps(indent=2)`` writes, with
-``null`` for non-finite floats."""
+"""The analysis report's DFE reuse and the JSON artifact writer: the bytes
+``json.dumps(indent=2)`` writes, with ``null`` for non-finite floats."""
 
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from waningsim.reports import json_document
+from waningsim import dfe
+from waningsim.reports import analyze_config, json_document
+from waningsim.scanfit import _evaluate_point
 
 CHARS = "az09 _-\"\\/\x00\x01\x1f\x7f\t\n\ré€ß ☃\U0001f600\ud800"
 
@@ -49,6 +52,28 @@ def random_value(rng, depth: int = 0):
     if kind == 9:
         return [[random_float(rng) for _ in range(3)] for _ in range(rng.integers(0, 3))]
     return [random_value(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+
+
+def max_real_part_sweep_point(cfg):
+    point = _evaluate_point((cfg, "omega", cfg.omega, "max_real_part", 1.0))
+    assert point.error is None
+    return point
+
+
+@pytest.mark.parametrize("analysis", [analyze_config, max_real_part_sweep_point])
+def test_each_dfe_solved_once(analysis, pertussis, monkeypatch):
+    solve = dfe.solve_dfe_closed_form
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return solve(config)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("waningsim") and hasattr(module, "solve_dfe_closed_form"):
+            monkeypatch.setattr(module, "solve_dfe_closed_form", counted)
+    analysis(pertussis)
+    assert len(calls) == 1
 
 
 def reference(manifest, data) -> str:

@@ -12,6 +12,7 @@ from waningsim.endemic import existence_margin, localize_endemic, refine_endemic
 from waningsim.model import build_all_but_last, build_general, vector_field
 from waningsim.stability import (
     StaleSolutionError,
+    _sorted_eigs,
     characteristic_sign_report,
     dfe_matches_r0,
     dfe_spectrum,
@@ -85,11 +86,20 @@ class TestDfeSpectrum:
                     [complex(float(cfg.beta @ dfe.s) - cfg.r - cfg.mu)],
                 ]
             )
-            verdict = dfe_spectrum(cfg)
+            verdict = dfe_spectrum(cfg, dfe)
             assert pair_distance(verdict.eigenvalues, predicted) < 1e-9
 
+    def test_block_form_equals_full_jacobian_eigensolve(self, pertussis):
+        # oracle: the eigensolve of the whole (n+2) Jacobian at the DFE
+        rng = np.random.default_rng(36)
+        configs = [pertussis] + [random_config(rng, n_range=(1, 64)) for _ in range(200)]
+        for cfg in configs:
+            dfe = solve_dfe_closed_form(cfg)
+            full = _sorted_eigs(np.linalg.eigvals(jacobian(cfg, [*dfe.s, 0.0])))
+            assert np.array_equal(dfe_spectrum(cfg, dfe).eigenvalues, full)
+
     def test_known_eigenvalue_present(self, pertussis):
-        verdict = dfe_spectrum(pertussis)
+        verdict = dfe_spectrum(pertussis, solve_dfe_closed_form(pertussis))
         corner = float(pertussis.beta @ solve_dfe_closed_form(pertussis).s) - pertussis.r - pertussis.mu
         assert min(abs(verdict.eigenvalues - corner)) < 1e-10
 
@@ -103,14 +113,14 @@ class TestDfeSpectrum:
     def test_diagonal_case_spectrum(self):
         mu, r, beta_n = 0.3, 1.0, 2.5
         cfg = build_general(1, (1.0, beta_n), 0.0, mu, r, 0.0, (0.0, 0.0))
-        verdict = dfe_spectrum(cfg)
+        verdict = dfe_spectrum(cfg, solve_dfe_closed_form(cfg))
         predicted = sorted([-mu, -mu, beta_n - r - mu])
         np.testing.assert_allclose(sorted(verdict.eigenvalues.real), predicted, atol=1e-12)
         assert np.max(np.abs(verdict.eigenvalues.imag)) < 1e-12
 
     def test_all_but_last_stable_when_beta_n_small(self):
         cfg = build_all_but_last(2, (0.1, 0.5, 1.0), 0.3, 0.2, 1.5, 9.0, (0.7,))
-        verdict = dfe_spectrum(cfg)
+        verdict = dfe_spectrum(cfg, solve_dfe_closed_form(cfg))
         assert verdict.classification == "asymptotically_stable"
         assert verdict.gershgorin_certified
 
