@@ -2,10 +2,10 @@
 
 The susceptible block of the model linearizes (at a fixed infection level)
 to a lower-bidiagonal matrix plus a dense first row carrying the vaccination
-return flows.  That structure gives a closed-form determinant (by the matrix
-determinant lemma) and a closed-form disease-free equilibrium (by Cramer's
-rule), both implemented here alongside an independent dense-solve path used
-as a trust anchor in the tests.
+return flows.  One prefix product of tier ratios solves the bidiagonal part
+and gives the determinant (by the matrix determinant lemma) and the
+disease-free equilibrium in closed form at any number of tiers, alongside
+an independent dense-solve path used as a trust anchor in the tests.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "DfeSolution",
     "R0Report",
     "susceptible_block_matrix",
+    "tier_weights",
     "matrix_determinant",
     "solve_dfe_closed_form",
     "solve_dfe_numeric",
@@ -50,23 +51,40 @@ def susceptible_block_matrix(config: ModelConfig, prevalence: float = 0.0) -> np
     return a
 
 
+def tier_weights(config: ModelConfig, prevalence=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Outflow magnitudes ``|d|`` and ``w = -L^{-1} e_0``, where ``L`` is the
+    lower-bidiagonal part of :func:`susceptible_block_matrix`, at one
+    prevalence or an array of them (both of shape ``P + (n+1,)``).
+
+    ``w`` is the prefix product of ``1/|d_0|, delta_0/|d_1|, ...,
+    delta_{n-1}/|d_n|``.  Each ``w_k = prod_{i<k} (delta_i/|d_i|) / |d_k|``
+    is at most ``1/mu``, so no partial product overflows at any ``n``.
+    """
+    ad = -diagonal_coefficients(config, prevalence)
+    return ad, np.cumprod(np.concatenate(([1.0], config.delta_i[:-1])) / ad, axis=-1)
+
+
+def _finite_or_nan(value: float) -> float:
+    """``value``, or NaN where a product of rates left the double range."""
+    return value if value != 0.0 and math.isfinite(value) else math.nan
+
+
+def _determinant(config: ModelConfig, ad: np.ndarray, w: np.ndarray) -> float:
+    correction = math.fsum([1.0] + (-config.omega_i * w).tolist())
+    return _finite_or_nan(math.prod((-ad).tolist()) * correction)
+
+
 def matrix_determinant(config: ModelConfig, prevalence: float = 0.0) -> float:
     """Closed-form determinant of :func:`susceptible_block_matrix`.
 
     Splitting off the first-row vaccination entries leaves a lower-bidiagonal
-    factor, and the rank-one update contributes
-    ``1 - sum_k (omega_k / |d_k|) * prod_{i<k} delta_i / |d_i|``
-    (empty product = 1).  The result is nonzero for every valid
-    configuration, so the matrix is always invertible.
+    factor, and the rank-one update contributes ``1 - omega . w`` with the
+    :func:`tier_weights` ``w``.  The result is nonzero for every valid
+    configuration, so the matrix is always invertible; it is NaN where
+    ``prod_k d_k`` leaves the double range.
     """
-    d = diagonal_coefficients(config, prevalence)
-    ad = np.abs(d)
-    ratios = config.delta_i[:-1] / ad[:-1]
-    # prefix[k] = prod_{i<k} delta_i/|d_i|
-    prefix = np.concatenate(([1.0], np.cumprod(ratios)))
-    terms = config.omega_i / ad * prefix
-    correction = math.fsum([1.0] + [-t for t in terms.tolist()])
-    return float(np.prod(d)) * correction
+    ad, w = tier_weights(config, prevalence)
+    return _determinant(config, ad, w)
 
 
 @dataclass(frozen=True)
@@ -87,38 +105,24 @@ class DfeSolution:
 
 
 def solve_dfe_closed_form(config: ModelConfig) -> DfeSolution:
-    """Disease-free equilibrium via the Cramer closed form.
+    """Disease-free equilibrium ``s = c' w + (mu/|d_n|) e_n`` from the
+    :func:`tier_weights` ``w``.
 
-    The profile is proportional to products of waning rates and outflow
-    magnitudes, with the constant ``c`` fixed equivalently by the determinant
-    identity ``c = omega_n * mu / |det|`` or by the normalization condition.
-    The normalization route is used here because it involves only positive
-    quantities (forward-stable); the determinant identity is preserved as a
-    cross-check invariant.  With no coverage on the least-immune tier the
-    whole population ends up there (the profile is the last basis vector,
-    independent of the vaccination rate and interior coverages).
+    ``c'`` is fixed by the normalization condition, which involves only
+    positive quantities (forward-stable).  The Cramer-form constant
+    ``c = c' / prod_{k<n} |d_k|``, equal to ``omega_n * mu / |det|``, and
+    ``det`` are NaN where those products leave the double range; the
+    profile is finite at any ``n``.  With no coverage on the least-immune
+    tier the whole population ends up there (the profile is the last basis
+    vector, independent of the vaccination rate and interior coverages).
     """
-    n = config.n
-    d = diagonal_coefficients(config, 0.0)
-    ad = np.abs(d)
-    det = matrix_determinant(config, 0.0)
-
-    # prefix_delta[k] = prod_{i<k} delta_i ; tail_d[k] = prod_{i=k+1}^{n-1} |d_i|
-    prefix_delta = np.concatenate(([1.0], np.cumprod(config.delta_i[:-1])))
-    tail_d = np.ones(n + 1)
-    tail_d[: n - 1] = np.cumprod(ad[n - 1 : 0 : -1])[::-1]
-
-    shape = np.empty(n + 1)
-    shape[:n] = prefix_delta[:n] * tail_d[:n]
-    shape[n] = prefix_delta[n] / ad[n]
-    if config.omega_n > 0.0:
-        # sum(c * shape) must equal 1 - mu/|d_n| = omega_n/(omega_n + mu)
-        c = config.omega_n / ((config.omega_n + config.mu) * math.fsum(shape.tolist()))
-    else:
-        c = 0.0
-    s = c * shape
-    s[n] += config.mu / ad[n]
-    return DfeSolution(s=s, c=c, det=det)
+    ad, w = tier_weights(config, 0.0)
+    # sum(c' * w) must equal 1 - mu/|d_n| = omega_n/(omega_n + mu)
+    scale = config.omega_n / ((config.omega_n + config.mu) * math.fsum(w.tolist()))
+    c = _finite_or_nan(scale * math.prod((1.0 / ad[:-1]).tolist())) if config.omega_n > 0.0 else 0.0
+    s = scale * w
+    s[-1] += config.mu / ad[-1]
+    return DfeSolution(s=s, c=c, det=_determinant(config, ad, w))
 
 
 def solve_dfe_numeric(config: ModelConfig) -> DfeSolution:
@@ -127,7 +131,8 @@ def solve_dfe_numeric(config: ModelConfig) -> DfeSolution:
     One iterative-refinement step with an extended-precision residual keeps
     the forward error near machine level even for poorly scaled rate
     combinations.  A singular matrix here would be a bug signal, not a
-    reachable state.
+    reachable state.  ``det`` and ``c`` are NaN where the determinant over-
+    or underflows.
     """
     n = config.n
     a = susceptible_block_matrix(config, 0.0)
@@ -142,8 +147,10 @@ def solve_dfe_numeric(config: ModelConfig) -> DfeSolution:
             "susceptible block matrix is singular; this should be unreachable "
             "for a valid configuration"
         ) from exc
-    det = float(np.linalg.det(a))
-    return DfeSolution(s=x, c=config.omega_n * config.mu / abs(det), det=det)
+    with np.errstate(over="ignore"):
+        det = _finite_or_nan(float(np.linalg.det(a)))
+    c = _finite_or_nan(config.omega_n * config.mu / abs(det)) if config.omega_n > 0.0 else 0.0
+    return DfeSolution(s=x, c=c, det=det)
 
 
 @dataclass(frozen=True)

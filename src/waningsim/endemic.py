@@ -1,15 +1,17 @@
 """Endemic equilibria: perturbative localization and fixed-point refinement.
 
 At an endemic steady state the susceptible profile solves a linear system in
-the prevalence ``x``, so the equilibrium condition reduces to a scalar
-equation ``transmission(x) = r + mu``.  With the waning rate set to zero that
-transmission function has an explicit rational form whose numerator is a
-monic quadratic ``Q(x) = x^2 + a x + b``; for small waning rates the true
-prevalence is trapped in intervals of width ``O(sqrt(delta))`` around the
-roots of ``Q``, and a contractive fixed-point iteration pins it down inside
-the certified interval.  For waning rates beyond the contraction certificate
-the module scans the condition on a grid over ``[0, 1]``, refines every
-sign change with Brent's method, and reports the result as uncertified.
+the prevalence ``x`` whose solution is one prefix product of tier ratios, so
+the equilibrium condition reduces to a scalar equation
+``transmission(x) = r + mu`` costing a fixed handful of array operations at
+any number of tiers.  With the waning rate set to zero that transmission
+function has an explicit rational form whose numerator is a monic quadratic
+``Q(x) = x^2 + a x + b``; for small waning rates the true prevalence is
+trapped in intervals of width ``O(sqrt(delta))`` around the roots of ``Q``,
+and a contractive fixed-point iteration pins it down inside the certified
+interval.  For waning rates beyond the contraction certificate the module
+scans the condition on a grid over ``[0, 1]``, refines every sign change
+with Brent's method, and reports the result as uncertified.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .dfe import susceptible_block_matrix
-from .model import ModelConfig, diagonal_coefficients, vector_field
+from .dfe import susceptible_block_matrix, tier_weights
+from .model import ModelConfig, vector_field
 
 __all__ = [
     "NoEndemicEquilibriumError",
@@ -70,55 +72,46 @@ class SingularBlockError(ArithmeticError):
         self.prevalence = prevalence
 
 
-def _equilibrium_rhs(config: ModelConfig, prevalence) -> np.ndarray:
-    """Right-hand side of the steady-state susceptible system: recovery inflow
-    enters the top tier, births enter the bottom tier (both negated).  One row
-    per prevalence when ``prevalence`` is an array."""
+def _profile_terms(config: ModelConfig, prevalence):
+    """``w``, ``mu/|d_n|`` and ``c`` of the steady susceptible profile
+    ``S = c w + (mu/|d_n|) e_n``, which solves
+    ``(L + e_0 omega^T) S = -r x e_0 - mu e_n``: with ``L^{-1} e_0 = -w`` the
+    Sherman-Morrison step gives ``c = (r x + omega_n mu/|d_n|) / (1 - omega . w)``.
+    """
     x = np.asarray(prevalence, dtype=float)
-    b = np.zeros(x.shape + (config.n + 1,))
-    b[..., 0] = -config.r * x
-    b[..., -1] = -config.mu
-    return b
+    ad, w = tier_weights(config, x)
+    births = config.mu / ad[..., -1]
+    denom = 1.0 - w @ config.omega_i
+    singular = ~np.isfinite(denom) | (np.abs(denom) < 1e-300)
+    if singular.any():
+        raise SingularBlockError(float(x[singular][0]))
+    return w, births, (config.r * x + config.omega_n * births) / denom
 
 
-def solve_susceptible_block(config: ModelConfig, prevalence, rhs: np.ndarray) -> np.ndarray:
-    """Solve the susceptible-block system at one prevalence or at an array of them.
+def solve_susceptible_block(config: ModelConfig, prevalence) -> np.ndarray:
+    """Steady susceptible profile at one prevalence or at an array of them.
 
-    For ``prevalence`` of shape ``P`` the solution has shape ``P + (n+1,)``
-    and ``rhs`` broadcasts against it.  Exploits the bidiagonal-plus-first-row
-    structure: one forward substitution over the ``n+1`` tiers, applied to
-    ``rhs`` and the first unit vector together, and a rank-one
-    (Sherman-Morrison) correction; O(n) per prevalence, never forming an
-    inverse.
+    Recovery inflow ``r x`` enters the top tier and births ``mu`` the bottom
+    tier.  For ``prevalence`` of shape ``P`` the solution has shape
+    ``P + (n+1,)``; it costs one prefix product over the tiers.
 
     Raises:
         SingularBlockError: at the first prevalence where the rank-one
             correction breaks down.
     """
-    x = np.asarray(prevalence, dtype=float)
-    d = diagonal_coefficients(config, x)
-    fwd = np.zeros(x.shape + (2, config.n + 1))
-    fwd[..., 0, :] = rhs
-    fwd[..., 1, 0] = 1.0
-    f, dt = fwd.T, d.T  # tier-major views: f[k] is tier k of both right-hand sides
-    f[0] /= dt[0]
-    for k in range(1, config.n + 1):
-        f[k] -= config.delta_i[k - 1] * f[k - 1]
-        f[k] /= dt[k]
-    s, u = fwd[..., 0, :], fwd[..., 1, :]
-    denom = 1.0 + u @ config.omega_i
-    singular = ~np.isfinite(denom) | (np.abs(denom) < 1e-300)
-    if np.any(singular):
-        raise SingularBlockError(float(x[singular][0]))
-    return s - u * ((s @ config.omega_i) / denom)[..., None]
+    w, births, c = _profile_terms(config, prevalence)
+    s = c[..., None] * w
+    s[..., -1] += births
+    return s
 
 
 def equilibrium_transmission(config: ModelConfig, prevalence):
     """Transmission sum ``beta . S`` of the steady susceptible profile at the
     given prevalence (elementwise for an array); an endemic equilibrium
-    solves ``equilibrium_transmission(x) = r + mu``."""
-    s = solve_susceptible_block(config, prevalence, _equilibrium_rhs(config, prevalence))
-    return s @ config.beta
+    solves ``equilibrium_transmission(x) = r + mu``.  Two dot products with
+    the tier weights, ``beta . w`` and ``omega . w``, give it."""
+    w, births, c = _profile_terms(config, prevalence)
+    return c * (w @ config.beta) + births * config.beta[-1]
 
 
 def equilibrium_transmission_no_waning(config: ModelConfig, prevalence: float) -> float:
@@ -190,8 +183,7 @@ def prevalence_linear_root(config: ModelConfig) -> float | None:
     """
     if float(config.beta[0]) != 0.0:
         raise ValueError("linear case requires beta[0] == 0")
-    beta_n, mu, r, omega_n = float(config.beta[-1]), config.mu, config.r, config.omega_n
-    root = (mu * beta_n - (r + mu) * (omega_n + mu)) / (beta_n * (r + mu))
+    root = localize_endemic(config).roots[0]
     return root if 0.0 <= root <= 1.0 else None
 
 
@@ -338,7 +330,7 @@ def _residual_at_rounding_level(config: ModelConfig, prevalence: float) -> bool:
 
 
 def _finish_solution(config, i_star, iterations, certification, candidates=1) -> EndemicSolution:
-    s_star = solve_susceptible_block(config, i_star, _equilibrium_rhs(config, i_star))
+    s_star = solve_susceptible_block(config, i_star)
     if np.min(s_star) < -1e-12:
         raise RefinementError(f"negative susceptible component at prevalence {i_star}: {s_star}")
     s_star = np.maximum(s_star, 0.0)

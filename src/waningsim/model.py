@@ -291,7 +291,7 @@ def diagonal_coefficients(config: ModelConfig, prevalence) -> np.ndarray:
     ``P + (n+1,)``.
     """
     prevalence = np.asarray(prevalence, dtype=float)
-    if np.any(prevalence < 0):
+    if (prevalence < 0).any():
         raise ValueError(f"prevalence must be >= 0, got {prevalence}")
     return -(config.delta_i + config.omega_i + config.mu + config.beta * prevalence[..., None])
 

@@ -13,6 +13,7 @@ import pytest
 
 import waningsim
 from waningsim.cli import build_parser, main
+from waningsim.dfe import susceptible_block_matrix
 from waningsim.model import build_general, config_to_json
 from waningsim.scanfit import simulate_annual_prevalence
 
@@ -172,6 +173,28 @@ class TestAnalyze:
         assert data["endemic_stability"]["classification"] == "asymptotically_stable"
         assert data["consistency"]["consistent"]
 
+
+    @pytest.mark.parametrize("delta, omega", [(15.0, 2.0), (0.005, 0.05)], ids=["products-overflow", "products-underflow"])
+    def test_hundreds_of_tiers(self, tmp_path, capsys, delta, omega):
+        # products of n = 300 rates leave the double range; the report must not
+        n = 300
+        p = np.full(n + 1, 0.3)
+        p[0] = 0.0
+        cfg = build_general(n, np.linspace(1.5, 40, n + 1), delta, 0.02, 17.0, omega, p)
+        path = tmp_path / "n300.json"
+        path.write_text(config_to_json(cfg))
+        assert main(["analyze", "--config", str(path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        data = json.loads(capsys.readouterr().out, parse_constant=reject)["data"]
+        births = np.zeros(n + 1)
+        births[-1] = -cfg.mu
+        oracle = float(cfg.beta @ np.linalg.solve(susceptible_block_matrix(cfg), births)) / (cfg.r + cfg.mu)
+        assert data["r0"]["r0"] == pytest.approx(oracle, rel=1e-12)
+        for key in ("c", "det"):
+            assert data["dfe"][key] is None or data["dfe"][key] != 0.0
 
 class TestSmallCommands:
     def test_dfe_document(self, config_path, capsys):

@@ -148,6 +148,19 @@ class TestClosedFormDfe:
             numeric = solve_dfe_numeric(cfg).s
             assert np.max(np.abs(closed - numeric)) < 1e-10
 
+    @pytest.mark.parametrize("n, delta, omega", [(300, 15.0, 2.0), (300, 0.005, 0.05), (512, 25.6, 2.0)])
+    def test_constants_out_of_double_range_are_nan(self, n, delta, omega):
+        # c and det are products of about n rates; out of range they are
+        # NaN, never a false 0.0, and neither solver raises
+        p = np.full(n + 1, 0.3)
+        p[0] = 0.0
+        cfg = build_general(n, np.linspace(1.5, 40, n + 1), delta, 0.02, 17.0, omega, p)
+        for sol in (solve_dfe_closed_form(cfg), solve_dfe_numeric(cfg)):
+            assert np.all(np.isfinite(sol.s))
+            for value in (sol.c, sol.det):
+                assert math.isnan(value) or (math.isfinite(value) and value != 0.0)
+        assert math.isnan(matrix_determinant(cfg))
+
     def test_numeric_path_zero_coverage(self):
         cfg = build_last_only(2, (0.0, 1.0, 2.0), 0.4, 0.1, 1.0, 5.0, 0.0)
         np.testing.assert_allclose(solve_dfe_numeric(cfg).s, [0, 0, 1.0], atol=1e-14)

@@ -45,6 +45,15 @@ def bisect_no_waning_root(cfg, lo=0.0, hi=1.0, iters=80):
     return 0.5 * (lo + hi)
 
 
+def equilibrium_rhs(cfg, prevalence):
+    """Steady-state right-hand side: recovery inflow into the top tier,
+    births into the bottom tier, both negated."""
+    b = np.zeros(cfg.n + 1)
+    b[0] = -cfg.r * prevalence
+    b[-1] = -cfg.mu
+    return b
+
+
 class TestBlockSolve:
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(21)
@@ -53,20 +62,33 @@ class TestBlockSolve:
         for _ in range(40):
             cfg = random_config(rng, n_range=(1, 8), rate_low=0.01, rate_high=20)
             prevalence = float(rng.uniform(0, 1))
-            b = rng.normal(size=cfg.n + 1)
-            fast = solve_susceptible_block(cfg, prevalence, b)
-            dense = np.linalg.solve(susceptible_block_matrix(cfg, prevalence), b)
+            fast = solve_susceptible_block(cfg, prevalence)
+            dense = np.linalg.solve(susceptible_block_matrix(cfg, prevalence), equilibrium_rhs(cfg, prevalence))
             np.testing.assert_allclose(fast, dense, rtol=1e-9, atol=1e-12)
 
             # an array of prevalences: row j solves the system at prevalences[j]
             prevalences = rng.uniform(0, 1, 5)
-            rows = rng.normal(size=(5, cfg.n + 1))
-            for rhs in (rows, b):
-                fast = solve_susceptible_block(cfg, prevalences, rhs)
-                assert fast.shape == (5, cfg.n + 1)
-                for j, x in enumerate(prevalences):
-                    dense = np.linalg.solve(susceptible_block_matrix(cfg, x), np.broadcast_to(rhs, fast.shape)[j])
-                    np.testing.assert_allclose(fast[j], dense, rtol=1e-9, atol=1e-12)
+            fast = solve_susceptible_block(cfg, prevalences)
+            assert fast.shape == (5, cfg.n + 1)
+            for j, x in enumerate(prevalences):
+                dense = np.linalg.solve(susceptible_block_matrix(cfg, x), equilibrium_rhs(cfg, x))
+                np.testing.assert_allclose(fast[j], dense, rtol=1e-9, atol=1e-12)
+
+    def test_large_n_matches_dense_solve(self):
+        # the prefix product stays in range where products of n rates do not
+        rng = np.random.default_rng(64)
+        from waningsim.dfe import susceptible_block_matrix
+
+        for _ in range(200):
+            n = int(np.exp(rng.uniform(np.log(64), np.log(2048))))
+            cfg = random_config(rng, n_range=(n, n))
+            prevalence = float(rng.uniform(0, 1))
+            for fast, a, b in (
+                (solve_susceptible_block(cfg, prevalence), susceptible_block_matrix(cfg, prevalence), equilibrium_rhs(cfg, prevalence)),
+                (solve_dfe_closed_form(cfg).s, susceptible_block_matrix(cfg), equilibrium_rhs(cfg, 0.0)),
+            ):
+                dense = np.linalg.solve(a, b)
+                assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 class TestTransmissionFunctions:
