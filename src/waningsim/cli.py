@@ -2,9 +2,10 @@
 
 Subcommands: ``simulate``, ``analyze``, ``sweep``, ``fit``, ``dfe``, ``r0``.
 All input and output goes through files (or stdout); there is no network
-access.  Exit codes: 0 success, 2 configuration or input error, 3
-integration failure, 4 regime-consistency violation (a bug signal; should
-never fire in the small-waning regime).
+access.  Exit codes: 0 success, 2 configuration or input error (a
+non-finite reproduction-number threshold included), 3 integration failure,
+4 regime-consistency violation (a bug signal; should never fire in the
+small-waning regime).
 
 Every artifact embeds a run manifest.  JSON artifacts hold it under
 ``"manifest"`` beside the ``"data"`` section; CSV artifacts carry it in
@@ -21,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .dfe import basic_reproduction_number, solve_dfe_closed_form, solve_dfe_numeric
+from .dfe import NonFiniteThresholdError, basic_reproduction_number, solve_dfe_closed_form, solve_dfe_numeric
 from .dynamics import IntegrationError, integrate
 from .model import ConfigError, config_from_dict, epidemic_start, json_number, load_config
 from .reports import analyze_config, build_manifest, json_document
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
-    except (ConfigError, TimeSeriesError, ValueError, OSError) as exc:
+    except (ConfigError, TimeSeriesError, NonFiniteThresholdError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -27,9 +27,15 @@ __all__ = [
     "solve_dfe_numeric",
     "basic_reproduction_number",
     "last_only_transmission_threshold",
+    "NonFiniteThresholdError",
 ]
 
 CRITICAL_BAND = 1e-12
+
+
+class NonFiniteThresholdError(ArithmeticError):
+    """The transmission level at the disease-free equilibrium is not a finite
+    number, so no regime can be assigned to the configuration."""
 
 
 def susceptible_block_matrix(config: ModelConfig, prevalence: float = 0.0) -> np.ndarray:
@@ -175,9 +181,15 @@ class R0Report:
 
 
 def basic_reproduction_number(config: ModelConfig) -> R0Report:
-    """R0 = (transmission at the DFE) / (removal rate)."""
+    """R0 = (transmission at the DFE) / (removal rate).
+
+    Raises:
+        NonFiniteThresholdError: if that transmission level is NaN or infinite.
+    """
     dfe = solve_dfe_closed_form(config)
     threshold = float(config.beta @ dfe.s)
+    if not math.isfinite(threshold):
+        raise NonFiniteThresholdError(f"transmission level at the disease-free equilibrium is {threshold}")
     removal = config.r + config.mu
     if abs(threshold - removal) < CRITICAL_BAND * removal:
         regime = "critical"

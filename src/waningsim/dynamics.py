@@ -16,6 +16,7 @@ used here as a closed-form trajectory evaluator.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,11 +108,16 @@ class Trajectory:
         return replace(self, times=times, states=self.sample(times))
 
     def to_csv(self) -> str:
-        """CSV with header ``t,S_0,...,S_n,I``, full-precision floats."""
+        """CSV with header ``t,S_0,...,S_n,I``, each float as ``repr``
+        writes it, formatted by one compiled call when the library is loaded."""
         n = self.states.shape[1] - 2
-        rows = (repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n"
-                for t, row in zip(self.times, self.states))
-        return "t," + ",".join(f"S_{i}" for i in range(n + 1)) + ",I\n" + "".join(rows)
+        table = np.column_stack((self.times, self.states))
+        body = None
+        if stepper.format_floats is not None:
+            body = stepper.format_floats(array("d", table.tobytes()), n + 3, ",", "\n")
+        if body is None:
+            body = "\n".join(",".join(map(repr, row)) for row in table.tolist())
+        return "t," + ",".join(f"S_{i}" for i in range(n + 1)) + ",I\n" + body + "\n"
 
     def to_json_dict(self) -> dict:
         return {

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from datetime import datetime, timezone
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-from . import __version__
+from . import __version__, stepper
 from .dfe import basic_reproduction_number, solve_dfe_numeric
 from .endemic import (
     NoEndemicEquilibriumError,
@@ -44,6 +46,7 @@ def build_manifest(command: str, config: ModelConfig | None, options: dict) -> d
         "config_hash": config_hash,
         "run_key": run_key(command, config_hash or ""),
         "options": {k: options[k] for k in sorted(options)},
+        "kernel": stepper.active_kernel(),
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -119,6 +122,28 @@ def analyze_config(config: ModelConfig) -> dict:
     return report
 
 
+def _float_run(value, level: str) -> str | None:
+    """``value`` as :func:`_encode` writes it, by one call of the compiled
+    formatter, if it is a list of finite floats or a list of equally long
+    lists of them; otherwise ``None``.  An ``int`` or ``bool`` element, which
+    json writes as ``1`` or ``true``, makes it ``None``."""
+    inner = level + "  "
+    kinds = set(map(type, value))
+    if kinds == {float}:
+        flat, cols = value, len(value)
+        head, sep, row_sep, tail = "[\n" + inner, ",\n" + inner, "", "\n" + level + "]"
+    elif kinds <= {list, tuple} and value[0] and len(set(map(len, value))) == 1:
+        flat, cols, cell = list(chain.from_iterable(value)), len(value[0]), inner + "  "
+        if set(map(type, flat)) != {float}:
+            return None
+        head, sep, tail = "[\n" + inner + "[\n" + cell, ",\n" + cell, "\n" + inner + "]\n" + level + "]"
+        row_sep = "\n" + inner + "],\n" + inner + "[\n" + cell
+    else:
+        return None
+    body = stepper.format_floats(array("d", flat), cols, sep, row_sep)
+    return None if body is None else head + body + tail
+
+
 def _encode(value, level: str) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it at nesting
     ``level`` (the indent of its own line), non-finite floats as ``null``."""
@@ -147,6 +172,10 @@ def _encode(value, level: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if stepper.format_floats is not None:
+            text = _float_run(value, level)
+            if text is not None:
+                return text
         sep = ",\n" + inner
         try:  # fast path: a list of floats
             body = sep.join(map(float.__repr__, value))
@@ -167,6 +196,9 @@ def json_document(manifest: dict, data) -> str:
     ``null``, so the artifact is valid RFC 8259 JSON.  Dict keys must be
     ``str``; other keys, and values ``json.dumps`` rejects, raise
     ``TypeError``.  One pass writes it, because ``json.dumps`` with an
-    indent runs its pure-Python encoder.
+    indent runs its pure-Python encoder.  Each list of finite floats, and
+    each list of equally long lists of them (``states``, eigenvalue pairs),
+    is formatted by one call of the compiled formatter in the kernel's C
+    library (:func:`stepper.format_floats`) when that library is loaded.
     """
     return _encode({"manifest": manifest, "data": data}, "") + "\n"

@@ -1,10 +1,15 @@
-"""Integration kernel selection: compiled C kernel with pure-Python fallback.
+"""Integration kernel selection: compiled C kernel with pure-Python fallback,
+and the compiled float formatter of the artifact writers.
 
 The first import compiles ``_stepper.c`` with the C compiler Python was built
 with (``$CC`` overrides it) into ``$XDG_CACHE_HOME/waningsim/`` (default
 ``~/.cache/waningsim/``), under a name keyed by source, compiler and
 platform, and loads it with :mod:`ctypes`.  If that fails, the NumPy
 reference kernel runs.  :func:`kernels` lists every usable kernel.
+
+The same library formats floats: :func:`format_floats` writes a run of
+doubles byte for byte as ``float.__repr__`` writes each.  It is ``None``
+when the library is not loaded, and the writers then format in Python.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ STATUS_MAX_STEPS = _stepper_py.STATUS_MAX_STEPS
 STATUS_NONFINITE = _stepper_py.STATUS_NONFINITE
 STATUS_NEGATIVE = _stepper_py.STATUS_NEGATIVE
 _NO_MEMORY = -5  # the C kernel's allocation failure
+_REPR_MAX = 24  # bytes of the longest repr of a double, "-2.2250738585072014e-308"
 
 _SOURCE = Path(__file__).with_name("_stepper.c")
 
@@ -83,6 +89,9 @@ def _load_library():
         ]
         lib.ws_free.restype = None
         lib.ws_free.argtypes = [ctypes.POINTER(_Record)]
+        lib.ws_format.restype = ctypes.c_int64
+        lib.ws_format.argtypes = [array, ctypes.c_int64, ctypes.c_int64, ctypes.c_char_p, ctypes.c_char_p,
+                                  ctypes.c_char_p]
         return lib
     except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
         return None
@@ -115,6 +124,24 @@ def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, ma
         _lib.ws_free(ctypes.byref(rec))
     return times, states, status, rec.n_accepted, rec.n_rejected, rec.t_reached
 
+
+def _c_format_floats(values, cols: int, sep: str, row_sep: str) -> str | None:
+    """The doubles of ``values``, an ``array("d")``, each as ``float.__repr__``
+    writes it, with ``sep`` between two in a row of ``cols`` and ``row_sep``
+    between two rows; ``None`` if a value is not finite."""
+    if values.typecode != "d":
+        raise TypeError(f"values must be an array of typecode 'd', not {values.typecode!r}")
+    if cols < 1:
+        raise ValueError(f"cols must be >= 1, got {cols}")
+    address, n = values.buffer_info()
+    rows = -(-n // cols)
+    sep, row_sep = sep.encode("ascii"), row_sep.encode("ascii")
+    out = ctypes.create_string_buffer(n * _REPR_MAX + (n - rows) * len(sep) + max(rows - 1, 0) * len(row_sep) + 1)
+    length = _lib.ws_format(address, n, cols, sep, row_sep, out)
+    return None if length < 0 else out[:length].decode("ascii")
+
+
+format_floats = None if _lib is None else _c_format_floats
 
 _KERNELS = {"python": _stepper_py}
 if _lib is not None:

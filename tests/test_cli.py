@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import waningsim
+from waningsim import dfe, stepper
 from waningsim.cli import build_parser, main
 from waningsim.dfe import susceptible_block_matrix
 from waningsim.model import build_general, config_to_json
@@ -209,6 +210,17 @@ class TestSmallCommands:
         assert data["regime"] == "stable"
         assert 0 < data["r0"] < 1
 
+    @pytest.mark.parametrize("command", ["r0", "analyze"])
+    def test_non_finite_threshold_exits_2(self, config_path, capsys, monkeypatch, command):
+        def nan_dfe(config):
+            return dfe.DfeSolution(s=np.full(config.n + 1, np.nan), c=np.nan, det=np.nan)
+
+        monkeypatch.setattr(dfe, "solve_dfe_closed_form", nan_dfe)
+        assert main([command, "--config", config_path]) == 2
+        captured = capsys.readouterr()
+        assert "transmission level at the disease-free equilibrium is nan" in captured.err
+        assert captured.out == ""
+
 
 class TestSweep:
     def write_spec(self, tmp_path, **overrides):
@@ -366,21 +378,23 @@ class TestFit:
         assert abs(doc["data"]["parameters"]["omega"] - 2.0) < 1e-2
 
 
+@pytest.fixture
+def inputs(tmp_path, endemic_config_path):
+    """Input files of every command: a config, a fit template with its data, a sweep spec."""
+    years = np.arange(2000, 2006)
+    values = simulate_annual_prevalence(ENDEMIC_CFG, years, 1999, 1e-4)
+    data = tmp_path / "data.csv"
+    data.write_text("year,prevalence\n" + "".join(f"{y},{float(v)!r}\n" for y, v in zip(years, values)))
+    template = tmp_path / "template.json"
+    template.write_text(config_to_json(ENDEMIC_CFG.replace(omega=2.4)))
+    spec = TestSweep().write_spec(tmp_path)
+    return {"config": endemic_config_path, "template": str(template), "data": str(data), "spec": spec,
+            "dir": tmp_path}
+
+
 class TestParserBuiltOnce:
     """``main`` builds its parser once per process; no command may leave
     state behind in it for the next."""
-
-    @pytest.fixture
-    def inputs(self, tmp_path, endemic_config_path):
-        years = np.arange(2000, 2006)
-        values = simulate_annual_prevalence(ENDEMIC_CFG, years, 1999, 1e-4)
-        data = tmp_path / "data.csv"
-        data.write_text("year,prevalence\n" + "".join(f"{y},{float(v)!r}\n" for y, v in zip(years, values)))
-        template = tmp_path / "template.json"
-        template.write_text(config_to_json(ENDEMIC_CFG.replace(omega=2.4)))
-        spec = TestSweep().write_spec(tmp_path)
-        return {"config": endemic_config_path, "template": str(template), "data": str(data), "spec": spec,
-                "dir": tmp_path}
 
     @staticmethod
     def data_section(argv, out) -> str:
@@ -427,6 +441,39 @@ class TestParserBuiltOnce:
             assert exc.value.code == 2
             assert self.data_section(good, inputs["dir"] / "b.csv") == expected
         assert build_parser() is build_parser()
+
+
+class TestRerunsDifferOnlyInManifest:
+    """Every command run twice on the same inputs writes the same bytes
+    outside its manifest, and the manifest names the kernel."""
+
+    @staticmethod
+    def split(text: str):
+        if text.startswith("{"):
+            head, data = text.split('\n  "data": ', 1)
+            prefix, manifest = head.split('"manifest": ', 1)
+            return prefix + data, json.loads(manifest.rstrip(","))
+        manifest_line, rest = text.split("\n", 1)
+        return rest, json.loads(manifest_line.removeprefix("# manifest: "))
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--format", "json"], ["simulate", "--format", "csv"], ["analyze"], ["sweep"],
+        ["sweep", "--format", "json"], ["fit"], ["dfe"], ["r0"],
+    ], ids=lambda words: "-".join(words).replace("--format-", ""))
+    def test_two_runs(self, inputs, command):
+        files = {"simulate": ["--config", inputs["config"], "--t-end", "30"],
+                 "fit": ["--config", inputs["template"], "--data", inputs["data"], "--i0", "1e-4", "--free", "omega",
+                         "--start-year", "1999", "--max-iterations", "5", "--restarts", "0"],
+                 "sweep": ["--spec", inputs["spec"]]}.get(command[0], ["--config", inputs["config"]])
+        texts = []
+        for run in (1, 2):
+            out = inputs["dir"] / f"run{run}"
+            assert main(command[:1] + files + command[1:] + ["--out", str(out)]) == 0
+            texts.append(out.read_text())
+        (rest1, manifest1), (rest2, manifest2) = map(self.split, texts)
+        assert rest1 == rest2
+        assert manifest1["kernel"] == manifest2["kernel"] == stepper.active_kernel()
+        assert manifest1["run_key"] == manifest2["run_key"]
 
 
 def test_module_entry_point_smoke(config_path):

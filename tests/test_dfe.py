@@ -8,7 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from waningsim import dfe
 from waningsim.dfe import (
+    DfeSolution,
+    NonFiniteThresholdError,
     basic_reproduction_number,
     last_only_transmission_threshold,
     matrix_determinant,
@@ -214,6 +217,13 @@ class TestR0:
         uncovered = beta[-1] / (r + mu)
         cfg = build_last_only(2, beta, 0.3, mu, r, 4.0, 1.0)
         assert basic_reproduction_number(cfg).r0 < uncovered
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_threshold_raises_instead_of_a_regime(self, pertussis, monkeypatch, bad):
+        s = np.full(pertussis.n + 1, bad)
+        monkeypatch.setattr(dfe, "solve_dfe_closed_form", lambda config: DfeSolution(s=s, c=bad, det=bad))
+        with pytest.raises(NonFiniteThresholdError, match="disease-free equilibrium"):
+            basic_reproduction_number(pertussis)
 
 
 class TestTransmissionThreshold:

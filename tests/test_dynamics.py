@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from waningsim import stepper
 from waningsim._stepper_py import _A, _ERR
 from waningsim.dynamics import (
     IntegrationError,
@@ -177,6 +178,17 @@ class TestIntegrate:
         parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         np.testing.assert_array_equal(parsed[:, 0], traj.times)
         np.testing.assert_array_equal(parsed[:, 1:], traj.states)
+
+    @pytest.mark.parametrize("formatter", ["compiled", "python"])
+    def test_csv_bytes_are_those_of_repr(self, formatter, monkeypatch):
+        if formatter == "python":
+            monkeypatch.setattr(stepper, "format_floats", None)
+        elif stepper.format_floats is None:
+            pytest.skip("compiled library not built")
+        traj = integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 50.0, t_eval=np.linspace(0.5, 50.0, 100))
+        rows = "".join(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n"
+                       for t, row in zip(traj.times, traj.states))
+        assert traj.to_csv() == "t,S_0,S_1,S_2,I\n" + rows
 
     def test_json_dict_carries_config_digest_and_exact_floats(self):
         traj = integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 5.0, t_eval=[1.0, 5.0])

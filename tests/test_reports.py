@@ -4,12 +4,15 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from waningsim import dfe
+from waningsim import dfe, stepper
+from waningsim.dynamics import integrate
+from waningsim.model import build_general, epidemic_start
 from waningsim.reports import analyze_config, json_document
 from waningsim.scanfit import _evaluate_point
 
@@ -114,3 +117,60 @@ def test_values_json_cannot_write_raise_type_error(bad):
     # an int key is written as a string by json.dumps; artifacts only have str keys
     with pytest.raises(TypeError):
         json_document({}, bad)
+
+
+def random_run(rng):
+    """A list of floats or a matrix of them, now and then with an int, a
+    bool, a non-finite float, a float subclass or a ragged or empty row."""
+    shape = (int(rng.integers(1, 5)), int(rng.integers(0, 6)))
+    rows = [[random_float(rng) for _ in range(shape[1])] for _ in range(shape[0])]
+    for _ in range(rng.integers(0, 3)):
+        if not shape[1]:
+            break
+        row, col = rng.integers(shape[0]), rng.integers(shape[1])
+        rows[row][col] = [1, True, False, float("nan"), float("-inf"), np.float64(0.5), 2**60][rng.integers(7)]
+    if rng.integers(6) == 0:
+        rows[-1] = rows[-1][:-1]
+    if rng.integers(4) == 0:
+        rows = [tuple(row) for row in rows]
+    return rows[0] if rng.integers(2) else rows
+
+
+def nulled(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, (list, tuple)):
+        return [nulled(v) for v in value]
+    if isinstance(value, dict):
+        return {k: nulled(v) for k, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("formatter", ["compiled", "python"])
+def test_float_runs_are_written_as_json_dumps_writes_them(formatter, monkeypatch):
+    if formatter == "python":
+        monkeypatch.setattr(stepper, "format_floats", None)
+    elif stepper.format_floats is None:
+        pytest.skip("compiled library not built")
+    rng = np.random.default_rng(41)
+    for _ in range(1500):
+        data = {"run": random_run(rng), "nested": {"k": [random_run(rng), random_run(rng)]}}
+        assert json_document({}, data) == reference({}, nulled(data))
+
+
+@pytest.mark.skipif(stepper.format_floats is None, reason="compiled library not built")
+def test_one_formatter_call_per_float_list_or_matrix(monkeypatch):
+    cfg = build_general(3, (1.5, 2.0, 3.0, 4.0), 0.2, 0.3, 1.2, 2.0, (0.0, 0.1, 0.2, 0.5))
+    doc = integrate(cfg, epidemic_start(cfg), 5.0, t_eval=np.linspace(0.1, 5.0, 50)).to_json_dict()
+    calls, format_floats = [], stepper.format_floats
+
+    def counted(values, cols, sep, row_sep):
+        calls.append((len(values), cols))
+        return format_floats(values, cols, sep, row_sep)
+
+    monkeypatch.setattr(stepper, "format_floats", counted)
+    text = json_document({}, doc)
+    cols = len(doc["states"][0])
+    assert sorted(calls) == sorted([(len(doc["times"]),) * 2, (len(doc["states"]) * cols, cols)])
+    monkeypatch.setattr(stepper, "format_floats", None)
+    assert json_document({}, doc) == text
