@@ -5,12 +5,17 @@ All input and output goes through files (or stdout); there is no network
 access.  Exit codes: 0 success, 2 configuration or input error (a
 non-finite reproduction-number threshold included), 3 integration failure,
 4 regime-consistency violation (a bug signal; should never fire in the
-small-waning regime).
+small-waning regime).  Each ``cmd_*`` returns the configuration, the
+manifest options it adds and its result, or raises; :func:`main` alone
+writes the artifact and maps every outcome to its exit code.
 
-Every artifact embeds a run manifest.  JSON artifacts hold it under
-``"manifest"`` beside the ``"data"`` section; CSV artifacts carry it in
-leading ``#`` comment lines.  Data sections are byte-identical across reruns
-with identical inputs.
+Every artifact embeds a run manifest, whose options are the parsed
+arguments other than ``--config``, ``--spec`` and ``--out`` (a sweep adds
+its spec's ``parameter``, ``observable``, ``grid_size`` and ``t_end``).
+JSON artifacts hold it under ``"manifest"`` beside the ``"data"`` section;
+CSV artifacts carry it in one leading ``#`` comment line.  Data sections
+are byte-identical across reruns with identical inputs on the same kernel
+(the compiled and NumPy kernels' trajectories agree only to rounding).
 """
 
 from __future__ import annotations
@@ -26,35 +31,27 @@ from .dfe import NonFiniteThresholdError, basic_reproduction_number, solve_dfe_c
 from .dynamics import IntegrationError, integrate
 from .model import ConfigError, config_from_dict, epidemic_start, json_number, load_config
 from .reports import analyze_config, build_manifest, json_document
-from .scanfit import (
-    SweepSpec,
-    TimeSeriesError,
-    FitOptions,
-    fit,
-    ingest_timeseries,
-    sweep,
-)
+from .scanfit import FitOptions, SweepSpec, fit, ingest_timeseries, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
 EXIT_INCONSISTENT = 4
 
-
-def _write(out_path: str | None, text: str) -> None:
-    if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+# parsed arguments that are not options of the run: the command itself and
+# the files it reads and writes
+_NOT_OPTIONS = ("command", "func", "config", "spec", "out")
 
 
-def _csv_with_manifest(manifest: dict, body: str) -> str:
-    header = "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
-    return header + body
+class InconsistentReportError(Exception):
+    """The analysis report contradicts the threshold theory (exit 4)."""
 
 
-def cmd_simulate(args) -> int:
+def _free_parameters(text: str) -> list:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+def cmd_simulate(args):
     if args.samples < 0:
         raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     config = load_config(args.config)
@@ -70,54 +67,30 @@ def cmd_simulate(args) -> int:
     )
     if grid is not None:
         trajectory = trajectory.at_times(grid)
-    manifest = build_manifest(
-        "simulate",
-        config,
-        {
-            "t_end": args.t_end,
-            "samples": args.samples,
-            "i0": args.i0,
-            "rtol": args.rtol,
-            "atol": args.atol,
-            "max_steps": args.max_steps,
-            "format": args.format,
-        },
-    )
-    if args.format == "json":
-        _write(args.out, json_document(manifest, trajectory.to_json_dict()))
-    else:
-        _write(args.out, _csv_with_manifest(manifest, trajectory.to_csv()))
-    return EXIT_OK
+    return config, {}, trajectory
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     config = load_config(args.config)
     report = analyze_config(config)
-    # consistency is asserted before anything is emitted
-    if report["consistency"]["checked"] and not report["consistency"]["consistent"]:
-        print(f"regime consistency violated: {report['consistency']['note']}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    manifest = build_manifest("analyze", config, {})
-    _write(args.out, json_document(manifest, report))
-    return EXIT_OK
+    consistency = report["consistency"]
+    if consistency["checked"] and not consistency["consistent"]:
+        raise InconsistentReportError(consistency["note"])
+    return config, {}, report
 
 
-def cmd_dfe(args) -> int:
+def cmd_dfe(args):
     config = load_config(args.config)
     closed = solve_dfe_closed_form(config)
     numeric = solve_dfe_numeric(config)
     data = closed.to_dict()
     data["numeric_gap"] = float(max(abs(a - b) for a, b in zip(closed.s, numeric.s)))
-    manifest = build_manifest("dfe", config, {})
-    _write(args.out, json_document(manifest, data))
-    return EXIT_OK
+    return config, {}, data
 
 
-def cmd_r0(args) -> int:
+def cmd_r0(args):
     config = load_config(args.config)
-    manifest = build_manifest("r0", config, {})
-    _write(args.out, json_document(manifest, basic_reproduction_number(config).to_dict()))
-    return EXIT_OK
+    return config, {}, basic_reproduction_number(config).to_dict()
 
 
 def _load_sweep_spec(path: str) -> SweepSpec:
@@ -156,32 +129,17 @@ def _load_sweep_spec(path: str) -> SweepSpec:
         raise ConfigError(f"sweep spec missing key {exc}") from exc
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     spec = _load_sweep_spec(args.spec)
     result = sweep(spec, jobs=args.jobs)
-    manifest = build_manifest(
-        "sweep",
-        spec.base_config,
-        {
-            "parameter": spec.parameter,
-            "observable": spec.observable,
-            "grid_size": int(spec.grid.size),
-            "t_end": spec.t_end,
-            "jobs": args.jobs,
-            "format": args.format,
-        },
-    )
-    if args.format == "json":
-        _write(args.out, json_document(manifest, result.to_json_dict()))
-    else:
-        _write(args.out, _csv_with_manifest(manifest, result.to_csv()))
-    return EXIT_OK
+    extra = {"parameter": spec.parameter, "observable": spec.observable, "grid_size": int(spec.grid.size),
+             "t_end": spec.t_end}
+    return spec.base_config, extra, result
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args):
     config = load_config(args.config)
     data = ingest_timeseries(args.data)
-    free = [name.strip() for name in args.free.split(",") if name.strip()]
     options = FitOptions(
         start_year=args.start_year,
         initial_prevalence=args.i0,
@@ -189,22 +147,7 @@ def cmd_fit(args) -> int:
         max_iterations=args.max_iterations,
         restarts=args.restarts,
     )
-    result = fit(config, free, data, options)
-    manifest = build_manifest(
-        "fit",
-        config,
-        {
-            "data": str(args.data),
-            "free": free,
-            "start_year": args.start_year,
-            "i0": args.i0,
-            "log_sse": args.log_sse,
-            "max_iterations": args.max_iterations,
-            "restarts": args.restarts,
-        },
-    )
-    _write(args.out, json_document(manifest, result.to_json_dict()))
-    return EXIT_OK
+    return config, {}, fit(config, args.free, data, options)
 
 
 @functools.cache
@@ -255,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[common], help="least-squares fit to annual prevalence data")
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True, help="CSV: year,prevalence or year,cases,population")
-    p.add_argument("--free", default="beta_scale,omega,delta", help="comma-separated free parameters")
+    p.add_argument("--free", type=_free_parameters, default="beta_scale,omega,delta",
+                   help="comma-separated free parameters")
     p.add_argument("--start-year", dest="start_year", type=int, default=None)
     p.add_argument("--i0", type=float, default=1e-6)
     p.add_argument("--log-sse", dest="log_sse", action="store_true")
@@ -268,16 +212,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command, ``argv`` without the program name (default
-    ``sys.argv[1:]``), and return its exit code."""
+    ``sys.argv[1:]``), write its artifact and return its exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config, extra, result = args.func(args)
+        options = {key: value for key, value in vars(args).items() if key not in _NOT_OPTIONS}
+        manifest = build_manifest(args.command, config, options | extra)
+        if getattr(args, "format", "json") == "csv":
+            text = "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n" + result.to_csv()
+        else:
+            text = json_document(manifest, result if isinstance(result, dict) else result.to_json_dict())
+        if args.out is None or args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
-    except (ConfigError, TimeSeriesError, NonFiniteThresholdError, ValueError, OSError) as exc:
+    except (NonFiniteThresholdError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except InconsistentReportError as exc:
+        print(f"regime consistency violated: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

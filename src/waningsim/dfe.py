@@ -136,9 +136,13 @@ def solve_dfe_numeric(config: ModelConfig) -> DfeSolution:
 
     One iterative-refinement step with an extended-precision residual keeps
     the forward error near machine level even for poorly scaled rate
-    combinations.  A singular matrix here would be a bug signal, not a
-    reachable state.  ``det`` and ``c`` are NaN where the determinant over-
-    or underflows.
+    combinations.  ``det`` and ``c`` are NaN where the determinant over- or
+    underflows.
+
+    Raises:
+        numpy.linalg.LinAlgError: the matrix is singular to working
+            precision, as when ``mu`` is negligible beside the other rates
+            (the columns sum to ``-mu``).
     """
     n = config.n
     a = susceptible_block_matrix(config, 0.0)
@@ -149,10 +153,7 @@ def solve_dfe_numeric(config: ModelConfig) -> DfeSolution:
         residual = b - (a.astype(np.longdouble) @ x.astype(np.longdouble)).astype(float)
         x = x + np.linalg.solve(a, residual)
     except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            "susceptible block matrix is singular; this should be unreachable "
-            "for a valid configuration"
-        ) from exc
+        raise np.linalg.LinAlgError("susceptible block matrix is singular to working precision") from exc
     with np.errstate(over="ignore"):
         det = _finite_or_nan(float(np.linalg.det(a)))
     c = _finite_or_nan(config.omega_n * config.mu / abs(det)) if config.omega_n > 0.0 else 0.0

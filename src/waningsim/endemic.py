@@ -179,12 +179,13 @@ def prevalence_linear_root(config: ModelConfig) -> float | None:
 
     Returns the root when it lies in ``[0, 1]`` (it does exactly when
     ``beta_n * mu >= (r + mu)(omega_n + mu)``, with the boundary case landing
-    on 0), otherwise ``None``.
+    on 0), otherwise ``None``; also ``None`` when ``beta_n == 0``, where the
+    equation has no root.
     """
     if float(config.beta[0]) != 0.0:
         raise ValueError("linear case requires beta[0] == 0")
     root = localize_endemic(config).roots[0]
-    return root if 0.0 <= root <= 1.0 else None
+    return root if root is not None and 0.0 <= root <= 1.0 else None
 
 
 @dataclass(frozen=True)
@@ -242,7 +243,8 @@ def _interval_constant(config: ModelConfig) -> float:
     beta0, beta_n = float(config.beta[0]), float(config.beta[-1])
     mu, r, omega_n = config.mu, config.r, config.omega_n
     n = config.n
-    c_tilde = 4.0 * (n + 1) ** 1.5 * (r + mu) / (mu**3 * beta0)
+    scale = mu**3 * beta0  # 0 once mu**3 underflows, and the constant is then infinite
+    c_tilde = 4.0 * (n + 1) ** 1.5 * (r + mu) / scale if scale else math.inf
     return c_tilde * (beta0 + mu) * (beta_n + mu + omega_n)
 
 
@@ -268,9 +270,10 @@ def localize_endemic(config: ModelConfig) -> LocalizationResult:
             return LocalizationResult((), half, hat_c, "none", validity, roots, margin)
     else:
         beta_n, mu, omega_n = float(config.beta[-1]), config.mu, config.omega_n
-        hat_c = 4.0 * (config.n + 1) ** 1.5 * (beta_n + mu + omega_n) / mu**2
+        hat_c = 4.0 * (config.n + 1) ** 1.5 * (beta_n + mu + omega_n) / mu**2 if mu**2 else math.inf
         half = hat_c * delta
-        root = (mu * beta_n - (config.r + mu) * (omega_n + mu)) / (beta_n * (config.r + mu))
+        # with beta_n == 0 as well no tier transmits: the equation has no root
+        root = (mu * beta_n - (config.r + mu) * (omega_n + mu)) / (beta_n * (config.r + mu)) if beta_n else None
         roots = (root, None)
 
     intervals = []

@@ -26,6 +26,7 @@ from .dfe import basic_reproduction_number, solve_dfe_numeric
 from .endemic import (
     NoEndemicEquilibriumError,
     RefinementError,
+    SingularBlockError,
     localize_endemic,
     refine_endemic,
 )
@@ -59,7 +60,8 @@ def _consistency(report: dict) -> dict:
     certificate must hold and the configuration must sit clearly on one side
     of criticality (the reproduction number at the actual waning rate and its
     zero-waning limit must agree in sign; between them is an O(delta)
-    boundary layer where disagreement is expected, not an error).
+    boundary layer where disagreement is expected, not an error), and no
+    spectrum may sit inside the marginal band.
     """
     loc = report["localization"]
     r0 = report["r0"]
@@ -67,6 +69,10 @@ def _consistency(report: dict) -> dict:
         return {"checked": False, "consistent": True, "note": "contraction certificate failed; theory silent"}
     if r0["regime"] == "critical" or loc["exists"] == "indeterminate":
         return {"checked": False, "consistent": True, "note": "near-critical configuration"}
+    # a birth rate below the band width puts an eigenvalue near -mu inside it
+    spectra = (report["dfe_stability"], report["endemic_stability"])
+    if any(verdict is not None and verdict["classification"] == "marginal" for verdict in spectra):
+        return {"checked": False, "consistent": True, "note": "spectrum inside the marginal band"}
     margin_side = loc["margin"] > 0
     r0_side = r0["regime"] == "unstable"
     if margin_side != r0_side:
@@ -104,7 +110,7 @@ def analyze_config(config: ModelConfig) -> dict:
         endemic_verdict = endemic_spectrum(config, solution).to_dict()
     except NoEndemicEquilibriumError:
         pass
-    except RefinementError as exc:
+    except (RefinementError, SingularBlockError) as exc:
         endemic_error = str(exc)
 
     report = {

@@ -175,6 +175,49 @@ class TestAnalyze:
         assert data["consistency"]["consistent"]
 
 
+    @pytest.mark.parametrize("delta", [0.02, 1.5], ids=["certified", "uncertified"])
+    def test_no_transmission_has_no_endemic_equilibrium(self, tmp_path, capsys, delta):
+        # beta_n == 0 leaves the linear prevalence equation without a root
+        path = tmp_path / "zero_beta.json"
+        path.write_text(config_to_json(ENDEMIC_CFG.replace(beta=(0.0, 0.0, 0.0), delta=delta)))
+        assert main(["analyze", "--config", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert data["r0"]["r0"] == 0.0 and data["r0"]["regime"] == "stable"
+        assert data["localization"]["exists"] == "none"
+        assert data["localization"]["roots"] == [None, None]
+        assert data["endemic"] is None and data["endemic_error"] is None
+        assert data["dfe_stability"]["classification"] == "asymptotically_stable"
+        assert data["consistency"]["consistent"]
+
+    @pytest.mark.parametrize("delta", [0.2, 0.0])
+    def test_vanishing_birth_rate_is_reported(self, tmp_path, capsys, pertussis, delta):
+        # mu**3 underflows to 0, and the eigenvalue -mu sits in the marginal band
+        path = tmp_path / "tiny_mu.json"
+        path.write_text(config_to_json(pertussis.replace(mu=1e-300, delta=delta)))
+        assert main(["analyze", "--config", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert data["localization"]["hat_c"] is None  # infinite
+        assert data["endemic"] is None
+        assert not data["consistency"]["checked"]
+
+    def test_inconsistent_report_exits_4_before_writing(self, endemic_config_path, tmp_path, capsys, monkeypatch):
+        from waningsim import cli
+
+        analyze_config = cli.analyze_config
+
+        def inconsistent(config):
+            report = analyze_config(config)
+            report["consistency"] = {"checked": True, "consistent": False, "note": "planted contradiction"}
+            return report
+
+        monkeypatch.setattr(cli, "analyze_config", inconsistent)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", endemic_config_path, "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "regime consistency violated: planted contradiction\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("delta, omega", [(15.0, 2.0), (0.005, 0.05)], ids=["products-overflow", "products-underflow"])
     def test_hundreds_of_tiers(self, tmp_path, capsys, delta, omega):
         # products of n = 300 rates leave the double range; the report must not
@@ -209,6 +252,15 @@ class TestSmallCommands:
         data = json.loads(capsys.readouterr().out)["data"]
         assert data["regime"] == "stable"
         assert 0 < data["r0"] < 1
+
+    @pytest.mark.parametrize("command", ["dfe", "analyze"])
+    def test_singular_numeric_dfe_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "singular.json"
+        path.write_text(config_to_json(build_general(1, (1.0, 2.0), 0.5, 1e-300, 1.0, 1.0, (0.0, 0.5))))
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: susceptible block matrix is singular to working precision\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["r0", "analyze"])
     def test_non_finite_threshold_exits_2(self, config_path, capsys, monkeypatch, command):
@@ -264,6 +316,13 @@ class TestSweep:
         assert main(["sweep", "--spec", spec, "--format", "json"]) == 0
         doc2 = json.loads(capsys.readouterr().out)
         assert json.dumps(doc["data"]) == json.dumps(doc2["data"])
+
+    def test_endemic_prevalence_without_transmission(self, tmp_path, capsys):
+        config = json.loads(config_to_json(ENDEMIC_CFG.replace(beta=(0.0, 0.0, 0.0))))
+        spec = self.write_spec(tmp_path, config=config, observable="endemic_I", grid=[0.0, 0.02, 1.5])
+        assert main(["sweep", "--spec", spec, "--format", "json"]) == 0
+        points = json.loads(capsys.readouterr().out)["data"]["points"]
+        assert [(p["observable"], p["classification"]) for p in points] == [(None, "dfe_stable")] * 3
 
     def test_bad_spec_exits_2(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, parameter="nonsense")
@@ -474,6 +533,43 @@ class TestRerunsDifferOnlyInManifest:
         assert rest1 == rest2
         assert manifest1["kernel"] == manifest2["kernel"] == stepper.active_kernel()
         assert manifest1["run_key"] == manifest2["run_key"]
+
+
+class TestManifestOptions:
+    """The manifest records every parsed option except the files read and
+    written, and a sweep adds its spec's parameter, observable, grid size
+    and horizon."""
+
+    @pytest.mark.parametrize("words, options", [
+        (["simulate", "--t-end", "30"],
+         {"t_end": 30.0, "samples": 200, "i0": 1e-06, "rtol": 1e-10, "atol": 1e-12, "max_steps": 5000000,
+          "format": "csv"}),
+        (["simulate", "--t-end", "30", "--samples", "5", "--i0", "1e-5", "--rtol", "1e-8", "--format", "json"],
+         {"t_end": 30.0, "samples": 5, "i0": 1e-05, "rtol": 1e-08, "atol": 1e-12, "max_steps": 5000000,
+          "format": "json"}),
+        (["analyze"], {}),
+        (["dfe"], {}),
+        (["r0"], {}),
+        (["sweep"],
+         {"parameter": "delta", "observable": "r0", "grid_size": 11, "t_end": 2000.0, "jobs": 1, "format": "csv"}),
+        (["sweep", "--jobs", "2", "--format", "json"],
+         {"parameter": "delta", "observable": "r0", "grid_size": 11, "t_end": 2000.0, "jobs": 2, "format": "json"}),
+        (["fit", "--free", " omega, delta ", "--i0", "1e-4", "--start-year", "1999", "--max-iterations", "5",
+          "--restarts", "0", "--log-sse"],
+         {"data": "DATA", "free": ["omega", "delta"], "start_year": 1999, "i0": 0.0001, "log_sse": True,
+          "max_iterations": 5, "restarts": 0}),
+    ], ids=["simulate-csv", "simulate-json", "analyze", "dfe", "r0", "sweep-csv", "sweep-json", "fit"])
+    def test_options(self, inputs, words, options):
+        files = {"fit": ["--config", inputs["template"], "--data", inputs["data"]],
+                 "sweep": ["--spec", inputs["spec"]]}.get(words[0], ["--config", inputs["config"]])
+        out = inputs["dir"] / "artifact"
+        assert main(words[:1] + files + words[1:] + ["--out", str(out)]) == 0
+        manifest = TestRerunsDifferOnlyInManifest.split(out.read_text())[1]
+        assert manifest["command"] == words[0]
+        if "data" in options:
+            options = dict(options, data=inputs["data"])
+        assert manifest["options"] == options
+        assert list(manifest["options"]) == sorted(options)
 
 
 def test_module_entry_point_smoke(config_path):

@@ -164,6 +164,13 @@ class TestClosedFormDfe:
                 assert math.isnan(value) or (math.isfinite(value) and value != 0.0)
         assert math.isnan(matrix_determinant(cfg))
 
+    def test_numeric_path_singular_to_working_precision(self):
+        # the columns sum to -mu, which vanishes beside the other rates
+        cfg = build_general(1, (1.0, 2.0), 0.5, 1e-300, 1.0, 1.0, (0.0, 0.5))
+        with pytest.raises(np.linalg.LinAlgError, match="singular to working precision"):
+            solve_dfe_numeric(cfg)
+        assert np.all(np.isfinite(solve_dfe_closed_form(cfg).s))
+
     def test_numeric_path_zero_coverage(self):
         cfg = build_last_only(2, (0.0, 1.0, 2.0), 0.4, 0.1, 1.0, 5.0, 0.0)
         np.testing.assert_allclose(solve_dfe_numeric(cfg).s, [0, 0, 1.0], atol=1e-14)

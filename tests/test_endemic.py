@@ -222,6 +222,14 @@ class TestLinearCase:
         with pytest.raises(ValueError):
             prevalence_linear_root(cfg)
 
+    def test_no_transmission_has_no_root(self):
+        cfg = self.make(0.0)
+        assert prevalence_linear_root(cfg) is None
+        loc = localize_endemic(cfg)
+        assert loc.roots == (None, None) and loc.intervals == () and loc.exists == "none"
+        with pytest.raises(NoEndemicEquilibriumError):
+            refine_endemic(cfg, loc)
+
 
 class TestLocalization:
     def test_zero_waning_intervals_degenerate_to_roots(self):
@@ -238,6 +246,11 @@ class TestLocalization:
         loc = localize_endemic(cfg)
         assert loc.exists == "none"
         assert loc.validity
+
+    @pytest.mark.parametrize("beta0", [0.0, 2.0], ids=["linear", "quadratic"])
+    def test_interval_constant_is_infinite_once_mu_powers_underflow(self, beta0):
+        loc = localize_endemic(build_general(1, (beta0, 3.0), 0.1, 1e-300, 0.5, 1.0, (0.0, 0.5)))
+        assert loc.hat_c == math.inf and loc.half_width == math.inf
 
     def test_validity_flag_tracks_contraction_precondition(self):
         small = build_general(1, (1.0, 2.0), 1e-3, 0.5, 1.0, 0.0, (0.0, 0.0))
