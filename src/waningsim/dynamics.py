@@ -132,6 +132,42 @@ class Trajectory:
         }
 
 
+def _run_kernel(config: ModelConfig, y0, rtol, atol, targets, max_steps, stop_at_equilibrium):
+    """The package's one call of the active kernel, ``stepper.integrate_core``
+    (looked up per call, so a test or a tracer can replace it).
+
+    ``y0`` is a simplex state and ``targets`` a sorted float array in
+    ``(0, horizon]``, both checked by the caller; the tolerances and the step
+    budget are checked here, and a failing status becomes the one
+    :class:`IntegrationError`.  Returns ``(times, states, status,
+    n_accepted, n_rejected)``.
+
+    Raises:
+        ValueError: on bad ``rtol``/``atol`` or ``max_steps``.
+        IntegrationError: for every failing kernel status.
+    """
+    if not (math.isfinite(rtol) and math.isfinite(atol) and rtol >= 0 and atol >= 0) or rtol == atol == 0:
+        raise ValueError(f"rtol and atol must be finite, >= 0 and not both 0, got rtol={rtol}, atol={atol}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    times, states, status, n_acc, n_rej, t_reached = stepper.integrate_core(
+        config.beta,
+        config.omega_i,
+        config.delta_i,
+        config.mu,
+        config.r,
+        y0,
+        float(rtol),
+        float(atol),
+        targets,
+        int(max_steps),
+        bool(stop_at_equilibrium),
+    )
+    if status < 0:
+        raise IntegrationError(_STATUS_MESSAGES[status], t_reached)
+    return times, states, status, n_acc, n_rej
+
+
 def integrate(
     config: ModelConfig,
     initial_state,
@@ -160,10 +196,6 @@ def integrate(
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
-    if not (math.isfinite(rtol) and math.isfinite(atol) and rtol >= 0 and atol >= 0) or rtol == atol == 0:
-        raise ValueError(f"rtol and atol must be finite, >= 0 and not both 0, got rtol={rtol}, atol={atol}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     raw = not isinstance(initial_state, StateVector)
     y0 = np.asarray(initial_state, dtype=float) if raw else initial_state.as_array()
     if y0.shape != (config.n + 2,):
@@ -181,21 +213,9 @@ def integrate(
     # within the allowance above it
     targets = np.append(targets[(targets > 0) & (targets < t_end)], t_end)
 
-    times, states, status, n_acc, n_rej, t_reached = stepper.integrate_core(
-        config.beta,
-        config.omega_i,
-        config.delta_i,
-        config.mu,
-        config.r,
-        y0,
-        float(rtol),
-        float(atol),
-        targets,
-        int(max_steps),
-        bool(stop_at_equilibrium),
+    times, states, status, n_acc, n_rej = _run_kernel(
+        config, y0, rtol, atol, targets, max_steps, stop_at_equilibrium
     )
-    if status < 0:
-        raise IntegrationError(_STATUS_MESSAGES[status], t_reached)
     if status == stepper.STATUS_CONVERGED:
         terminal = (
             "converged_dfe"

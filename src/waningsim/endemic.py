@@ -17,6 +17,7 @@ with Brent's method, and reports the result as uncertified.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +156,9 @@ def prevalence_quadratic(config: ModelConfig) -> PrevalenceQuadratic:
 
     ``b`` shares its sign with ``(omega_n + mu)(mu + r) - (beta0*omega_n +
     beta_n*mu)``; a negative ``b`` forces exactly one root inside ``(0, 1)``.
+    Where ``beta0 * beta_n`` underflows or ``a * a`` overflows (rates near
+    the ends of the double range) the roots come from ``beta0 Q``, whose
+    coefficients stay finite; ``a`` and ``b`` may then be infinite.
 
     Raises:
         ValueError: when ``beta[0] == 0``; use :func:`prevalence_linear_root`.
@@ -163,15 +167,26 @@ def prevalence_quadratic(config: ModelConfig) -> PrevalenceQuadratic:
     if beta0 == 0.0:
         raise ValueError("prevalence polynomial is linear when beta[0] == 0; use prevalence_linear_root")
     mu, r, omega_n = config.mu, config.r, config.omega_n
-    a = (beta0 * (mu + omega_n) + beta_n * (mu + r - beta0)) / (beta0 * beta_n)
-    b = -existence_margin(config) / (beta0 * beta_n)
-    disc = a * a - 4.0 * b
+    margin = existence_margin(config)
+    lead, disc = 1.0, math.nan
+    product = beta0 * beta_n
+    if product >= sys.float_info.min:
+        a = (beta0 * (mu + omega_n) + beta_n * (mu + r - beta0)) / product
+        b = -margin / product
+        disc = a * a - 4.0 * b
+    if not math.isfinite(disc):
+        # beta0 * beta_n underflows or a * a overflows: solve beta0 Q(x) =
+        # beta0 x^2 + a x + b instead, finite since beta0 <= beta_n
+        lead = beta0
+        a = beta0 / beta_n * (mu + omega_n) + (mu + r - beta0)
+        b = -margin / beta_n
+        disc = a * a - 4.0 * lead * b
     if disc < 0.0:
-        return PrevalenceQuadratic(a=a, b=b, real=False, y1=None, y2=None)
+        return PrevalenceQuadratic(a=a / lead, b=b / lead, real=False, y1=None, y2=None)
     sq = math.sqrt(disc)
     q = -(a + math.copysign(sq, a)) / 2.0
-    roots = sorted((q, b / q)) if q != 0.0 else sorted((0.0, -a))
-    return PrevalenceQuadratic(a=a, b=b, real=True, y1=float(roots[0]), y2=float(roots[1]))
+    roots = sorted((q / lead, b / q)) if q != 0.0 else sorted((0.0, -a / lead))
+    return PrevalenceQuadratic(a=a / lead, b=b / lead, real=True, y1=float(roots[0]), y2=float(roots[1]))
 
 
 def prevalence_linear_root(config: ModelConfig) -> float | None:

@@ -98,18 +98,90 @@ class ModelConfig:
         return float(self.omega_i[-1])
 
     def replace(self, **changes) -> "ModelConfig":
-        """Return a revalidated copy with the given fields substituted."""
-        base = {
-            "n": self.n,
-            "beta": self.beta,
-            "delta": self.delta,
-            "mu": self.mu,
-            "r": self.r,
-            "omega": self.omega,
-            "p": self.p,
-        }
-        base.update(changes)
-        return build_general(**base)
+        """Return a copy with the given fields substituted.
+
+        Only the substituted fields are validated, by the checks of
+        :func:`build_general` with its messages; only the derived rates that
+        depend on them are recomputed, and unchanged arrays are shared.  A
+        new ``n`` reshapes every array, so it rebuilds the configuration.
+        """
+        unknown = set(changes).difference(CONFIG_KEYS)
+        if unknown:
+            raise TypeError(f"replace() got unexpected fields: {', '.join(sorted(unknown))}")
+        if "n" in changes:
+            return build_general(**{key: changes.get(key, getattr(self, key)) for key in CONFIG_KEYS})
+        fields = _validated(self.n, changes)
+        p = fields.get("p", self.p)
+        omega = fields.get("omega", self.omega)
+        delta = fields.get("delta", self.delta)
+        omega_i = _omega_i(p, omega) if "p" in fields or "omega" in fields else self.omega_i
+        delta_i = _delta_i(p, delta) if "p" in fields or "delta" in fields else self.delta_i
+        return ModelConfig(
+            n=self.n,
+            beta=fields.get("beta", self.beta),
+            delta=delta,
+            mu=fields.get("mu", self.mu),
+            r=fields.get("r", self.r),
+            omega=omega,
+            p=p,
+            omega_i=omega_i,
+            delta_i=delta_i,
+        )
+
+
+_RATES = (("delta", False), ("mu", True), ("r", True), ("omega", False))  # (name, 0 excluded)
+
+
+def _validated(n: int, fields: dict) -> dict:
+    """The given fields of a configuration with ``n + 1`` tiers, checked in
+    one fixed order (so the first fault reported never depends on which
+    fields are given) and converted: arrays to private read-only float
+    copies, rates to floats."""
+    out = {}
+    for name in ("beta", "p"):
+        if name in fields:
+            a = np.array(fields[name], dtype=float)
+            if a.shape != (n + 1,):
+                raise ConfigError(f"{name} must have length n+1={n + 1}, got shape {a.shape}")
+            out[name] = a
+    beta = out.get("beta")
+    # ndarray methods, not np.all/np.any, which cost several microseconds
+    # each per trial point of a fit; a NaN fails every comparison, so the
+    # first test passes exactly when both checks below would
+    if beta is not None:
+        if not (beta[0] >= 0 and beta[-1] < math.inf and (beta[1:] >= beta[:-1]).all()):
+            if not (np.isfinite(beta) & (beta >= 0)).all():
+                raise ConfigError("beta entries must be finite and >= 0")
+            raise ConfigError(f"beta must be non-decreasing, got {beta.tolist()}")
+        beta.flags.writeable = False
+    for name, lower_open in _RATES:
+        if name in fields:
+            value = float(fields[name])
+            if not math.isfinite(value) or value < 0 or (lower_open and value == 0):
+                bound = "> 0" if lower_open else ">= 0"
+                raise ConfigError(f"{name} must be finite and {bound}, got {value}")
+            out[name] = value
+    p = out.get("p")
+    if p is not None:
+        if not ((p >= 0) & (p <= 1)).all():
+            raise ConfigError(f"coverage p must lie in [0, 1], got {p.tolist()}")
+        if p[0] != 0.0:
+            raise ConfigError(f"p[0] must be 0 (the most-immune tier is never vaccinated), got {p[0]}")
+        p.flags.writeable = False
+    return out
+
+
+def _omega_i(p: np.ndarray, omega: float) -> np.ndarray:
+    omega_i = p * omega
+    omega_i.flags.writeable = False
+    return omega_i
+
+
+def _delta_i(p: np.ndarray, delta: float) -> np.ndarray:
+    delta_i = (1.0 - p) * delta
+    delta_i[-1] = 0.0  # no compartment beyond S_n; stored as 0 for uniform indexing
+    delta_i.flags.writeable = False
+    return delta_i
 
 
 def build_general(
@@ -130,43 +202,12 @@ def build_general(
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ConfigError(f"n must be an integer >= 1, got {n!r}")
     n = int(n)
-    beta = np.array(beta, dtype=float)  # private copies, made read-only below
-    p = np.array(p, dtype=float)
-    if beta.shape != (n + 1,):
-        raise ConfigError(f"beta must have length n+1={n + 1}, got shape {beta.shape}")
-    if p.shape != (n + 1,):
-        raise ConfigError(f"p must have length n+1={n + 1}, got shape {p.shape}")
-    # ndarray methods, not np.all/np.any, which cost several microseconds
-    # each per trial point of a fit; a NaN fails every comparison
-    if not (np.isfinite(beta) & (beta >= 0)).all():
-        raise ConfigError("beta entries must be finite and >= 0")
-    if (beta[1:] < beta[:-1]).any():
-        raise ConfigError(f"beta must be non-decreasing, got {beta.tolist()}")
-    for name, value, lower_open in (("delta", delta, False), ("mu", mu, True), ("r", r, True), ("omega", omega, False)):
-        value = float(value)
-        if not math.isfinite(value) or value < 0 or (lower_open and value == 0):
-            bound = "> 0" if lower_open else ">= 0"
-            raise ConfigError(f"{name} must be finite and {bound}, got {value}")
-    if not ((p >= 0) & (p <= 1)).all():
-        raise ConfigError(f"coverage p must lie in [0, 1], got {p.tolist()}")
-    if p[0] != 0.0:
-        raise ConfigError(f"p[0] must be 0 (the most-immune tier is never vaccinated), got {p[0]}")
-
-    omega_i = p * float(omega)
-    delta_i = (1.0 - p) * float(delta)
-    delta_i[n] = 0.0  # no compartment beyond S_n; stored as 0 for uniform indexing
-    for a in (beta, p, omega_i, delta_i):
-        a.flags.writeable = False
+    checked = _validated(n, {"beta": beta, "p": p, "delta": delta, "mu": mu, "r": r, "omega": omega})
     return ModelConfig(
         n=n,
-        beta=beta,
-        delta=float(delta),
-        mu=float(mu),
-        r=float(r),
-        omega=float(omega),
-        p=p,
-        omega_i=omega_i,
-        delta_i=delta_i,
+        **checked,
+        omega_i=_omega_i(checked["p"], checked["omega"]),
+        delta_i=_delta_i(checked["p"], checked["delta"]),
     )
 
 

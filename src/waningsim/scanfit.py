@@ -10,6 +10,12 @@ population); fitting minimizes the sum of squared prevalence residuals by
 bounded trust-region reflective least squares (Branch, Coleman & Li, SIAM J.
 Sci. Comput. 21, 1999) on a finite-difference Jacobian of the residual
 vector, so box bounds hold at every trial point.
+
+Sweep points and fit trial points alike change a validated configuration
+through :meth:`~waningsim.model.ModelConfig.replace`, which checks only the
+substituted fields.  A fit trial point then costs one kernel call
+(:func:`simulate_annual_prevalence`): the observation times are the
+kernel's targets and the prevalence is read at those rows.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 import scipy.optimize
 
 from .dfe import basic_reproduction_number
-from .dynamics import IntegrationError, integrate
+from .dynamics import DEFAULT_MAX_STEPS, IntegrationError, _run_kernel, integrate
 from .endemic import NoEndemicEquilibriumError, existence_margin, refine_endemic, sign_change_brackets
 from .model import ConfigError, ModelConfig, config_to_dict, epidemic_start
 from .stability import dfe_spectrum
@@ -51,7 +57,8 @@ BIFURCATION_XTOL = 1e-8
 
 
 def substitute_parameter(config: ModelConfig, parameter: str, value: float) -> ModelConfig:
-    """Rebuild the configuration with one swept parameter replaced.
+    """The configuration with one swept parameter replaced, by
+    :meth:`~waningsim.model.ModelConfig.replace`.
 
     ``omega_n`` adjusts the vaccination rate so that the last-tier return
     rate ``p[n] * omega`` equals ``value`` (requires ``p[n] > 0``).
@@ -337,9 +344,14 @@ class FitOptions:
     Jacobian; the search restarts from the best point up to ``restarts``
     times while the SSE keeps falling.  ``rtol`` and ``atol`` are the
     integration tolerances of every trial simulation.
+    ``initial_prevalence`` (the CLI's ``--i0``) seeds the naive start state
+    of every trial simulation, or starts the search when ``i0`` is free; it
+    must be finite and lie strictly inside ``(0, 1)``, since a start without
+    infection has a flat objective and one without susceptibles is no state.
 
     Raises:
-        ConfigError: for ``restarts < 0`` or ``max_iterations < 1``.
+        ConfigError: for ``restarts < 0``, ``max_iterations < 1`` or an
+            ``initial_prevalence`` outside ``(0, 1)``.
     """
 
     start_year: int | None = None
@@ -355,6 +367,8 @@ class FitOptions:
             raise ConfigError(f"restarts must be >= 0, got {self.restarts}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not 0.0 < self.initial_prevalence < 1.0:  # false for NaN as well
+            raise ConfigError(f"initial prevalence i0 must be finite and in (0, 1), got {self.initial_prevalence!r}")
 
 
 @dataclass(frozen=True)
@@ -428,13 +442,30 @@ def simulate_annual_prevalence(
     rtol: float = 1e-9,
     atol: float = 1e-12,
 ) -> np.ndarray:
-    """Prevalence at the end of each observation year."""
-    years = np.asarray(years, dtype=int)
-    t_obs = years - start_year + YEAR_END_OFFSET
-    if np.any(t_obs <= 0):
-        raise ValueError("observation years must come after the simulation start")
-    traj = integrate(config, epidemic_start(config, i0), float(t_obs[-1]), rtol=rtol, atol=atol, t_eval=t_obs)
-    return traj.sample(t_obs.astype(float))[:, -1]
+    """Prevalence at the end of each observation year, from the naive start
+    of :func:`~waningsim.model.epidemic_start` seeded with ``i0``.
+
+    The observation times ``years - start_year + YEAR_END_OFFSET`` are the
+    kernel's own targets, each hit exactly, and the prevalence column is read
+    at those rows: bit for bit ``integrate(...).sample(t_obs)[:, -1]``,
+    without the trajectory around it.  This is the whole cost of one fit
+    trial point beyond its configuration.
+
+    Raises:
+        ValueError: when the years do not increase strictly from after
+            ``start_year``, or ``i0`` lies outside ``[0, 1]``.
+        IntegrationError: when the kernel fails.
+    """
+    t_obs = np.asarray(years, dtype=int) - start_year + YEAR_END_OFFSET
+    if t_obs.ndim != 1 or not t_obs.size or t_obs[0] <= 0 or (t_obs[1:] <= t_obs[:-1]).any():
+        raise ValueError("observation years must increase strictly and come after the simulation start")
+    if not 0.0 <= i0 <= 1.0:  # the start state's own check, false for NaN as well
+        raise ValueError("state components must be non-negative, not NaN")
+    y0 = np.zeros(config.n + 2)
+    y0[-2] = 1.0 - i0
+    y0[-1] = i0
+    times, states, *_ = _run_kernel(config, y0, rtol, atol, t_obs, DEFAULT_MAX_STEPS, False)
+    return states[times.searchsorted(t_obs), -1]
 
 
 def fit(

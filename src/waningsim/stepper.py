@@ -102,6 +102,8 @@ _lib = _load_library()
 
 def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_steps, stop_at_equilibrium):
     """See ``_stepper_py.integrate_core``; identical contract."""
+    # the identity on arrays that are already C-contiguous float64, as the
+    # configuration's rates and the fit's start state and targets are
     beta, omega_i, delta_i, y, targets = (
         np.ascontiguousarray(a, dtype=np.float64) for a in (beta, omega_i, delta_i, y0, targets))
     m = y.size
@@ -118,11 +120,12 @@ def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, ma
     try:
         if status == _NO_MEMORY:
             raise MemoryError("the C kernel could not allocate its step record")
-        rows = np.ctypeslib.as_array(rec.rows, (rec.n_rows, m + 1))
-        times, states = rows[:, 0].copy(), rows[:, 1:].copy()
+        # the one copy of the record; times and states are views into it
+        rows = np.empty((rec.n_rows, m + 1))
+        ctypes.memmove(rows.ctypes.data, rec.rows, rows.nbytes)
     finally:
         _lib.ws_free(ctypes.byref(rec))
-    return times, states, status, rec.n_accepted, rec.n_rejected, rec.t_reached
+    return rows[:, 0], rows[:, 1:], status, rec.n_accepted, rec.n_rejected, rec.t_reached
 
 
 def _c_format_floats(values, cols: int, sep: str, row_sep: str) -> str | None:

@@ -586,3 +586,48 @@ def test_module_entry_point_smoke(config_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["manifest"]["tool_version"]
+
+
+class TestRatesNearTheBottomOfTheDoubleRange:
+    """``beta0 * beta_n`` underflows, or the monic quadratic's ``a * a``
+    overflows: ``analyze`` still reports, with no traceback and no false exit 4."""
+
+    def analyze(self, tmp_path, capsys, cfg):
+        path = tmp_path / "tiny.json"
+        path.write_text(config_to_json(cfg))
+        code = main(["analyze", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        return json.loads(captured.out)["data"]
+
+    def test_underflowing_transmission_product_is_subcritical(self, tmp_path, capsys):
+        cfg = build_general(1, (1e-300, 1e-300), 22.59, 0.5885, 1e-300, 0.03127, (0.0, 0.07556))
+        data = self.analyze(tmp_path, capsys, cfg)
+        assert data["r0"]["regime"] == "stable"
+        assert data["endemic"] is None
+        assert all(y < -1e299 for y in data["localization"]["roots"])
+
+    def test_overflowing_monic_coefficient_keeps_the_endemic_root(self, tmp_path, capsys):
+        cfg = build_general(4, (1e-300, 1e-300, 1e-12, 0.7067, 26.84), 0.003037, 0.1036, 24.03, 1e-12,
+                            (0.0, 0.5798, 0.5467, 0.3191, 0.9719))
+        data = self.analyze(tmp_path, capsys, cfg)
+        # beta0 negligible: the quadratic's small root is that of its linear part
+        root = data["localization"]["margin"] / (cfg.beta[-1] * (cfg.mu + cfg.r))
+        assert data["localization"]["roots"][1] == pytest.approx(root, rel=1e-12)
+        assert data["endemic"]["i_star"] == pytest.approx(data["localization"]["roots"][1], rel=1e-4)
+        assert data["consistency"] == {"checked": True, "consistent": True,
+                                       "note": "unstable DFE with a unique stable endemic equilibrium"}
+
+
+class TestFitStartPrevalence:
+    @pytest.mark.parametrize("i0", ["0", "1", "2", "-1", "nan", "inf"])
+    def test_i0_outside_the_unit_interval_exits_2_before_the_search(self, config_path, monkeypatch, capsys, i0):
+        from waningsim import scanfit
+        from waningsim.data import synthetic_prevalence_path
+
+        def never(*args, **kwargs):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(scanfit, "simulate_annual_prevalence", never)
+        assert main(["fit", "--config", config_path, "--data", str(synthetic_prevalence_path()), "--i0", i0]) == 2
+        assert "i0 must be finite and in (0, 1)" in capsys.readouterr().err

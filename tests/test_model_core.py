@@ -263,3 +263,95 @@ class TestConfigJson:
         back = config_from_json(config_to_json(cfg))
         assert json.loads(config_to_json(back)) == json.loads(config_to_json(cfg))
         assert back.beta[0] == cfg.beta[0]
+
+
+def _assert_same_config(a, b):
+    """Every field and derived array of ``a`` equals ``b``'s bit for bit."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+            assert not x.flags.writeable, f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
+def _rebuilt(cfg, changes):
+    fields = {key: getattr(cfg, key) for key in ("n", "beta", "delta", "mu", "r", "omega", "p")}
+    return build_general(**{**fields, **changes})
+
+
+class TestReplace:
+    """``replace`` validates only what it substitutes, yet agrees with a full rebuild."""
+
+    def test_random_substitutions_equal_build_general(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            cfg = random_config(rng, n_range=(1, 6))
+            other = random_config(rng, n_range=(cfg.n, cfg.n))
+            names = [k for k in ("beta", "delta", "mu", "r", "omega", "p") if rng.random() < 0.4]
+            changes = {k: getattr(other, k) for k in names}
+            if "beta" in changes and rng.random() < 0.5:
+                changes["beta"] = cfg.beta * rng.uniform(0.05, 20.0)  # the fit's beta_scale
+            if "p" in changes and rng.random() < 0.5:
+                changes["p"] = list(changes["p"])  # any sequence, as for build_general
+            _assert_same_config(cfg.replace(**changes), _rebuilt(cfg, changes))
+
+    def test_new_n_rebuilds(self):
+        cfg = build_general(1, (1.0, 2.0), 0.1, 0.1, 1.0, 1.0, (0.0, 0.5))
+        changes = dict(n=2, beta=(1.0, 2.0, 3.0), p=(0.0, 0.2, 0.4))
+        _assert_same_config(cfg.replace(**changes), _rebuilt(cfg, changes))
+
+    def test_unchanged_arrays_are_shared(self, pertussis):
+        rates = pertussis.replace(mu=0.5, r=3.0)
+        assert all(getattr(rates, k) is getattr(pertussis, k) for k in ("beta", "p", "omega_i", "delta_i"))
+        waning = pertussis.replace(delta=0.3)
+        assert waning.omega_i is pertussis.omega_i and waning.delta_i is not pertussis.delta_i
+        vaccination = pertussis.replace(omega=3.0)
+        assert vaccination.delta_i is pertussis.delta_i and vaccination.omega_i is not pertussis.omega_i
+        assert pertussis.replace(beta=pertussis.beta * 2.0).p is pertussis.p
+
+    def test_substituted_arrays_are_private_copies(self, pertussis):
+        beta = pertussis.beta * 2.0
+        cfg = pertussis.replace(beta=beta)
+        beta[0] = 1e6
+        assert cfg.beta[0] == 2.0 * pertussis.beta[0]
+        assert beta.flags.writeable
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(beta=(1.0, 2.0)),
+            dict(beta=(2.0, 1.0, 3.0)),
+            dict(beta=(math.nan, 2.0, 3.0)),
+            dict(beta=(1.0, math.nan, 3.0)),
+            dict(beta=(1.0, 2.0, math.inf)),
+            dict(beta=(-1.0, 2.0, 3.0)),
+            dict(beta=(1.0, math.nan, 0.5)),
+            dict(p=(0.0, 0.5)),
+            dict(p=(0.0, 1.5, 0.2)),
+            dict(p=(0.0, math.nan, 0.2)),
+            dict(p=(0.1, 0.2, 0.3)),
+            dict(delta=-1.0),
+            dict(delta=math.inf),
+            dict(mu=0.0),
+            dict(mu=math.nan),
+            dict(r=0.0),
+            dict(omega=-2.0),
+            dict(omega=math.nan),
+            dict(beta=(2.0, 1.0, 3.0), p=(0.0, 0.5)),  # the first fault in build_general's order is reported
+            dict(mu=0.0, p=(0.0, 1.5, 0.2)),
+            dict(beta=(2.0, 1.0, 3.0), omega=-1.0),
+        ],
+    )
+    def test_invalid_substitution_raises_build_generals_message(self, changes):
+        cfg = build_general(2, (1.0, 2.0, 3.0), 0.1, 0.1, 1.0, 1.0, (0.0, 0.2, 0.5))
+        with pytest.raises(ConfigError) as rebuilt:
+            _rebuilt(cfg, changes)
+        with pytest.raises(ConfigError) as replaced:
+            cfg.replace(**changes)
+        assert str(replaced.value) == str(rebuilt.value)
+
+    def test_unknown_field_rejected(self, pertussis):
+        with pytest.raises(TypeError, match="omega_i"):
+            pertussis.replace(omega_i=np.zeros(3))

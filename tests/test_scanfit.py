@@ -7,10 +7,10 @@ import io
 import numpy as np
 import pytest
 
-from waningsim import scanfit
+from waningsim import scanfit, stepper
 from waningsim.dfe import basic_reproduction_number
-from waningsim.dynamics import IntegrationError
-from waningsim.model import ConfigError, build_general, build_last_only, config_digest
+from waningsim.dynamics import IntegrationError, integrate
+from waningsim.model import ConfigError, build_general, build_last_only, config_digest, epidemic_start
 from waningsim.scanfit import (
     FitOptions,
     SweepSpec,
@@ -403,3 +403,55 @@ class TestFit:
         data = synthetic_series(FIT_TRUTH, np.arange(2000, 2005), i0=1e-4)
         with pytest.raises(TypeError, match="not a trial-point failure"):
             fit(FIT_TRUTH, ["omega"], data, FitOptions(initial_prevalence=1e-4))
+
+
+class TestTrialPoint:
+    """One fit trial point: a substitution on the template and one kernel call."""
+
+    YEARS = np.arange(2000, 2012)
+
+    @pytest.fixture(params=sorted(stepper.kernels()))
+    def kernel(self, request, monkeypatch):
+        monkeypatch.setattr(stepper, "integrate_core", stepper.kernels()[request.param].integrate_core)
+        return request.param
+
+    @pytest.mark.parametrize(
+        "names, values",
+        [
+            (["omega"], [2.3]),
+            (["beta_scale"], [1.2]),
+            (["beta_scale", "omega"], [0.9, 1.7]),
+            (["p_1", "p_2"], [0.3, 0.7]),
+            (["delta", "i0"], [0.2, 3e-5]),
+        ],
+    )
+    def test_equals_the_sampled_trajectory_bit_for_bit(self, kernel, names, values):
+        cfg, i0 = scanfit._apply_parameters(FIT_TRUTH, names, np.array(values), 1e-4)
+        start = 1999
+        t_obs = (self.YEARS - start + scanfit.YEAR_END_OFFSET).astype(float)
+        traj = integrate(cfg, epidemic_start(cfg, i0), float(t_obs[-1]), rtol=1e-9, atol=1e-12, t_eval=t_obs)
+        lean = simulate_annual_prevalence(cfg, self.YEARS, start, i0, rtol=1e-9, atol=1e-12)
+        assert lean.tobytes() == traj.sample(t_obs)[:, -1].tobytes()
+
+    @pytest.mark.parametrize("years", [[2003, 2001], [2001, 2001], [1997, 2000], []])
+    def test_years_must_increase_strictly_after_the_start(self, years):
+        with pytest.raises(ValueError, match="observation years"):
+            simulate_annual_prevalence(FIT_TRUTH, years, 1999, 1e-4)
+
+    @pytest.mark.parametrize("i0", [-1e-3, 1.5, float("nan")])
+    def test_start_state_must_lie_on_the_simplex(self, i0):
+        with pytest.raises(ValueError, match="non-negative, not NaN"):
+            simulate_annual_prevalence(FIT_TRUTH, self.YEARS, 1999, i0)
+
+    def test_kernel_failure_is_an_integration_error(self, monkeypatch):
+        def exhausted(*args):
+            return np.zeros(1), np.zeros((1, 4)), stepper.STATUS_MAX_STEPS, 7, 0, 0.25
+
+        monkeypatch.setattr(stepper, "integrate_core", exhausted)
+        with pytest.raises(IntegrationError, match=r"step budget exhausted \(stiff regime\) at t=0.25"):
+            simulate_annual_prevalence(FIT_TRUTH, self.YEARS, 1999, 1e-4)
+
+    @pytest.mark.parametrize("i0", [0.0, 1.0, -1.0, 2.0, float("nan"), float("inf")])
+    def test_fit_start_prevalence_must_lie_inside_the_unit_interval(self, i0):
+        with pytest.raises(ConfigError, match=r"i0 must be finite and in \(0, 1\)"):
+            FitOptions(initial_prevalence=i0)
