@@ -1,4 +1,4 @@
-"""Endemic equilibria: perturbative localization and fixed-point refinement.
+"""Endemic equilibria: perturbative localization and root refinement.
 
 At an endemic steady state the susceptible profile solves a linear system in
 the prevalence ``x`` whose solution is one prefix product of tier ratios, so
@@ -8,10 +8,12 @@ any number of tiers.  With the waning rate set to zero that transmission
 function has an explicit rational form whose numerator is a monic quadratic
 ``Q(x) = x^2 + a x + b``; for small waning rates the true prevalence is
 trapped in intervals of width ``O(sqrt(delta))`` around the roots of ``Q``,
-and a contractive fixed-point iteration pins it down inside the certified
-interval.  For waning rates beyond the contraction certificate the module
-scans the condition on a grid over ``[0, 1]``, refines every sign change
-with Brent's method, and reports the result as uncertified.
+and under the contraction certificate the sign analysis of ``Q`` decides
+whether an equilibrium exists and is unique.  The root itself is always
+found the same way: the condition is scanned on a grid over ``[0, 1]`` and
+every sign change is refined with Brent's method.  A root is labelled
+certified only when the certificate holds, the localization says it is
+unique and the scan finds exactly one.
 """
 
 from __future__ import annotations
@@ -46,11 +48,7 @@ __all__ = [
     "perturbation_norms",
 ]
 
-FIXED_POINT_TOL = 1e-13
-MAX_FIXED_POINT_ITERATIONS = 200
 BISECTION_GRID = 256
-# relative equilibrium residual per tier that counts as rounding noise
-ROUNDING_RESIDUAL = 64 * np.finfo(float).eps
 
 
 class NoEndemicEquilibriumError(ValueError):
@@ -58,7 +56,8 @@ class NoEndemicEquilibriumError(ValueError):
 
 
 class RefinementError(RuntimeError):
-    """The certified fixed-point refinement could not be completed."""
+    """The endemic root could not be computed: the uniqueness certificate
+    failed, or Brent's method failed on a sign-change bracket."""
 
 
 class SingularBlockError(ArithmeticError):
@@ -315,10 +314,11 @@ class EndemicSolution:
 
     ``residual`` is the defect in the scalar equilibrium identity
     ``beta . S* = r + mu``; ``certification`` is ``"certified-contraction"``
-    when the Banach iteration ran under a verified certificate and
-    ``"numeric-uncertified"`` for the large-waning grid-scan fallback.
-    ``iterations`` counts fixed-point steps on the certified path and Brent
-    iterations summed over all sign-change brackets on the fallback path.
+    when the contraction certificate holds, the localization says the
+    equilibrium is unique and the grid scan found exactly one root (a sign
+    change proves it exists), and ``"numeric-uncertified"`` otherwise.
+    ``iterations`` counts Brent iterations summed over all sign-change
+    brackets; ``candidates`` is the number of positive roots found.
     """
 
     i_star: float
@@ -341,13 +341,7 @@ class EndemicSolution:
         }
 
 
-def _residual_at_rounding_level(config: ModelConfig, prevalence: float) -> bool:
-    target = config.r + config.mu
-    residual = abs(equilibrium_transmission(config, prevalence) - target)
-    return residual <= ROUNDING_RESIDUAL * (config.n + 1) * target
-
-
-def _finish_solution(config, i_star, iterations, certification, candidates=1) -> EndemicSolution:
+def _finish_solution(config, i_star, iterations, certification, candidates) -> EndemicSolution:
     s_star = solve_susceptible_block(config, i_star)
     if np.min(s_star) < -1e-12:
         raise RefinementError(f"negative susceptible component at prevalence {i_star}: {s_star}")
@@ -372,76 +366,63 @@ def refine_endemic(
 ) -> EndemicSolution:
     """Compute the endemic equilibrium.
 
-    Under a valid contraction certificate this runs the fixed-point iteration
-    ``u <- G(u)`` started at the localized root; the contraction factor is
-    ``O(delta^{1/3})`` so convergence is fast.  Non-convergence under a valid
-    certificate is reported as :class:`RefinementError`, never silently
-    handed to the fallback.  When the certificate fails (large waning rate)
-    the equilibrium condition is scanned on a grid of ``BISECTION_GRID``
-    cells over ``[0, 1]``, every sign change is refined by Brent's method,
-    the largest positive root is returned, and the result is flagged
-    ``"numeric-uncertified"``.
+    Where the contraction certificate holds the localization decides first:
+    ``"none"`` raises :class:`NoEndemicEquilibriumError` and
+    ``"indeterminate"`` raises :class:`RefinementError`.  Every other
+    configuration takes one search: the equilibrium condition
+    ``r + mu - beta . S(x)`` is sampled on ``BISECTION_GRID`` cells over
+    ``[0, 1]``, every sign change is refined by Brent's method, and the
+    largest positive root is returned.  The result is
+    ``"certified-contraction"`` when the certificate holds, the localization
+    says the root is unique and the scan finds exactly one root, and
+    ``"numeric-uncertified"`` otherwise.
 
     Raises:
         NoEndemicEquilibriumError: when the localization says no equilibrium
             exists (certified regime) or the grid scan finds no sign change.
-        RefinementError: root-separation violation or non-convergence.
+        RefinementError: root-separation violation, or Brent's method failed
+            on a bracket.
     """
     loc = localization if localization is not None else localize_endemic(config)
 
-    if not loc.validity:
-        return _grid_fallback(config)
-
-    if loc.exists == "none":
+    if loc.validity and loc.exists == "none":
         raise NoEndemicEquilibriumError(
             f"no endemic equilibrium in the certified small-waning regime (margin {loc.margin:g})"
         )
-    if loc.exists == "indeterminate":
+    if loc.validity and loc.exists == "indeterminate":
         raise RefinementError(
             "roots too close for the uniqueness certificate "
             f"(separation below delta^(1/3) = {config.delta ** (1 / 3):g})"
         )
 
-    beta0, beta_n = float(config.beta[0]), float(config.beta[-1])
-    mu, r, omega_n = config.mu, config.r, config.omega_n
+    def g(x):
+        return config.r + config.mu - equilibrium_transmission(config, x)
 
-    if beta0 > 0.0:
-        y_other, y = loc.roots
-
-        def step(x: float) -> float:
-            num = (beta0 * x + mu) * (beta_n * x + mu + omega_n)
-            diff = equilibrium_transmission(config, x) - equilibrium_transmission_no_waning(config, x)
-            return num / (beta0 * beta_n * mu * (x - y_other)) * diff
-
-    else:
-        y = loc.roots[0]
-        if not 0.0 <= y <= 1.0:
-            raise NoEndemicEquilibriumError("linear-case root fell outside [0, 1]")
-
-        def step(x: float) -> float:
-            diff = equilibrium_transmission(config, x) - equilibrium_transmission_no_waning(config, x)
-            return (beta_n * x + mu + omega_n) * diff / (beta_n * (r + mu))
-
-    # Under the certificate the gaps shrink; one that does not is rounding
-    # noise, and the point ends the loop only if it solves the equilibrium
-    # condition to rounding level.
-    u, gap = 0.0, math.inf
-    for iteration in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
-        u_new = step(y + u)
-        gap, last_gap = abs(u_new - u), gap
-        u = u_new
-        if gap < FIXED_POINT_TOL or (gap >= last_gap and _residual_at_rounding_level(config, y + u)):
-            break
-    else:
-        raise RefinementError(
-            f"fixed-point iteration did not converge in {MAX_FIXED_POINT_ITERATIONS} iterations; "
-            "the waning rate is too large for the contraction"
-        )
-
-    i_star = y + u
-    if not 0.0 < i_star <= 1.0:
-        raise RefinementError(f"refined prevalence {i_star!r} left the unit interval")
-    return _finish_solution(config, i_star, iteration, "certified-contraction")
+    grid = np.linspace(0.0, 1.0, BISECTION_GRID + 1)
+    values = g(grid)
+    # g(1) = mu * sum(S(1)) >= 0 exactly, so a value rounded below 0 is a root at 1
+    values[-1] = max(values[-1], 0.0)
+    # one bisection per halving of a grid cell down to the smallest double
+    maxiter = round(-math.log2(math.ulp(0.0)) - math.log2(BISECTION_GRID))
+    roots = []
+    total_iterations = 0
+    for lo, hi in sign_change_brackets(grid, values):
+        if lo == hi:
+            roots.append(lo)
+            continue
+        try:
+            # a vanishing xtol leaves the default rtol (4 eps) to end the search
+            root, info = brentq(g, lo, hi, xtol=1e-300, maxiter=maxiter, full_output=True)
+        except (ValueError, RuntimeError) as exc:
+            raise RefinementError(f"Brent's method failed on the bracket [{lo!r}, {hi!r}]: {exc}") from exc
+        roots.append(root)
+        total_iterations += info.iterations
+    roots = [x for x in roots if x > 0.0]
+    if not roots:
+        raise NoEndemicEquilibriumError("no sign change of the equilibrium condition on (0, 1]")
+    certified = loc.validity and loc.exists == "unique" and len(roots) == 1
+    label = "certified-contraction" if certified else "numeric-uncertified"
+    return _finish_solution(config, max(roots), total_iterations, label, len(roots))
 
 
 def sign_change_brackets(grid, values) -> list:
@@ -457,30 +438,6 @@ def sign_change_brackets(grid, values) -> list:
     change = (negative[:-1] != negative[1:]) & ~zero[:-1] & ~zero[1:]
     cells = [(j, j) for j in np.flatnonzero(zero)] + [(j, j + 1) for j in np.flatnonzero(change)]
     return [(float(grid[a]), float(grid[b])) for a, b in sorted(cells)]
-
-
-def _grid_fallback(config: ModelConfig) -> EndemicSolution:
-    """Grid scan of the equilibrium condition over [0, 1], refined by Brent's
-    method on every sign change; the largest positive root is returned."""
-
-    def g(x):
-        return config.r + config.mu - equilibrium_transmission(config, x)
-
-    grid = np.linspace(0.0, 1.0, BISECTION_GRID + 1)
-    roots = []
-    total_iterations = 0
-    for lo, hi in sign_change_brackets(grid, g(grid)):
-        if lo == hi:
-            roots.append(lo)
-            continue
-        # a vanishing xtol leaves the default rtol (4 eps) to end the search
-        root, info = brentq(g, lo, hi, xtol=1e-300, full_output=True)
-        roots.append(root)
-        total_iterations += info.iterations
-    roots = [x for x in roots if x > 0.0]
-    if not roots:
-        raise NoEndemicEquilibriumError("no sign change of the equilibrium condition on (0, 1]")
-    return _finish_solution(config, max(roots), total_iterations, "numeric-uncertified", len(roots))
 
 
 @dataclass(frozen=True)

@@ -189,15 +189,42 @@ class TestAnalyze:
         assert data["dfe_stability"]["classification"] == "asymptotically_stable"
         assert data["consistency"]["consistent"]
 
-    @pytest.mark.parametrize("delta", [0.2, 0.0])
-    def test_vanishing_birth_rate_is_reported(self, tmp_path, capsys, pertussis, delta):
+    @pytest.mark.parametrize("config, expected", [
+        ({"delta": 0.2}, None),
+        ({"delta": 0.0}, None),
+        # the no-waning condition reduces to x^2 + 1.036 x - 0.964 = 0
+        (build_general(3, (1e-300, 1e-300, 1e-12, 1e-12), 0.0, 1e-300, 1e-300, 1e-12, (0.0, 0.066, 0.834, 0.036)),
+         0.5921008963152855),
+        (build_general(1, (1e-12, 13.80), 0.0, 1e-300, 1e-300, 0.0, (0.0, 0.248)), 1.0),
+        # Brent's method needs more than 100 iterations on the bracket at 0
+        (build_general(4, (0.001155515437346742, 0.01838831675173134, 12.727612456653722, 17.264982046268692,
+                           968.2152064133929), 1000.0, 1e-300, 1e-300, 17.0, (0.0, 0.158, 0.066, 0.084, 0.894)),
+         1.0),
+        # the condition at prevalence 1 rounds below 0, where it is >= 0 exactly
+        (build_general(3, (0.017670407866605457, 0.024934869212355652, 0.71253018222773, 1.3292926338282425),
+                       0.0, 1e-300, 1e-300, 0.02, (0.0, 0.658, 0.778, 0.637)),
+         1.0),
+        # the condition is rounding noise on (0, 1]: a bracket's signs need not
+        # survive its re-evaluation, and the failure is reported, not raised
+        (build_general(1, (718.230197215631, 1412.97883069321), 0.001, 1e-300, 1000.0, 1e-300, (0.0, 0.466)),
+         "Brent's method failed on the bracket ["),
+    ], ids=["0.2", "0.0", "underflowing-products", "tiny-beta0", "long-brent-search", "root-at-one",
+            "noise-bracket"])
+    def test_vanishing_birth_rate_is_reported(self, tmp_path, capsys, pertussis, config, expected):
         # mu**3 underflows to 0, and the eigenvalue -mu sits in the marginal band
+        if isinstance(config, dict):
+            config = pertussis.replace(mu=1e-300, **config)
         path = tmp_path / "tiny_mu.json"
-        path.write_text(config_to_json(pertussis.replace(mu=1e-300, delta=delta)))
+        path.write_text(config_to_json(config))
         assert main(["analyze", "--config", str(path)]) == 0
         data = json.loads(capsys.readouterr().out)["data"]
         assert data["localization"]["hat_c"] is None  # infinite
-        assert data["endemic"] is None
+        if expected is None:
+            assert data["endemic"] is None
+        elif isinstance(expected, str):
+            assert data["endemic"] is not None or data["endemic_error"].startswith(expected)
+        else:
+            assert data["endemic"]["i_star"] == pytest.approx(expected, rel=1e-12)
         assert not data["consistency"]["checked"]
 
     def test_inconsistent_report_exits_4_before_writing(self, endemic_config_path, tmp_path, capsys, monkeypatch):

@@ -313,8 +313,8 @@ class TestRefine:
             assert np.all(sol.s_star >= 0)
 
     def test_rounding_level_two_cycle_is_accepted(self):
-        # pertussis-scale rates under a valid certificate: the fixed-point gaps
-        # stop shrinking at ~1e-13, just above FIXED_POINT_TOL, in a 2-cycle
+        # pertussis-scale rates under a valid certificate, where the rounding
+        # noise of the equilibrium condition is about 1e-13 in prevalence
         cfg = build_general(
             4,
             (47.91068635947344, 58.26298704242893, 61.77673101565805, 167.93631386184282, 278.7321769996347),
