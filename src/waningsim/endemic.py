@@ -13,7 +13,8 @@ whether an equilibrium exists and is unique.  The root itself is always
 found the same way: the condition is scanned on a grid over ``[0, 1]`` and
 every sign change is refined with Brent's method.  A root is labelled
 certified only when the certificate holds, the localization says it is
-unique and the scan finds exactly one.
+unique, the scan finds exactly one and it lies within one grid cell of a
+localization interval.
 """
 
 from __future__ import annotations
@@ -268,7 +269,8 @@ def localize_endemic(config: ModelConfig) -> LocalizationResult:
     For positive ``beta[0]`` the intervals are centered at the roots of the
     no-waning quadratic with half-width ``sqrt(2*delta*hat_c)``; for
     ``beta[0] == 0`` the prevalence equation is linear and the width is
-    linear in ``delta``.
+    linear in ``delta``.  With no waning (``delta == 0``) the width is 0,
+    also where ``hat_c`` is infinite.
     """
     beta0 = float(config.beta[0])
     margin = existence_margin(config)
@@ -278,14 +280,14 @@ def localize_endemic(config: ModelConfig) -> LocalizationResult:
     if beta0 > 0.0:
         quad = prevalence_quadratic(config)
         hat_c = _interval_constant(config)
-        half = math.sqrt(2.0 * delta * hat_c)
+        half = math.sqrt(2.0 * delta * hat_c) if delta else 0.0
         roots = (quad.y1, quad.y2)
         if not quad.real:
             return LocalizationResult((), half, hat_c, "none", validity, roots, margin)
     else:
         beta_n, mu, omega_n = float(config.beta[-1]), config.mu, config.omega_n
         hat_c = 4.0 * (config.n + 1) ** 1.5 * (beta_n + mu + omega_n) / mu**2 if mu**2 else math.inf
-        half = hat_c * delta
+        half = hat_c * delta if delta else 0.0
         # with beta_n == 0 as well no tier transmits: the equation has no root
         root = (mu * beta_n - (config.r + mu) * (omega_n + mu)) / (beta_n * (config.r + mu)) if beta_n else None
         roots = (root, None)
@@ -316,7 +318,8 @@ class EndemicSolution:
     ``beta . S* = r + mu``; ``certification`` is ``"certified-contraction"``
     when the contraction certificate holds, the localization says the
     equilibrium is unique and the grid scan found exactly one root (a sign
-    change proves it exists), and ``"numeric-uncertified"`` otherwise.
+    change proves it exists) within one grid cell of a localization
+    interval, and ``"numeric-uncertified"`` otherwise.
     ``iterations`` counts Brent iterations summed over all sign-change
     brackets; ``candidates`` is the number of positive roots found.
     """
@@ -374,8 +377,10 @@ def refine_endemic(
     ``[0, 1]``, every sign change is refined by Brent's method, and the
     largest positive root is returned.  The result is
     ``"certified-contraction"`` when the certificate holds, the localization
-    says the root is unique and the scan finds exactly one root, and
-    ``"numeric-uncertified"`` otherwise.
+    says the root is unique and the scan finds exactly one root, within one
+    grid cell of a localization interval, and ``"numeric-uncertified"``
+    otherwise.  Brent's method stops at the default relative tolerance
+    (4 eps) at any normal root, however small.
 
     Raises:
         NoEndemicEquilibriumError: when the localization says no equilibrium
@@ -400,10 +405,16 @@ def refine_endemic(
 
     grid = np.linspace(0.0, 1.0, BISECTION_GRID + 1)
     values = g(grid)
-    # g(1) = mu * sum(S(1)) >= 0 exactly, so a value rounded below 0 is a root at 1
-    values[-1] = max(values[-1], 0.0)
-    # one bisection per halving of a grid cell down to the smallest double
-    maxiter = round(-math.log2(math.ulp(0.0)) - math.log2(BISECTION_GRID))
+    # g(1) = mu * sum(S(1)) >= 0 exactly, so a value rounded below 0 is a root
+    # at 1, unless the last cell already brackets a sign change
+    if values[-2] < 0.0:
+        values[-1] = max(values[-1], 0.0)
+    # xtol is the smallest tolerance whose half is not 0, so the default rtol
+    # (4 eps) ends the search at any normal root however small; Brent (1973,
+    # ch. 4) bounds the search by about the square of the bisection count from
+    # one grid cell down to that tolerance
+    xtol = 2.0 * math.ulp(0.0)
+    maxiter = (round(-math.log2(xtol) - math.log2(BISECTION_GRID)) + 1) ** 2
     roots = []
     total_iterations = 0
     for lo, hi in sign_change_brackets(grid, values):
@@ -411,8 +422,7 @@ def refine_endemic(
             roots.append(lo)
             continue
         try:
-            # a vanishing xtol leaves the default rtol (4 eps) to end the search
-            root, info = brentq(g, lo, hi, xtol=1e-300, maxiter=maxiter, full_output=True)
+            root, info = brentq(g, lo, hi, xtol=xtol, maxiter=maxiter, full_output=True)
         except (ValueError, RuntimeError) as exc:
             raise RefinementError(f"Brent's method failed on the bracket [{lo!r}, {hi!r}]: {exc}") from exc
         roots.append(root)
@@ -420,7 +430,15 @@ def refine_endemic(
     roots = [x for x in roots if x > 0.0]
     if not roots:
         raise NoEndemicEquilibriumError("no sign change of the equilibrium condition on (0, 1]")
-    certified = loc.validity and loc.exists == "unique" and len(roots) == 1
+    # the root must also lie within one grid cell of a localization interval
+    # (at delta = 0 an interval is a single point, met only up to rounding)
+    cell = 1.0 / BISECTION_GRID
+    certified = (
+        loc.validity
+        and loc.exists == "unique"
+        and len(roots) == 1
+        and any(a - cell <= roots[0] <= b + cell for a, b in loc.intervals)
+    )
     label = "certified-contraction" if certified else "numeric-uncertified"
     return _finish_solution(config, max(roots), total_iterations, label, len(roots))
 

@@ -189,42 +189,49 @@ class TestAnalyze:
         assert data["dfe_stability"]["classification"] == "asymptotically_stable"
         assert data["consistency"]["consistent"]
 
-    @pytest.mark.parametrize("config, expected", [
-        ({"delta": 0.2}, None),
-        ({"delta": 0.0}, None),
-        # the no-waning condition reduces to x^2 + 1.036 x - 0.964 = 0
-        (build_general(3, (1e-300, 1e-300, 1e-12, 1e-12), 0.0, 1e-300, 1e-300, 1e-12, (0.0, 0.066, 0.834, 0.036)),
-         0.5921008963152855),
-        (build_general(1, (1e-12, 13.80), 0.0, 1e-300, 1e-300, 0.0, (0.0, 0.248)), 1.0),
+    @pytest.mark.parametrize("fields, expected", [
+        ({"delta": 0.2}, (None, None, "susceptible block is numerically singular at prevalence 0.0")),
+        ({"delta": 0.0}, (None, None, None)),
+        # the no-waning condition reduces to x^2 + 1.036 x - 0.964 = 0, but the
+        # localization's subnormal products put its roots at (-0.518, 1.861)
+        (dict(n=3, beta=(1e-300, 1e-300, 1e-12, 1e-12), delta=0.0, r=1e-300, omega=1e-12, p=(0.0, 0.066, 0.834, 0.036)),
+         (pytest.approx(0.5921008963152855, rel=1e-12, abs=0.0), "numeric-uncertified", None)),
+        (dict(n=1, beta=(1e-12, 13.80), delta=0.0, r=1e-300, omega=0.0, p=(0.0, 0.248)),
+         (1.0, "certified-contraction", None)),
+        # roots far below 1e-285, found to the relative tolerance, not an absolute one
+        (dict(n=1, beta=(0.0, 0.09468161530643912), delta=0.0, r=0.012349673970336606, omega=0.0, p=(0.0, 0.878)),
+         (pytest.approx(7.041208505847825e-299, rel=1e-12, abs=0.0), "certified-contraction", None)),
+        (dict(n=1, beta=(1e-300, 309.58707489458175), delta=0.0, r=1.341042845006398, omega=0.0, p=(0.0, 0.008)),
+         (pytest.approx(7.424582213246018e-301, rel=1e-12, abs=0.0), "certified-contraction", None)),
         # Brent's method needs more than 100 iterations on the bracket at 0
-        (build_general(4, (0.001155515437346742, 0.01838831675173134, 12.727612456653722, 17.264982046268692,
-                           968.2152064133929), 1000.0, 1e-300, 1e-300, 17.0, (0.0, 0.158, 0.066, 0.084, 0.894)),
-         1.0),
+        (dict(n=4, beta=(0.001155515437346742, 0.01838831675173134, 12.727612456653722, 17.264982046268692,
+                         968.2152064133929), delta=1000.0, r=1e-300, omega=17.0, p=(0.0, 0.158, 0.066, 0.084, 0.894)),
+         (1.0, "numeric-uncertified", None)),
         # the condition at prevalence 1 rounds below 0, where it is >= 0 exactly
-        (build_general(3, (0.017670407866605457, 0.024934869212355652, 0.71253018222773, 1.3292926338282425),
-                       0.0, 1e-300, 1e-300, 0.02, (0.0, 0.658, 0.778, 0.637)),
-         1.0),
-        # the condition is rounding noise on (0, 1]: a bracket's signs need not
+        (dict(n=3, beta=(0.017670407866605457, 0.024934869212355652, 0.71253018222773, 1.3292926338282425),
+              delta=0.0, r=1e-300, omega=0.02, p=(0.0, 0.658, 0.778, 0.637)),
+         (1.0, "certified-contraction", None)),
+        # there the rounding noise of the condition crosses 0 in the last cell,
+        # and that root, not 1, solves the condition to the stale-residual bound
+        (dict(n=4, beta=(0.0, 1e-300, 1e-12, 0.006173893931142045, 0.2200220751333211), delta=0.003222199039327274,
+              r=0.0037258554729891567, omega=63.641113389198146, p=(0.0, 0.236, 0.62, 0.041, 0.772)),
+         (pytest.approx(0.997012561665431, rel=1e-12, abs=0.0), "numeric-uncertified", None)),
+        # the condition is rounding noise on (0, 1]: a bracket's signs do not
         # survive its re-evaluation, and the failure is reported, not raised
-        (build_general(1, (718.230197215631, 1412.97883069321), 0.001, 1e-300, 1000.0, 1e-300, (0.0, 0.466)),
-         "Brent's method failed on the bracket ["),
-    ], ids=["0.2", "0.0", "underflowing-products", "tiny-beta0", "long-brent-search", "root-at-one",
-            "noise-bracket"])
-    def test_vanishing_birth_rate_is_reported(self, tmp_path, capsys, pertussis, config, expected):
+        (dict(n=1, beta=(718.230197215631, 1412.97883069321), delta=0.001, r=1000.0, omega=1e-300, p=(0.0, 0.466)),
+         (None, None, "Brent's method failed on the bracket [0.70703125, 0.7109375]: "
+                      "f(a) and f(b) must have different signs")),
+    ], ids=["0.2", "0.0", "underflowing-products", "tiny-beta0", "linear-root-near-zero", "quadratic-root-near-zero",
+            "long-brent-search", "root-at-one", "noise-crossing-in-last-cell", "noise-bracket"])
+    def test_vanishing_birth_rate_is_reported(self, tmp_path, capsys, pertussis, fields, expected):
         # mu**3 underflows to 0, and the eigenvalue -mu sits in the marginal band
-        if isinstance(config, dict):
-            config = pertussis.replace(mu=1e-300, **config)
         path = tmp_path / "tiny_mu.json"
-        path.write_text(config_to_json(config))
+        path.write_text(config_to_json(pertussis.replace(mu=1e-300, **fields)))
         assert main(["analyze", "--config", str(path)]) == 0
         data = json.loads(capsys.readouterr().out)["data"]
         assert data["localization"]["hat_c"] is None  # infinite
-        if expected is None:
-            assert data["endemic"] is None
-        elif isinstance(expected, str):
-            assert data["endemic"] is not None or data["endemic_error"].startswith(expected)
-        else:
-            assert data["endemic"]["i_star"] == pytest.approx(expected, rel=1e-12)
+        endemic = data["endemic"] or {}
+        assert (endemic.get("i_star"), endemic.get("certification"), data["endemic_error"]) == expected
         assert not data["consistency"]["checked"]
 
     def test_inconsistent_report_exits_4_before_writing(self, endemic_config_path, tmp_path, capsys, monkeypatch):
