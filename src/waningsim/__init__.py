@@ -3,7 +3,7 @@
 Subpackages cover configuration and the ODE right-hand side (:mod:`.model`),
 disease-free equilibria and reproduction numbers (:mod:`.dfe`), perturbative
 endemic-equilibrium localization and refinement (:mod:`.endemic`), Jacobian
-spectra and certificates (:mod:`.stability`), time integration
+spectra and stability verdicts (:mod:`.stability`), time integration
 (:mod:`.dynamics`), parameter sweeps / bifurcation detection / fitting
 (:mod:`.scanfit`), and a file-based CLI (:mod:`.cli`).
 

@@ -4,8 +4,8 @@ The susceptible block of the model linearizes (at a fixed infection level)
 to a lower-bidiagonal matrix plus a dense first row carrying the vaccination
 return flows.  One prefix product of tier ratios solves the bidiagonal part
 and gives the determinant (by the matrix determinant lemma) and the
-disease-free equilibrium in closed form at any number of tiers, alongside
-an independent dense-solve path used as a trust anchor in the tests.
+disease-free equilibrium in closed form at any number of tiers.  An
+independent dense solve is the ``dfe`` command's explicit check of that form.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "R0Report",
     "susceptible_block_matrix",
     "tier_weights",
-    "matrix_determinant",
     "solve_dfe_closed_form",
     "solve_dfe_numeric",
     "basic_reproduction_number",
@@ -76,21 +75,10 @@ def _finite_or_nan(value: float) -> float:
 
 
 def _determinant(config: ModelConfig, ad: np.ndarray, w: np.ndarray) -> float:
+    """Determinant of the block: the bidiagonal factor's diagonal product times
+    the rank-one update's ``1 - omega . w`` (matrix determinant lemma)."""
     correction = math.fsum([1.0] + (-config.omega_i * w).tolist())
     return _finite_or_nan(math.prod((-ad).tolist()) * correction)
-
-
-def matrix_determinant(config: ModelConfig, prevalence: float = 0.0) -> float:
-    """Closed-form determinant of :func:`susceptible_block_matrix`.
-
-    Splitting off the first-row vaccination entries leaves a lower-bidiagonal
-    factor, and the rank-one update contributes ``1 - omega . w`` with the
-    :func:`tier_weights` ``w``.  The result is nonzero for every valid
-    configuration, so the matrix is always invertible; it is NaN where
-    ``prod_k d_k`` leaves the double range.
-    """
-    ad, w = tier_weights(config, prevalence)
-    return _determinant(config, ad, w)
 
 
 @dataclass(frozen=True)
@@ -132,7 +120,7 @@ def solve_dfe_closed_form(config: ModelConfig) -> DfeSolution:
 
 
 def solve_dfe_numeric(config: ModelConfig) -> DfeSolution:
-    """Disease-free equilibrium by dense LU solve (oracle path).
+    """Disease-free equilibrium by dense LU solve, the ``dfe`` command's check.
 
     One iterative-refinement step with an extended-precision residual keeps
     the forward error near machine level even for poorly scaled rate

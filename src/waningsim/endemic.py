@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .dfe import susceptible_block_matrix, tier_weights
+from .dfe import tier_weights
 from .model import ModelConfig, vector_field
 
 __all__ = [
@@ -36,17 +36,13 @@ __all__ = [
     "PrevalenceQuadratic",
     "LocalizationResult",
     "EndemicSolution",
-    "PerturbationDiagnostics",
     "solve_susceptible_block",
     "equilibrium_transmission",
-    "equilibrium_transmission_no_waning",
     "prevalence_quadratic",
-    "prevalence_linear_root",
     "existence_margin",
     "localize_endemic",
     "refine_endemic",
     "sign_change_brackets",
-    "perturbation_norms",
 ]
 
 BISECTION_GRID = 256
@@ -115,20 +111,6 @@ def equilibrium_transmission(config: ModelConfig, prevalence):
     return c * (w @ config.beta) + births * config.beta[-1]
 
 
-def equilibrium_transmission_no_waning(config: ModelConfig, prevalence: float) -> float:
-    """Closed form of :func:`equilibrium_transmission` for zero waning rate.
-
-    With no waning the interior tiers are empty at equilibrium and the
-    transmission sum collapses to three rational terms in the prevalence.
-    """
-    beta0, beta_n = float(config.beta[0]), float(config.beta[-1])
-    mu, r, omega_n = config.mu, config.r, config.omega_n
-    x = float(prevalence)
-    d0 = beta0 * x + mu
-    dn = beta_n * x + mu + omega_n
-    return beta0 * mu * omega_n / (d0 * dn) + beta0 * r * x / d0 + beta_n * mu / dn
-
-
 def existence_margin(config: ModelConfig) -> float:
     """Positive iff a unique endemic equilibrium exists in the small-waning
     regime: ``beta0*omega_n + beta_n*mu - (omega_n + mu)(mu + r)``."""
@@ -161,11 +143,12 @@ def prevalence_quadratic(config: ModelConfig) -> PrevalenceQuadratic:
     coefficients stay finite; ``a`` and ``b`` may then be infinite.
 
     Raises:
-        ValueError: when ``beta[0] == 0``; use :func:`prevalence_linear_root`.
+        ValueError: when ``beta[0] == 0``; :func:`localize_endemic` then
+            solves the linear prevalence equation.
     """
     beta0, beta_n = float(config.beta[0]), float(config.beta[-1])
     if beta0 == 0.0:
-        raise ValueError("prevalence polynomial is linear when beta[0] == 0; use prevalence_linear_root")
+        raise ValueError("prevalence polynomial is linear when beta[0] == 0; use localize_endemic")
     mu, r, omega_n = config.mu, config.r, config.omega_n
     margin = existence_margin(config)
     lead, disc = 1.0, math.nan
@@ -187,20 +170,6 @@ def prevalence_quadratic(config: ModelConfig) -> PrevalenceQuadratic:
     q = -(a + math.copysign(sq, a)) / 2.0
     roots = sorted((q / lead, b / q)) if q != 0.0 else sorted((0.0, -a / lead))
     return PrevalenceQuadratic(a=a / lead, b=b / lead, real=True, y1=float(roots[0]), y2=float(roots[1]))
-
-
-def prevalence_linear_root(config: ModelConfig) -> float | None:
-    """Root of the degenerate (``beta[0] == 0``) linear prevalence equation.
-
-    Returns the root when it lies in ``[0, 1]`` (it does exactly when
-    ``beta_n * mu >= (r + mu)(omega_n + mu)``, with the boundary case landing
-    on 0), otherwise ``None``; also ``None`` when ``beta_n == 0``, where the
-    equation has no root.
-    """
-    if float(config.beta[0]) != 0.0:
-        raise ValueError("linear case requires beta[0] == 0")
-    root = localize_endemic(config).roots[0]
-    return root if root is not None and 0.0 <= root <= 1.0 else None
 
 
 @dataclass(frozen=True)
@@ -288,8 +257,9 @@ def localize_endemic(config: ModelConfig) -> LocalizationResult:
         beta_n, mu, omega_n = float(config.beta[-1]), config.mu, config.omega_n
         hat_c = 4.0 * (config.n + 1) ** 1.5 * (beta_n + mu + omega_n) / mu**2 if mu**2 else math.inf
         half = hat_c * delta if delta else 0.0
-        # with beta_n == 0 as well no tier transmits: the equation has no root
-        root = (mu * beta_n - (config.r + mu) * (omega_n + mu)) / (beta_n * (config.r + mu)) if beta_n else None
+        # with beta_n == 0 as well no tier transmits: the equation has no root;
+        # two quotients, since the product beta_n * (r + mu) can underflow
+        root = mu / (config.r + mu) - (omega_n + mu) / beta_n if beta_n else None
         roots = (root, None)
 
     intervals = []
@@ -456,73 +426,3 @@ def sign_change_brackets(grid, values) -> list:
     change = (negative[:-1] != negative[1:]) & ~zero[:-1] & ~zero[1:]
     cells = [(j, j) for j in np.flatnonzero(zero)] + [(j, j + 1) for j in np.flatnonzero(change)]
     return [(float(grid[a]), float(grid[b])) for a, b in sorted(cells)]
-
-
-@dataclass(frozen=True)
-class PerturbationDiagnostics:
-    """Computed operator norms next to their closed-form bounds."""
-
-    diff_norm: float
-    diff_bound: float
-    inverse_norm: float
-    inverse_bound: float
-    contraction_product: float
-    contraction_holds: bool
-
-
-def _no_waning_matrix(config: ModelConfig, prevalence: float) -> np.ndarray:
-    n = config.n
-    a = np.zeros((n + 1, n + 1))
-    np.fill_diagonal(a, -(config.omega_i + config.mu + config.beta * prevalence))
-    a[0, 1:] += config.omega_i[1:]
-    return a
-
-
-def _no_waning_inverse(config: ModelConfig, prevalence: float) -> np.ndarray:
-    """Explicit inverse of the no-waning block: diagonal reciprocals plus a
-    first row of vaccination couplings."""
-    d_hat = -(config.omega_i + config.mu + config.beta * prevalence)
-    inv = np.diag(1.0 / d_hat)
-    inv[0, 1:] = -config.omega_i[1:] / (d_hat[0] * d_hat[1:])
-    return inv
-
-
-def perturbation_norms(config: ModelConfig, prevalence: float) -> PerturbationDiagnostics:
-    """Spectral norms of the waning perturbation and of the no-waning inverse,
-    with the Schur-test bounds they must respect.
-
-    Raises:
-        RuntimeError: if a computed norm exceeds its bound (bug signal).
-    """
-    if not 0.0 <= prevalence <= 1.0:
-        raise ValueError(f"prevalence must lie in [0, 1], got {prevalence}")
-    a_delta = susceptible_block_matrix(config, prevalence)
-    a_zero = _no_waning_matrix(config, prevalence)
-    diff_norm = float(np.linalg.norm(a_delta - a_zero, 2))
-    diff_bound = 2.0 * config.delta
-    inverse_norm = float(np.linalg.norm(_no_waning_inverse(config, prevalence), 2))
-    inverse_bound = math.sqrt(config.n + 1) / (float(config.beta[0]) * prevalence + config.mu)
-    slack = 1.0 + 1e-12
-    if diff_norm > diff_bound * slack or inverse_norm > inverse_bound * slack:
-        raise RuntimeError(
-            f"perturbation norm exceeded its closed-form bound: "
-            f"{diff_norm} vs {diff_bound}, {inverse_norm} vs {inverse_bound}"
-        )
-    product = diff_bound * inverse_bound
-    return PerturbationDiagnostics(
-        diff_norm=diff_norm,
-        diff_bound=diff_bound,
-        inverse_norm=inverse_norm,
-        inverse_bound=inverse_bound,
-        contraction_product=product,
-        contraction_holds=product < 0.5,
-    )
-
-
-def transmission_gap_bound(config: ModelConfig, prevalence: float) -> float:
-    """Explicit bound on the waning-induced transmission gap
-    ``|F(x) - F_no_waning(x)|``:
-    ``4 (n+1)^{3/2} beta_n (r+mu) delta / (beta0 x + mu)^2``."""
-    beta0, beta_n = float(config.beta[0]), float(config.beta[-1])
-    n, mu, r = config.n, config.mu, config.r
-    return 4.0 * (n + 1) ** 1.5 * beta_n * (r + mu) * config.delta / (beta0 * prevalence + mu) ** 2

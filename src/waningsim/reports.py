@@ -22,7 +22,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import __version__, stepper
-from .dfe import basic_reproduction_number, solve_dfe_numeric
+from .dfe import basic_reproduction_number
 from .endemic import (
     NoEndemicEquilibriumError,
     RefinementError,
@@ -98,7 +98,6 @@ def analyze_config(config: ModelConfig) -> dict:
     """Full equilibrium and stability report for one configuration."""
     r0 = basic_reproduction_number(config)
     dfe = r0.dfe
-    numeric_gap = float(max(abs(a - b) for a, b in zip(dfe.s, solve_dfe_numeric(config).s)))
     loc = localize_endemic(config)
 
     endemic = None
@@ -117,7 +116,6 @@ def analyze_config(config: ModelConfig) -> dict:
         "config": config_to_dict(config),
         "r0": r0.to_dict(),
         "dfe": dfe.to_dict(),
-        "dfe_numeric_gap": numeric_gap,
         "dfe_stability": dfe_spectrum(config, dfe).to_dict(),
         "localization": loc.to_dict(),
         "endemic": endemic,

@@ -3,12 +3,11 @@
 At the disease-free equilibrium the Jacobian is block triangular, and
 :func:`dfe_spectrum` computes its spectrum from the blocks: the eigenvalues
 of the susceptible-block matrix plus the single scalar ``transmission -
-(r + mu)``.  The susceptible-block eigenvalues are certified to lie left of
-``-mu`` by a Gersgorin disc argument (column discs, since each column holds
-exactly one waning outflow and one vaccination return).  Endemic points are
-classified by a dense eigensolve; with zero waning the interesting part of
-the spectrum reduces to an explicit quadratic that serves as an independent
-cross-check.
+(r + mu)``.  Every column Gersgorin disc of the susceptible block ends at
+``-mu``, so the spectral abscissa has the sign of that scalar.  Endemic
+points are classified by a dense eigensolve; with zero waning the
+interesting part of the spectrum reduces to an explicit quadratic that
+serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -17,27 +16,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dfe import DfeSolution, basic_reproduction_number, susceptible_block_matrix
+from .dfe import DfeSolution, susceptible_block_matrix
 from .endemic import EndemicSolution
 from .model import ModelConfig, StateVector
 
 __all__ = [
     "StaleSolutionError",
     "StabilityVerdict",
-    "GershgorinDisc",
     "jacobian",
     "dfe_spectrum",
-    "gershgorin_discs",
     "endemic_spectrum",
-    "characteristic_sign_report",
-    "CharacteristicSignReport",
 ]
 
 MARGINAL_BAND = 1e-10
 
 STALE_RESIDUAL = 1e-9
-
-MAX_CHARACTERISTIC_N = 6
 
 
 class StaleSolutionError(ValueError):
@@ -81,7 +74,6 @@ class StabilityVerdict:
     eigenvalues: np.ndarray
     max_real_part: float
     classification: str
-    gershgorin_certified: bool | None = None
     reduced_quadratic: tuple | None = field(default=None)
 
     def to_dict(self) -> dict:
@@ -89,7 +81,6 @@ class StabilityVerdict:
             "eigenvalues": [[float(z.real), float(z.imag)] for z in self.eigenvalues],
             "max_real_part": self.max_real_part,
             "classification": self.classification,
-            "gershgorin_certified": self.gershgorin_certified,
             "reduced_quadratic": list(self.reduced_quadratic) if self.reduced_quadratic else None,
         }
 
@@ -109,50 +100,19 @@ def _sorted_eigs(values: np.ndarray) -> np.ndarray:
 def dfe_spectrum(config: ModelConfig, dfe: DfeSolution) -> StabilityVerdict:
     """Spectrum and classification of the Jacobian at the disease-free
     equilibrium ``dfe``, from its block-triangular structure: the
-    susceptible-block eigenvalues, Gersgorin-certified to have real part at
-    most ``-mu``, plus the corner ``transmission_at_dfe - (r + mu)``.
+    susceptible-block eigenvalues plus the corner
+    ``transmission_at_dfe - (r + mu)``.
+
+    The susceptible-block eigenvalues have real part at most ``-mu``: column
+    ``i`` holds the diagonal ``-(omega_i + delta_i + mu)`` and the
+    off-diagonal entries ``delta_i`` (waning out) and ``omega_i`` (return to
+    ``S_0``), with ``omega_0 = delta_n = 0``, so every column Gersgorin disc
+    ends at ``-mu``.
     """
     corner = float(config.beta @ dfe.s) - config.r - config.mu
     eigs = _sorted_eigs(np.append(np.linalg.eigvals(susceptible_block_matrix(config)), corner))
-    certified, _ = gershgorin_discs(config)
     max_real = float(np.max(eigs.real))
-    return StabilityVerdict(
-        eigenvalues=eigs,
-        max_real_part=max_real,
-        classification=_classify(max_real),
-        gershgorin_certified=certified,
-    )
-
-
-@dataclass(frozen=True)
-class GershgorinDisc:
-    center: float
-    radius: float
-
-    @property
-    def rightmost(self) -> float:
-        return self.center + self.radius
-
-
-def gershgorin_discs(config: ModelConfig):
-    """Column Gersgorin discs of the susceptible-block matrix at zero
-    prevalence.
-
-    Disc ``i`` is centered at ``-(omega_i + delta_i + mu)`` with radius
-    ``omega_i + delta_i`` (conventions ``omega_0 = delta_n = 0``), so every
-    disc's rightmost point is ``-mu``: the certificate holds for the whole
-    model family.  Returns ``(certified, discs)``.
-    """
-    discs = [
-        GershgorinDisc(
-            center=-(config.omega_i[i] + config.delta_i[i] + config.mu),
-            radius=float(config.omega_i[i] + config.delta_i[i]),
-        )
-        for i in range(config.n + 1)
-    ]
-    tol = 1e-12 * (1.0 + config.mu + max(d.radius for d in discs))
-    certified = all(d.rightmost <= -config.mu + tol for d in discs)
-    return certified, discs
+    return StabilityVerdict(eigenvalues=eigs, max_real_part=max_real, classification=_classify(max_real))
 
 
 def _require_fresh(config: ModelConfig, solution: EndemicSolution) -> None:
@@ -195,69 +155,3 @@ def endemic_spectrum(config: ModelConfig, solution: EndemicSolution) -> Stabilit
         classification=_classify(max_real),
         reduced_quadratic=reduced,
     )
-
-
-@dataclass(frozen=True)
-class CharacteristicSignReport:
-    """Coefficients of the monic characteristic polynomial with their signs.
-
-    ``sign_changes`` counts sign alternations across consecutive nonzero
-    coefficients; any change flags a potential positive real eigenvalue.
-    """
-
-    coefficients: np.ndarray
-    signs: list
-    sign_changes: int
-
-    @property
-    def has_sign_change(self) -> bool:
-        return self.sign_changes > 0
-
-
-def characteristic_sign_report(config: ModelConfig, solution: EndemicSolution) -> CharacteristicSignReport:
-    """Expand det(zI - J) at the endemic point and report coefficient signs.
-
-    Uses the Faddeev-LeVerrier recursion (exact in rational arithmetic,
-    numerically adequate at the small sizes allowed here).
-
-    Raises:
-        ValueError: for ``n > MAX_CHARACTERISTIC_N``; the expansion is only
-            intended for small systems.
-    """
-    if config.n > MAX_CHARACTERISTIC_N:
-        raise ValueError(f"characteristic expansion limited to n <= {MAX_CHARACTERISTIC_N}, got n={config.n}")
-    _require_fresh(config, solution)
-    j = jacobian(config, np.concatenate([solution.s_star, [solution.i_star]]))
-    m = j.shape[0]
-    coeffs = np.empty(m + 1)
-    coeffs[0] = 1.0
-    work = np.array(j)
-    for k in range(1, m + 1):
-        c = -np.trace(work) / k
-        coeffs[k] = c
-        if k < m:
-            work = j @ (work + c * np.eye(m))
-
-    scale = float(np.max(np.abs(coeffs)))
-    signs = []
-    for c in coeffs:
-        if abs(c) < 1e-9 * scale:
-            signs.append(0)
-        else:
-            signs.append(1 if c > 0 else -1)
-    nonzero = [s for s in signs if s != 0]
-    changes = sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
-    return CharacteristicSignReport(coefficients=coeffs, signs=signs, sign_changes=changes)
-
-
-def dfe_matches_r0(config: ModelConfig) -> bool:
-    """Check the spectral classification against the reproduction-number
-    regime (marginal pairs with critical)."""
-    r0 = basic_reproduction_number(config)
-    classification = dfe_spectrum(config, r0.dfe).classification
-    pairing = {"stable": "asymptotically_stable", "unstable": "unstable", "critical": "marginal"}
-    if r0.regime == "critical":
-        # a critical reproduction number puts the corner eigenvalue inside the
-        # marginal band only when the band scales match; accept either verdict
-        return classification in ("marginal", "asymptotically_stable", "unstable")
-    return classification == pairing[r0.regime]

@@ -23,11 +23,9 @@ from waningsim.endemic import (
     NoEndemicEquilibriumError,
     contraction_precondition_holds,
     equilibrium_transmission,
-    equilibrium_transmission_no_waning,
     existence_margin,
     localize_endemic,
     refine_endemic,
-    transmission_gap_bound,
 )
 from waningsim.model import build_all_but_last, build_general, build_last_only, epidemic_start
 from waningsim.reports import analyze_config
@@ -40,9 +38,10 @@ from waningsim.scanfit import (
     simulate_annual_prevalence,
     substitute_parameter,
 )
-from waningsim.stability import dfe_spectrum, endemic_spectrum, gershgorin_discs
+from waningsim.stability import dfe_spectrum, endemic_spectrum
 
 from conftest import random_config
+from oracles import column_discs, equilibrium_transmission_no_waning, transmission_gap_bound
 
 
 def conclude(criterion: int, ok: bool, detail: str) -> None:
@@ -251,8 +250,10 @@ def test_criterion_6_stability_certificates():
     # Gersgorin membership over the full random corpus
     for _ in range(200):
         cfg = random_config(rng)
-        certified, _ = gershgorin_discs(cfg)
-        eigs = np.linalg.eigvals(susceptible_block_matrix(cfg))
+        a = susceptible_block_matrix(cfg)
+        centers, radii = column_discs(a)
+        certified = np.all(centers + radii <= -cfg.mu + 1e-12 * (1.0 + cfg.mu + radii.max()))
+        eigs = np.linalg.eigvals(a)
         if not certified or np.max(eigs.real) > -cfg.mu + 1e-10:
             failures.append(f"Gersgorin violation: max Re {np.max(eigs.real):.2e} vs -mu {-cfg.mu:.2e}")
             break

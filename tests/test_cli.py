@@ -142,7 +142,7 @@ class TestAnalyze:
         assert data["endemic"]["certification"] == "certified-contraction"
         assert data["endemic_stability"]["classification"] == "asymptotically_stable"
         assert data["consistency"]["checked"] and data["consistency"]["consistent"]
-        assert data["dfe_numeric_gap"] < 1e-10
+        assert max(abs(a - b) for a, b in zip(data["dfe"]["s"], dfe.solve_dfe_numeric(ENDEMIC_CFG).s)) < 1e-10
 
     def test_large_waning_uncertified_flagged(self, tmp_path, capsys):
         cfg = ENDEMIC_CFG.replace(delta=1.5)
@@ -221,8 +221,11 @@ class TestAnalyze:
         (dict(n=1, beta=(718.230197215631, 1412.97883069321), delta=0.001, r=1000.0, omega=1e-300, p=(0.0, 0.466)),
          (None, None, "Brent's method failed on the bracket [0.70703125, 0.7109375]: "
                       "f(a) and f(b) must have different signs")),
+        # the linear root's product beta_n * (r + mu) underflows to 0
+        (dict(n=1, beta=(0.0, 1e-300), delta=0.0, r=1e-300, omega=0.0, p=(0.0, 0.5)), (None, None, None)),
     ], ids=["0.2", "0.0", "underflowing-products", "tiny-beta0", "linear-root-near-zero", "quadratic-root-near-zero",
-            "long-brent-search", "root-at-one", "noise-crossing-in-last-cell", "noise-bracket"])
+            "long-brent-search", "root-at-one", "noise-crossing-in-last-cell", "noise-bracket",
+            "linear-root-product-underflows"])
     def test_vanishing_birth_rate_is_reported(self, tmp_path, capsys, pertussis, fields, expected):
         # mu**3 underflows to 0, and the eigenvalue -mu sits in the marginal band
         path = tmp_path / "tiny_mu.json"
@@ -287,14 +290,24 @@ class TestSmallCommands:
         assert data["regime"] == "stable"
         assert 0 < data["r0"] < 1
 
-    @pytest.mark.parametrize("command", ["dfe", "analyze"])
-    def test_singular_numeric_dfe_exits_2(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, code", [("dfe", 2), ("analyze", 0)], ids=["dfe", "analyze"])
+    def test_singular_numeric_dfe_exits_2(self, tmp_path, capsys, command, code):
+        # only the dense check in dfe solves the singular matrix; analyze
+        # reports the closed form, exact here
         path = tmp_path / "singular.json"
         path.write_text(config_to_json(build_general(1, (1.0, 2.0), 0.5, 1e-300, 1.0, 1.0, (0.0, 0.5))))
-        assert main([command, "--config", str(path)]) == 2
+        assert main([command, "--config", str(path)]) == code
         captured = capsys.readouterr()
-        assert captured.err == "error: susceptible block matrix is singular to working precision\n"
-        assert captured.out == ""
+        if command == "dfe":
+            assert captured.err == "error: susceptible block matrix is singular to working precision\n"
+            assert captured.out == ""
+            return
+        data = json.loads(captured.out)["data"]
+        assert data["r0"]["r0"] == 1.5
+        assert data["dfe"]["s"] == [0.5, 0.5]
+        assert data["endemic"] is None
+        assert data["endemic_error"] == "susceptible block is numerically singular at prevalence 0.0"
+        assert "dfe_numeric_gap" not in data
 
     @pytest.mark.parametrize("command", ["r0", "analyze"])
     def test_non_finite_threshold_exits_2(self, config_path, capsys, monkeypatch, command):

@@ -14,7 +14,6 @@ from waningsim.dfe import (
     NonFiniteThresholdError,
     basic_reproduction_number,
     last_only_transmission_threshold,
-    matrix_determinant,
     solve_dfe_closed_form,
     solve_dfe_numeric,
     susceptible_block_matrix,
@@ -22,6 +21,7 @@ from waningsim.dfe import (
 from waningsim.model import ConfigError, build_all_but_last, build_general, build_last_only
 
 from conftest import random_config
+from oracles import matrix_determinant
 
 
 class TestSusceptibleBlockMatrix:

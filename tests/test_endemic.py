@@ -13,19 +13,21 @@ from waningsim.endemic import (
     NoEndemicEquilibriumError,
     RefinementError,
     equilibrium_transmission,
-    equilibrium_transmission_no_waning,
     existence_margin,
     localize_endemic,
-    perturbation_norms,
-    prevalence_linear_root,
     prevalence_quadratic,
     refine_endemic,
     solve_susceptible_block,
-    transmission_gap_bound,
 )
 from waningsim.model import build_general, build_last_only, vector_field
 
 from conftest import random_config
+from oracles import (
+    equilibrium_transmission_no_waning,
+    perturbation_norms,
+    prevalence_linear_root,
+    transmission_gap_bound,
+)
 
 
 def bisect_no_waning_root(cfg, lo=0.0, hi=1.0, iters=80):
@@ -421,7 +423,7 @@ class TestPerturbationNorms:
     def test_difference_norm_below_schur_bound_power_iteration_oracle(self):
         rng = np.random.default_rng(16)
         from waningsim.dfe import susceptible_block_matrix
-        from waningsim.endemic import _no_waning_matrix
+        from oracles import _no_waning_matrix
 
         for _ in range(30):
             cfg = random_config(rng, n_range=(1, 8), rate_low=0.05, rate_high=20)
@@ -443,7 +445,7 @@ class TestPerturbationNorms:
 
     def test_explicit_inverse_is_correct_and_bounded(self):
         rng = np.random.default_rng(17)
-        from waningsim.endemic import _no_waning_inverse, _no_waning_matrix
+        from oracles import _no_waning_inverse, _no_waning_matrix
 
         for _ in range(30):
             cfg = random_config(rng, n_range=(1, 8), rate_low=0.05, rate_high=20)

@@ -13,15 +13,13 @@ from waningsim.model import build_all_but_last, build_general, vector_field
 from waningsim.stability import (
     StaleSolutionError,
     _sorted_eigs,
-    characteristic_sign_report,
-    dfe_matches_r0,
     dfe_spectrum,
     endemic_spectrum,
-    gershgorin_discs,
     jacobian,
 )
 
 from conftest import random_config, random_simplex_state
+from oracles import characteristic_sign_report, column_discs, dfe_matches_r0
 
 
 def pair_distance(computed: np.ndarray, predicted: np.ndarray) -> float:
@@ -122,7 +120,8 @@ class TestDfeSpectrum:
         cfg = build_all_but_last(2, (0.1, 0.5, 1.0), 0.3, 0.2, 1.5, 9.0, (0.7,))
         verdict = dfe_spectrum(cfg, solve_dfe_closed_form(cfg))
         assert verdict.classification == "asymptotically_stable"
-        assert verdict.gershgorin_certified
+        centers, radii = column_discs(susceptible_block_matrix(cfg))
+        assert np.all(centers + radii <= -cfg.mu + 1e-12 * (1.0 + cfg.mu + radii.max()))
 
     def test_classification_matches_r0_regime(self):
         rng = np.random.default_rng(35)
@@ -133,24 +132,23 @@ class TestDfeSpectrum:
 
 class TestGershgorin:
     def test_disc_arithmetic_and_conventions(self, pertussis):
-        certified, discs = gershgorin_discs(pertussis)
-        assert certified
+        centers, radii = column_discs(susceptible_block_matrix(pertussis))
         # conventions: no vaccination return from the top tier, no waning
         # outflow from the bottom tier
-        assert discs[0].radius == pertussis.delta_i[0]
-        assert discs[-1].radius == pertussis.omega_i[-1]
-        for d in discs:
-            assert d.rightmost == pytest.approx(-pertussis.mu, abs=1e-13)
+        assert radii[0] == pertussis.delta_i[0]
+        assert radii[-1] == pertussis.omega_i[-1]
+        for rightmost in centers + radii:
+            assert rightmost == pytest.approx(-pertussis.mu, abs=1e-13)
 
     def test_eigenvalues_inside_disc_union(self):
         rng = np.random.default_rng(36)
         for _ in range(60):
             cfg = random_config(rng, n_range=(1, 8), rate_low=0.01, rate_high=10)
-            certified, discs = gershgorin_discs(cfg)
-            assert certified
-            eigs = np.linalg.eigvals(susceptible_block_matrix(cfg))
-            for z in eigs:
-                dist = min(abs(z - d.center) - d.radius for d in discs)
+            a = susceptible_block_matrix(cfg)
+            centers, radii = column_discs(a)
+            assert np.all(centers + radii <= -cfg.mu + 1e-12 * (1.0 + cfg.mu + radii.max()))
+            for z in np.linalg.eigvals(a):
+                dist = np.min(np.abs(z - centers) - radii)
                 assert dist <= 1e-9 * (1 + abs(z))
 
 
