@@ -114,8 +114,11 @@ def equilibrium_transmission(config: ModelConfig, prevalence):
 def existence_margin(config: ModelConfig) -> float:
     """Positive iff a unique endemic equilibrium exists in the small-waning
     regime: ``beta0*omega_n + beta_n*mu - (omega_n + mu)(mu + r)``."""
-    beta0, beta_n = float(config.beta[0]), float(config.beta[-1])
-    return beta0 * config.omega_n + beta_n * config.mu - (config.omega_n + config.mu) * (config.mu + config.r)
+    return _margin(float(config.beta[0]), float(config.beta[-1]), config.mu, config.r, config.omega_n)
+
+
+def _margin(beta0, beta_n, mu, r, omega_n):
+    return beta0 * omega_n + beta_n * mu - (omega_n + mu) * (mu + r)
 
 
 @dataclass(frozen=True)
@@ -138,9 +141,13 @@ def prevalence_quadratic(config: ModelConfig) -> PrevalenceQuadratic:
 
     ``b`` shares its sign with ``(omega_n + mu)(mu + r) - (beta0*omega_n +
     beta_n*mu)``; a negative ``b`` forces exactly one root inside ``(0, 1)``.
-    Where ``beta0 * beta_n`` underflows or ``a * a`` overflows (rates near
-    the ends of the double range) the roots come from ``beta0 Q``, whose
-    coefficients stay finite; ``a`` and ``b`` may then be infinite.
+    ``a`` and ``b`` do not change when every rate is multiplied by one
+    factor, so they are formed from the rates scaled by the power of two
+    that brings the largest near 1, exactly and away from subnormal
+    products.  Where ``beta0 * beta_n`` still underflows or ``a * a``
+    overflows (rates far apart in magnitude) the roots come from
+    ``beta0 Q``, whose coefficients stay finite; ``a`` and ``b`` may then be
+    infinite.
 
     Raises:
         ValueError: when ``beta[0] == 0``; :func:`localize_endemic` then
@@ -149,8 +156,10 @@ def prevalence_quadratic(config: ModelConfig) -> PrevalenceQuadratic:
     beta0, beta_n = float(config.beta[0]), float(config.beta[-1])
     if beta0 == 0.0:
         raise ValueError("prevalence polynomial is linear when beta[0] == 0; use localize_endemic")
-    mu, r, omega_n = config.mu, config.r, config.omega_n
-    margin = existence_margin(config)
+    rates = (beta0, beta_n, config.mu, config.r, config.omega_n)
+    shift = -math.frexp(max(rates))[1]
+    beta0, beta_n, mu, r, omega_n = (math.ldexp(v, shift) for v in rates)
+    margin = _margin(beta0, beta_n, mu, r, omega_n)
     lead, disc = 1.0, math.nan
     product = beta0 * beta_n
     if product >= sys.float_info.min:

@@ -9,7 +9,10 @@ Time-series files are plain CSV (annual prevalence, or cases with
 population); fitting minimizes the sum of squared prevalence residuals by
 bounded trust-region reflective least squares (Branch, Coleman & Li, SIAM J.
 Sci. Comput. 21, 1999) on a finite-difference Jacobian of the residual
-vector, so box bounds hold at every trial point.
+vector, so box bounds hold at every trial point.  The search is a short
+in-house loop, the iteration of SciPy's ``"trf"`` method with Moré's
+trust-region step, because on one to three parameters SciPy's generic
+driver costs more than the model's integrations.
 
 Sweep points and fit trial points alike change a validated configuration
 through :meth:`~waningsim.model.ModelConfig.replace`, which checks only the
@@ -21,10 +24,12 @@ kernel's targets and the prevalence is read at those rows.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.optimize
 
 from .dfe import basic_reproduction_number
@@ -323,8 +328,8 @@ FREE_PARAMETER_BOUNDS = {
 YEAR_END_OFFSET = 1.0
 # every residual of a trial point that fails to integrate or to form a config
 FAILED_RESIDUAL = 1e3
-# relative stopping tests (cost change, step length); SciPy's gradient test
-# is off, as it is absolute in residual units and stops small-prevalence fits
+# relative stopping tests (cost change, step length); there is no gradient
+# test, since one absolute in residual units stops small-prevalence fits
 FIT_FTOL = 1e-8
 FIT_XTOL = 1e-8
 # forward-difference step relative to max(1, |x|), as SciPy takes it
@@ -468,6 +473,219 @@ def simulate_annual_prevalence(
     return states[times.searchsorted(t_obs), -1]
 
 
+def _norm(v):
+    # the value numpy.linalg.norm gives a vector, without its dispatch cost
+    return math.sqrt(v.dot(v))
+
+
+def _inside(x, lo, hi, margin):
+    """``x`` with each component on or within ``margin * max(1, |bound|)`` of
+    a bound moved to that distance inside it; with ``margin == 0``, one on or
+    beyond a bound moves to the next double inside."""
+    if margin == 0 and ((lo < x) & (x < hi)).all():
+        return x
+    lo_gap, hi_gap = margin * np.maximum(1.0, abs(lo)), margin * np.maximum(1.0, abs(hi))
+    at_lo = x - lo <= np.minimum(hi - x, lo_gap)
+    at_hi = hi - x <= np.minimum(x - lo, hi_gap)
+    x = np.where(at_lo, lo + lo_gap if margin else np.nextafter(lo, hi), x)
+    x = np.where(at_hi, hi - hi_gap if margin else np.nextafter(hi, lo), x)
+    return np.where((x < lo) | (x > hi), 0.5 * (lo + hi), x)
+
+
+def _to_bound(x, s, lo, hi):
+    """The least ``t >= 0`` at which ``x + t s`` meets a bound, and the mask
+    of the components that meet one there."""
+    moving = s != 0
+    steps = np.full(x.size, np.inf)
+    with np.errstate(over="ignore"):
+        steps[moving] = np.maximum((lo - x)[moving] / s[moving], (hi - x)[moving] / s[moving])
+    t = steps.min()
+    return t, (steps == t) & moving
+
+
+def _line_minimum(a, b, c, t_lo, t_hi):
+    """Minimum point and value of ``a t^2 + b t + c`` over ``[t_lo, t_hi]``."""
+    ts = [t_lo, t_hi]
+    if a != 0 and t_lo < -0.5 * b / a < t_hi:
+        ts.append(-0.5 * b / a)
+    values = [t * (a * t + b) + c for t in ts]
+    k = values.index(min(values))
+    return ts[k], values[k]
+
+
+def _levenberg_step(m, uf, s, V, radius, alpha):
+    """Moré's trust-region step from one SVD ``U diag(s) V^T`` of the scaled
+    Jacobian, with ``uf = U^T f``: the Gauss-Newton step when the Jacobian
+    has full rank and the step fits, else the Levenberg-Marquardt step whose
+    length is ``radius`` to 1%, from at most ten safeguarded Newton steps on
+    the parameter ``alpha``.  Returns the step and ``alpha``."""
+    suf = s * uf
+    full_rank = m >= s.size and s[-1] > np.finfo(float).eps * m * s[0]
+    if full_rank:
+        p = -V.dot(uf / s)
+        if _norm(p) <= radius:
+            return p, 0.0
+
+    def phi(alpha):
+        denom = s**2 + alpha
+        p_norm = _norm(suf / denom)
+        return p_norm - radius, -np.sum(suf**2 / denom**3) / p_norm
+
+    upper = _norm(suf) / radius
+    lower = 0.0
+    if full_rank:
+        value, slope = phi(0.0)
+        lower = -value / slope
+    elif alpha == 0:
+        alpha = max(0.001 * upper, (lower * upper) ** 0.5)
+    for _ in range(10):
+        if alpha < lower or alpha > upper:
+            alpha = max(0.001 * upper, (lower * upper) ** 0.5)
+        value, slope = phi(alpha)
+        if value < 0:
+            upper = alpha
+        ratio = value / slope
+        lower = max(lower, alpha - ratio)
+        alpha -= (value + radius) * ratio / radius
+        if abs(value) < 0.01 * radius:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    return p * (radius / _norm(p)), alpha
+
+
+def _select_step(x, J_h, diag_h, g_h, p_h, d, radius, lo, hi, theta):
+    """The step, in ``x`` and in the scaled variables, that lowers the scaled
+    quadratic model most, with the reduction it predicts.  A trust-region
+    step ``d * p_h`` that leaves the box competes, stepped back by ``theta``
+    from the bound it meets, with its reflection off that bound and with the
+    scaled steepest-descent step."""
+
+    def along(s, s0=None):  # model(s0 + t s) = a t^2 + b t + c
+        v = J_h.dot(s)
+        a, b, c = 0.5 * (v.dot(v) + (s * diag_h).dot(s)), g_h.dot(s), 0.0
+        if s0 is not None:
+            u = J_h.dot(s0)
+            b = b + u.dot(v) + (s0 * diag_h).dot(s)
+            c = 0.5 * u.dot(u) + g_h.dot(s0) + 0.5 * (s0 * diag_h).dot(s0)
+        return a, b, c
+
+    def model(s):
+        a, b, _ = along(s)
+        return a + b
+
+    p = d * p_h
+    if ((x + p >= lo) & (x + p <= hi)).all():
+        return p, p_h, -model(p_h)
+    p_stride, hits = _to_bound(x, p, lo, hi)
+    r_h = np.where(hits, -p_h, p_h)
+    p, p_h = p * p_stride, p_h * p_stride
+    to_bound = _to_bound(x + p, d * r_h, lo, hi)[0]
+    a, b, c = r_h.dot(r_h), p_h.dot(r_h), p_h.dot(p_h) - radius**2
+    q = -(b + np.copysign(np.sqrt(b * b - a * c), b))
+    r_stride = min(to_bound, max(q / a, c / q))
+    r_value = np.inf
+    if r_stride > 0:
+        r_lo = (1 - theta) * p_stride / r_stride
+        r_hi = theta * to_bound if r_stride == to_bound else r_stride
+        if r_lo <= r_hi:
+            t, r_value = _line_minimum(*along(r_h, p_h), r_lo, r_hi)
+            r_h = r_h * t + p_h
+    p, p_h = p * theta, p_h * theta
+    p_value = model(p_h)
+    ag_h = -g_h
+    to_bound = _to_bound(x, d * ag_h, lo, hi)[0]
+    to_tr = radius / _norm(ag_h)
+    t, ag_value = _line_minimum(*along(ag_h), 0, theta * to_bound if to_bound < to_tr else to_tr)
+    if p_value < r_value and p_value < ag_value:
+        return p, p_h, -p_value
+    if r_value < p_value and r_value < ag_value:
+        return d * r_h, r_h, -r_value
+    return d * ag_h * t, ag_h * t, -ag_value
+
+
+def _trust_region_reflective(fun, jac, x, lo, hi, max_nfev):
+    """Bounded trust-region reflective least squares (Branch, Coleman & Li,
+    SIAM J. Sci. Comput. 21, 1999) on the finite residuals ``fun`` with
+    Jacobian ``jac``: every trial point lies strictly inside the finite box
+    ``[lo, hi]``.
+
+    Variables are scaled by the running maximum of the Jacobian's column
+    norms and by the Coleman-Li vector ``v`` (the distance to the bound the
+    gradient points at).  Each iteration takes one SVD of the augmented
+    scaled Jacobian and solves the trust-region subproblem by Moré's method
+    (Lecture Notes in Math. 630, 1978).  A step whose predicted reduction
+    was poor shrinks the radius to a quarter of the step's length, one that
+    was good and reached the radius doubles it, and a step that raised the
+    cost is tried again from the same point.  The search stops when the cost falls by less than
+    ``FIT_FTOL`` relative at a well-predicted step, or the step is shorter
+    than ``FIT_XTOL`` relative to ``x``, or after ``max_nfev`` calls of
+    ``fun``.  Returns the last accepted point, its residuals and whether a
+    stopping test, not the budget, ended the search.
+    """
+
+    def coleman_li(x, g):
+        return np.where(g < 0, hi - x, np.where(g > 0, x - lo, 1.0)), np.sign(g)
+
+    x = _inside(x, lo, hi, 1e-10)
+    f = fun(x)
+    J = jac(x)
+    nfev = 1
+    m = f.size
+    f_augmented = np.zeros(m + x.size)
+    cost = 0.5 * f.dot(f)
+    g = J.T.dot(f)
+    scale_inv = np.sqrt(np.sum(J**2, axis=0))
+    scale_inv[scale_inv == 0] = 1
+    v, dv = coleman_li(x, g)
+    v = np.where(dv != 0, v * scale_inv, v)
+    radius = _norm(x * scale_inv / v**0.5) or 1.0
+    alpha = 0.0
+    stopped = False
+    while not stopped and nfev < max_nfev:
+        v, dv = coleman_li(x, g)
+        theta = max(0.995, 1 - np.abs(g * v).max())
+        v = np.where(dv != 0, v * scale_inv, v)
+        scale = 1 / scale_inv
+        d = v**0.5 * scale
+        diag_h = g * dv * scale
+        g_h = d * g
+        J_augmented = np.vstack((J * d, np.diag(diag_h**0.5)))
+        J_h = J_augmented[:m]
+        U, s, Vt, info = scipy.linalg.lapack.dgesdd(J_augmented, full_matrices=0)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        f_augmented[:m] = f
+        uf = U.T.dot(f_augmented)
+        reduction = -1
+        while reduction <= 0 and nfev < max_nfev:
+            p_h, alpha = _levenberg_step(m, uf, s, Vt.T, radius, alpha)
+            step, step_h, predicted = _select_step(x, J_h, diag_h, g_h, p_h, d, radius, lo, hi, theta)
+            x_new = _inside(x + step, lo, hi, 0)
+            f_new = fun(x_new)
+            nfev += 1
+            step_h_norm = _norm(step_h)
+            cost_new = 0.5 * f_new.dot(f_new)
+            reduction = cost - cost_new
+            ratio = reduction / predicted if predicted > 0 else float(predicted == reduction == 0)
+            stopped = (reduction < FIT_FTOL * cost and ratio > 0.25) or (
+                _norm(step) < FIT_XTOL * (FIT_XTOL + _norm(x))
+            )
+            if stopped:
+                break
+            if ratio < 0.25:
+                alpha *= radius / (0.25 * step_h_norm)
+                radius = 0.25 * step_h_norm
+            elif ratio > 0.75 and step_h_norm > 0.95 * radius:
+                alpha *= 0.5
+                radius *= 2.0
+        if reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            g = J.T.dot(f)
+            scale_inv = np.maximum(np.sqrt(np.sum(J**2, axis=0)), scale_inv)
+    return x, f, stopped
+
+
 def fit(
     config_template: ModelConfig,
     free_parameters,
@@ -490,9 +708,16 @@ def fit(
     met one stopped on a step taken from a Jacobian with a column it could
     not form (both finite-difference neighbours failed).
 
+    Each run of the trust-region search starts from the template's values
+    (clipped to the bounds), or from the best point so far on a restart, and
+    the search restarts up to ``options.restarts`` times while the SSE
+    falls.  ``bounds`` maps free parameter names to ``(lower, upper)``
+    pairs that replace the defaults.
+
     Raises:
         ConfigError: when the start point itself fails to integrate or to
-            form a valid configuration.
+            form a valid configuration, or a bound is not finite or not
+            below its upper bound.
     """
     opts = options or FitOptions()
     names = list(free_parameters)
@@ -501,8 +726,10 @@ def fit(
     box = _bounds_for(config_template, names)
     if bounds:
         box = [tuple(bounds.get(name, b)) for name, b in zip(names, box)]
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
+    lo = np.array([b[0] for b in box], dtype=float)
+    hi = np.array([b[1] for b in box], dtype=float)
+    if not (np.isfinite(lo) & np.isfinite(hi) & (lo < hi)).all():
+        raise ConfigError(f"fit bounds must be finite with lower < upper, got {box}")
     start_year = opts.start_year if opts.start_year is not None else int(timeseries.years[0]) - 1
 
     defaults = {
@@ -550,7 +777,7 @@ def fit(
         try:
             f = residuals_at(x)
         except (IntegrationError, ConfigError) as exc:
-            # least_squares evaluates the start point first and then accepts
+            # the search evaluates the start point first and then accepts
             # only steps that lower the cost, which a failed point never does
             if evaluations == 1:
                 raise ConfigError(f"fit start point cannot be evaluated: {exc}") from exc
@@ -560,15 +787,15 @@ def fit(
         return f
 
     def trial_vector(x: np.ndarray) -> np.ndarray:
-        # least_squares checks its stopping tests right after a trial point
+        # the search checks its stopping tests right after a trial point
         nonlocal blind_step
         blind_step = blind
         return residual_vector(x)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        # SciPy's "2-point" differences in its column-major layout, so the
-        # search is the same bit for bit, except that a neighbour that fails
-        # gives way to the one on the other side
+        # forward differences, or backward ones where the forward neighbour
+        # fails; stored column-major, the layout SciPy's bounded driver was
+        # given, so fits stay bit for bit that driver's (tests/oracles.py)
         nonlocal blind
         blind = False
         f = residual_vector(x)
@@ -588,29 +815,21 @@ def fit(
     best = None
     converged = False
     for _ in range(opts.restarts + 1):
-        result = scipy.optimize.least_squares(
-            trial_vector,
-            x0 if best is None else best.x,
-            jac=jacobian,
-            bounds=(lo, hi),
-            method="trf",
-            x_scale="jac",
-            ftol=FIT_FTOL,
-            xtol=FIT_XTOL,
-            gtol=None,
-            max_nfev=opts.max_iterations,
+        x, f, stopped = _trust_region_reflective(
+            trial_vector, jacobian, x0 if best is None else best[0], lo, hi, opts.max_iterations
         )
-        converged = converged or (result.status > 0 and not blind_step)
-        if best is not None and result.cost >= best.cost:
+        converged = converged or (stopped and not blind_step)
+        if best is not None and f.dot(f) >= best[1].dot(best[1]):
             break
-        best = result
+        best = x, f
 
-    fitted_config, _ = _apply_parameters(config_template, names, best.x, opts.initial_prevalence)
+    x, f = best
+    fitted_config, _ = _apply_parameters(config_template, names, x, opts.initial_prevalence)
     return FitResult(
         fitted_config=fitted_config,
-        parameters=dict(zip(names, (float(v) for v in best.x))),
-        sse=float(best.fun @ best.fun),
-        residuals=best.fun,
+        parameters=dict(zip(names, (float(v) for v in x))),
+        sse=float(f @ f),
+        residuals=f,
         converged=converged,
         evaluations=evaluations,
         failed_evaluations=failed_evaluations,

@@ -1,5 +1,6 @@
 """Test oracles: closed forms, bounds and cross-checks of the paper's theory
-that the package's answer pipeline does not use."""
+that the package's answer pipeline does not use, and SciPy's least-squares
+driver as the reference for the fit's own trust-region loop."""
 
 from __future__ import annotations
 
@@ -7,10 +8,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
 
 from waningsim.dfe import _determinant, basic_reproduction_number, susceptible_block_matrix, tier_weights
 from waningsim.endemic import EndemicSolution, localize_endemic
 from waningsim.model import ModelConfig
+from waningsim.scanfit import FIT_FTOL, FIT_XTOL
 from waningsim.stability import _require_fresh, dfe_spectrum, jacobian
 
 
@@ -198,3 +201,22 @@ def dfe_matches_r0(config: ModelConfig) -> bool:
         # marginal band only when the band scales match; accept either verdict
         return classification in ("marginal", "asymptotically_stable", "unstable")
     return classification == pairing[r0.regime]
+
+
+def scipy_trust_region_reflective(fun, jac, x0, lo, hi, max_nfev):
+    """SciPy's bounded trust-region reflective least squares, as ``scanfit.fit``
+    called it before it had its own loop: a drop-in for
+    ``scanfit._trust_region_reflective``."""
+    result = scipy.optimize.least_squares(
+        fun,
+        x0,
+        jac=jac,
+        bounds=(lo, hi),
+        method="trf",
+        x_scale="jac",
+        ftol=FIT_FTOL,
+        xtol=FIT_XTOL,
+        gtol=None,
+        max_nfev=max_nfev,
+    )
+    return result.x, result.fun, result.status > 0

@@ -19,6 +19,9 @@ from waningsim.model import build_general, config_to_json
 from waningsim.scanfit import simulate_annual_prevalence
 
 ENDEMIC_CFG = build_general(2, (1.5, 2.0, 4.0), 0.02, 0.3, 1.2, 2.0, (0.0, 0.1, 0.5))
+# with mu = 1e-300, every product in the small-waning existence margin is subnormal
+UNDERFLOWING_PRODUCTS = dict(n=3, beta=(1e-300, 1e-300, 1e-12, 1e-12), delta=0.0, r=1e-300, omega=1e-12,
+                             p=(0.0, 0.066, 0.834, 0.036))
 
 
 @pytest.fixture
@@ -192,10 +195,10 @@ class TestAnalyze:
     @pytest.mark.parametrize("fields, expected", [
         ({"delta": 0.2}, (None, None, "susceptible block is numerically singular at prevalence 0.0")),
         ({"delta": 0.0}, (None, None, None)),
-        # the no-waning condition reduces to x^2 + 1.036 x - 0.964 = 0, but the
-        # localization's subnormal products put its roots at (-0.518, 1.861)
-        (dict(n=3, beta=(1e-300, 1e-300, 1e-12, 1e-12), delta=0.0, r=1e-300, omega=1e-12, p=(0.0, 0.066, 0.834, 0.036)),
-         (pytest.approx(0.5921008963152855, rel=1e-12, abs=0.0), "numeric-uncertified", None)),
+        # the no-waning condition reduces to x^2 + 1.036 x - 0.964 = 0; its
+        # products are subnormal unless the rates are scaled first
+        (UNDERFLOWING_PRODUCTS,
+         (pytest.approx(0.5921008963152855, rel=1e-12, abs=0.0), "certified-contraction", None)),
         (dict(n=1, beta=(1e-12, 13.80), delta=0.0, r=1e-300, omega=0.0, p=(0.0, 0.248)),
          (1.0, "certified-contraction", None)),
         # roots far below 1e-285, found to the relative tolerance, not an absolute one
@@ -664,6 +667,11 @@ class TestRatesNearTheBottomOfTheDoubleRange:
         assert data["endemic"]["i_star"] == pytest.approx(data["localization"]["roots"][1], rel=1e-4)
         assert data["consistency"] == {"checked": True, "consistent": True,
                                        "note": "unstable DFE with a unique stable endemic equilibrium"}
+
+    def test_subnormal_margin_products_keep_the_no_waning_root(self, tmp_path, capsys, pertussis):
+        # unscaled, the subnormal products put the roots at (-0.518, 1.861)
+        data = self.analyze(tmp_path, capsys, pertussis.replace(mu=1e-300, **UNDERFLOWING_PRODUCTS))
+        assert data["localization"]["roots"][1] == pytest.approx(data["endemic"]["i_star"], rel=1e-12, abs=0.0)
 
 
 class TestFitStartPrevalence:

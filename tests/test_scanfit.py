@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -403,6 +404,84 @@ class TestFit:
         data = synthetic_series(FIT_TRUTH, np.arange(2000, 2005), i0=1e-4)
         with pytest.raises(TypeError, match="not a trial-point failure"):
             fit(FIT_TRUTH, ["omega"], data, FitOptions(initial_prevalence=1e-4))
+
+
+def trust_region_cases() -> dict:
+    """Fits for the trust-region loop: named ones, then a seeded set in random
+    boxes around the truth, from starts that may lie outside the box, where
+    steps meet the bounds and reflect off them."""
+    cases = {
+        "one-parameter": (["omega"], {"omega": 2.3}, {}, False),
+        "one-parameter-log": (["delta"], {"delta": 0.2}, {}, True),
+        "two-parameter": (["beta_scale", "omega"], {"omega": 1.2}, {}, False),
+        "two-parameter-log": (["beta_scale", "omega"], {"beta": (1.0, 1.8, 3.0)}, {}, True),
+        "three-parameter": (["beta_scale", "delta", "omega"], {"delta": 0.05, "omega": 2.5}, {}, False),
+        # the start 2.2 is clipped onto the upper bound 1.4, below the truth 1.5
+        "clipped-start": (["omega"], {"omega": 2.2}, {"omega": (0.5, 1.4)}, False),
+    }
+    # this seed's set takes every kind of step: inside the box, stepped back
+    # from a bound, reflected off one, and along the scaled gradient
+    rng = np.random.default_rng(4)
+    for k in range(10):
+        free = [["omega"], ["delta"], ["beta_scale", "omega"], ["delta", "omega"], ["beta_scale", "delta", "omega"]][k % 5]
+        bounds, changes = {}, {}
+        for name in free:
+            truth = 1.0 if name == "beta_scale" else getattr(FIT_TRUTH, name)
+            lower, upper = sorted(truth * rng.uniform(0.3, 1.7, 2))
+            bounds[name] = (float(lower), float(upper))
+            if name != "beta_scale":
+                changes[name] = float(rng.uniform(0.5 * lower, 1.5 * upper))
+        cases[f"box-{k}"] = (free, changes, bounds, bool(k % 2))
+    return cases
+
+
+class TestTrustRegion:
+    """The in-house trust-region loop against SciPy's bounded driver."""
+
+    CASES = trust_region_cases()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_reaches_the_minimum_of_scipys_driver(self, case, monkeypatch):
+        from oracles import scipy_trust_region_reflective
+
+        free, changes, bounds, log_sse = self.CASES[case]
+        years = np.arange(2000, 2016)
+        data = synthetic_series(FIT_TRUTH, years, i0=1e-4, noise=0.02, seed=list(self.CASES).index(case))
+        template = FIT_TRUTH.replace(**changes)
+        options = FitOptions(initial_prevalence=1e-4, log_sse=log_sse)
+        ours = fit(template, free, data, options, bounds)
+        monkeypatch.setattr(scanfit, "_trust_region_reflective", scipy_trust_region_reflective)
+        theirs = fit(template, free, data, options, bounds)
+        for name in free:
+            assert ours.parameters[name] == pytest.approx(theirs.parameters[name], rel=1e-9, abs=0.0), name
+        assert ours.sse == pytest.approx(theirs.sse, rel=1e-12, abs=0.0)
+        assert ours.evaluations <= theirs.evaluations + 2
+        assert ours.converged == theirs.converged
+
+    @pytest.mark.parametrize("name, value, box", [
+        ("delta", 0.0, None),
+        # the truth (delta 0.08, omega 1.5) lies outside the box, so the
+        # gradient points out of it at the start
+        ("delta", 0.1, (0.1, 0.3)),
+        ("omega", 1.4, (0.5, 1.4)),
+    ], ids=["default-lower-bound", "lower-bound", "upper-bound"])
+    def test_start_on_a_bound_fits_inside_the_box_without_warnings(self, name, value, box):
+        # the start moves 1e-10 relative inside first: the initial trust
+        # radius divides by the square root of its distance to the bound
+        data = synthetic_series(FIT_TRUTH, np.arange(2000, 2012), i0=1e-4)
+        bounds = {name: box} if box else None
+        lower, upper = box or scanfit.FREE_PARAMETER_BOUNDS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = fit(FIT_TRUTH.replace(**{name: value}), [name], data, FitOptions(initial_prevalence=1e-4), bounds)
+        assert lower <= result.parameters[name] <= upper
+        assert result.failed_evaluations == 0
+
+    @pytest.mark.parametrize("box", [(0.06, 0.06), (0.1, 0.0), (0.0, float("inf")), (float("nan"), 1.0)])
+    def test_bounds_must_be_finite_and_ordered(self, box):
+        data = synthetic_series(FIT_TRUTH, np.arange(2000, 2005), i0=1e-4)
+        with pytest.raises(ConfigError, match="fit bounds must be finite with lower < upper"):
+            fit(FIT_TRUTH, ["delta"], data, FitOptions(initial_prevalence=1e-4), bounds={"delta": box})
 
 
 class TestTrialPoint:
