@@ -3,9 +3,9 @@
 The susceptible block of the model linearizes (at a fixed infection level)
 to a lower-bidiagonal matrix plus a dense first row carrying the vaccination
 return flows.  One prefix product of tier ratios solves the bidiagonal part
-and gives the determinant (by the matrix determinant lemma) and the
-disease-free equilibrium in closed form at any number of tiers.  An
-independent dense solve is the ``dfe`` command's explicit check of that form.
+and gives the disease-free equilibrium in closed form at any number of
+tiers.  An independent dense solve is the ``dfe`` command's explicit check
+of that form.
 """
 
 from __future__ import annotations
@@ -69,33 +69,18 @@ def tier_weights(config: ModelConfig, prevalence=0.0) -> tuple[np.ndarray, np.nd
     return ad, np.cumprod(np.concatenate(([1.0], config.delta_i[:-1])) / ad, axis=-1)
 
 
-def _finite_or_nan(value: float) -> float:
-    """``value``, or NaN where a product of rates left the double range."""
-    return value if value != 0.0 and math.isfinite(value) else math.nan
-
-
-def _determinant(config: ModelConfig, ad: np.ndarray, w: np.ndarray) -> float:
-    """Determinant of the block: the bidiagonal factor's diagonal product times
-    the rank-one update's ``1 - omega . w`` (matrix determinant lemma)."""
-    correction = math.fsum([1.0] + (-config.omega_i * w).tolist())
-    return _finite_or_nan(math.prod((-ad).tolist()) * correction)
-
-
 @dataclass(frozen=True)
 class DfeSolution:
-    """Disease-free equilibrium: susceptible profile, normalization constant
-    of the Cramer solution, and the block-matrix determinant."""
+    """Disease-free equilibrium: the susceptible profile (prevalence 0)."""
 
     s: np.ndarray
-    c: float
-    det: float
 
     @property
     def i(self) -> float:
         return 0.0
 
     def to_dict(self) -> dict:
-        return {"s": [float(x) for x in self.s], "i": 0.0, "c": self.c, "det": self.det}
+        return {"s": [float(x) for x in self.s], "i": 0.0}
 
 
 def solve_dfe_closed_form(config: ModelConfig) -> DfeSolution:
@@ -103,20 +88,17 @@ def solve_dfe_closed_form(config: ModelConfig) -> DfeSolution:
     :func:`tier_weights` ``w``.
 
     ``c'`` is fixed by the normalization condition, which involves only
-    positive quantities (forward-stable).  The Cramer-form constant
-    ``c = c' / prod_{k<n} |d_k|``, equal to ``omega_n * mu / |det|``, and
-    ``det`` are NaN where those products leave the double range; the
-    profile is finite at any ``n``.  With no coverage on the least-immune
-    tier the whole population ends up there (the profile is the last basis
-    vector, independent of the vaccination rate and interior coverages).
+    positive quantities (forward-stable), so the profile is finite at any
+    ``n``.  With no coverage on the least-immune tier the whole population
+    ends up there (the profile is the last basis vector, independent of the
+    vaccination rate and interior coverages).
     """
     ad, w = tier_weights(config, 0.0)
     # sum(c' * w) must equal 1 - mu/|d_n| = omega_n/(omega_n + mu)
     scale = config.omega_n / ((config.omega_n + config.mu) * math.fsum(w.tolist()))
-    c = _finite_or_nan(scale * math.prod((1.0 / ad[:-1]).tolist())) if config.omega_n > 0.0 else 0.0
     s = scale * w
     s[-1] += config.mu / ad[-1]
-    return DfeSolution(s=s, c=c, det=_determinant(config, ad, w))
+    return DfeSolution(s=s)
 
 
 def solve_dfe_numeric(config: ModelConfig) -> DfeSolution:
@@ -124,8 +106,7 @@ def solve_dfe_numeric(config: ModelConfig) -> DfeSolution:
 
     One iterative-refinement step with an extended-precision residual keeps
     the forward error near machine level even for poorly scaled rate
-    combinations.  ``det`` and ``c`` are NaN where the determinant over- or
-    underflows.
+    combinations.
 
     Raises:
         numpy.linalg.LinAlgError: the matrix is singular to working
@@ -142,10 +123,7 @@ def solve_dfe_numeric(config: ModelConfig) -> DfeSolution:
         x = x + np.linalg.solve(a, residual)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("susceptible block matrix is singular to working precision") from exc
-    with np.errstate(over="ignore"):
-        det = _finite_or_nan(float(np.linalg.det(a)))
-    c = _finite_or_nan(config.omega_n * config.mu / abs(det)) if config.omega_n > 0.0 else 0.0
-    return DfeSolution(s=x, c=c, det=det)
+    return DfeSolution(s=x)
 
 
 @dataclass(frozen=True)

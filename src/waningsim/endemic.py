@@ -201,7 +201,6 @@ class LocalizationResult:
     validity: bool
     roots: tuple
     margin: float
-    overlap_warning: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -212,7 +211,6 @@ class LocalizationResult:
             "validity": self.validity,
             "roots": [None if x is None else float(x) for x in self.roots],
             "margin": self.margin,
-            "overlap_warning": self.overlap_warning,
         }
 
 
@@ -278,7 +276,6 @@ def localize_endemic(config: ModelConfig) -> LocalizationResult:
         lo, hi = max(y - half, 0.0), min(y + half, 1.0)
         if hi >= lo and hi > 0.0:
             intervals.append((lo, hi))
-    overlap = len(intervals) == 2
 
     if beta0 > 0.0 and None not in roots and abs(roots[1] - roots[0]) < delta ** (1.0 / 3.0) and intervals:
         exists = "indeterminate"
@@ -286,7 +283,7 @@ def localize_endemic(config: ModelConfig) -> LocalizationResult:
         exists = "unique"
     else:
         exists = "none"
-    return LocalizationResult(tuple(intervals), half, hat_c, exists, validity, roots, margin, overlap)
+    return LocalizationResult(tuple(intervals), half, hat_c, exists, validity, roots, margin)
 
 
 @dataclass(frozen=True)

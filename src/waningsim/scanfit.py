@@ -619,14 +619,16 @@ def _trust_region_reflective(fun, jac, x, lo, hi, max_nfev):
     cost is tried again from the same point.  The search stops when the cost falls by less than
     ``FIT_FTOL`` relative at a well-predicted step, or the step is shorter
     than ``FIT_XTOL`` relative to ``x``, or after ``max_nfev`` calls of
-    ``fun``.  Returns the last accepted point, its residuals and whether a
+    ``fun``.  ``jac`` is called at the start and at each accepted point the
+    search goes on from, so its latest call is the one the last step came
+    from.  Returns the last accepted point, its residuals and whether a
     stopping test, not the budget, ended the search.
     """
 
     def coleman_li(x, g):
         return np.where(g < 0, hi - x, np.where(g > 0, x - lo, 1.0)), np.sign(g)
 
-    x = _inside(x, lo, hi, 1e-10)
+    x0, x = x, _inside(x, lo, hi, 1e-10)
     f = fun(x)
     J = jac(x)
     nfev = 1
@@ -638,7 +640,9 @@ def _trust_region_reflective(fun, jac, x, lo, hi, max_nfev):
     scale_inv[scale_inv == 0] = 1
     v, dv = coleman_li(x, g)
     v = np.where(dv != 0, v * scale_inv, v)
-    radius = _norm(x * scale_inv / v**0.5) or 1.0
+    # from the start as given: a start on a bound of 0 takes the fallback
+    # radius 1, not one proportional to the shift off that bound
+    radius = _norm(x0 * scale_inv / v**0.5) or 1.0
     alpha = 0.0
     stopped = False
     while not stopped and nfev < max_nfev:
@@ -680,6 +684,8 @@ def _trust_region_reflective(fun, jac, x, lo, hi, max_nfev):
                 radius *= 2.0
         if reduction > 0:
             x, f, cost = x_new, f_new, cost_new
+            if stopped or nfev >= max_nfev:
+                break
             J = jac(x)
             g = J.T.dot(f)
             scale_inv = np.maximum(np.sqrt(np.sum(J**2, axis=0)), scale_inv)
@@ -765,8 +771,7 @@ def fit(
     # residuals, or ``failed``, of every trial point integrated so far: a
     # restart and its first Jacobian revisit the point the last run stopped at
     seen = {}
-    blind = False  # the latest Jacobian has a column built from ``failed``
-    blind_step = False  # the latest trial point was stepped to from such a Jacobian
+    blind = False  # the latest Jacobian, which the last step came from, has a column built from ``failed``
 
     def residual_vector(x: np.ndarray) -> np.ndarray:
         nonlocal evaluations, failed_evaluations
@@ -785,12 +790,6 @@ def fit(
             f = failed
         seen[key] = f
         return f
-
-    def trial_vector(x: np.ndarray) -> np.ndarray:
-        # the search checks its stopping tests right after a trial point
-        nonlocal blind_step
-        blind_step = blind
-        return residual_vector(x)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         # forward differences, or backward ones where the forward neighbour
@@ -816,9 +815,9 @@ def fit(
     converged = False
     for _ in range(opts.restarts + 1):
         x, f, stopped = _trust_region_reflective(
-            trial_vector, jacobian, x0 if best is None else best[0], lo, hi, opts.max_iterations
+            residual_vector, jacobian, x0 if best is None else best[0], lo, hi, opts.max_iterations
         )
-        converged = converged or (stopped and not blind_step)
+        converged = converged or (stopped and not blind)
         if best is not None and f.dot(f) >= best[1].dot(best[1]):
             break
         best = x, f

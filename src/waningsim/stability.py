@@ -1,18 +1,15 @@
 """Jacobian assembly and linear stability classification.
 
-At the disease-free equilibrium the Jacobian is block triangular, and
-:func:`dfe_spectrum` computes its spectrum from the blocks: the eigenvalues
-of the susceptible-block matrix plus the single scalar ``transmission -
-(r + mu)``.  Every column Gersgorin disc of the susceptible block ends at
-``-mu``, so the spectral abscissa has the sign of that scalar.  Endemic
-points are classified by a dense eigensolve; with zero waning the
-interesting part of the spectrum reduces to an explicit quadratic that
-serves as an independent cross-check.
+Both equilibria are classified by one dense eigensolve of the flow's
+Jacobian at the equilibrium state.  At the disease-free equilibrium the
+Jacobian is block triangular: its spectrum is the susceptible block's, whose
+column Gersgorin discs all end at ``-mu``, plus the scalar ``transmission -
+(r + mu)``, so the verdict is the sign of that scalar, the R0 threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,21 +64,18 @@ class StabilityVerdict:
 
     ``classification`` is ``"marginal"`` when the largest real part sits
     inside ``+-1e-10``; near-marginal points are reported as such rather than
-    rounded to a side.  ``reduced_quadratic`` carries the zero-waning
-    analytic block coefficients ``(a, b)`` when applicable.
+    rounded to a side.
     """
 
     eigenvalues: np.ndarray
     max_real_part: float
     classification: str
-    reduced_quadratic: tuple | None = field(default=None)
 
     def to_dict(self) -> dict:
         return {
             "eigenvalues": [[float(z.real), float(z.imag)] for z in self.eigenvalues],
             "max_real_part": self.max_real_part,
             "classification": self.classification,
-            "reduced_quadratic": list(self.reduced_quadratic) if self.reduced_quadratic else None,
         }
 
 
@@ -97,22 +91,27 @@ def _sorted_eigs(values: np.ndarray) -> np.ndarray:
     return values[np.lexsort((values.imag, values.real))]
 
 
+def _spectrum(config: ModelConfig, state) -> StabilityVerdict:
+    """Sorted eigenvalues of the :func:`jacobian` at ``state``, their largest
+    real part and its classification."""
+    eigs = _sorted_eigs(np.linalg.eigvals(jacobian(config, state)))
+    max_real = float(np.max(eigs.real))
+    return StabilityVerdict(eigenvalues=eigs, max_real_part=max_real, classification=_classify(max_real))
+
+
 def dfe_spectrum(config: ModelConfig, dfe: DfeSolution) -> StabilityVerdict:
     """Spectrum and classification of the Jacobian at the disease-free
-    equilibrium ``dfe``, from its block-triangular structure: the
-    susceptible-block eigenvalues plus the corner
-    ``transmission_at_dfe - (r + mu)``.
+    equilibrium ``dfe``.
 
-    The susceptible-block eigenvalues have real part at most ``-mu``: column
+    The Jacobian there is block triangular: the susceptible-block
+    eigenvalues plus the corner ``transmission_at_dfe - (r + mu)``.  The
+    susceptible-block eigenvalues have real part at most ``-mu``: column
     ``i`` holds the diagonal ``-(omega_i + delta_i + mu)`` and the
     off-diagonal entries ``delta_i`` (waning out) and ``omega_i`` (return to
     ``S_0``), with ``omega_0 = delta_n = 0``, so every column Gersgorin disc
     ends at ``-mu``.
     """
-    corner = float(config.beta @ dfe.s) - config.r - config.mu
-    eigs = _sorted_eigs(np.append(np.linalg.eigvals(susceptible_block_matrix(config)), corner))
-    max_real = float(np.max(eigs.real))
-    return StabilityVerdict(eigenvalues=eigs, max_real_part=max_real, classification=_classify(max_real))
+    return _spectrum(config, np.append(dfe.s, 0.0))
 
 
 def _require_fresh(config: ModelConfig, solution: EndemicSolution) -> None:
@@ -125,33 +124,9 @@ def _require_fresh(config: ModelConfig, solution: EndemicSolution) -> None:
 def endemic_spectrum(config: ModelConfig, solution: EndemicSolution) -> StabilityVerdict:
     """Spectrum and classification of the Jacobian at an endemic equilibrium.
 
-    With zero waning the nontrivial eigenvalues are the roots of an explicit
-    quadratic ``z^2 + a z + b`` (returned in ``reduced_quadratic`` as an
-    independent certificate); both coefficients are positive whenever the
-    equilibrium exists and the transmission spread is genuine, which forces
-    negative real parts.
+    Raises:
+        StaleSolutionError: if the solution's residual is too large to
+            trust its spectrum.
     """
     _require_fresh(config, solution)
-    state = np.concatenate([solution.s_star, [solution.i_star]])
-    eigs = _sorted_eigs(np.linalg.eigvals(jacobian(config, state)))
-    max_real = float(np.max(eigs.real))
-
-    reduced = None
-    if config.delta == 0.0:
-        beta0, beta_n = float(config.beta[0]), float(config.beta[-1])
-        i_star, s_n = solution.i_star, float(solution.s_star[-1])
-        mu, omega_n = config.mu, config.omega_n
-        quad_a = omega_n + mu + beta0 * i_star + beta_n * i_star
-        quad_b = (
-            beta0 * i_star * omega_n
-            + (mu + beta_n * i_star) * (beta0 * i_star + beta_n * s_n)
-            - (mu + beta0 * i_star) * beta_n * s_n
-        )
-        reduced = (quad_a, quad_b)
-
-    return StabilityVerdict(
-        eigenvalues=eigs,
-        max_real_part=max_real,
-        classification=_classify(max_real),
-        reduced_quadratic=reduced,
-    )
+    return _spectrum(config, np.append(solution.s_star, solution.i_star))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from waningsim.dfe import _determinant, basic_reproduction_number, susceptible_block_matrix, tier_weights
+from waningsim.dfe import basic_reproduction_number, susceptible_block_matrix, tier_weights
 from waningsim.endemic import EndemicSolution, localize_endemic
 from waningsim.model import ModelConfig
 from waningsim.scanfit import FIT_FTOL, FIT_XTOL
@@ -33,7 +33,9 @@ def matrix_determinant(config: ModelConfig, prevalence: float = 0.0) -> float:
     ``prod_k d_k`` leaves the double range.
     """
     ad, w = tier_weights(config, prevalence)
-    return _determinant(config, ad, w)
+    correction = math.fsum([1.0] + (-config.omega_i * w).tolist())
+    det = math.prod((-ad).tolist()) * correction
+    return det if det != 0.0 and math.isfinite(det) else math.nan
 
 
 def equilibrium_transmission_no_waning(config: ModelConfig, prevalence: float) -> float:
@@ -62,6 +64,30 @@ def prevalence_linear_root(config: ModelConfig) -> float | None:
         raise ValueError("linear case requires beta[0] == 0")
     root = localize_endemic(config).roots[0]
     return root if root is not None and 0.0 <= root <= 1.0 else None
+
+
+def zero_waning_quadratic(config: ModelConfig, solution: EndemicSolution) -> tuple[float, float]:
+    """Coefficients ``(a, b)`` of ``z^2 + a z + b``, whose roots are the two
+    eigenvalues of the Jacobian at a zero-waning endemic equilibrium that
+    couple the top tier, the last tier and the prevalence.
+
+    With no waning the other eigenvalues are ``-mu`` and the interior tiers'
+    diagonal entries ``-(omega_i + mu + beta_i i*)``.  Both coefficients are
+    positive whenever the equilibrium exists and the transmission spread is
+    genuine, which forces negative real parts.
+    """
+    if config.delta != 0.0:
+        raise ValueError(f"the quadratic requires zero waning, got delta={config.delta}")
+    beta0, beta_n = float(config.beta[0]), float(config.beta[-1])
+    i_star, s_n = solution.i_star, float(solution.s_star[-1])
+    mu, omega_n = config.mu, config.omega_n
+    quad_a = omega_n + mu + beta0 * i_star + beta_n * i_star
+    quad_b = (
+        beta0 * i_star * omega_n
+        + (mu + beta_n * i_star) * (beta0 * i_star + beta_n * s_n)
+        - (mu + beta0 * i_star) * beta_n * s_n
+    )
+    return quad_a, quad_b
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,6 @@ class TestClosedFormDfe:
         cfg = build_all_but_last(3, (0.0, 1.0, 2.0, 3.0), 0.3, 0.1, 2.0, 25.0, (0.5, 0.9))
         sol = solve_dfe_closed_form(cfg)
         np.testing.assert_array_equal(sol.s, [0.0, 0.0, 0.0, 1.0])
-        assert sol.c == 0.0
 
     def test_zero_waning_last_only_two_point_profile(self):
         omega_n, mu = 5.0, 0.25
@@ -137,9 +136,6 @@ class TestClosedFormDfe:
             a = susceptible_block_matrix(cfg)
             residual = a @ sol.s + cfg.mu * np.eye(cfg.n + 1)[cfg.n]
             assert np.max(np.abs(residual)) < 1e-12
-            if cfg.omega_n > 0:
-                # the normalization constant and the determinant identity agree
-                assert sol.c * abs(sol.det) == pytest.approx(cfg.omega_n * cfg.mu, rel=1e-9)
 
     def test_closed_form_vs_numeric(self, pertussis):
         rng = np.random.default_rng(8)
@@ -153,15 +149,14 @@ class TestClosedFormDfe:
 
     @pytest.mark.parametrize("n, delta, omega", [(300, 15.0, 2.0), (300, 0.005, 0.05), (512, 25.6, 2.0)])
     def test_constants_out_of_double_range_are_nan(self, n, delta, omega):
-        # c and det are products of about n rates; out of range they are
-        # NaN, never a false 0.0, and neither solver raises
+        # the determinant is a product of about n rates; out of range it is
+        # NaN, never a false 0.0, while neither solver raises and both
+        # profiles stay finite
         p = np.full(n + 1, 0.3)
         p[0] = 0.0
         cfg = build_general(n, np.linspace(1.5, 40, n + 1), delta, 0.02, 17.0, omega, p)
         for sol in (solve_dfe_closed_form(cfg), solve_dfe_numeric(cfg)):
             assert np.all(np.isfinite(sol.s))
-            for value in (sol.c, sol.det):
-                assert math.isnan(value) or (math.isfinite(value) and value != 0.0)
         assert math.isnan(matrix_determinant(cfg))
 
     def test_numeric_path_singular_to_working_precision(self):
@@ -228,7 +223,7 @@ class TestR0:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_threshold_raises_instead_of_a_regime(self, pertussis, monkeypatch, bad):
         s = np.full(pertussis.n + 1, bad)
-        monkeypatch.setattr(dfe, "solve_dfe_closed_form", lambda config: DfeSolution(s=s, c=bad, det=bad))
+        monkeypatch.setattr(dfe, "solve_dfe_closed_form", lambda config: DfeSolution(s=s))
         with pytest.raises(NonFiniteThresholdError, match="disease-free equilibrium"):
             basic_reproduction_number(pertussis)
 
@@ -292,7 +287,6 @@ class TestSerialization:
         sol = solve_dfe_closed_form(pertussis)
         data = json.loads(json.dumps(sol.to_dict()))
         assert data["s"] == [float(x) for x in sol.s]  # repr round-trips exactly
-        assert data["c"] == sol.c
         assert data["i"] == 0.0
 
     def test_r0_report_round_trip(self, pertussis):

@@ -477,6 +477,17 @@ class TestTrustRegion:
         assert lower <= result.parameters[name] <= upper
         assert result.failed_evaluations == 0
 
+    @pytest.mark.parametrize("name", ["delta", "omega"])
+    def test_start_on_a_zero_bound_reaches_the_truth(self, name):
+        # the start moves 1e-10 inside the default lower bound 0; the initial
+        # trust radius comes from the start as given, so it is the fallback 1
+        # and not one proportional to that shift, which stalled the search
+        data = synthetic_series(FIT_TRUTH, np.arange(2000, 2025), i0=1e-4)
+        result = fit(FIT_TRUTH.replace(**{name: 0.0}), [name], data, FitOptions(initial_prevalence=1e-4))
+        assert result.converged
+        assert result.parameters[name] == pytest.approx(getattr(FIT_TRUTH, name), rel=1e-6)
+        assert result.evaluations <= 20
+
     @pytest.mark.parametrize("box", [(0.06, 0.06), (0.1, 0.0), (0.0, float("inf")), (float("nan"), 1.0)])
     def test_bounds_must_be_finite_and_ordered(self, box):
         data = synthetic_series(FIT_TRUTH, np.arange(2000, 2005), i0=1e-4)

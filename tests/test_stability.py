@@ -19,7 +19,7 @@ from waningsim.stability import (
 )
 
 from conftest import random_config, random_simplex_state
-from oracles import characteristic_sign_report, column_discs, dfe_matches_r0
+from oracles import characteristic_sign_report, column_discs, dfe_matches_r0, zero_waning_quadratic
 
 
 def pair_distance(computed: np.ndarray, predicted: np.ndarray) -> float:
@@ -88,13 +88,28 @@ class TestDfeSpectrum:
             assert pair_distance(verdict.eigenvalues, predicted) < 1e-9
 
     def test_block_form_equals_full_jacobian_eigensolve(self, pertussis):
-        # oracle: the eigensolve of the whole (n+2) Jacobian at the DFE
+        # oracle: the block-triangular form, the susceptible block's
+        # eigenvalues plus the corner; the eigensolve of the whole (n+2)
+        # Jacobian at the DFE gives them to the bit
         rng = np.random.default_rng(36)
         configs = [pertussis] + [random_config(rng, n_range=(1, 64)) for _ in range(200)]
         for cfg in configs:
             dfe = solve_dfe_closed_form(cfg)
-            full = _sorted_eigs(np.linalg.eigvals(jacobian(cfg, [*dfe.s, 0.0])))
-            assert np.array_equal(dfe_spectrum(cfg, dfe).eigenvalues, full)
+            corner = float(cfg.beta @ dfe.s) - cfg.r - cfg.mu
+            block = _sorted_eigs(np.append(np.linalg.eigvals(susceptible_block_matrix(cfg)), corner))
+            assert np.array_equal(dfe_spectrum(cfg, dfe).eigenvalues, block)
+
+    def test_spectral_abscissa_is_the_threshold_scalar_or_minus_mu(self, pertussis):
+        # the susceptible block's abscissa is exactly -mu: its columns sum to
+        # -mu, so -mu is an eigenvalue, and every column disc ends there
+        rng = np.random.default_rng(38)
+        configs = [pertussis] + [random_config(rng, n_range=(1, 64)) for _ in range(300)]
+        for cfg in configs:
+            dfe = solve_dfe_closed_form(cfg)
+            transmission = float(cfg.beta @ dfe.s)
+            expected = max(transmission - (cfg.r + cfg.mu), -cfg.mu)
+            scale = float(np.max(np.abs(susceptible_block_matrix(cfg)))) + cfg.r + transmission
+            assert dfe_spectrum(cfg, dfe).max_real_part == pytest.approx(expected, rel=1e-12, abs=1e-12 * scale)
 
     def test_known_eigenvalue_present(self, pertussis):
         verdict = dfe_spectrum(pertussis, solve_dfe_closed_form(pertussis))
@@ -169,7 +184,7 @@ class TestEndemicSpectrum:
             found += 1
             sol = refine_endemic(cfg)
             verdict = endemic_spectrum(cfg, sol)
-            quad_a, quad_b = verdict.reduced_quadratic
+            quad_a, quad_b = zero_waning_quadratic(cfg, sol)
             roots = np.roots([1.0, quad_a, quad_b])
             interior = [
                 -(cfg.omega_i[i] + cfg.mu + cfg.beta[i] * sol.i_star) for i in range(1, n)
@@ -188,7 +203,6 @@ class TestEndemicSpectrum:
         sol1 = refine_endemic(perturbed)
         v1 = endemic_spectrum(perturbed, sol1)
         assert v0.classification == v1.classification == "asymptotically_stable"
-        assert v1.reduced_quadratic is None
 
     def test_stale_solution_rejected(self):
         cfg = build_general(1, (2.0, 3.0), 0.0, 0.5, 0.5, 0.0, (0.0, 0.0))
@@ -204,8 +218,7 @@ class TestCharacteristicSigns:
         cfg = build_general(1, (beta, beta), 0.0, mu, r, 0.0, (0.0, 0.0))
         sol = refine_endemic(cfg)
         report = characteristic_sign_report(cfg, sol)
-        verdict = endemic_spectrum(cfg, sol)
-        quad_a, quad_b = verdict.reduced_quadratic
+        quad_a, quad_b = zero_waning_quadratic(cfg, sol)
         # det(zI - J) = (z + mu)(z^2 + a z + b)
         expected = [1.0, mu + quad_a, quad_a * mu + quad_b, quad_b * mu]
         np.testing.assert_allclose(report.coefficients, expected, rtol=1e-10, atol=1e-14)
