@@ -3,9 +3,10 @@
 The susceptible block of the model linearizes (at a fixed infection level)
 to a lower-bidiagonal matrix plus a dense first row carrying the vaccination
 return flows.  One prefix product of tier ratios solves the bidiagonal part
-and gives the disease-free equilibrium in closed form at any number of
-tiers.  An independent dense solve is the ``dfe`` command's explicit check
-of that form.
+and gives the steady susceptible profile, and with it the disease-free
+equilibrium, in closed form at any prevalence and any number of tiers.  An
+independent dense solve is the ``dfe`` command's explicit check of that
+form.
 """
 
 from __future__ import annotations
@@ -69,6 +70,40 @@ def tier_weights(config: ModelConfig, prevalence=0.0) -> tuple[np.ndarray, np.nd
     return ad, np.cumprod(np.concatenate(([1.0], config.delta_i[:-1])) / ad, axis=-1)
 
 
+def _steady_profile(config: ModelConfig, prevalence=0.0):
+    """Steady susceptible profile ``S(x)`` and equilibrium condition ``G(x)``
+    at one prevalence or an array of them (shapes ``P + (n+1,)`` and ``P``).
+
+    ``S`` solves ``(L + e_0 omega^T) S = -r x e_0 - mu e_n``.  With the
+    :func:`tier_weights` ``w`` and ``b = mu/|d_n|``, Sherman-Morrison gives
+    ``S = c w + b e_n``, ``c = (r x + omega_n b)/D``, ``D = 1 - omega . w``;
+    the tier balance ``|d_k| w_k = delta_{k-1} w_{k-1}`` summed over ``k``
+    makes ``D = mu sum(w) + x beta . w``, a sum of non-negative terms, so
+    ``S >= 0``.  ``G = (r + mu - beta . S) D/mu``; with ``b/mu = 1/|d_n|``
+    the ``r x beta . w/mu`` terms cancel in the algebra, not in floating
+    point: ``G = (r + mu) sum(w) + x beta . w - beta_n b sum(w)
+    - ((omega_n + beta_n x)/|d_n|) beta . w``, whose sign is right whatever
+    ``mu/r`` is.  Both are formed from ``w/sum(w)`` (``S`` and the sign of
+    ``G`` are scale-free), for which ``D >= mu > 0``.
+    """
+    # [()] turns a 0-d array into a NumPy scalar, whose arithmetic is cheaper
+    x = np.asarray(prevalence, dtype=float)[()]
+    ad, w = tier_weights(config, x)
+    total = w.sum(axis=-1)
+    ad_n = ad[..., -1][()]
+    mu, r, beta_n, omega_n = config.mu, config.r, config.beta[-1], config.omega_n
+    b = mu / ad_n
+    beta_w = (w @ config.beta) / total
+    denom = mu + x * beta_w
+    # omega_n b/D as (omega_n/|d_n|)(mu/D): both factors stay normal where
+    # b = mu/|d_n| is subnormal
+    c = (r * x / denom + omega_n / ad_n * (mu / denom)) / total
+    s = c[..., None] * w
+    s[..., -1] += b
+    g = r + mu + x * beta_w - beta_n * b - (omega_n + beta_n * x) / ad_n * beta_w
+    return s, g
+
+
 @dataclass(frozen=True)
 class DfeSolution:
     """Disease-free equilibrium: the susceptible profile (prevalence 0)."""
@@ -84,21 +119,16 @@ class DfeSolution:
 
 
 def solve_dfe_closed_form(config: ModelConfig) -> DfeSolution:
-    """Disease-free equilibrium ``s = c' w + (mu/|d_n|) e_n`` from the
-    :func:`tier_weights` ``w``.
+    """Disease-free equilibrium ``S(0) = (omega_n/|d_n|) w/sum(w) + b e_n``,
+    the :func:`_steady_profile` at prevalence 0.
 
-    ``c'`` is fixed by the normalization condition, which involves only
-    positive quantities (forward-stable), so the profile is finite at any
-    ``n``.  With no coverage on the least-immune tier the whole population
-    ends up there (the profile is the last basis vector, independent of the
-    vaccination rate and interior coverages).
+    There ``D = 1 - omega . w = mu sum(w)`` (the tier balance summed over
+    the tiers), and ``G(0) = (r + mu) sum(w) - beta_n b sum(w) -
+    (omega_n/|d_n|) beta . w`` has the sign of ``1 - R0``.  Every term is
+    non-negative, so the profile is finite at any ``n``.  With no coverage
+    on the least-immune tier the whole population ends up there.
     """
-    ad, w = tier_weights(config, 0.0)
-    # sum(c' * w) must equal 1 - mu/|d_n| = omega_n/(omega_n + mu)
-    scale = config.omega_n / ((config.omega_n + config.mu) * math.fsum(w.tolist()))
-    s = scale * w
-    s[-1] += config.mu / ad[-1]
-    return DfeSolution(s=s)
+    return DfeSolution(s=_steady_profile(config, 0.0)[0])
 
 
 def solve_dfe_numeric(config: ModelConfig) -> DfeSolution:

@@ -1,20 +1,25 @@
 """Endemic equilibria: perturbative localization and root refinement.
 
-At an endemic steady state the susceptible profile solves a linear system in
-the prevalence ``x`` whose solution is one prefix product of tier ratios, so
-the equilibrium condition reduces to a scalar equation
-``transmission(x) = r + mu`` costing a fixed handful of array operations at
-any number of tiers.  With the waning rate set to zero that transmission
-function has an explicit rational form whose numerator is a monic quadratic
-``Q(x) = x^2 + a x + b``; for small waning rates the true prevalence is
-trapped in intervals of width ``O(sqrt(delta))`` around the roots of ``Q``,
-and under the contraction certificate the sign analysis of ``Q`` decides
-whether an equilibrium exists and is unique.  The root itself is always
-found the same way: the condition is scanned on a grid over ``[0, 1]`` and
-every sign change is refined with Brent's method.  A root is labelled
-certified only when the certificate holds, the localization says it is
-unique, the scan finds exactly one and it lies within one grid cell of a
-localization interval.
+At an endemic steady state the susceptible profile is one prefix product of
+tier ratios ``w`` (:func:`waningsim.dfe.tier_weights`), ``S(x) = c w + b e_n``
+with ``b = mu/|d_n|``, ``c = (r x + omega_n b)/D`` and the Sherman-Morrison
+denominator ``D = 1 - omega . w = mu sum(w) + x beta . w`` (the tier balance
+``|d_k| w_k = delta_{k-1} w_{k-1}`` summed over the tiers).  The condition
+``beta . S(x) = r + mu`` is solved as ``G(x) = (r + mu - beta . S(x)) D/mu =
+(r + mu) sum(w) + x beta . w - beta_n b sum(w) - ((omega_n + beta_n x)/|d_n|)
+beta . w``, whose ``r x beta . w/mu`` terms cancel in the algebra, so its
+sign is right however small ``mu`` is beside ``r``.
+
+With the waning rate set to zero the transmission function has an explicit
+rational form whose numerator is a monic quadratic ``Q(x) = x^2 + a x + b``;
+for small waning rates the true prevalence is trapped in intervals of width
+``O(sqrt(delta))`` around the roots of ``Q``, and under the contraction
+certificate the sign analysis of ``Q`` decides whether an equilibrium exists
+and is unique.  The root itself is always found the same way: ``G`` is
+scanned on a grid over ``[0, 1]`` and every sign change is refined with
+Brent's method.  A root is labelled certified only when the certificate
+holds, the localization says it is unique, the scan finds exactly one and it
+lies within one grid cell of a localization interval.
 """
 
 from __future__ import annotations
@@ -26,18 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .dfe import tier_weights
+from .dfe import _steady_profile
 from .model import ModelConfig, vector_field
 
 __all__ = [
     "NoEndemicEquilibriumError",
     "RefinementError",
-    "SingularBlockError",
     "PrevalenceQuadratic",
     "LocalizationResult",
     "EndemicSolution",
     "solve_susceptible_block",
-    "equilibrium_transmission",
     "prevalence_quadratic",
     "existence_margin",
     "localize_endemic",
@@ -57,58 +60,15 @@ class RefinementError(RuntimeError):
     failed, or Brent's method failed on a sign-change bracket."""
 
 
-class SingularBlockError(ArithmeticError):
-    """Susceptible-block solve failed at a given prevalence.
-
-    Signals that the small-waning-rate regime assumption broke down at this
-    infection level.
-    """
-
-    def __init__(self, prevalence: float):
-        super().__init__(f"susceptible block is numerically singular at prevalence {prevalence!r}")
-        self.prevalence = prevalence
-
-
-def _profile_terms(config: ModelConfig, prevalence):
-    """``w``, ``mu/|d_n|`` and ``c`` of the steady susceptible profile
-    ``S = c w + (mu/|d_n|) e_n``, which solves
-    ``(L + e_0 omega^T) S = -r x e_0 - mu e_n``: with ``L^{-1} e_0 = -w`` the
-    Sherman-Morrison step gives ``c = (r x + omega_n mu/|d_n|) / (1 - omega . w)``.
-    """
-    x = np.asarray(prevalence, dtype=float)
-    ad, w = tier_weights(config, x)
-    births = config.mu / ad[..., -1]
-    denom = 1.0 - w @ config.omega_i
-    singular = ~np.isfinite(denom) | (np.abs(denom) < 1e-300)
-    if singular.any():
-        raise SingularBlockError(float(x[singular][0]))
-    return w, births, (config.r * x + config.omega_n * births) / denom
-
-
 def solve_susceptible_block(config: ModelConfig, prevalence) -> np.ndarray:
     """Steady susceptible profile at one prevalence or at an array of them.
 
     Recovery inflow ``r x`` enters the top tier and births ``mu`` the bottom
     tier.  For ``prevalence`` of shape ``P`` the solution has shape
-    ``P + (n+1,)``; it costs one prefix product over the tiers.
-
-    Raises:
-        SingularBlockError: at the first prevalence where the rank-one
-            correction breaks down.
+    ``P + (n+1,)``; it costs one prefix product over the tiers, and every
+    component is non-negative.
     """
-    w, births, c = _profile_terms(config, prevalence)
-    s = c[..., None] * w
-    s[..., -1] += births
-    return s
-
-
-def equilibrium_transmission(config: ModelConfig, prevalence):
-    """Transmission sum ``beta . S`` of the steady susceptible profile at the
-    given prevalence (elementwise for an array); an endemic equilibrium
-    solves ``equilibrium_transmission(x) = r + mu``.  Two dot products with
-    the tier weights, ``beta . w`` and ``omega . w``, give it."""
-    w, births, c = _profile_terms(config, prevalence)
-    return c * (w @ config.beta) + births * config.beta[-1]
+    return _steady_profile(config, prevalence)[0]
 
 
 def existence_margin(config: ModelConfig) -> float:
@@ -322,9 +282,6 @@ class EndemicSolution:
 
 def _finish_solution(config, i_star, iterations, certification, candidates) -> EndemicSolution:
     s_star = solve_susceptible_block(config, i_star)
-    if np.min(s_star) < -1e-12:
-        raise RefinementError(f"negative susceptible component at prevalence {i_star}: {s_star}")
-    s_star = np.maximum(s_star, 0.0)
     residual = abs(float(config.beta @ s_star) - (config.r + config.mu))
     state = np.concatenate([s_star, [i_star]])
     vf_norm = float(np.linalg.norm(vector_field(config, state)))
@@ -348,10 +305,12 @@ def refine_endemic(
     Where the contraction certificate holds the localization decides first:
     ``"none"`` raises :class:`NoEndemicEquilibriumError` and
     ``"indeterminate"`` raises :class:`RefinementError`.  Every other
-    configuration takes one search: the equilibrium condition
-    ``r + mu - beta . S(x)`` is sampled on ``BISECTION_GRID`` cells over
-    ``[0, 1]``, every sign change is refined by Brent's method, and the
-    largest positive root is returned.  The result is
+    configuration takes one search over ``G(x) = (r + mu - beta . S(x)) D/mu``
+    with ``D = 1 - omega . w = mu sum(w) + x beta . w > 0`` (see the module
+    docstring), which is ``(r + mu) sum(w) + x beta . w - beta_n b sum(w) -
+    ((omega_n + beta_n x)/|d_n|) beta . w``: it is sampled on
+    ``BISECTION_GRID`` cells over ``[0, 1]``, every sign change is refined
+    by Brent's method, and the largest positive root is returned.  The result is
     ``"certified-contraction"`` when the certificate holds, the localization
     says the root is unique and the scan finds exactly one root, within one
     grid cell of a localization interval, and ``"numeric-uncertified"``
@@ -377,14 +336,10 @@ def refine_endemic(
         )
 
     def g(x):
-        return config.r + config.mu - equilibrium_transmission(config, x)
+        return _steady_profile(config, x)[1]
 
     grid = np.linspace(0.0, 1.0, BISECTION_GRID + 1)
     values = g(grid)
-    # g(1) = mu * sum(S(1)) >= 0 exactly, so a value rounded below 0 is a root
-    # at 1, unless the last cell already brackets a sign change
-    if values[-2] < 0.0:
-        values[-1] = max(values[-1], 0.0)
     # xtol is the smallest tolerance whose half is not 0, so the default rtol
     # (4 eps) ends the search at any normal root however small; Brent (1973,
     # ch. 4) bounds the search by about the square of the bisection count from

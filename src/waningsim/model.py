@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -65,7 +66,7 @@ class ModelConfig:
         n: index of the least-immune compartment (``n + 1`` susceptible tiers).
         beta: transmission rates per tier, non-decreasing, length ``n + 1``.
         delta: waning rate (1/years).
-        mu: birth/death rate, strictly positive.
+        mu: birth/death rate, at least the smallest normal double.
         r: recovery rate, strictly positive.
         omega: vaccination rate applied to covered compartments.
         p: coverage fractions per tier, ``p[0] == 0``.
@@ -129,7 +130,10 @@ class ModelConfig:
         )
 
 
-_RATES = (("delta", False), ("mu", True), ("r", True), ("omega", False))  # (name, 0 excluded)
+# (name, smallest value, that bound in messages); below the smallest normal
+# double, 1/mu can overflow in dfe.tier_weights
+_RATES = (("delta", 0.0, ">= 0"), ("mu", sys.float_info.min, f">= {sys.float_info.min!r}"),
+          ("r", math.ulp(0.0), "> 0"), ("omega", 0.0, ">= 0"))
 
 
 def _validated(n: int, fields: dict) -> dict:
@@ -154,11 +158,10 @@ def _validated(n: int, fields: dict) -> dict:
                 raise ConfigError("beta entries must be finite and >= 0")
             raise ConfigError(f"beta must be non-decreasing, got {beta.tolist()}")
         beta.flags.writeable = False
-    for name, lower_open in _RATES:
+    for name, lowest, bound in _RATES:
         if name in fields:
             value = float(fields[name])
-            if not math.isfinite(value) or value < 0 or (lower_open and value == 0):
-                bound = "> 0" if lower_open else ">= 0"
+            if not lowest <= value < math.inf:  # a NaN fails too
                 raise ConfigError(f"{name} must be finite and {bound}, got {value}")
             out[name] = value
     p = out.get("p")

@@ -26,7 +26,6 @@ from .dfe import basic_reproduction_number
 from .endemic import (
     NoEndemicEquilibriumError,
     RefinementError,
-    SingularBlockError,
     localize_endemic,
     refine_endemic,
 )
@@ -109,7 +108,7 @@ def analyze_config(config: ModelConfig) -> dict:
         endemic_verdict = endemic_spectrum(config, solution).to_dict()
     except NoEndemicEquilibriumError:
         pass
-    except (RefinementError, SingularBlockError) as exc:
+    except RefinementError as exc:
         endemic_error = str(exc)
 
     report = {

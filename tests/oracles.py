@@ -11,7 +11,7 @@ import numpy as np
 import scipy.optimize
 
 from waningsim.dfe import basic_reproduction_number, susceptible_block_matrix, tier_weights
-from waningsim.endemic import EndemicSolution, localize_endemic
+from waningsim.endemic import EndemicSolution, localize_endemic, solve_susceptible_block
 from waningsim.model import ModelConfig
 from waningsim.scanfit import FIT_FTOL, FIT_XTOL
 from waningsim.stability import _require_fresh, dfe_spectrum, jacobian
@@ -36,6 +36,13 @@ def matrix_determinant(config: ModelConfig, prevalence: float = 0.0) -> float:
     correction = math.fsum([1.0] + (-config.omega_i * w).tolist())
     det = math.prod((-ad).tolist()) * correction
     return det if det != 0.0 and math.isfinite(det) else math.nan
+
+
+def equilibrium_transmission(config: ModelConfig, prevalence) -> float:
+    """Transmission sum ``beta . S`` of the steady susceptible profile at the
+    given prevalence (elementwise for an array); an endemic equilibrium
+    solves ``equilibrium_transmission(x) = r + mu``."""
+    return solve_susceptible_block(config, prevalence) @ config.beta
 
 
 def equilibrium_transmission_no_waning(config: ModelConfig, prevalence: float) -> float:

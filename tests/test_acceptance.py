@@ -22,7 +22,6 @@ from waningsim.dynamics import convergence_rate, infection_free_solution, integr
 from waningsim.endemic import (
     NoEndemicEquilibriumError,
     contraction_precondition_holds,
-    equilibrium_transmission,
     existence_margin,
     localize_endemic,
     refine_endemic,
@@ -41,7 +40,7 @@ from waningsim.scanfit import (
 from waningsim.stability import dfe_spectrum, endemic_spectrum
 
 from conftest import random_config
-from oracles import column_discs, equilibrium_transmission_no_waning, transmission_gap_bound
+from oracles import column_discs, equilibrium_transmission, equilibrium_transmission_no_waning, transmission_gap_bound
 
 
 def conclude(criterion: int, ok: bool, detail: str) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -193,7 +194,8 @@ class TestAnalyze:
         assert data["consistency"]["consistent"]
 
     @pytest.mark.parametrize("fields, expected", [
-        ({"delta": 0.2}, (None, None, "susceptible block is numerically singular at prevalence 0.0")),
+        # R0 is 0.959: no root
+        ({"delta": 0.2}, (None, None, None)),
         ({"delta": 0.0}, (None, None, None)),
         # the no-waning condition reduces to x^2 + 1.036 x - 0.964 = 0; its
         # products are subnormal unless the rates are scaled first
@@ -206,29 +208,36 @@ class TestAnalyze:
          (pytest.approx(7.041208505847825e-299, rel=1e-12, abs=0.0), "certified-contraction", None)),
         (dict(n=1, beta=(1e-300, 309.58707489458175), delta=0.0, r=1.341042845006398, omega=0.0, p=(0.0, 0.008)),
          (pytest.approx(7.424582213246018e-301, rel=1e-12, abs=0.0), "certified-contraction", None)),
-        # Brent's method needs more than 100 iterations on the bracket at 0
+        # r and mu are below the rounding of the other terms of the condition G,
+        # which is exactly 0 at prevalence 1: the root 1 needs no Brent search
+        # (the condition r + mu - beta . S took over 100 iterations here)
         (dict(n=4, beta=(0.001155515437346742, 0.01838831675173134, 12.727612456653722, 17.264982046268692,
                          968.2152064133929), delta=1000.0, r=1e-300, omega=17.0, p=(0.0, 0.158, 0.066, 0.084, 0.894)),
          (1.0, "numeric-uncertified", None)),
-        # the condition at prevalence 1 rounds below 0, where it is >= 0 exactly
+        # G(1) = r + mu - b (beta_n - beta . w/sum(w)) > r; at these rates it
+        # rounds to 0, and the root below 1 is 1 to double precision
         (dict(n=3, beta=(0.017670407866605457, 0.024934869212355652, 0.71253018222773, 1.3292926338282425),
               delta=0.0, r=1e-300, omega=0.02, p=(0.0, 0.658, 0.778, 0.637)),
          (1.0, "certified-contraction", None)),
-        # there the rounding noise of the condition crosses 0 in the last cell,
-        # and that root, not 1, solves the condition to the stale-residual bound
+        # R0 is 1.0e-11 and G > 0 on [0, 1], where the rounding noise of
+        # r + mu - beta . S crosses 0 in the last cell
         (dict(n=4, beta=(0.0, 1e-300, 1e-12, 0.006173893931142045, 0.2200220751333211), delta=0.003222199039327274,
               r=0.0037258554729891567, omega=63.641113389198146, p=(0.0, 0.236, 0.62, 0.041, 0.772)),
-         (pytest.approx(0.997012561665431, rel=1e-12, abs=0.0), "numeric-uncertified", None)),
-        # the condition is rounding noise on (0, 1]: a bracket's signs do not
-        # survive its re-evaluation, and the failure is reported, not raised
+         (None, None, None)),
+        # r + mu - beta . S is rounding noise on (0, 1], G is not: one root,
+        # equal to that of a 700-digit dense solve
         (dict(n=1, beta=(718.230197215631, 1412.97883069321), delta=0.001, r=1000.0, omega=1e-300, p=(0.0, 0.466)),
-         (None, None, "Brent's method failed on the bracket [0.70703125, 0.7109375]: "
-                      "f(a) and f(b) must have different signs")),
+         (pytest.approx(1.0372775952089367e-06, rel=1e-12, abs=0.0), "numeric-uncertified", None)),
+        # R0 is 1e-22 and G > 0 on [0, 1]; a noise crossing of r + mu - beta . S
+        # gave a root whose residual failed the stale-solution check (exit 2)
+        (dict(n=2, beta=(1e-300, 1e-12, 1e-12), delta=1e-12, r=0.03999514033254006, omega=1.990620263801867,
+              p=(0.0, 0.129, 0.208)),
+         (None, None, None)),
         # the linear root's product beta_n * (r + mu) underflows to 0
         (dict(n=1, beta=(0.0, 1e-300), delta=0.0, r=1e-300, omega=0.0, p=(0.0, 0.5)), (None, None, None)),
     ], ids=["0.2", "0.0", "underflowing-products", "tiny-beta0", "linear-root-near-zero", "quadratic-root-near-zero",
             "long-brent-search", "root-at-one", "noise-crossing-in-last-cell", "noise-bracket",
-            "linear-root-product-underflows"])
+            "stale-noise-root", "linear-root-product-underflows"])
     def test_vanishing_birth_rate_is_reported(self, tmp_path, capsys, pertussis, fields, expected):
         # mu**3 underflows to 0, and the eigenvalue -mu sits in the marginal band
         path = tmp_path / "tiny_mu.json"
@@ -239,6 +248,43 @@ class TestAnalyze:
         endemic = data["endemic"] or {}
         assert (endemic.get("i_star"), endemic.get("certification"), data["endemic_error"]) == expected
         assert not data["consistency"]["checked"]
+
+    def test_tiny_rate_endemic_states_lie_on_the_simplex(self, tmp_path, capsys):
+        # rates drawn from {0, 1e-300, 1e-12, 10^U(-3, 3)}, every second
+        # beta_0 = 0 and every third mu = 1e-300: where mu or r is negligible
+        # beside the other rates, r + mu - beta . S(x) is rounding noise
+        rng = np.random.default_rng(5)
+
+        def rate(choices=(0.0, 1e-300, 1e-12, None)):
+            value = choices[rng.integers(len(choices))]
+            return 10.0 ** rng.uniform(-3, 3) if value is None else value
+
+        path = tmp_path / "tiny_rates.json"
+        faults = []
+        for k in range(300):
+            n = int(rng.integers(1, 9))
+            beta = sorted(rate() for _ in range(n + 1))
+            if k % 2 == 0:
+                beta[0] = 0.0
+            delta, omega = rate(), rate()
+            mu = 1e-300 if k % 3 == 0 else rate((1e-300, 1e-12, None))
+            r = rate((1e-300, 1e-12, None))
+            p = [0.0] + [round(float(v), 3) for v in rng.uniform(0, 1, n)]
+            path.write_text(config_to_json(build_general(n, beta, delta, mu, r, omega, p)))
+            code = main(["analyze", "--config", str(path)])
+            captured = capsys.readouterr()
+            if code != 0:
+                faults.append((k, f"exit {code}: {captured.err.strip()}"))
+                continue
+            data = json.loads(captured.out)["data"]
+            endemic = data["endemic"]
+            if endemic is not None:
+                total = math.fsum(endemic["s_star"]) + endemic["i_star"]
+                if abs(total - 1.0) > 1e-9:
+                    faults.append((k, f"i* = {endemic['i_star']!r} off the simplex: total {total!r}"))
+            elif data["r0"]["r0"] > 1.0 + 1e-9:
+                faults.append((k, f"R0 = {data['r0']['r0']!r} without an endemic state: {data['endemic_error']}"))
+        assert not faults, f"{len(faults)} faults, first {faults[:3]}"
 
     def test_inconsistent_report_exits_4_before_writing(self, endemic_config_path, tmp_path, capsys, monkeypatch):
         from waningsim import cli
@@ -294,7 +340,7 @@ class TestSmallCommands:
     @pytest.mark.parametrize("command, code", [("dfe", 2), ("analyze", 0)], ids=["dfe", "analyze"])
     def test_singular_numeric_dfe_exits_2(self, tmp_path, capsys, command, code):
         # only the dense check in dfe solves the singular matrix; analyze
-        # reports the closed form, exact here
+        # reports the closed forms, exact here
         path = tmp_path / "singular.json"
         path.write_text(config_to_json(build_general(1, (1.0, 2.0), 0.5, 1e-300, 1.0, 1.0, (0.0, 0.5))))
         assert main([command, "--config", str(path)]) == code
@@ -306,8 +352,8 @@ class TestSmallCommands:
         data = json.loads(captured.out)["data"]
         assert data["r0"]["r0"] == 1.5
         assert data["dfe"]["s"] == [0.5, 0.5]
-        assert data["endemic"] is None
-        assert data["endemic_error"] == "susceptible block is numerically singular at prevalence 0.0"
+        assert (data["endemic"]["i_star"], data["endemic"]["s_star"]) == (0.25, [0.5, 0.25])
+        assert data["endemic_error"] is None
         assert "dfe_numeric_gap" not in data
 
     @pytest.mark.parametrize("command", ["r0", "analyze"])
@@ -319,6 +365,17 @@ class TestSmallCommands:
         assert main([command, "--config", config_path]) == 2
         captured = capsys.readouterr()
         assert "transmission level at the disease-free equilibrium is nan" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["r0", "analyze"])
+    def test_subnormal_birth_rate_exits_2(self, tmp_path, capsys, command):
+        # here |d_0| = mu at prevalence 0, and 1/mu overflows in the tier weights
+        path = tmp_path / "subnormal_mu.json"
+        path.write_text('{"n": 1, "beta": [0.0, 2.0], "delta": 0.0, "mu": 5e-324, "r": 1.0, "omega": 1.0, '
+                        '"p": [0.0, 0.5]}')
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: mu must be finite and >= 2.2250738585072014e-308, got 5e-324\n"
         assert captured.out == ""
 
 

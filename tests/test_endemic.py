@@ -12,7 +12,6 @@ from waningsim.endemic import (
     EndemicSolution,
     NoEndemicEquilibriumError,
     RefinementError,
-    equilibrium_transmission,
     existence_margin,
     localize_endemic,
     prevalence_quadratic,
@@ -23,6 +22,7 @@ from waningsim.model import build_general, build_last_only, vector_field
 
 from conftest import random_config
 from oracles import (
+    equilibrium_transmission,
     equilibrium_transmission_no_waning,
     perturbation_norms,
     prevalence_linear_root,

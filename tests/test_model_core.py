@@ -5,10 +5,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from waningsim.dfe import tier_weights
 from waningsim.model import (
     ConfigError,
     StateVector,
@@ -66,6 +68,21 @@ class TestBuilders:
         base.update(kwargs)
         with pytest.raises(ConfigError):
             build_general(**base)
+
+    def test_birth_rate_below_the_smallest_normal_rejected(self):
+        # 1/|d_0| = 1/mu would overflow in the tier weights
+        base = dict(n=1, beta=(0.0, 2.0), delta=0.0, r=1.0, omega=1.0, p=(0.0, 0.5))
+        message = "mu must be finite and >= 2.2250738585072014e-308, got 5e-324"
+        with pytest.raises(ConfigError, match=message):
+            build_general(mu=5e-324, **base)
+        cfg = build_general(mu=0.1, **base)
+        with pytest.raises(ConfigError, match=message):
+            cfg.replace(mu=5e-324)
+        # at the smallest normal mu every tier weight is at most 1/mu, finite
+        smallest = cfg.replace(mu=sys.float_info.min)
+        assert smallest.mu == build_general(mu=sys.float_info.min, **base).mu
+        _, w = tier_weights(smallest)
+        assert np.isfinite(w).all() and w.max() <= 1.0 / sys.float_info.min
 
     def test_all_but_last_sets_both_endpoints_to_zero(self):
         cfg = build_all_but_last(2, (0.0, 1.0, 2.0), 0.1, 0.1, 1.0, 5.0, (0.5,))
