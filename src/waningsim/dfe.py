@@ -70,38 +70,32 @@ def tier_weights(config: ModelConfig, prevalence=0.0) -> tuple[np.ndarray, np.nd
     return ad, np.cumprod(np.concatenate(([1.0], config.delta_i[:-1])) / ad, axis=-1)
 
 
-def _steady_profile(config: ModelConfig, prevalence=0.0):
-    """Steady susceptible profile ``S(x)`` and equilibrium condition ``G(x)``
-    at one prevalence or an array of them (shapes ``P + (n+1,)`` and ``P``).
+def _steady_profile(config: ModelConfig, prevalence=0.0) -> np.ndarray:
+    """Steady susceptible profile ``S(x)`` at one prevalence or an array of
+    them (shape ``P + (n+1,)``).
 
     ``S`` solves ``(L + e_0 omega^T) S = -r x e_0 - mu e_n``.  With the
     :func:`tier_weights` ``w`` and ``b = mu/|d_n|``, Sherman-Morrison gives
     ``S = c w + b e_n``, ``c = (r x + omega_n b)/D``, ``D = 1 - omega . w``;
     the tier balance ``|d_k| w_k = delta_{k-1} w_{k-1}`` summed over ``k``
     makes ``D = mu sum(w) + x beta . w``, a sum of non-negative terms, so
-    ``S >= 0``.  ``G = (r + mu - beta . S) D/mu``; with ``b/mu = 1/|d_n|``
-    the ``r x beta . w/mu`` terms cancel in the algebra, not in floating
-    point: ``G = (r + mu) sum(w) + x beta . w - beta_n b sum(w)
-    - ((omega_n + beta_n x)/|d_n|) beta . w``, whose sign is right whatever
-    ``mu/r`` is.  Both are formed from ``w/sum(w)`` (``S`` and the sign of
-    ``G`` are scale-free), for which ``D >= mu > 0``.
+    ``S >= 0``.  ``S`` is formed from ``w/sum(w)`` (it is scale-free), for
+    which ``D >= mu > 0``.  Off an equilibrium ``sum(S) = 1 + x (r - beta .
+    S)/mu`` can overflow, so the root search evaluates ``G = (r + mu - beta .
+    S) D/mu`` alone (:func:`waningsim.endemic._equilibrium_condition`).
     """
     # [()] turns a 0-d array into a NumPy scalar, whose arithmetic is cheaper
     x = np.asarray(prevalence, dtype=float)[()]
     ad, w = tier_weights(config, x)
     total = w.sum(axis=-1)
     ad_n = ad[..., -1][()]
-    mu, r, beta_n, omega_n = config.mu, config.r, config.beta[-1], config.omega_n
-    b = mu / ad_n
-    beta_w = (w @ config.beta) / total
-    denom = mu + x * beta_w
+    denom = config.mu + x * ((w @ config.beta) / total)
     # omega_n b/D as (omega_n/|d_n|)(mu/D): both factors stay normal where
     # b = mu/|d_n| is subnormal
-    c = (r * x / denom + omega_n / ad_n * (mu / denom)) / total
+    c = (config.r * x / denom + config.omega_n / ad_n * (config.mu / denom)) / total
     s = c[..., None] * w
-    s[..., -1] += b
-    g = r + mu + x * beta_w - beta_n * b - (omega_n + beta_n * x) / ad_n * beta_w
-    return s, g
+    s[..., -1] += config.mu / ad_n
+    return s
 
 
 @dataclass(frozen=True)
@@ -122,13 +116,14 @@ def solve_dfe_closed_form(config: ModelConfig) -> DfeSolution:
     """Disease-free equilibrium ``S(0) = (omega_n/|d_n|) w/sum(w) + b e_n``,
     the :func:`_steady_profile` at prevalence 0.
 
-    There ``D = 1 - omega . w = mu sum(w)`` (the tier balance summed over
-    the tiers), and ``G(0) = (r + mu) sum(w) - beta_n b sum(w) -
-    (omega_n/|d_n|) beta . w`` has the sign of ``1 - R0``.  Every term is
-    non-negative, so the profile is finite at any ``n``.  With no coverage
-    on the least-immune tier the whole population ends up there.
+    There ``D = 1 - omega . w = mu sum(w)`` (the tier balance
+    ``|d_k| w_k = delta_{k-1} w_{k-1}`` summed over the tiers), and ``G(0) =
+    (r + mu) sum(w) - beta_n b sum(w) - (omega_n/|d_n|) beta . w`` has the
+    sign of ``1 - R0``.  Every term is non-negative, so the profile is finite
+    at any ``n``.  With no coverage on the least-immune tier the whole
+    population ends up there.
     """
-    return DfeSolution(s=_steady_profile(config, 0.0)[0])
+    return DfeSolution(s=_steady_profile(config, 0.0))
 
 
 def solve_dfe_numeric(config: ModelConfig) -> DfeSolution:

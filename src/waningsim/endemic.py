@@ -24,6 +24,7 @@ lies within one grid cell of a localization interval.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .dfe import _steady_profile
+from .dfe import _steady_profile, tier_weights
 from .model import ModelConfig, vector_field
 
 __all__ = [
@@ -68,7 +69,24 @@ def solve_susceptible_block(config: ModelConfig, prevalence) -> np.ndarray:
     ``P + (n+1,)``; it costs one prefix product over the tiers, and every
     component is non-negative.
     """
-    return _steady_profile(config, prevalence)[0]
+    return _steady_profile(config, prevalence)
+
+
+def _equilibrium_condition(config: ModelConfig, x):
+    """``G(x)/sum(w)`` (module docstring) at one prevalence or an array of them.
+
+    With ``beta_w = beta . w/sum(w)``, ``1 - b = (omega_n + beta_n x)/|d_n|``
+    and ``mu = b (omega_n + mu + beta_n x)`` it is ``r + b (omega_n + mu +
+    x beta_w) - (1 - x)(beta_n b + (1 - b) beta_w)``: nothing is subtracted at
+    ``x = 1``, and no term exceeds the largest rate, so it stays finite where
+    ``S(x)`` overflows.
+    """
+    ad, w = tier_weights(config, x)
+    ad_n = ad[..., -1][()]  # a NumPy scalar at one prevalence, whose arithmetic is cheaper
+    b = config.mu / ad_n
+    beta_w = (w @ config.beta) / w.sum(axis=-1)
+    mu, r, beta_n, omega_n = config.mu, config.r, config.beta[-1], config.omega_n
+    return r + b * (omega_n + mu + x * beta_w) - (1.0 - x) * (beta_n * b + (omega_n + beta_n * x) / ad_n * beta_w)
 
 
 def existence_margin(config: ModelConfig) -> float:
@@ -306,16 +324,16 @@ def refine_endemic(
     ``"none"`` raises :class:`NoEndemicEquilibriumError` and
     ``"indeterminate"`` raises :class:`RefinementError`.  Every other
     configuration takes one search over ``G(x) = (r + mu - beta . S(x)) D/mu``
-    with ``D = 1 - omega . w = mu sum(w) + x beta . w > 0`` (see the module
-    docstring), which is ``(r + mu) sum(w) + x beta . w - beta_n b sum(w) -
-    ((omega_n + beta_n x)/|d_n|) beta . w``: it is sampled on
-    ``BISECTION_GRID`` cells over ``[0, 1]``, every sign change is refined
-    by Brent's method, and the largest positive root is returned.  The result is
-    ``"certified-contraction"`` when the certificate holds, the localization
-    says the root is unique and the scan finds exactly one root, within one
-    grid cell of a localization interval, and ``"numeric-uncertified"``
-    otherwise.  Brent's method stops at the default relative tolerance
-    (4 eps) at any normal root, however small.
+    with ``D = 1 - omega . w = mu sum(w) + x beta . w > 0`` (the tier balance
+    summed over the tiers), which is ``(r + mu) sum(w) + x beta . w -
+    beta_n b sum(w) - ((omega_n + beta_n x)/|d_n|) beta . w`` since ``b/mu =
+    1/|d_n|``: it is sampled on ``BISECTION_GRID`` cells over ``[0, 1]``,
+    every sign change is refined by Brent's method, and the largest positive
+    root is returned.  The result is ``"certified-contraction"`` when the
+    certificate holds, the localization says the root is unique and the scan
+    finds exactly one root, within one grid cell of a localization interval,
+    and ``"numeric-uncertified"`` otherwise.  Brent's method stops at the
+    default relative tolerance (4 eps) at any normal root, however small.
 
     Raises:
         NoEndemicEquilibriumError: when the localization says no equilibrium
@@ -335,9 +353,7 @@ def refine_endemic(
             f"(separation below delta^(1/3) = {config.delta ** (1 / 3):g})"
         )
 
-    def g(x):
-        return _steady_profile(config, x)[1]
-
+    g = functools.partial(_equilibrium_condition, config)
     grid = np.linspace(0.0, 1.0, BISECTION_GRID + 1)
     values = g(grid)
     # xtol is the smallest tolerance whose half is not 0, so the default rtol

@@ -235,9 +235,18 @@ class TestAnalyze:
          (None, None, None)),
         # the linear root's product beta_n * (r + mu) underflows to 0
         (dict(n=1, beta=(0.0, 1e-300), delta=0.0, r=1e-300, omega=0.0, p=(0.0, 0.5)), (None, None, None)),
+        # mu is 3.7e-17 beta_n: G(1) = r + b (omega_n + mu + beta . w/sum(w)) > 0,
+        # which the sum r + mu - beta_n b + ... rounded below 0, leaving no
+        # bracket; the root 1 - mu/beta_n is 1 to double precision
+        (dict(n=1, beta=(0.0, 2.0**-942), delta=2.0**-942, r=5e-324, omega=0.0, p=(0.0, 0.0)),
+         (1.0, "numeric-uncertified", None)),
+        # sum(S(x)) = 1 + x r/mu leaves the double range for x > 0.1; the
+        # scan evaluates G alone, which stays below the largest rate
+        (dict(n=1, beta=(0.0, 0.0), delta=1.0, r=1e9, omega=0.0, p=(0.0, 0.0)), (None, None, None)),
     ], ids=["0.2", "0.0", "underflowing-products", "tiny-beta0", "linear-root-near-zero", "quadratic-root-near-zero",
             "long-brent-search", "root-at-one", "noise-crossing-in-last-cell", "noise-bracket",
-            "stale-noise-root", "linear-root-product-underflows"])
+            "stale-noise-root", "linear-root-product-underflows", "birth-rate-below-rounding-at-one",
+            "profile-overflows-off-root"])
     def test_vanishing_birth_rate_is_reported(self, tmp_path, capsys, pertussis, fields, expected):
         # mu**3 underflows to 0, and the eigenvalue -mu sits in the marginal band
         path = tmp_path / "tiny_mu.json"

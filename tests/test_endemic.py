@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from waningsim.dfe import solve_dfe_closed_form
+from waningsim.dfe import solve_dfe_closed_form, solve_dfe_numeric, susceptible_block_matrix, tier_weights
 from waningsim.endemic import (
     EndemicSolution,
     NoEndemicEquilibriumError,
     RefinementError,
+    _equilibrium_condition,
     existence_margin,
     localize_endemic,
     prevalence_quadratic,
@@ -59,8 +60,6 @@ def equilibrium_rhs(cfg, prevalence):
 class TestBlockSolve:
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(21)
-        from waningsim.dfe import susceptible_block_matrix
-
         for _ in range(40):
             cfg = random_config(rng, n_range=(1, 8), rate_low=0.01, rate_high=20)
             prevalence = float(rng.uniform(0, 1))
@@ -79,8 +78,6 @@ class TestBlockSolve:
     def test_large_n_matches_dense_solve(self):
         # the prefix product stays in range where products of n rates do not
         rng = np.random.default_rng(64)
-        from waningsim.dfe import susceptible_block_matrix
-
         for _ in range(200):
             n = int(np.exp(rng.uniform(np.log(64), np.log(2048))))
             cfg = random_config(rng, n_range=(n, n))
@@ -105,11 +102,27 @@ class TestTransmissionFunctions:
                 assert closed == pytest.approx(matrix_path, rel=1e-12, abs=1e-12)
 
     def test_at_zero_prevalence_ties_to_dfe_transmission(self):
+        # G(0) = r + mu - beta . S(0), with S(0) from the dense solve
         rng = np.random.default_rng(4)
         for _ in range(25):
             cfg = random_config(rng, n_range=(1, 8), rate_low=0.01, rate_high=20)
-            dfe_sum = float(cfg.beta @ solve_dfe_closed_form(cfg).s)
-            assert equilibrium_transmission(cfg, 0.0) == pytest.approx(dfe_sum, rel=1e-10)
+            dfe_sum = float(cfg.beta @ solve_dfe_numeric(cfg).s)
+            removal = cfg.r + cfg.mu
+            assert _equilibrium_condition(cfg, 0.0) == pytest.approx(removal - dfe_sum, abs=1e-10 * (removal + dfe_sum))
+
+    def test_condition_is_scaled_defect_of_dense_profile(self):
+        # G(x) = (r + mu - beta . S(x)) (mu + x beta . w/sum(w))/mu on [0, 1]
+        rng = np.random.default_rng(6)
+        grid = np.linspace(0.0, 1.0, 9)
+        for _ in range(25):
+            cfg = random_config(rng, n_range=(1, 8), rate_low=0.01, rate_high=20)
+            _, w = tier_weights(cfg, grid)
+            scale = (cfg.mu + grid * (w @ cfg.beta) / w.sum(axis=-1)) / cfg.mu
+            for x, g, k in zip(grid, _equilibrium_condition(cfg, grid), scale):
+                dense = np.linalg.solve(susceptible_block_matrix(cfg, x), equilibrium_rhs(cfg, x))
+                transmission = float(cfg.beta @ dense)
+                removal = cfg.r + cfg.mu
+                assert g == pytest.approx((removal - transmission) * k, abs=1e-10 * (removal + transmission) * k)
 
     def test_no_waning_value_at_zero_prevalence(self):
         beta0, beta_n, mu, omega_n = 1.0, 6.0, 0.5, 4.0
@@ -422,7 +435,6 @@ class TestPerturbationNorms:
 
     def test_difference_norm_below_schur_bound_power_iteration_oracle(self):
         rng = np.random.default_rng(16)
-        from waningsim.dfe import susceptible_block_matrix
         from oracles import _no_waning_matrix
 
         for _ in range(30):
