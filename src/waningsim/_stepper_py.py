@@ -14,6 +14,16 @@ Status codes returned by :func:`integrate_core`:
 * -2 - step budget exhausted (stiffness signal)
 * -3 - non-finite state encountered
 * -4 - component fell below the negativity clamp threshold
+
+After every accepted step the clamp sets to 0 each component that is
+negative (down to ``-NEG_CLAMP``; below it the step is retried smaller) or
+positive but below ``TINY``, the smallest normal double (2.2250738585072014e-308);
+an exact 0 is left alone.  A positive component thus moves by less than
+2.2e-308, some 296 orders of magnitude under the default atol of 1e-12.
+``I = 0`` is invariant under the flow, so an infection that decays out of the
+normal range is extinct from then on, rather than carried through every later
+step as subnormal operands (about 3x slower per step in the compiled kernel).
+A clamped step re-evaluates the derivative at the clamped state.
 """
 
 from __future__ import annotations
@@ -49,7 +59,8 @@ _ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 SAFETY = 0.9
-H_FLOOR = 1e3 * np.finfo(float).tiny
+TINY = float(np.finfo(float).tiny)  # the smallest normal double, 2.2250738585072014e-308
+H_FLOOR = 1e3 * TINY
 
 
 def _rhs(beta, omega_i, delta_i, mu, r, y, out):
@@ -161,9 +172,10 @@ def integrate_core(
             t = target if clipped else t + h_use
             if clipped:
                 idx += 1
-            negative = y_new < 0.0
-            clamped = negative.any()
-            y_new[negative] = 0.0
+            # the clamp of the module docstring
+            below = (y_new < TINY) & (y_new != 0.0)
+            clamped = below.any()
+            y_new[below] = 0.0
             y[:] = y_new
             if clamped:
                 _rhs(beta, omega_i, delta_i, mu, r, y, rows[6])

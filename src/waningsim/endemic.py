@@ -91,12 +91,42 @@ def _equilibrium_condition(config: ModelConfig, x):
 
 def existence_margin(config: ModelConfig) -> float:
     """Positive iff a unique endemic equilibrium exists in the small-waning
-    regime: ``beta0*omega_n + beta_n*mu - (omega_n + mu)(mu + r)``."""
-    return _margin(float(config.beta[0]), float(config.beta[-1]), config.mu, config.r, config.omega_n)
+    regime: ``beta0*omega_n + beta_n*mu - (omega_n + mu)(mu + r)``.
+
+    Where that falls below the normal range, it is the margin of the scaled
+    rates of :func:`prevalence_quadratic` scaled back: one rounding instead
+    of products that underflow on their own, though it may still round
+    to 0.  :func:`localize_endemic` takes the sign from the scaled rates.
+    """
+    return _margins(config)[0]
 
 
 def _margin(beta0, beta_n, mu, r, omega_n):
     return beta0 * omega_n + beta_n * mu - (omega_n + mu) * (mu + r)
+
+
+def _scaled_rates(config: ModelConfig):
+    """``(shift, (beta0, beta_n, mu, r, omega_n) * 2**shift)``: the rates
+    scaled exactly by the power of two that brings the largest into
+    ``[1/2, 1)``, so that no product of two of them overflows and none
+    underflows unless the two lie some 300 orders of magnitude apart."""
+    rates = (float(config.beta[0]), float(config.beta[-1]), config.mu, config.r, config.omega_n)
+    shift = -math.frexp(max(rates))[1]
+    return shift, tuple(math.ldexp(v, shift) for v in rates)
+
+
+def _margins(config: ModelConfig):
+    """``(existence_margin(config), m)``, ``m`` of the margin's sign: the
+    margin itself where it is a normal double, else the margin of the
+    scaled rates, ``4**shift`` times the exact one up to rounding."""
+    margin = _margin(float(config.beta[0]), float(config.beta[-1]), config.mu, config.r, config.omega_n)
+    if sys.float_info.min <= abs(margin) < math.inf:
+        return margin, margin
+    shift, scaled = _scaled_rates(config)
+    scaled_margin = _margin(*scaled)
+    if abs(margin) < sys.float_info.min:
+        margin = math.ldexp(scaled_margin, -2 * shift)
+    return margin, scaled_margin
 
 
 @dataclass(frozen=True)
@@ -134,9 +164,7 @@ def prevalence_quadratic(config: ModelConfig) -> PrevalenceQuadratic:
     beta0, beta_n = float(config.beta[0]), float(config.beta[-1])
     if beta0 == 0.0:
         raise ValueError("prevalence polynomial is linear when beta[0] == 0; use localize_endemic")
-    rates = (beta0, beta_n, config.mu, config.r, config.omega_n)
-    shift = -math.frexp(max(rates))[1]
-    beta0, beta_n, mu, r, omega_n = (math.ldexp(v, shift) for v in rates)
+    beta0, beta_n, mu, r, omega_n = _scaled_rates(config)[1]
     margin = _margin(beta0, beta_n, mu, r, omega_n)
     lead, disc = 1.0, math.nan
     product = beta0 * beta_n
@@ -227,7 +255,7 @@ def localize_endemic(config: ModelConfig) -> LocalizationResult:
     also where ``hat_c`` is infinite.
     """
     beta0 = float(config.beta[0])
-    margin = existence_margin(config)
+    margin, sign = _margins(config)
     validity = contraction_precondition_holds(config)
     delta = config.delta
 
@@ -257,7 +285,7 @@ def localize_endemic(config: ModelConfig) -> LocalizationResult:
 
     if beta0 > 0.0 and None not in roots and abs(roots[1] - roots[0]) < delta ** (1.0 / 3.0) and intervals:
         exists = "indeterminate"
-    elif margin > 0.0:
+    elif sign > 0.0:
         exists = "unique"
     else:
         exists = "none"

@@ -115,6 +115,7 @@ class ModelConfig:
         p = fields.get("p", self.p)
         omega = fields.get("omega", self.omega)
         delta = fields.get("delta", self.delta)
+        _check_outflow(delta, omega, fields.get("mu", self.mu), fields.get("beta", self.beta)[-1])
         omega_i = _omega_i(p, omega) if "p" in fields or "omega" in fields else self.omega_i
         delta_i = _delta_i(p, delta) if "p" in fields or "delta" in fields else self.delta_i
         return ModelConfig(
@@ -174,6 +175,16 @@ def _validated(n: int, fields: dict) -> dict:
     return out
 
 
+def _check_outflow(delta: float, omega: float, mu: float, beta_n: float) -> None:
+    """Every tier's outflow ``delta_k + omega_k + mu + beta_k x`` at ``x <= 1``
+    is at most this sum of validated rates; past the double range the
+    equation layer would meet inf and NaN."""
+    beta_n = float(beta_n)  # a NumPy scalar would warn on overflow
+    if delta + omega + mu + beta_n == math.inf:
+        raise ConfigError(f"delta + omega + mu + beta_n must be finite, got {delta!r} + {omega!r} + {mu!r} + "
+                          f"{beta_n!r}")
+
+
 def _omega_i(p: np.ndarray, omega: float) -> np.ndarray:
     omega_i = p * omega
     omega_i.flags.writeable = False
@@ -200,12 +211,14 @@ def build_general(
 
     Raises:
         ConfigError: on dimension mismatch, negative rates, non-monotone
-            ``beta``, coverage outside ``[0, 1]``, or nonzero ``p[0]``.
+            ``beta``, coverage outside ``[0, 1]``, nonzero ``p[0]``, or an
+            outflow bound ``delta + omega + mu + beta_n`` that overflows.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ConfigError(f"n must be an integer >= 1, got {n!r}")
     n = int(n)
     checked = _validated(n, {"beta": beta, "p": p, "delta": delta, "mu": mu, "r": r, "omega": omega})
+    _check_outflow(checked["delta"], checked["omega"], checked["mu"], checked["beta"][-1])
     return ModelConfig(
         n=n,
         **checked,

@@ -72,7 +72,8 @@ def _consistency(report: dict) -> dict:
     spectra = (report["dfe_stability"], report["endemic_stability"])
     if any(verdict is not None and verdict["classification"] == "marginal" for verdict in spectra):
         return {"checked": False, "consistent": True, "note": "spectrum inside the marginal band"}
-    margin_side = loc["margin"] > 0
+    # the existence margin's sign; its reported value may round to 0
+    margin_side = loc["exists"] == "unique"
     r0_side = r0["regime"] == "unstable"
     if margin_side != r0_side:
         return {"checked": False, "consistent": True, "note": "inside the critical boundary layer"}

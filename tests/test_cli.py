@@ -243,10 +243,14 @@ class TestAnalyze:
         # sum(S(x)) = 1 + x r/mu leaves the double range for x > 0.1; the
         # scan evaluates G alone, which stays below the largest rate
         (dict(n=1, beta=(0.0, 0.0), delta=1.0, r=1e9, omega=0.0, p=(0.0, 0.0)), (None, None, None)),
+        # R0 is 2.5e16; the existence margin 2.5e-584 underflows to 0, and its
+        # sign comes from the scaled rates: the root 1 - 4e-17 is 1.0
+        (dict(n=1, beta=(0.0, 2.5e-284), delta=0.0, r=5e-324, omega=0.0, p=(0.0, 0.0)),
+         (1.0, "certified-contraction", None)),
     ], ids=["0.2", "0.0", "underflowing-products", "tiny-beta0", "linear-root-near-zero", "quadratic-root-near-zero",
             "long-brent-search", "root-at-one", "noise-crossing-in-last-cell", "noise-bracket",
             "stale-noise-root", "linear-root-product-underflows", "birth-rate-below-rounding-at-one",
-            "profile-overflows-off-root"])
+            "profile-overflows-off-root", "margin-underflows"])
     def test_vanishing_birth_rate_is_reported(self, tmp_path, capsys, pertussis, fields, expected):
         # mu**3 underflows to 0, and the eigenvalue -mu sits in the marginal band
         path = tmp_path / "tiny_mu.json"
@@ -386,6 +390,19 @@ class TestSmallCommands:
         captured = capsys.readouterr()
         assert captured.err == "error: mu must be finite and >= 2.2250738585072014e-308, got 5e-324\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["r0", "analyze"])
+    def test_overflowing_outflow_exits_2(self, tmp_path, capsys, command):
+        # delta + omega + mu + beta_n, the bound on every tier's outflow, is inf
+        path = tmp_path / "overflow.json"
+        path.write_text('{"n": 1, "beta": [1.5e308, 1.5e308], "delta": 1e308, "mu": 1.0, "r": 1.0, '
+                        '"omega": 1.0, "p": [0.0, 0.5]}')
+        out = tmp_path / "out.json"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: delta + omega + mu + beta_n must be finite, "
+                                "got 1e+308 + 1.0 + 1.0 + 1.5e+308\n")
+        assert captured.out == "" and not out.exists()
 
 
 class TestSweep:

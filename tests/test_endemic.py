@@ -262,6 +262,25 @@ class TestLocalization:
         assert loc.exists == "none"
         assert loc.validity
 
+    def test_margin_sign_survives_underflowing_products(self):
+        # beta_n mu = 2.5e-584 and (omega_n + mu)(mu + r) = 1e-600 both round
+        # to 0; the rates scaled by one power of two keep the sign
+        cfg = build_general(1, (0.0, 2.5e-284), 0.0, 1e-300, 5e-324, 0.0, (0.0, 0.0))
+        assert existence_margin(cfg) == 0.0
+        loc = localize_endemic(cfg)
+        assert loc.exists == "unique" and loc.margin == 0.0
+        assert refine_endemic(cfg, loc).i_star == 1.0
+
+    def test_normal_margin_is_the_unscaled_formula(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            cfg = random_config(rng, n_range=(1, 4))
+            beta0, beta_n, mu, r, omega_n = cfg.beta[0], cfg.beta[-1], cfg.mu, cfg.r, cfg.omega_n
+            margin = existence_margin(cfg)
+            assert margin == beta0 * omega_n + beta_n * mu - (omega_n + mu) * (mu + r)
+            assert localize_endemic(cfg).exists in (("unique", "indeterminate") if margin > 0 else
+                                                     ("none", "indeterminate"))
+
     @pytest.mark.parametrize("beta0", [0.0, 2.0], ids=["linear", "quadratic"])
     def test_interval_constant_is_infinite_once_mu_powers_underflow(self, beta0):
         loc = localize_endemic(build_general(1, (beta0, 3.0), 0.1, 1e-300, 0.5, 1.0, (0.0, 0.5)))

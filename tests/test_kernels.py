@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import importlib
 
 import numpy as np
 import pytest
 
 from waningsim import stepper
-from waningsim._stepper_py import _rhs
+from waningsim._stepper_py import TINY, _rhs
+from waningsim.data import pertussis_config
 from waningsim.model import build_general, epidemic_start, vector_field
 
 from conftest import random_config, random_simplex_state
@@ -112,6 +114,26 @@ class TestCompiledKernel:
         assert c[0].shape == (c[3] + 1,) and c[1].shape == (c[3] + 1, pertussis.n + 2)
         assert py[2] == c[2]
         np.testing.assert_allclose(py[1][-1], c[1][-1], rtol=1e-7, atol=1e-10)
+
+
+@functools.cache
+def subcritical_run(name):
+    # the bundled config below R0 = 1: I decays to 0 through the subnormal range
+    cfg = pertussis_config().replace(delta=0.17)
+    y0 = epidemic_start(cfg, 1e-6).as_array()
+    targets = np.linspace(0.0, 600.0, 201)[1:]
+    return stepper.kernels()[name].integrate_core(
+        cfg.beta, cfg.omega_i, cfg.delta_i, cfg.mu, cfg.r, y0, 1e-10, 1e-12, targets, 1_000_000, False
+    )
+
+
+@pytest.mark.parametrize("name", list(stepper.kernels()))
+def test_components_below_the_normal_range_are_set_to_zero(name):
+    times, states, *_ = subcritical_run(name)
+    assert times[-1] == 600.0
+    assert not ((states > 0.0) & (states < TINY)).any()
+    assert states[-1, -1] == 0.0
+    np.testing.assert_allclose(states[-1], subcritical_run("python")[1][-1], rtol=1e-7, atol=1e-10)
 
 
 def test_unusable_compiler_falls_back_to_python(monkeypatch, tmp_path):

@@ -84,6 +84,19 @@ class TestBuilders:
         _, w = tier_weights(smallest)
         assert np.isfinite(w).all() and w.max() <= 1.0 / sys.float_info.min
 
+    def test_overflowing_outflow_rejected(self):
+        # delta + omega + mu + beta_n bounds every tier's outflow at x <= 1
+        base = dict(n=1, beta=(1.5e308, 1.5e308), mu=1.0, r=1.0, omega=1.0, p=(0.0, 0.5))
+        message = r"delta \+ omega \+ mu \+ beta_n must be finite, got 1e\+308 \+ 1.0 \+ 1.0 \+ 1.5e\+308"
+        with pytest.raises(ConfigError, match=message):
+            build_general(delta=1e308, **base)
+        cfg = build_general(delta=1.0, **base)
+        with pytest.raises(ConfigError, match=message):
+            cfg.replace(delta=1e308)
+        with pytest.raises(ConfigError, match="beta_n must be finite"):
+            cfg.replace(beta=(1.0, 1.7e308), omega=1e308)
+        assert cfg.replace(delta=1e307).delta == 1e307  # the sum, 1.6e308, is still a double
+
     def test_all_but_last_sets_both_endpoints_to_zero(self):
         cfg = build_all_but_last(2, (0.0, 1.0, 2.0), 0.1, 0.1, 1.0, 5.0, (0.5,))
         np.testing.assert_array_equal(cfg.p, [0.0, 0.5, 0.0])
