@@ -20,6 +20,10 @@ scanned on a grid over ``[0, 1]`` and every sign change is refined with
 Brent's method.  A root is labelled certified only when the certificate
 holds, the localization says it is unique, the scan finds exactly one and it
 lies within one grid cell of a localization interval.
+
+The localization works in the time unit of :func:`waningsim.model.unit_rates`
+(largest rate ``rho`` in ``[1/2, 1)``): its products cannot overflow, and no
+answer but ``hat_c`` and the margin depends on the time unit.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .dfe import _steady_profile, tier_weights
-from .model import ModelConfig, vector_field
+from .model import ModelConfig, unit_rates, vector_field
 
 __all__ = [
     "NoEndemicEquilibriumError",
@@ -93,40 +97,15 @@ def existence_margin(config: ModelConfig) -> float:
     """Positive iff a unique endemic equilibrium exists in the small-waning
     regime: ``beta0*omega_n + beta_n*mu - (omega_n + mu)(mu + r)``.
 
-    Where that falls below the normal range, it is the margin of the scaled
-    rates of :func:`prevalence_quadratic` scaled back: one rounding instead
-    of products that underflow on their own, though it may still round
-    to 0.  :func:`localize_endemic` takes the sign from the scaled rates.
+    Its products may round to 0 or overflow at extreme rates;
+    :func:`localize_endemic` takes the sign from the rates of
+    :func:`waningsim.model.unit_rates`.
     """
-    return _margins(config)[0]
+    return _margin(float(config.beta[0]), float(config.beta[-1]), config.mu, config.r, config.omega_n)
 
 
 def _margin(beta0, beta_n, mu, r, omega_n):
     return beta0 * omega_n + beta_n * mu - (omega_n + mu) * (mu + r)
-
-
-def _scaled_rates(config: ModelConfig):
-    """``(shift, (beta0, beta_n, mu, r, omega_n) * 2**shift)``: the rates
-    scaled exactly by the power of two that brings the largest into
-    ``[1/2, 1)``, so that no product of two of them overflows and none
-    underflows unless the two lie some 300 orders of magnitude apart."""
-    rates = (float(config.beta[0]), float(config.beta[-1]), config.mu, config.r, config.omega_n)
-    shift = -math.frexp(max(rates))[1]
-    return shift, tuple(math.ldexp(v, shift) for v in rates)
-
-
-def _margins(config: ModelConfig):
-    """``(existence_margin(config), m)``, ``m`` of the margin's sign: the
-    margin itself where it is a normal double, else the margin of the
-    scaled rates, ``4**shift`` times the exact one up to rounding."""
-    margin = _margin(float(config.beta[0]), float(config.beta[-1]), config.mu, config.r, config.omega_n)
-    if sys.float_info.min <= abs(margin) < math.inf:
-        return margin, margin
-    shift, scaled = _scaled_rates(config)
-    scaled_margin = _margin(*scaled)
-    if abs(margin) < sys.float_info.min:
-        margin = math.ldexp(scaled_margin, -2 * shift)
-    return margin, scaled_margin
 
 
 @dataclass(frozen=True)
@@ -149,22 +128,19 @@ def prevalence_quadratic(config: ModelConfig) -> PrevalenceQuadratic:
 
     ``b`` shares its sign with ``(omega_n + mu)(mu + r) - (beta0*omega_n +
     beta_n*mu)``; a negative ``b`` forces exactly one root inside ``(0, 1)``.
-    ``a`` and ``b`` do not change when every rate is multiplied by one
-    factor, so they are formed from the rates scaled by the power of two
-    that brings the largest near 1, exactly and away from subnormal
-    products.  Where ``beta0 * beta_n`` still underflows or ``a * a``
-    overflows (rates far apart in magnitude) the roots come from
-    ``beta0 Q``, whose coefficients stay finite; ``a`` and ``b`` may then be
-    infinite.
+    ``a`` and ``b`` do not change with the time unit, so they are formed
+    from the rates of :func:`waningsim.model.unit_rates`.  Where ``beta0 *
+    beta_n`` still underflows or ``a * a`` overflows (rates far apart in
+    magnitude) the roots come from ``beta0 Q``, whose coefficients stay
+    finite; ``a`` and ``b`` may then be infinite.
 
     Raises:
         ValueError: when ``beta[0] == 0``; :func:`localize_endemic` then
             solves the linear prevalence equation.
     """
-    beta0, beta_n = float(config.beta[0]), float(config.beta[-1])
-    if beta0 == 0.0:
+    if config.beta[0] == 0.0:
         raise ValueError("prevalence polynomial is linear when beta[0] == 0; use localize_endemic")
-    beta0, beta_n, mu, r, omega_n = _scaled_rates(config)[1]
+    beta0, beta_n, mu, r, omega_n, _ = unit_rates(config)[1]
     margin = _margin(beta0, beta_n, mu, r, omega_n)
     lead, disc = 1.0, math.nan
     product = beta0 * beta_n
@@ -193,11 +169,12 @@ class LocalizationResult:
 
     ``intervals`` are closed intervals clipped to ``[0, 1]``.  ``exists`` is
     ``"unique"``/``"none"`` from the sign analysis of the no-waning
-    polynomial, or ``"indeterminate"`` when two nearly coincident roots make
-    the uniqueness hypothesis fail.  ``validity`` records whether the
-    contraction precondition held over the whole prevalence range; when it is
-    False the perturbative theory is silent and downstream refinement is
-    numeric-only.
+    polynomial, or ``"indeterminate"`` when two real roots, one with an
+    interval, lie closer than ``(delta/rho)^(1/3)``, ``rho`` the largest
+    rate: the uniqueness hypothesis then fails.  ``validity`` records
+    whether the contraction precondition held over the whole prevalence
+    range; when it is False the perturbative theory is silent and downstream
+    refinement is numeric-only.
     """
 
     intervals: tuple
@@ -229,7 +206,7 @@ def contraction_precondition_holds(config: ModelConfig) -> bool:
     return 2.0 * config.delta * math.sqrt(config.n + 1) / config.mu < 0.5
 
 
-def _interval_constant(config: ModelConfig) -> float:
+def _interval_constant(n, beta0, beta_n, mu, r, omega_n) -> float:
     """Constant ``hat_c`` in the interval half-width ``sqrt(2*delta*hat_c)``.
 
     Instantiated from the explicit perturbation bound
@@ -237,9 +214,6 @@ def _interval_constant(config: ModelConfig) -> float:
     point ``x = 0``, times the maximum of the denominator product over
     ``[0, 1]``.
     """
-    beta0, beta_n = float(config.beta[0]), float(config.beta[-1])
-    mu, r, omega_n = config.mu, config.r, config.omega_n
-    n = config.n
     scale = mu**3 * beta0  # 0 once mu**3 underflows, and the constant is then infinite
     c_tilde = 4.0 * (n + 1) ** 1.5 * (r + mu) / scale if scale else math.inf
     return c_tilde * (beta0 + mu) * (beta_n + mu + omega_n)
@@ -252,27 +226,25 @@ def localize_endemic(config: ModelConfig) -> LocalizationResult:
     no-waning quadratic with half-width ``sqrt(2*delta*hat_c)``; for
     ``beta[0] == 0`` the prevalence equation is linear and the width is
     linear in ``delta``.  With no waning (``delta == 0``) the width is 0,
-    also where ``hat_c`` is infinite.
+    also where ``hat_c`` is infinite.  All but ``hat_c`` and the margin is
+    formed in the time unit of :func:`waningsim.model.unit_rates`.
     """
-    beta0 = float(config.beta[0])
-    margin, sign = _margins(config)
+    k, rates = unit_rates(config)
+    beta0, beta_n, mu, r, omega_n, delta = rates
     validity = contraction_precondition_holds(config)
-    delta = config.delta
 
     if beta0 > 0.0:
+        # complex roots (None, None) give no interval, and a margin <= 0
         quad = prevalence_quadratic(config)
-        hat_c = _interval_constant(config)
+        hat_c = _interval_constant(config.n, beta0, beta_n, mu, r, omega_n)
         half = math.sqrt(2.0 * delta * hat_c) if delta else 0.0
         roots = (quad.y1, quad.y2)
-        if not quad.real:
-            return LocalizationResult((), half, hat_c, "none", validity, roots, margin)
     else:
-        beta_n, mu, omega_n = float(config.beta[-1]), config.mu, config.omega_n
         hat_c = 4.0 * (config.n + 1) ** 1.5 * (beta_n + mu + omega_n) / mu**2 if mu**2 else math.inf
         half = hat_c * delta if delta else 0.0
         # with beta_n == 0 as well no tier transmits: the equation has no root;
         # two quotients, since the product beta_n * (r + mu) can underflow
-        root = mu / (config.r + mu) - (omega_n + mu) / beta_n if beta_n else None
+        root = mu / (r + mu) - (omega_n + mu) / beta_n if beta_n else None
         roots = (root, None)
 
     intervals = []
@@ -283,13 +255,15 @@ def localize_endemic(config: ModelConfig) -> LocalizationResult:
         if hi >= lo and hi > 0.0:
             intervals.append((lo, hi))
 
-    if beta0 > 0.0 and None not in roots and abs(roots[1] - roots[0]) < delta ** (1.0 / 3.0) and intervals:
+    separation = (delta / max(rates)) ** (1.0 / 3.0)
+    if beta0 > 0.0 and None not in roots and abs(roots[1] - roots[0]) < separation and intervals:
         exists = "indeterminate"
-    elif sign > 0.0:
+    elif _margin(beta0, beta_n, mu, r, omega_n) > 0.0:
         exists = "unique"
     else:
         exists = "none"
-    return LocalizationResult(tuple(intervals), half, hat_c, exists, validity, roots, margin)
+    hat_c *= math.ldexp(1.0, k)  # back to the given time unit
+    return LocalizationResult(tuple(intervals), half, hat_c, exists, validity, roots, existence_margin(config))
 
 
 @dataclass(frozen=True)
@@ -378,7 +352,7 @@ def refine_endemic(
     if loc.validity and loc.exists == "indeterminate":
         raise RefinementError(
             "roots too close for the uniqueness certificate "
-            f"(separation below delta^(1/3) = {config.delta ** (1 / 3):g})"
+            "(separation below (delta/rho)^(1/3), rho the largest rate)"
         )
 
     g = functools.partial(_equilibrium_condition, config)

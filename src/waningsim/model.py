@@ -34,6 +34,7 @@ __all__ = [
     "build_last_only",
     "vector_field",
     "diagonal_coefficients",
+    "unit_rates",
     "epidemic_start",
     "config_to_dict",
     "config_from_dict",
@@ -337,6 +338,19 @@ def vector_field(config: ModelConfig, state) -> np.ndarray:
     """
     y = _as_state_array(config, state)
     return _rhs(config.beta, config.omega_i, config.delta_i, config.mu, config.r, y, np.empty(config.n + 2))
+
+
+def unit_rates(config: ModelConfig) -> tuple[int, tuple[float, ...]]:
+    """``(k, (beta_0, beta_n, mu, r, omega_n, delta) * 2**k)``, the rates in
+    the time unit that puts the largest, ``rho``, into ``[1/2, 1)``.
+
+    The scaling is exact and the same from every power-of-two unit; no
+    product of two scaled rates overflows, and one underflows only for rates
+    some 300 orders of magnitude apart.  ``k <= 1021`` as ``mu`` is normal.
+    """
+    rates = (float(config.beta[0]), float(config.beta[-1]), config.mu, config.r, config.omega_n, config.delta)
+    k = -math.frexp(max(rates))[1]
+    return k, tuple(math.ldexp(v, k) for v in rates)
 
 
 def diagonal_coefficients(config: ModelConfig, prevalence) -> np.ndarray:

@@ -9,13 +9,14 @@ column Gersgorin discs all end at ``-mu``, plus the scalar ``transmission -
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dfe import DfeSolution, susceptible_block_matrix
 from .endemic import EndemicSolution
-from .model import ModelConfig, StateVector
+from .model import ModelConfig, StateVector, unit_rates
 
 __all__ = [
     "StaleSolutionError",
@@ -63,8 +64,9 @@ class StabilityVerdict:
     """Eigenvalues with a sign-of-spectral-abscissa classification.
 
     ``classification`` is ``"marginal"`` when the largest real part sits
-    inside ``+-1e-10``; near-marginal points are reported as such rather than
-    rounded to a side.
+    inside ``+-1e-10 rho``, ``rho`` the largest rate (so the label does not
+    depend on the time unit); near-marginal points are reported as such
+    rather than rounded to a side.
     """
 
     eigenvalues: np.ndarray
@@ -79,10 +81,12 @@ class StabilityVerdict:
         }
 
 
-def _classify(max_real: float) -> str:
-    if max_real < -MARGINAL_BAND:
+def _classify(config: ModelConfig, max_real: float) -> str:
+    k, rates = unit_rates(config)
+    band = MARGINAL_BAND * math.ldexp(max(rates), -k)
+    if max_real < -band:
         return "asymptotically_stable"
-    if max_real > MARGINAL_BAND:
+    if max_real > band:
         return "unstable"
     return "marginal"
 
@@ -96,7 +100,7 @@ def _spectrum(config: ModelConfig, state) -> StabilityVerdict:
     real part and its classification."""
     eigs = _sorted_eigs(np.linalg.eigvals(jacobian(config, state)))
     max_real = float(np.max(eigs.real))
-    return StabilityVerdict(eigenvalues=eigs, max_real_part=max_real, classification=_classify(max_real))
+    return StabilityVerdict(eigenvalues=eigs, max_real_part=max_real, classification=_classify(config, max_real))
 
 
 def dfe_spectrum(config: ModelConfig, dfe: DfeSolution) -> StabilityVerdict:
@@ -115,8 +119,9 @@ def dfe_spectrum(config: ModelConfig, dfe: DfeSolution) -> StabilityVerdict:
 
 
 def _require_fresh(config: ModelConfig, solution: EndemicSolution) -> None:
-    # the residual |beta . S* - (r + mu)| is in the units of r + mu
-    bound = STALE_RESIDUAL * max(1.0, config.r + config.mu)
+    # the residual |beta . S* - (r + mu)| is a rate: the bound is relative,
+    # so it does not depend on the time unit
+    bound = STALE_RESIDUAL * (config.r + config.mu)
     if solution.residual >= bound:
         raise StaleSolutionError(f"endemic solution residual {solution.residual:g} exceeds {bound:g}")
 

@@ -178,6 +178,31 @@ class TestAnalyze:
         assert data["endemic_stability"]["classification"] == "asymptotically_stable"
         assert data["consistency"]["consistent"]
 
+    @pytest.mark.parametrize("beta0", [0.0, 1.0], ids=["linear", "quadratic"])
+    def test_huge_rates_are_analyzed(self, tmp_path, capsys, beta0):
+        # mu**2 and mu**3 overflow in the given time unit (a Python float
+        # power raises), not in the rates of model.unit_rates
+        path = tmp_path / "huge_mu.json"
+        path.write_text(config_to_json(build_general(1, (beta0, 2e200), 0.0, 1e200, 1.0, 0.0, (0.0, 0.0))))
+        assert main(["analyze", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["data"]["r0"]["r0"] == 2.0
+
+    def test_close_roots_below_the_relative_separation_are_certified(self, tmp_path, capsys):
+        # R0 = 1.0239; the no-waning roots -0.0987 and 0.0142 lie 0.113 apart,
+        # less than delta^(1/3) = 0.203 but more than (delta/rho)^(1/3) = 0.066
+        cfg = build_general(2, (13.867219307387971, 24.344194668484025, 28.393508740335353), 0.00832366110852375,
+                            0.06893092843434542, 14.032112733393582, 2.7716960948033003,
+                            (0.0, 0.5935657392674846, 0.6672214446619615))
+        path = tmp_path / "close_roots.json"
+        path.write_text(config_to_json(cfg))
+        assert main(["analyze", "--config", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        roots = data["localization"]["roots"]
+        assert roots == [pytest.approx(-0.0987, abs=1e-4), pytest.approx(0.0142, abs=1e-4)]
+        assert data["localization"]["exists"] == "unique" and data["endemic_error"] is None
+        assert data["endemic"]["i_star"] == pytest.approx(0.016298, abs=1e-6)
+        assert data["endemic"]["certification"] == "certified-contraction"
+        assert data["consistency"]["checked"] and data["consistency"]["consistent"]
 
     @pytest.mark.parametrize("delta", [0.02, 1.5], ids=["certified", "uncertified"])
     def test_no_transmission_has_no_endemic_equilibrium(self, tmp_path, capsys, delta):
@@ -251,16 +276,26 @@ class TestAnalyze:
             "long-brent-search", "root-at-one", "noise-crossing-in-last-cell", "noise-bracket",
             "stale-noise-root", "linear-root-product-underflows", "birth-rate-below-rounding-at-one",
             "profile-overflows-off-root", "margin-underflows"])
-    def test_vanishing_birth_rate_is_reported(self, tmp_path, capsys, pertussis, fields, expected):
-        # mu**3 underflows to 0, and the eigenvalue -mu sits in the marginal band
+    def test_vanishing_birth_rate_is_reported(self, tmp_path, capsys, request, pertussis, fields, expected):
+        # mu/rho, rho the largest rate, is tiny, so hat_c ~ 1/mu^2 or 1/mu^3
+        # overflows, and the eigenvalue -mu sits in the marginal band
         path = tmp_path / "tiny_mu.json"
         path.write_text(config_to_json(pertussis.replace(mu=1e-300, **fields)))
         assert main(["analyze", "--config", str(path)]) == 0
         data = json.loads(capsys.readouterr().out)["data"]
-        assert data["localization"]["hat_c"] is None  # infinite
         endemic = data["endemic"] or {}
         assert (endemic.get("i_star"), endemic.get("certification"), data["endemic_error"]) == expected
-        assert not data["consistency"]["checked"]
+        if request.node.callspec.id == "linear-root-product-underflows":
+            # every rate is 1e-300 or 0, so no rate is small beside the others:
+            # 4 2^1.5 (beta_n + mu + omega_n)/mu^2 is a finite double, and the
+            # eigenvalues -1e-300 lie outside the band 1e-10 rho (mu**2 underflowed,
+            # and the band held them, only in the given time unit)
+            assert data["localization"]["hat_c"] == pytest.approx(2.2627416997969523e301, rel=1e-15, abs=0.0)
+            assert data["consistency"] == {"checked": True, "consistent": True,
+                                           "note": "stable DFE and no endemic equilibrium"}
+        else:
+            assert data["localization"]["hat_c"] is None  # infinite
+            assert not data["consistency"]["checked"]
 
     def test_tiny_rate_endemic_states_lie_on_the_simplex(self, tmp_path, capsys):
         # rates drawn from {0, 1e-300, 1e-12, 10^U(-3, 3)}, every second
