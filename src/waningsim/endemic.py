@@ -1,29 +1,53 @@
-"""Endemic equilibria: perturbative localization and root refinement.
+"""Endemic equilibria: existence, uniqueness, perturbative localization and
+the root.
 
 At an endemic steady state the susceptible profile is one prefix product of
 tier ratios ``w`` (:func:`waningsim.dfe.tier_weights`), ``S(x) = c w + b e_n``
 with ``b = mu/|d_n|``, ``c = (r x + omega_n b)/D`` and the Sherman-Morrison
 denominator ``D = 1 - omega . w = mu sum(w) + x beta . w`` (the tier balance
 ``|d_k| w_k = delta_{k-1} w_{k-1}`` summed over the tiers).  The condition
-``beta . S(x) = r + mu`` is solved as ``G(x) = (r + mu - beta . S(x)) D/mu =
-(r + mu) sum(w) + x beta . w - beta_n b sum(w) - ((omega_n + beta_n x)/|d_n|)
-beta . w``, whose ``r x beta . w/mu`` terms cancel in the algebra, so its
-sign is right however small ``mu`` is beside ``r``.
+``beta . S(x) = r + mu`` is solved as ``G(x) = (r + mu - beta . S(x)) D/mu``,
+whose ``r x beta . w/mu`` terms cancel in the algebra, so its sign is right
+however small ``mu`` is beside ``r``.  With ``pi = w/sum(w)``, ``beta_w =
+beta . pi`` and ``|d_n| = omega_n + mu + beta_n x`` it is ``G/sum(w) = H(x) =
+r + mu - (1 - x) beta_w - b (beta_n - beta_w)``.
+
+**Exactly one endemic equilibrium exists iff R0 > 1, at every waning rate,
+tier count and coverage scheme.**  ``sum(w) > 0``, so ``G`` and ``H`` share
+their zeros and signs on ``[0, 1]``.
+
+1. At ``x = 0``, ``beta . S(0) = (1 - b) beta_w + b beta_n``, so ``H(0) =
+   r + mu - beta . S(0) = (r + mu)(1 - R0)``.  As ``beta_w >= 0``, ``H(1) >=
+   r + mu - b beta_n = r + mu (omega_n + mu)/(omega_n + mu + beta_n) > 0``.
+2. ``b' = -mu beta_n/|d_n|^2``, so ``H' = beta_w + beta_w' (b - (1 - x)) +
+   mu beta_n (beta_n - beta_w)/|d_n|^2``.
+3. ``d log w_k/dx = -Lambda_k`` with ``Lambda_k = sum_{i<=k} beta_i/|d_i|``,
+   so ``beta_w' = -Cov_pi(beta, Lambda)``.  ``beta`` is non-decreasing in
+   ``k`` (validated by :func:`waningsim.model.build_general`) and so is
+   ``Lambda``, a sum of non-negative terms; by Chebyshev's sum inequality
+   ``beta_w' <= 0``.
+4. At a root ``beta . S = r + mu``.  The tier equations summed give the
+   population balance ``mu sum(S) = r x + mu - x beta . S``, so ``sum(S) =
+   1 - x`` there, and ``1 - x - b = c sum(w) >= 0``.
+5. By 3 and 4 the middle term of 2 is ``>= 0`` at a root, and ``beta_n >=
+   beta_w``, so ``H' >= beta_w + mu beta_n (beta_n - beta_w)/|d_n|^2 > 0``:
+   where ``beta_w = 0`` the root condition ``b beta_n = r + mu`` forces
+   ``beta_n > 0``, and the last term is positive.
+6. Every zero of ``H`` is therefore a strict up-crossing, so ``H`` has at
+   most one zero on ``[0, 1]``.  With 1, there is exactly one in ``(0, 1)``
+   when R0 > 1 and none in ``(0, 1]`` otherwise.
+
+So :func:`refine_endemic` decides existence from the sign of ``G(0)`` and
+brackets the one root with no scan of ``[0, 1]``.
 
 With the waning rate set to zero the transmission function has an explicit
 rational form whose numerator is a monic quadratic ``Q(x) = x^2 + a x + b``;
 for small waning rates the true prevalence is trapped in intervals of width
-``O(sqrt(delta))`` around the roots of ``Q``, and under the contraction
-certificate the sign analysis of ``Q`` decides whether an equilibrium exists
-and is unique.  The root itself is always found the same way: ``G`` is
-scanned on a grid over ``[0, 1]`` and every sign change is refined with
-Brent's method.  A root is labelled certified only when the certificate
-holds, the localization says it is unique, the scan finds exactly one and it
-lies within one grid cell of a localization interval.
-
-The localization works in the time unit of :func:`waningsim.model.unit_rates`
-(largest rate ``rho`` in ``[1/2, 1)``): its products cannot overflow, and no
-answer but ``hat_c`` and the margin depends on the time unit.
+``O(sqrt(delta))`` around the roots of ``Q``: :func:`localize_endemic`'s
+perturbative prediction of where the root lies.  It works in the time unit
+of :func:`waningsim.model.unit_rates` (largest rate ``rho`` in ``[1/2,
+1)``): its products cannot overflow, and no answer but ``hat_c`` and the
+margin depends on the time unit.
 """
 
 from __future__ import annotations
@@ -50,19 +74,19 @@ __all__ = [
     "existence_margin",
     "localize_endemic",
     "refine_endemic",
-    "sign_change_brackets",
 ]
 
-BISECTION_GRID = 256
+# bisection steps before Brent's method: the last cell is one of the 256
+# cells of ``[0, 1]`` between multiples of 1/256
+BISECTION_STEPS = 8
 
 
 class NoEndemicEquilibriumError(ValueError):
-    """No endemic equilibrium exists (or none was found) for this configuration."""
+    """No endemic equilibrium exists for this configuration (R0 <= 1)."""
 
 
 class RefinementError(RuntimeError):
-    """The endemic root could not be computed: the uniqueness certificate
-    failed, or Brent's method failed on a sign-change bracket."""
+    """Brent's method failed on the bracket of the endemic root."""
 
 
 def solve_susceptible_block(config: ModelConfig, prevalence) -> np.ndarray:
@@ -94,14 +118,20 @@ def _equilibrium_condition(config: ModelConfig, x):
 
 
 def existence_margin(config: ModelConfig) -> float:
-    """Positive iff a unique endemic equilibrium exists in the small-waning
-    regime: ``beta0*omega_n + beta_n*mu - (omega_n + mu)(mu + r)``.
+    """Positive iff a unique endemic equilibrium exists in the no-waning
+    limit: ``beta0*omega_n + beta_n*mu - (omega_n + mu)(mu + r)``.
 
-    Its products may round to 0 or overflow at extreme rates;
-    :func:`localize_endemic` takes the sign from the rates of
-    :func:`waningsim.model.unit_rates`.
+    It is formed from the rates of :func:`waningsim.model.unit_rates` and
+    scaled back by ``4**-k``, so its sign is right where the products in the
+    given time unit round to 0 or overflow; its value may still round to 0
+    or overflow to an infinity.
     """
-    return _margin(float(config.beta[0]), float(config.beta[-1]), config.mu, config.r, config.omega_n)
+    k, (beta0, beta_n, mu, r, omega_n, _) = unit_rates(config)
+    margin = _margin(beta0, beta_n, mu, r, omega_n)
+    try:
+        return math.ldexp(margin, -2 * k)
+    except OverflowError:  # beyond the largest double
+        return math.copysign(math.inf, margin)
 
 
 def _margin(beta0, beta_n, mu, r, omega_n):
@@ -165,16 +195,15 @@ def prevalence_quadratic(config: ModelConfig) -> PrevalenceQuadratic:
 
 @dataclass(frozen=True)
 class LocalizationResult:
-    """Interval localization of endemic prevalences.
+    """Existence of an endemic equilibrium, and the perturbative intervals
+    that predict where it lies.
 
-    ``intervals`` are closed intervals clipped to ``[0, 1]``.  ``exists`` is
-    ``"unique"``/``"none"`` from the sign analysis of the no-waning
-    polynomial, or ``"indeterminate"`` when two real roots, one with an
-    interval, lie closer than ``(delta/rho)^(1/3)``, ``rho`` the largest
-    rate: the uniqueness hypothesis then fails.  ``validity`` records
-    whether the contraction precondition held over the whole prevalence
-    range; when it is False the perturbative theory is silent and downstream
-    refinement is numeric-only.
+    ``exists`` is ``"unique"`` when ``G(0) < 0`` (R0 > 1) and ``"none"``
+    otherwise, which the module docstring proves at every waning rate.
+    ``intervals`` are closed intervals clipped to ``[0, 1]`` around the
+    ``roots`` of the no-waning polynomial; ``validity`` records whether the
+    contraction precondition, under which they hold, is met over the whole
+    prevalence range.  ``margin`` is :func:`existence_margin`.
     """
 
     intervals: tuple
@@ -220,17 +249,18 @@ def _interval_constant(n, beta0, beta_n, mu, r, omega_n) -> float:
 
 
 def localize_endemic(config: ModelConfig) -> LocalizationResult:
-    """Locate candidate endemic prevalences in explicit intervals.
+    """Decide whether an endemic equilibrium exists, and predict where it
+    lies by explicit intervals.
 
     For positive ``beta[0]`` the intervals are centered at the roots of the
     no-waning quadratic with half-width ``sqrt(2*delta*hat_c)``; for
     ``beta[0] == 0`` the prevalence equation is linear and the width is
     linear in ``delta``.  With no waning (``delta == 0``) the width is 0,
-    also where ``hat_c`` is infinite.  All but ``hat_c`` and the margin is
-    formed in the time unit of :func:`waningsim.model.unit_rates`.
+    also where ``hat_c`` is infinite.  The roots and intervals are formed in
+    the time unit of :func:`waningsim.model.unit_rates`; ``exists`` is the
+    sign of ``G(0)``.
     """
-    k, rates = unit_rates(config)
-    beta0, beta_n, mu, r, omega_n, delta = rates
+    k, (beta0, beta_n, mu, r, omega_n, delta) = unit_rates(config)
     validity = contraction_precondition_holds(config)
 
     if beta0 > 0.0:
@@ -255,29 +285,20 @@ def localize_endemic(config: ModelConfig) -> LocalizationResult:
         if hi >= lo and hi > 0.0:
             intervals.append((lo, hi))
 
-    separation = (delta / max(rates)) ** (1.0 / 3.0)
-    if beta0 > 0.0 and None not in roots and abs(roots[1] - roots[0]) < separation and intervals:
-        exists = "indeterminate"
-    elif _margin(beta0, beta_n, mu, r, omega_n) > 0.0:
-        exists = "unique"
-    else:
-        exists = "none"
+    exists = "unique" if _equilibrium_condition(config, 0.0) < 0.0 else "none"
     hat_c *= math.ldexp(1.0, k)  # back to the given time unit
     return LocalizationResult(tuple(intervals), half, hat_c, exists, validity, roots, existence_margin(config))
 
 
 @dataclass(frozen=True)
 class EndemicSolution:
-    """Endemic equilibrium point with its certification status.
+    """The endemic equilibrium point.
 
     ``residual`` is the defect in the scalar equilibrium identity
-    ``beta . S* = r + mu``; ``certification`` is ``"certified-contraction"``
-    when the contraction certificate holds, the localization says the
-    equilibrium is unique and the grid scan found exactly one root (a sign
-    change proves it exists) within one grid cell of a localization
-    interval, and ``"numeric-uncertified"`` otherwise.
-    ``iterations`` counts Brent iterations summed over all sign-change
-    brackets; ``candidates`` is the number of positive roots found.
+    ``beta . S* = r + mu``; ``certification`` is ``"certified-unique"``,
+    naming the proof of existence and uniqueness in the module docstring.
+    ``iterations`` counts the iterations of Brent's method (0 when a
+    bisection midpoint is the root).
     """
 
     i_star: float
@@ -286,7 +307,6 @@ class EndemicSolution:
     iterations: int
     certification: str
     vf_norm: float
-    candidates: int = 1
 
     def to_dict(self) -> dict:
         return {
@@ -296,11 +316,10 @@ class EndemicSolution:
             "iterations": self.iterations,
             "certification": self.certification,
             "vf_norm": self.vf_norm,
-            "candidates": self.candidates,
         }
 
 
-def _finish_solution(config, i_star, iterations, certification, candidates) -> EndemicSolution:
+def _finish_solution(config, i_star, iterations) -> EndemicSolution:
     s_star = solve_susceptible_block(config, i_star)
     residual = abs(float(config.beta @ s_star) - (config.r + config.mu))
     state = np.concatenate([s_star, [i_star]])
@@ -310,98 +329,48 @@ def _finish_solution(config, i_star, iterations, certification, candidates) -> E
         s_star=s_star,
         residual=residual,
         iterations=iterations,
-        certification=certification,
+        certification="certified-unique",
         vf_norm=vf_norm,
-        candidates=candidates,
     )
 
 
-def refine_endemic(
-    config: ModelConfig,
-    localization: LocalizationResult | None = None,
-) -> EndemicSolution:
-    """Compute the endemic equilibrium.
+def refine_endemic(config: ModelConfig) -> EndemicSolution:
+    """Compute the endemic equilibrium, the one root of ``G`` in ``(0, 1]``.
 
-    Where the contraction certificate holds the localization decides first:
-    ``"none"`` raises :class:`NoEndemicEquilibriumError` and
-    ``"indeterminate"`` raises :class:`RefinementError`.  Every other
-    configuration takes one search over ``G(x) = (r + mu - beta . S(x)) D/mu``
-    with ``D = 1 - omega . w = mu sum(w) + x beta . w > 0`` (the tier balance
-    summed over the tiers), which is ``(r + mu) sum(w) + x beta . w -
-    beta_n b sum(w) - ((omega_n + beta_n x)/|d_n|) beta . w`` since ``b/mu =
-    1/|d_n|``: it is sampled on ``BISECTION_GRID`` cells over ``[0, 1]``,
-    every sign change is refined by Brent's method, and the largest positive
-    root is returned.  The result is ``"certified-contraction"`` when the
-    certificate holds, the localization says the root is unique and the scan
-    finds exactly one root, within one grid cell of a localization interval,
-    and ``"numeric-uncertified"`` otherwise.  Brent's method stops at the
-    default relative tolerance (4 eps) at any normal root, however small.
+    By the module docstring a root exists iff ``G(0) < 0`` (R0 > 1), and it
+    is unique.  ``BISECTION_STEPS`` bisections of ``[0, 1]`` on the sign of
+    ``G`` narrow the bracket to one cell of width 1/256 (a midpoint where
+    ``G`` is exactly 0 is the root), and Brent's method refines it; it stops
+    at the default relative tolerance (4 eps) at any normal root, however
+    small.  The result is labelled ``"certified-unique"``.
 
     Raises:
-        NoEndemicEquilibriumError: when the localization says no equilibrium
-            exists (certified regime) or the grid scan finds no sign change.
-        RefinementError: root-separation violation, or Brent's method failed
-            on a bracket.
+        NoEndemicEquilibriumError: when ``G(0) >= 0``.
+        RefinementError: Brent's method failed on the bracket.
     """
-    loc = localization if localization is not None else localize_endemic(config)
-
-    if loc.validity and loc.exists == "none":
-        raise NoEndemicEquilibriumError(
-            f"no endemic equilibrium in the certified small-waning regime (margin {loc.margin:g})"
-        )
-    if loc.validity and loc.exists == "indeterminate":
-        raise RefinementError(
-            "roots too close for the uniqueness certificate "
-            "(separation below (delta/rho)^(1/3), rho the largest rate)"
-        )
-
     g = functools.partial(_equilibrium_condition, config)
-    grid = np.linspace(0.0, 1.0, BISECTION_GRID + 1)
-    values = g(grid)
+    if not g(0.0) < 0.0:
+        raise NoEndemicEquilibriumError("no endemic equilibrium: R0 <= 1, the equilibrium condition is >= 0 at 0")
+    # G(1) >= 0 in floating point too, as nothing is subtracted at x = 1
+    # (_equilibrium_condition): the last cell always brackets the root
+    lo, hi = 0.0, 1.0
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        value = g(mid)
+        if value == 0.0:
+            return _finish_solution(config, mid, 0)
+        if value < 0.0:
+            lo = mid
+        else:
+            hi = mid
     # xtol is the smallest tolerance whose half is not 0, so the default rtol
     # (4 eps) ends the search at any normal root however small; Brent (1973,
     # ch. 4) bounds the search by about the square of the bisection count from
-    # one grid cell down to that tolerance
+    # the last cell down to that tolerance
     xtol = 2.0 * math.ulp(0.0)
-    maxiter = (round(-math.log2(xtol) - math.log2(BISECTION_GRID)) + 1) ** 2
-    roots = []
-    total_iterations = 0
-    for lo, hi in sign_change_brackets(grid, values):
-        if lo == hi:
-            roots.append(lo)
-            continue
-        try:
-            root, info = brentq(g, lo, hi, xtol=xtol, maxiter=maxiter, full_output=True)
-        except (ValueError, RuntimeError) as exc:
-            raise RefinementError(f"Brent's method failed on the bracket [{lo!r}, {hi!r}]: {exc}") from exc
-        roots.append(root)
-        total_iterations += info.iterations
-    roots = [x for x in roots if x > 0.0]
-    if not roots:
-        raise NoEndemicEquilibriumError("no sign change of the equilibrium condition on (0, 1]")
-    # the root must also lie within one grid cell of a localization interval
-    # (at delta = 0 an interval is a single point, met only up to rounding)
-    cell = 1.0 / BISECTION_GRID
-    certified = (
-        loc.validity
-        and loc.exists == "unique"
-        and len(roots) == 1
-        and any(a - cell <= roots[0] <= b + cell for a, b in loc.intervals)
-    )
-    label = "certified-contraction" if certified else "numeric-uncertified"
-    return _finish_solution(config, max(roots), total_iterations, label, len(roots))
-
-
-def sign_change_brackets(grid, values) -> list:
-    """Grid cells that hold a root of a sampled function, in grid order.
-
-    A sample that is exactly zero gives the degenerate cell ``(a, a)``;
-    adjacent nonzero samples of opposite sign give ``(a, b)``, a bracket for
-    :func:`scipy.optimize.brentq`.
-    """
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    zero, negative = values == 0.0, values < 0.0
-    change = (negative[:-1] != negative[1:]) & ~zero[:-1] & ~zero[1:]
-    cells = [(j, j) for j in np.flatnonzero(zero)] + [(j, j + 1) for j in np.flatnonzero(change)]
-    return [(float(grid[a]), float(grid[b])) for a, b in sorted(cells)]
+    maxiter = (round(-math.log2(xtol)) - BISECTION_STEPS + 1) ** 2
+    try:
+        root, info = brentq(g, lo, hi, xtol=xtol, maxiter=maxiter, full_output=True)
+    except (ValueError, RuntimeError) as exc:
+        raise RefinementError(f"Brent's method failed on the bracket [{lo!r}, {hi!r}]: {exc}") from exc
+    return _finish_solution(config, root, info.iterations)

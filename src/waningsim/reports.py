@@ -55,31 +55,26 @@ def build_manifest(command: str, config: ModelConfig | None, options: dict) -> d
 def _consistency(report: dict) -> dict:
     """Cross-check the threshold classification against the equilibria found.
 
-    Strict only where the small-waning theory speaks: the contraction
-    certificate must hold and the configuration must sit clearly on one side
-    of criticality (the reproduction number at the actual waning rate and its
-    zero-waning limit must agree in sign; between them is an O(delta)
-    boundary layer where disagreement is expected, not an error), and no
-    spectrum may sit inside the marginal band.
+    Existence and uniqueness of the endemic equilibrium follow from R0 at
+    every waning rate (:mod:`waningsim.endemic`), but its stability is proven
+    only in the small-waning regime, so the check is strict only where the
+    contraction certificate holds, R0 is clearly on one side of 1 and no
+    spectrum sits inside the marginal band.
     """
     loc = report["localization"]
     r0 = report["r0"]
     if not loc["validity"]:
         return {"checked": False, "consistent": True, "note": "contraction certificate failed; theory silent"}
-    if r0["regime"] == "critical" or loc["exists"] == "indeterminate":
+    if r0["regime"] == "critical":
         return {"checked": False, "consistent": True, "note": "near-critical configuration"}
     # a birth rate below the band width puts an eigenvalue near -mu inside it
     spectra = (report["dfe_stability"], report["endemic_stability"])
     if any(verdict is not None and verdict["classification"] == "marginal" for verdict in spectra):
         return {"checked": False, "consistent": True, "note": "spectrum inside the marginal band"}
-    # the existence margin's sign; its reported value may round to 0
-    margin_side = loc["exists"] == "unique"
-    r0_side = r0["regime"] == "unstable"
-    if margin_side != r0_side:
-        return {"checked": False, "consistent": True, "note": "inside the critical boundary layer"}
+    supercritical = r0["regime"] == "unstable"
     endemic = report["endemic"]
     endemic_stab = report["endemic_stability"]
-    if margin_side:
+    if supercritical:
         ok = (
             endemic is not None
             and endemic["i_star"] > 0
@@ -104,7 +99,7 @@ def analyze_config(config: ModelConfig) -> dict:
     endemic_verdict = None
     endemic_error = None
     try:
-        solution = refine_endemic(config, loc)
+        solution = refine_endemic(config)
         endemic = solution.to_dict()
         endemic_verdict = endemic_spectrum(config, solution).to_dict()
     except NoEndemicEquilibriumError:

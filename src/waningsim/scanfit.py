@@ -34,7 +34,7 @@ import scipy.optimize
 
 from .dfe import basic_reproduction_number
 from .dynamics import DEFAULT_MAX_STEPS, IntegrationError, _run_kernel, integrate
-from .endemic import NoEndemicEquilibriumError, existence_margin, refine_endemic, sign_change_brackets
+from .endemic import NoEndemicEquilibriumError, existence_margin, refine_endemic
 from .model import ConfigError, ModelConfig, config_to_dict, epidemic_start
 from .stability import dfe_spectrum
 
@@ -210,6 +210,21 @@ def sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     else:
         points = [_evaluate_point(t) for t in tasks]
     return SweepResult(parameter=spec.parameter, observable=spec.observable, points=tuple(points))
+
+
+def sign_change_brackets(grid, values) -> list:
+    """Grid cells that hold a root of a sampled function, in grid order.
+
+    A sample that is exactly zero gives the degenerate cell ``(a, a)``;
+    adjacent nonzero samples of opposite sign give ``(a, b)``, a bracket for
+    :func:`scipy.optimize.brentq`.
+    """
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    zero, negative = values == 0.0, values < 0.0
+    change = (negative[:-1] != negative[1:]) & ~zero[:-1] & ~zero[1:]
+    cells = [(j, j) for j in np.flatnonzero(zero)] + [(j, j + 1) for j in np.flatnonzero(change)]
+    return [(float(grid[a]), float(grid[b])) for a, b in sorted(cells)]
 
 
 def find_bifurcation(spec: SweepSpec, criterion: str = "r0") -> float:

@@ -19,6 +19,8 @@ from waningsim.dfe import susceptible_block_matrix
 from waningsim.model import build_general, config_to_json
 from waningsim.scanfit import simulate_annual_prevalence
 
+from conftest import tiny_rate_configs
+
 ENDEMIC_CFG = build_general(2, (1.5, 2.0, 4.0), 0.02, 0.3, 1.2, 2.0, (0.0, 0.1, 0.5))
 # with mu = 1e-300, every product in the small-waning existence margin is subnormal
 UNDERFLOWING_PRODUCTS = dict(n=3, beta=(1e-300, 1e-300, 1e-12, 1e-12), delta=0.0, r=1e-300, omega=1e-12,
@@ -143,7 +145,7 @@ class TestAnalyze:
         data = json.loads(capsys.readouterr().out)["data"]
         assert data["r0"]["regime"] == "unstable"
         assert data["localization"]["validity"]
-        assert data["endemic"]["certification"] == "certified-contraction"
+        assert data["endemic"]["certification"] == "certified-unique"
         assert data["endemic_stability"]["classification"] == "asymptotically_stable"
         assert data["consistency"]["checked"] and data["consistency"]["consistent"]
         assert max(abs(a - b) for a, b in zip(data["dfe"]["s"], dfe.solve_dfe_numeric(ENDEMIC_CFG).s)) < 1e-10
@@ -155,7 +157,7 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(path)]) == 0
         data = json.loads(capsys.readouterr().out)["data"]
         assert not data["localization"]["validity"]
-        assert data["endemic"]["certification"] == "numeric-uncertified"
+        assert data["endemic"]["certification"] == "certified-unique"
         assert not data["consistency"]["checked"]
 
     def test_fast_rates_fresh_solution_accepted(self, tmp_path, capsys):
@@ -174,7 +176,7 @@ class TestAnalyze:
         path.write_text(config_to_json(cfg))
         assert main(["analyze", "--config", str(path)]) == 0
         data = json.loads(capsys.readouterr().out)["data"]
-        assert data["endemic"]["certification"] == "certified-contraction"
+        assert data["endemic"]["certification"] == "certified-unique"
         assert data["endemic_stability"]["classification"] == "asymptotically_stable"
         assert data["consistency"]["consistent"]
 
@@ -201,7 +203,7 @@ class TestAnalyze:
         assert roots == [pytest.approx(-0.0987, abs=1e-4), pytest.approx(0.0142, abs=1e-4)]
         assert data["localization"]["exists"] == "unique" and data["endemic_error"] is None
         assert data["endemic"]["i_star"] == pytest.approx(0.016298, abs=1e-6)
-        assert data["endemic"]["certification"] == "certified-contraction"
+        assert data["endemic"]["certification"] == "certified-unique"
         assert data["consistency"]["checked"] and data["consistency"]["consistent"]
 
     @pytest.mark.parametrize("delta", [0.02, 1.5], ids=["certified", "uncertified"])
@@ -225,25 +227,25 @@ class TestAnalyze:
         # the no-waning condition reduces to x^2 + 1.036 x - 0.964 = 0; its
         # products are subnormal unless the rates are scaled first
         (UNDERFLOWING_PRODUCTS,
-         (pytest.approx(0.5921008963152855, rel=1e-12, abs=0.0), "certified-contraction", None)),
+         (pytest.approx(0.5921008963152855, rel=1e-12, abs=0.0), "certified-unique", None)),
         (dict(n=1, beta=(1e-12, 13.80), delta=0.0, r=1e-300, omega=0.0, p=(0.0, 0.248)),
-         (1.0, "certified-contraction", None)),
+         (1.0, "certified-unique", None)),
         # roots far below 1e-285, found to the relative tolerance, not an absolute one
         (dict(n=1, beta=(0.0, 0.09468161530643912), delta=0.0, r=0.012349673970336606, omega=0.0, p=(0.0, 0.878)),
-         (pytest.approx(7.041208505847825e-299, rel=1e-12, abs=0.0), "certified-contraction", None)),
+         (pytest.approx(7.041208505847825e-299, rel=1e-12, abs=0.0), "certified-unique", None)),
         (dict(n=1, beta=(1e-300, 309.58707489458175), delta=0.0, r=1.341042845006398, omega=0.0, p=(0.0, 0.008)),
-         (pytest.approx(7.424582213246018e-301, rel=1e-12, abs=0.0), "certified-contraction", None)),
+         (pytest.approx(7.424582213246018e-301, rel=1e-12, abs=0.0), "certified-unique", None)),
         # r and mu are below the rounding of the other terms of the condition G,
         # which is exactly 0 at prevalence 1: the root 1 needs no Brent search
         # (the condition r + mu - beta . S took over 100 iterations here)
         (dict(n=4, beta=(0.001155515437346742, 0.01838831675173134, 12.727612456653722, 17.264982046268692,
                          968.2152064133929), delta=1000.0, r=1e-300, omega=17.0, p=(0.0, 0.158, 0.066, 0.084, 0.894)),
-         (1.0, "numeric-uncertified", None)),
+         (1.0, "certified-unique", None)),
         # G(1) = r + mu - b (beta_n - beta . w/sum(w)) > r; at these rates it
         # rounds to 0, and the root below 1 is 1 to double precision
         (dict(n=3, beta=(0.017670407866605457, 0.024934869212355652, 0.71253018222773, 1.3292926338282425),
               delta=0.0, r=1e-300, omega=0.02, p=(0.0, 0.658, 0.778, 0.637)),
-         (1.0, "certified-contraction", None)),
+         (1.0, "certified-unique", None)),
         # R0 is 1.0e-11 and G > 0 on [0, 1], where the rounding noise of
         # r + mu - beta . S crosses 0 in the last cell
         (dict(n=4, beta=(0.0, 1e-300, 1e-12, 0.006173893931142045, 0.2200220751333211), delta=0.003222199039327274,
@@ -252,7 +254,7 @@ class TestAnalyze:
         # r + mu - beta . S is rounding noise on (0, 1], G is not: one root,
         # equal to that of a 700-digit dense solve
         (dict(n=1, beta=(718.230197215631, 1412.97883069321), delta=0.001, r=1000.0, omega=1e-300, p=(0.0, 0.466)),
-         (pytest.approx(1.0372775952089367e-06, rel=1e-12, abs=0.0), "numeric-uncertified", None)),
+         (pytest.approx(1.0372775952089367e-06, rel=1e-12, abs=0.0), "certified-unique", None)),
         # R0 is 1e-22 and G > 0 on [0, 1]; a noise crossing of r + mu - beta . S
         # gave a root whose residual failed the stale-solution check (exit 2)
         (dict(n=2, beta=(1e-300, 1e-12, 1e-12), delta=1e-12, r=0.03999514033254006, omega=1.990620263801867,
@@ -264,14 +266,14 @@ class TestAnalyze:
         # which the sum r + mu - beta_n b + ... rounded below 0, leaving no
         # bracket; the root 1 - mu/beta_n is 1 to double precision
         (dict(n=1, beta=(0.0, 2.0**-942), delta=2.0**-942, r=5e-324, omega=0.0, p=(0.0, 0.0)),
-         (1.0, "numeric-uncertified", None)),
+         (1.0, "certified-unique", None)),
         # sum(S(x)) = 1 + x r/mu leaves the double range for x > 0.1; the
-        # scan evaluates G alone, which stays below the largest rate
+        # search evaluates G alone, which stays below the largest rate
         (dict(n=1, beta=(0.0, 0.0), delta=1.0, r=1e9, omega=0.0, p=(0.0, 0.0)), (None, None, None)),
         # R0 is 2.5e16; the existence margin 2.5e-584 underflows to 0, and its
         # sign comes from the scaled rates: the root 1 - 4e-17 is 1.0
         (dict(n=1, beta=(0.0, 2.5e-284), delta=0.0, r=5e-324, omega=0.0, p=(0.0, 0.0)),
-         (1.0, "certified-contraction", None)),
+         (1.0, "certified-unique", None)),
     ], ids=["0.2", "0.0", "underflowing-products", "tiny-beta0", "linear-root-near-zero", "quadratic-root-near-zero",
             "long-brent-search", "root-at-one", "noise-crossing-in-last-cell", "noise-bracket",
             "stale-noise-root", "linear-root-product-underflows", "birth-rate-below-rounding-at-one",
@@ -298,27 +300,10 @@ class TestAnalyze:
             assert not data["consistency"]["checked"]
 
     def test_tiny_rate_endemic_states_lie_on_the_simplex(self, tmp_path, capsys):
-        # rates drawn from {0, 1e-300, 1e-12, 10^U(-3, 3)}, every second
-        # beta_0 = 0 and every third mu = 1e-300: where mu or r is negligible
-        # beside the other rates, r + mu - beta . S(x) is rounding noise
-        rng = np.random.default_rng(5)
-
-        def rate(choices=(0.0, 1e-300, 1e-12, None)):
-            value = choices[rng.integers(len(choices))]
-            return 10.0 ** rng.uniform(-3, 3) if value is None else value
-
         path = tmp_path / "tiny_rates.json"
         faults = []
-        for k in range(300):
-            n = int(rng.integers(1, 9))
-            beta = sorted(rate() for _ in range(n + 1))
-            if k % 2 == 0:
-                beta[0] = 0.0
-            delta, omega = rate(), rate()
-            mu = 1e-300 if k % 3 == 0 else rate((1e-300, 1e-12, None))
-            r = rate((1e-300, 1e-12, None))
-            p = [0.0] + [round(float(v), 3) for v in rng.uniform(0, 1, n)]
-            path.write_text(config_to_json(build_general(n, beta, delta, mu, r, omega, p)))
+        for k, cfg in enumerate(tiny_rate_configs(300, seed=5)):
+            path.write_text(config_to_json(cfg))
             code = main(["analyze", "--config", str(path)])
             captured = capsys.readouterr()
             if code != 0:

@@ -7,11 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from waningsim.dfe import solve_dfe_closed_form, solve_dfe_numeric, susceptible_block_matrix, tier_weights
+from waningsim.dfe import (
+    basic_reproduction_number,
+    solve_dfe_closed_form,
+    solve_dfe_numeric,
+    susceptible_block_matrix,
+    tier_weights,
+)
 from waningsim.endemic import (
     EndemicSolution,
     NoEndemicEquilibriumError,
-    RefinementError,
     _equilibrium_condition,
     existence_margin,
     localize_endemic,
@@ -21,7 +26,7 @@ from waningsim.endemic import (
 )
 from waningsim.model import build_general, build_last_only, vector_field
 
-from conftest import random_config
+from conftest import random_config, seeded_configs, tiny_rate_configs
 from oracles import (
     equilibrium_transmission,
     equilibrium_transmission_no_waning,
@@ -243,7 +248,7 @@ class TestLinearCase:
         loc = localize_endemic(cfg)
         assert loc.roots == (None, None) and loc.intervals == () and loc.exists == "none"
         with pytest.raises(NoEndemicEquilibriumError):
-            refine_endemic(cfg, loc)
+            refine_endemic(cfg)
 
 
 class TestLocalization:
@@ -269,7 +274,7 @@ class TestLocalization:
         assert existence_margin(cfg) == 0.0
         loc = localize_endemic(cfg)
         assert loc.exists == "unique" and loc.margin == 0.0
-        assert refine_endemic(cfg, loc).i_star == 1.0
+        assert refine_endemic(cfg).i_star == 1.0
 
     def test_normal_margin_is_the_unscaled_formula(self):
         rng = np.random.default_rng(23)
@@ -278,8 +283,16 @@ class TestLocalization:
             beta0, beta_n, mu, r, omega_n = cfg.beta[0], cfg.beta[-1], cfg.mu, cfg.r, cfg.omega_n
             margin = existence_margin(cfg)
             assert margin == beta0 * omega_n + beta_n * mu - (omega_n + mu) * (mu + r)
-            assert localize_endemic(cfg).exists in (("unique", "indeterminate") if margin > 0 else
-                                                     ("none", "indeterminate"))
+            assert localize_endemic(cfg).exists == ("unique" if _equilibrium_condition(cfg, 0.0) < 0.0 else "none")
+
+    @pytest.mark.parametrize("beta0", [0.0, 1.0], ids=["linear", "quadratic"])
+    def test_margin_overflows_to_infinity(self, beta0):
+        # beta_n mu and (omega_n + mu)(mu + r) both overflow, and their
+        # difference was inf - inf = NaN; the margin of the unit_rates rates is
+        # positive, and scaled back it overflows to +inf
+        cfg = build_general(1, (beta0, 2e200), 0.0, 1e200, 1.0, 0.0, (0.0, 0.0))
+        assert existence_margin(cfg) == math.inf
+        assert localize_endemic(cfg).margin == math.inf
 
     @pytest.mark.parametrize("beta0", [0.0, 2.0], ids=["linear", "quadratic"])
     def test_interval_constant_is_infinite_once_mu_powers_underflow(self, beta0):
@@ -308,7 +321,7 @@ class TestLocalization:
         cfg = build_general(2, (2.0, 2.5, 3.0), 1e-3, 0.5, 0.5, 0.5, (0.0, 0.3, 0.6))
         loc = localize_endemic(cfg)
         assert loc.exists == "unique"
-        sol = refine_endemic(cfg, loc)
+        sol = refine_endemic(cfg)
         assert any(lo <= sol.i_star <= hi for lo, hi in loc.intervals)
 
 
@@ -318,14 +331,14 @@ class TestRefine:
         cfg = build_general(1, (beta, beta), 0.0, mu, r, 0.0, (0.0, 0.0))
         sol = refine_endemic(cfg)
         assert sol.i_star == pytest.approx((beta - r - mu) / beta, abs=1e-14)
-        assert sol.certification == "certified-contraction"
+        assert sol.certification == "certified-unique"
         assert sol.residual < 1e-12
 
     def test_small_delta_perturbation_stays_within_interval_width(self):
         beta, r, mu, delta = 2.0, 0.5, 0.5, 1e-4
         cfg = build_general(2, (beta, beta, beta), delta, mu, r, 0.0, (0.0, 0.0, 0.0))
         loc = localize_endemic(cfg)
-        sol = refine_endemic(cfg, loc)
+        sol = refine_endemic(cfg)
         assert abs(sol.i_star - 0.5) <= 2.0 * loc.half_width
         assert sol.residual < 1e-10
 
@@ -360,7 +373,7 @@ class TestRefine:
         )
         assert localize_endemic(cfg).validity
         sol = refine_endemic(cfg)
-        assert sol.certification == "certified-contraction"
+        assert sol.certification == "certified-unique"
         assert sol.residual < 1e-10
         assert sol.i_star == pytest.approx(0.64528, abs=1e-5)
 
@@ -368,7 +381,7 @@ class TestRefine:
         # past the waning-rate bifurcation the reconstructed config is endemic
         cfg = pertussis.replace(delta=0.25)
         sol = refine_endemic(cfg)
-        assert sol.certification == "numeric-uncertified"
+        assert sol.certification == "certified-unique"
         assert sol.vf_norm < 1e-9
         state = np.concatenate([sol.s_star, [sol.i_star]])
         assert np.linalg.norm(vector_field(cfg, state)) < 1e-9
@@ -379,21 +392,74 @@ class TestRefine:
             refine_endemic(cfg)
 
     def test_uncertified_none_raises_too(self, pertussis):
-        # R0 < 1 for the baseline reconstruction: the grid scan finds no sign change
+        # R0 < 1 for the baseline reconstruction: G(0) > 0, so no root exists
         with pytest.raises(NoEndemicEquilibriumError):
             refine_endemic(pertussis)
 
     def test_root_separation_violation_reported(self):
-        # near-critical margin puts both roots within delta^(1/3) of each other
-        # while the contraction certificate still holds
+        # R0 = 1.0001 puts both no-waning roots within delta^(1/3) of each
+        # other while the contraction certificate holds; the proof of
+        # uniqueness needs no separation, and the one root is reported
         cfg = build_general(1, (10.0, 10.002), 1e-4, 1e-3, 10.0, 0.0, (0.0, 0.0))
         quad = prevalence_quadratic(cfg)
         assert quad.real and 0 < quad.y2 - quad.y1 < cfg.delta ** (1 / 3)
         loc = localize_endemic(cfg)
         assert loc.validity
-        assert loc.exists == "indeterminate"
-        with pytest.raises(RefinementError, match="separation"):
-            refine_endemic(cfg, loc)
+        assert loc.exists == "unique"
+        sol = refine_endemic(cfg)
+        assert sol.i_star == pytest.approx(4.340373425564806e-05, rel=1e-12, abs=0.0)
+        assert sol.certification == "certified-unique"
+
+
+class TestUniquenessProof:
+    """Each step of the existence and uniqueness proof in the ``endemic``
+    module docstring, checked on 500 configurations over the benchmark-note
+    rate ranges and 200 with rates near the bottom of the double range."""
+
+    @pytest.fixture(scope="class")
+    def configs(self):
+        return seeded_configs(500, seed=3) + tiny_rate_configs(200, seed=6)
+
+    @staticmethod
+    def beta_w(cfg, x):
+        _, w = tier_weights(cfg, x)
+        return (w @ cfg.beta) / w.sum(axis=-1)
+
+    def test_step_1_signs_at_the_ends(self, configs):
+        for cfg in configs:
+            regime = basic_reproduction_number(cfg).regime
+            if regime != "critical":
+                assert (_equilibrium_condition(cfg, 0.0) < 0.0) == (regime == "unstable")
+            mu, r, beta_n, omega_n = cfg.mu, cfg.r, cfg.beta[-1], cfg.omega_n
+            bound = r + mu * ((omega_n + mu) / (omega_n + mu + beta_n))
+            assert _equilibrium_condition(cfg, 1.0) >= bound * (1.0 - 1e-12)
+
+    def test_step_3_transmission_average_does_not_rise(self, configs):
+        grid = np.linspace(0.0, 1.0, 65)
+        for cfg in configs:
+            beta_w = self.beta_w(cfg, grid)
+            assert np.all(beta_w[1:] <= beta_w[:-1] * (1.0 + 1e-12))
+
+    def test_steps_4_and_5_at_the_root(self, configs):
+        found = 0
+        for cfg in configs:
+            try:
+                x = refine_endemic(cfg).i_star
+            except NoEndemicEquilibriumError:
+                continue
+            found += 1
+            ad, _ = tier_weights(cfg, x)
+            assert 1.0 - x - cfg.mu / ad[-1] >= -1e-12
+            h = 0.5 * min(x, 1e-6)
+            slope = (_equilibrium_condition(cfg, x + h) - _equilibrium_condition(cfg, x - h)) / (2.0 * h)
+            assert slope >= self.beta_w(cfg, x) * (1.0 - 1e-6)
+        assert found > 300
+
+    def test_step_6_one_sign_change(self, configs):
+        grid = np.linspace(0.0, 1.0, 1025)
+        for cfg in configs:
+            negative = _equilibrium_condition(cfg, grid) < 0.0
+            assert np.count_nonzero(negative[1:] != negative[:-1]) <= 1
 
 
 class TestClassificationAgreement:

@@ -287,5 +287,5 @@ class TestRegimeConsistency:
                 assert loc.exists == "none"
             else:
                 assert loc.exists == "unique"
-                sol = refine_endemic(cfg, loc)
+                sol = refine_endemic(cfg)
                 assert endemic_spectrum(cfg, sol).classification == "asymptotically_stable"

@@ -17,27 +17,11 @@ import math
 import numpy as np
 import pytest
 
-from waningsim.model import build_general
 from waningsim.reports import analyze_config
 
+from conftest import seeded_configs
+
 POWERS = (-300, -40, -1, 1, 40, 300)
-
-
-def seeded_configs(count=200, seed=9):
-    """``count`` configurations over the rate ranges of the benchmark notes:
-    n from 1 to 8, beta sorted uniform times 10^U(-1, 3), delta 10^U(-3, 1),
-    mu 10^U(-3, -0.5), r and omega 10^U(-1, 1.5)."""
-    rng = np.random.default_rng(seed)
-    configs = []
-    for _ in range(count):
-        n = int(rng.integers(1, 9))
-        beta = np.sort(rng.uniform(0.0, 1.0, n + 1)) * 10.0 ** rng.uniform(-1, 3)
-        delta, mu = 10.0 ** rng.uniform(-3, 1), 10.0 ** rng.uniform(-3, -0.5)
-        r, omega = 10.0 ** rng.uniform(-1, 1.5, 2)
-        p = rng.uniform(0.0, 1.0, n + 1)
-        p[0] = 0.0
-        configs.append(build_general(n, beta, delta, mu, r, omega, p))
-    return configs
 
 
 def rescaled(config, scale):
