@@ -4,7 +4,7 @@ Subpackages cover configuration and the ODE right-hand side (:mod:`.model`),
 disease-free equilibria and reproduction numbers (:mod:`.dfe`), perturbative
 endemic-equilibrium localization and refinement (:mod:`.endemic`), Jacobian
 spectra and stability verdicts (:mod:`.stability`), time integration
-(:mod:`.dynamics`), parameter sweeps / bifurcation detection / fitting
+(:mod:`.dynamics`), parameter sweeps / data ingestion / fitting
 (:mod:`.scanfit`), and a file-based CLI (:mod:`.cli`).
 
 The time integrator runs on the C kernel ``_stepper.c``, compiled on first

@@ -191,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="one-parameter sweep from a spec file")
     p.add_argument("--spec", required=True, help="sweep spec JSON (config, parameter, grid, observable)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (order-stable output)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers, at most one per grid point and per CPU (order-stable output; "
+                        "the manifest records the value given)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_sweep)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ConfigError, ModelConfig, diagonal_coefficients, is_last_only
+from .model import ModelConfig, diagonal_coefficients
 
 __all__ = [
     "DfeSolution",
@@ -26,7 +26,6 @@ __all__ = [
     "solve_dfe_closed_form",
     "solve_dfe_numeric",
     "basic_reproduction_number",
-    "last_only_transmission_threshold",
     "NonFiniteThresholdError",
 ]
 
@@ -190,23 +189,3 @@ def basic_reproduction_number(config: ModelConfig) -> R0Report:
     else:
         regime = "unstable"
     return R0Report(r0=threshold / removal, threshold_sum=threshold, regime=regime, dfe=dfe)
-
-
-def last_only_transmission_threshold(config: ModelConfig, omega_n: float) -> float:
-    """DFE transmission level as a function of the last-tier return rate.
-
-    Only valid for configurations that vaccinate the least-immune tier alone;
-    there the disease-free profile is geometric in ``delta/(delta+mu)`` and the
-    threshold admits an explicit rational form in ``omega_n/(omega_n+mu)``.
-    Monotone non-increasing in ``omega_n``; strictly decreasing when
-    ``beta[0] < beta[n]``.
-    """
-    if not is_last_only(config):
-        raise ConfigError("transmission threshold curve requires a last-tier-only coverage scheme")
-    if omega_n < 0:
-        raise ValueError(f"omega_n must be >= 0, got {omega_n}")
-    n, mu, delta = config.n, config.mu, config.delta
-    sigma = delta / (delta + mu)
-    xi = omega_n / (omega_n + mu)
-    a_const = mu / (delta + mu) * float(np.sum(config.beta[:-1] * sigma ** np.arange(n)))
-    return float((a_const * xi + config.beta[-1] * (1.0 - xi)) / (1.0 - sigma**n * xi))

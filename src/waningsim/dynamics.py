@@ -1,16 +1,10 @@
-"""Time integration, the infection-free closed form, and convergence rates.
+"""Time integration.
 
 Integration uses an adaptive embedded Runge-Kutta 5(4) pair (Dormand-Prince)
 with defaults tight enough that trajectories double as equilibrium oracles
 (absolute tolerance 1e-12, relative 1e-10).  Steps are clipped to requested
 sample times, so sampled values carry no interpolation error.  Stiff blow-ups
 are reported with the failing time instead of silently switching methods.
-
-Without infection or vaccination the model is linear with a lower-bidiagonal
-generator: a Toeplitz block with the repeated eigenvalue ``-(delta + mu)``
-chained above a final ``-mu`` row.  Its matrix exponential has an explicit
-form (Poisson weights along the chain, Poisson tail mass in the last row)
-used here as a closed-form trajectory evaluator.
 """
 
 from __future__ import annotations
@@ -20,20 +14,11 @@ from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from . import stepper
 from .model import ModelConfig, StateVector, config_digest
 
-__all__ = [
-    "IntegrationError",
-    "Trajectory",
-    "integrate",
-    "InfectionFreeSolution",
-    "infection_free_solution",
-    "RateFit",
-    "convergence_rate",
-]
+__all__ = ["IntegrationError", "Trajectory", "integrate"]
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -241,129 +226,3 @@ def integrate(
         atol=atol,
         config=config,
     )
-
-
-@dataclass(frozen=True)
-class InfectionFreeSolution:
-    """Closed-form solution of the infection-free, vaccination-free system.
-
-    ``projector`` is the spectral projector onto the slow ``-mu`` mode (an
-    all-ones bottom row), ``decay_rate`` the magnitude of that eigenvalue:
-    convergence to the pure-susceptible state is exponential at least this
-    fast for simplex initial data.
-    """
-
-    n: int
-    delta: float
-    mu: float
-    projector: np.ndarray
-    decay_rate: float
-
-    def generator(self) -> np.ndarray:
-        """The lower-bidiagonal flow matrix of the susceptible chain."""
-        j = np.diag(np.full(self.n + 1, -(self.delta + self.mu)))
-        j[self.n, self.n] = -self.mu
-        sub = np.arange(self.n)
-        j[sub + 1, sub] = self.delta
-        return j
-
-    def spectrum(self) -> set:
-        return {-(self.delta + self.mu), -self.mu}
-
-    def propagator(self, t: float) -> np.ndarray:
-        """Explicit ``exp(generator * t)``.
-
-        Chain block: ``exp(-(delta+mu) t) (delta t)^{i-j}/(i-j)!`` (Poisson
-        weights of the Jordan-like chain).  Last row: ``exp(-mu t)`` times the
-        Poisson tail mass, i.e. the regularized lower incomplete gamma
-        ``P(i - j, delta t)``.  Evaluated in log space to stay finite at
-        large ``t``.
-        """
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        n, delta, mu = self.n, self.delta, self.mu
-        out = np.zeros((n + 1, n + 1))
-        x = delta * t
-        for j in range(n):
-            for i in range(j, n):
-                k = i - j
-                if x == 0.0:
-                    out[i, j] = math.exp(-(delta + mu) * t) if k == 0 else 0.0
-                else:
-                    out[i, j] = math.exp(k * math.log(x) - x - float(gammaln(k + 1)) - mu * t)
-            out[n, j] = math.exp(-mu * t) * float(gammainc(n - j, x)) if x > 0.0 else 0.0
-        out[n, n] = math.exp(-mu * t)
-        return out
-
-    def evaluate(self, s0, t: float) -> np.ndarray:
-        """Susceptible profile at time ``t`` from initial profile ``s0``."""
-        s0 = np.asarray(s0, dtype=float)
-        if s0.shape != (self.n + 1,):
-            raise ValueError(f"s0 must have length n+1={self.n + 1}")
-        result = self.propagator(t) @ s0
-        result[self.n] += 1.0 - math.exp(-self.mu * t)  # birth inflow integral
-        return result
-
-
-def infection_free_solution(config: ModelConfig) -> InfectionFreeSolution:
-    """Closed-form evaluator for zero-coverage, zero-infection dynamics.
-
-    Raises:
-        ValueError: if any tier has vaccination coverage; the closed form
-            covers the pure waning chain only.
-    """
-    if np.any(config.p != 0.0):
-        raise ValueError("infection-free closed form requires zero coverage everywhere")
-    projector = np.zeros((config.n + 1, config.n + 1))
-    projector[config.n, :] = 1.0
-    return InfectionFreeSolution(
-        n=config.n,
-        delta=config.delta,
-        mu=config.mu,
-        projector=projector,
-        decay_rate=config.mu,
-    )
-
-
-@dataclass(frozen=True)
-class RateFit:
-    """Fitted exponential decay rate towards a target state."""
-
-    kappa: float
-    envelope: bool
-    n_points: int
-
-
-def convergence_rate(trajectory: Trajectory, target_state) -> RateFit:
-    """Least-squares slope of ``log || state - target ||`` over the tail.
-
-    A monotone tail is fitted directly.  An oscillatory approach is fitted
-    through its local maxima instead (damping envelope) and flagged.
-
-    Raises:
-        ValueError: when fewer than five usable points remain above the
-            roundoff floor.
-    """
-    target = np.asarray(target_state, dtype=float)
-    dist = np.linalg.norm(trajectory.states - target, axis=1)
-    usable = dist > 1e-13
-    times, dist = trajectory.times[usable], dist[usable]
-    if times.size < 5:
-        raise ValueError("tail too short to fit a convergence rate")
-    # fit over the stretch after transients: keep the last decade-spanning half
-    half = times.size // 2
-    times, dist = times[half:], dist[half:]
-    if times.size < 5:
-        raise ValueError("tail too short to fit a convergence rate")
-
-    drops = np.diff(dist) < 0
-    if np.mean(drops) > 0.9:
-        slope = np.polyfit(times, np.log(dist), 1)[0]
-        return RateFit(kappa=float(-slope), envelope=False, n_points=int(times.size))
-
-    peaks = [i for i in range(1, times.size - 1) if dist[i] >= dist[i - 1] and dist[i] >= dist[i + 1]]
-    if len(peaks) < 3:
-        raise ValueError("non-monotone tail with too few oscillation peaks to fit an envelope")
-    slope = np.polyfit(times[peaks], np.log(dist[peaks]), 1)[0]
-    return RateFit(kappa=float(-slope), envelope=True, n_points=len(peaks))
-

@@ -266,11 +266,6 @@ def build_last_only(
     return build_general(n, beta, delta, mu, r, omega, p)
 
 
-def is_last_only(config: ModelConfig) -> bool:
-    """True when no tier below ``S_n`` has vaccination coverage."""
-    return bool(np.all(config.p[:-1] == 0.0))
-
-
 @dataclass(frozen=True)
 class StateVector:
     """A point ``(S_0, ..., S_n, I)`` on the unit simplex.
@@ -308,8 +303,19 @@ class StateVector:
         return StateVector.from_array(y / math.fsum(y.tolist()))
 
 
+def _require_start_prevalence(i0: float) -> None:
+    if not 0.0 <= i0 <= 1.0:  # false for NaN as well
+        raise ValueError(f"initial prevalence i0 must lie in [0, 1], so that state components are non-negative, "
+                         f"not NaN; got {i0!r}")
+
+
 def epidemic_start(config: ModelConfig, i0: float = 1e-6) -> StateVector:
-    """Default epidemic initial condition: naive population seeded with ``i0``."""
+    """Default epidemic initial condition: naive population seeded with ``i0``.
+
+    Raises:
+        ValueError: if ``i0`` lies outside ``[0, 1]`` or is NaN.
+    """
+    _require_start_prevalence(i0)
     s = np.zeros(config.n + 1)
     s[-1] = 1.0 - i0
     return StateVector(s=s, i=i0)

@@ -1,10 +1,8 @@
-"""Parameter sweeps, bifurcation location, data ingestion, and fitting.
+"""Parameter sweeps, data ingestion, and fitting.
 
 Sweeps substitute one parameter along a grid and record an observable plus an
 equilibrium classification per point; grid points are independent, so they
 can be evaluated in a process pool with deterministic, grid-ordered output.
-Threshold crossings are located by a grid scan plus Brent's method on
-either the reproduction number or the small-waning existence condition.
 Time-series files are plain CSV (annual prevalence, or cases with
 population); fitting minimizes the sum of squared prevalence residuals by
 bounded trust-region reflective least squares (Branch, Coleman & Li, SIAM J.
@@ -25,17 +23,17 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
-import scipy.optimize
 
 from .dfe import basic_reproduction_number
 from .dynamics import DEFAULT_MAX_STEPS, IntegrationError, _run_kernel, integrate
-from .endemic import NoEndemicEquilibriumError, existence_margin, refine_endemic
-from .model import ConfigError, ModelConfig, config_to_dict, epidemic_start
+from .endemic import NoEndemicEquilibriumError, refine_endemic
+from .model import ConfigError, ModelConfig, _require_start_prevalence, config_to_dict, epidemic_start
 from .stability import dfe_spectrum
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "SweepResult",
     "substitute_parameter",
     "sweep",
-    "find_bifurcation",
     "TimeSeries",
     "TimeSeriesError",
     "ingest_timeseries",
@@ -58,7 +55,6 @@ __all__ = [
 
 SWEEP_PARAMETERS = ("beta0", "omega", "delta", "omega_n", "p_n")
 SWEEP_OBSERVABLES = ("terminal_prevalence", "r0", "endemic_I", "max_real_part")
-BIFURCATION_XTOL = 1e-8
 
 
 def substitute_parameter(config: ModelConfig, parameter: str, value: float) -> ModelConfig:
@@ -192,8 +188,11 @@ def sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 
     Points run independently; with ``jobs > 1`` they are distributed over a
     process pool with output order fixed by the grid, so results are
-    deterministic either way.  Per-point configuration violations are
-    recorded in the result rather than aborting the sweep.
+    deterministic either way.  The pool has ``min(jobs, grid points, CPUs)``
+    workers, as a pool starts all of its workers at once, and the sweep runs
+    serially when that is 1; the manifest records ``jobs`` as given.
+    Per-point configuration violations are recorded in the result rather
+    than aborting the sweep.
 
     Raises:
         ConfigError: for ``jobs < 1``.
@@ -204,55 +203,13 @@ def sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
         (spec.base_config, spec.parameter, float(v), spec.observable, spec.t_end)
         for v in spec.grid
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_evaluate_point, tasks))
     else:
         points = [_evaluate_point(t) for t in tasks]
     return SweepResult(parameter=spec.parameter, observable=spec.observable, points=tuple(points))
-
-
-def sign_change_brackets(grid, values) -> list:
-    """Grid cells that hold a root of a sampled function, in grid order.
-
-    A sample that is exactly zero gives the degenerate cell ``(a, a)``;
-    adjacent nonzero samples of opposite sign give ``(a, b)``, a bracket for
-    :func:`scipy.optimize.brentq`.
-    """
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    zero, negative = values == 0.0, values < 0.0
-    change = (negative[:-1] != negative[1:]) & ~zero[:-1] & ~zero[1:]
-    cells = [(j, j) for j in np.flatnonzero(zero)] + [(j, j + 1) for j in np.flatnonzero(change)]
-    return [(float(grid[a]), float(grid[b])) for a, b in sorted(cells)]
-
-
-def find_bifurcation(spec: SweepSpec, criterion: str = "r0") -> float:
-    """Locate a threshold crossing of the swept parameter.
-
-    ``criterion="r0"`` solves ``R0 - 1 = 0``; ``criterion="existence"``
-    solves for a zero of the small-waning endemic existence margin.  The grid
-    supplies the bracket (the first grid zero or adjacent sign change);
-    Brent's method refines it to within ``BIFURCATION_XTOL`` (absolute, in
-    the swept parameter).
-
-    Raises:
-        ValueError: if the criterion does not change sign across the grid.
-    """
-    if criterion == "r0":
-        def f(value: float) -> float:
-            return basic_reproduction_number(substitute_parameter(spec.base_config, spec.parameter, value)).r0 - 1.0
-    elif criterion == "existence":
-        def f(value: float) -> float:
-            return existence_margin(substitute_parameter(spec.base_config, spec.parameter, value))
-    else:
-        raise ValueError(f"unknown bifurcation criterion {criterion!r}")
-
-    brackets = sign_change_brackets(spec.grid, [f(v) for v in spec.grid])
-    if not brackets:
-        raise ValueError(f"no sign change of criterion {criterion!r} across the grid")
-    lo, hi = brackets[0]
-    return lo if lo == hi else scipy.optimize.brentq(f, lo, hi, xtol=BIFURCATION_XTOL)
 
 
 class TimeSeriesError(ValueError):
@@ -479,8 +436,7 @@ def simulate_annual_prevalence(
     t_obs = np.asarray(years, dtype=int) - start_year + YEAR_END_OFFSET
     if t_obs.ndim != 1 or not t_obs.size or t_obs[0] <= 0 or (t_obs[1:] <= t_obs[:-1]).any():
         raise ValueError("observation years must increase strictly and come after the simulation start")
-    if not 0.0 <= i0 <= 1.0:  # the start state's own check, false for NaN as well
-        raise ValueError("state components must be non-negative, not NaN")
+    _require_start_prevalence(i0)
     y0 = np.zeros(config.n + 2)
     y0[-2] = 1.0 - i0
     y0[-1] = i0

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dfe import DfeSolution, susceptible_block_matrix
 from .endemic import EndemicSolution
-from .model import ModelConfig, StateVector, unit_rates
+from .model import ModelConfig, _as_state_array, unit_rates
 
 __all__ = [
     "StaleSolutionError",
@@ -43,10 +43,8 @@ def jacobian(config: ModelConfig, state) -> np.ndarray:
     infection pressure.  Every column sums to ``-mu``: the flow conserves
     total population, so mass leaves the system only through deaths.
     """
-    y = state.as_array() if isinstance(state, StateVector) else np.asarray(state, dtype=float)
+    y = _as_state_array(config, state)
     n = config.n
-    if y.shape != (n + 2,):
-        raise ValueError(f"state must have length n+2={n + 2}, got shape {y.shape}")
     s, prevalence = y[:-1], y[-1]
     transmission = float(config.beta @ s)
 

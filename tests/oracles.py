@@ -1,6 +1,12 @@
 """Test oracles: closed forms, bounds and cross-checks of the paper's theory
 that the package's answer pipeline does not use, and SciPy's least-squares
-driver as the reference for the fit's own trust-region loop."""
+driver as the reference for the fit's own trust-region loop.
+
+Among them: the closed-form solution of the infection-free waning chain, a
+fitted exponential convergence rate of a trajectory, the threshold locator
+(grid scan plus Brent's method on R0 - 1 or the existence margin) and the
+explicit transmission threshold of a last-tier-only coverage scheme as a
+function of the last-tier return rate."""
 
 from __future__ import annotations
 
@@ -9,12 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+from scipy.special import gammainc, gammaln
 
 from waningsim.dfe import basic_reproduction_number, susceptible_block_matrix, tier_weights
-from waningsim.endemic import EndemicSolution, localize_endemic, solve_susceptible_block
-from waningsim.model import ModelConfig
-from waningsim.scanfit import FIT_FTOL, FIT_XTOL
+from waningsim.dynamics import Trajectory
+from waningsim.endemic import EndemicSolution, existence_margin, localize_endemic, solve_susceptible_block
+from waningsim.model import ConfigError, ModelConfig
+from waningsim.scanfit import FIT_FTOL, FIT_XTOL, SweepSpec, substitute_parameter
 from waningsim.stability import _require_fresh, dfe_spectrum, jacobian
+
+BIFURCATION_XTOL = 1e-8
 
 
 def column_discs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,3 +263,196 @@ def scipy_trust_region_reflective(fun, jac, x0, lo, hi, max_nfev):
         max_nfev=max_nfev,
     )
     return result.x, result.fun, result.status > 0
+
+
+@dataclass(frozen=True)
+class InfectionFreeSolution:
+    """Closed-form solution of the infection-free, vaccination-free system.
+
+    ``projector`` is the spectral projector onto the slow ``-mu`` mode (an
+    all-ones bottom row), ``decay_rate`` the magnitude of that eigenvalue:
+    convergence to the pure-susceptible state is exponential at least this
+    fast for simplex initial data.
+    """
+
+    n: int
+    delta: float
+    mu: float
+    projector: np.ndarray
+    decay_rate: float
+
+    def generator(self) -> np.ndarray:
+        """The lower-bidiagonal flow matrix of the susceptible chain."""
+        j = np.diag(np.full(self.n + 1, -(self.delta + self.mu)))
+        j[self.n, self.n] = -self.mu
+        sub = np.arange(self.n)
+        j[sub + 1, sub] = self.delta
+        return j
+
+    def spectrum(self) -> set:
+        return {-(self.delta + self.mu), -self.mu}
+
+    def propagator(self, t: float) -> np.ndarray:
+        """Explicit ``exp(generator * t)``.
+
+        Chain block: ``exp(-(delta+mu) t) (delta t)^{i-j}/(i-j)!`` (Poisson
+        weights of the Jordan-like chain).  Last row: ``exp(-mu t)`` times the
+        Poisson tail mass, i.e. the regularized lower incomplete gamma
+        ``P(i - j, delta t)``.  Evaluated in log space to stay finite at
+        large ``t``.
+        """
+        if t < 0:
+            raise ValueError("t must be >= 0")
+        n, delta, mu = self.n, self.delta, self.mu
+        out = np.zeros((n + 1, n + 1))
+        x = delta * t
+        for j in range(n):
+            for i in range(j, n):
+                k = i - j
+                if x == 0.0:
+                    out[i, j] = math.exp(-(delta + mu) * t) if k == 0 else 0.0
+                else:
+                    out[i, j] = math.exp(k * math.log(x) - x - float(gammaln(k + 1)) - mu * t)
+            out[n, j] = math.exp(-mu * t) * float(gammainc(n - j, x)) if x > 0.0 else 0.0
+        out[n, n] = math.exp(-mu * t)
+        return out
+
+    def evaluate(self, s0, t: float) -> np.ndarray:
+        """Susceptible profile at time ``t`` from initial profile ``s0``."""
+        s0 = np.asarray(s0, dtype=float)
+        if s0.shape != (self.n + 1,):
+            raise ValueError(f"s0 must have length n+1={self.n + 1}")
+        result = self.propagator(t) @ s0
+        result[self.n] += 1.0 - math.exp(-self.mu * t)  # birth inflow integral
+        return result
+
+
+def infection_free_solution(config: ModelConfig) -> InfectionFreeSolution:
+    """Closed-form evaluator for zero-coverage, zero-infection dynamics.
+
+    Raises:
+        ValueError: if any tier has vaccination coverage; the closed form
+            covers the pure waning chain only.
+    """
+    if np.any(config.p != 0.0):
+        raise ValueError("infection-free closed form requires zero coverage everywhere")
+    projector = np.zeros((config.n + 1, config.n + 1))
+    projector[config.n, :] = 1.0
+    return InfectionFreeSolution(
+        n=config.n,
+        delta=config.delta,
+        mu=config.mu,
+        projector=projector,
+        decay_rate=config.mu,
+    )
+
+
+@dataclass(frozen=True)
+class RateFit:
+    """Fitted exponential decay rate towards a target state."""
+
+    kappa: float
+    envelope: bool
+    n_points: int
+
+
+def convergence_rate(trajectory: Trajectory, target_state) -> RateFit:
+    """Least-squares slope of ``log || state - target ||`` over the tail.
+
+    A monotone tail is fitted directly.  An oscillatory approach is fitted
+    through its local maxima instead (damping envelope) and flagged.
+
+    Raises:
+        ValueError: when fewer than five usable points remain above the
+            roundoff floor.
+    """
+    target = np.asarray(target_state, dtype=float)
+    dist = np.linalg.norm(trajectory.states - target, axis=1)
+    usable = dist > 1e-13
+    times, dist = trajectory.times[usable], dist[usable]
+    if times.size < 5:
+        raise ValueError("tail too short to fit a convergence rate")
+    # fit over the stretch after transients: keep the last decade-spanning half
+    half = times.size // 2
+    times, dist = times[half:], dist[half:]
+    if times.size < 5:
+        raise ValueError("tail too short to fit a convergence rate")
+
+    drops = np.diff(dist) < 0
+    if np.mean(drops) > 0.9:
+        slope = np.polyfit(times, np.log(dist), 1)[0]
+        return RateFit(kappa=float(-slope), envelope=False, n_points=int(times.size))
+
+    peaks = [i for i in range(1, times.size - 1) if dist[i] >= dist[i - 1] and dist[i] >= dist[i + 1]]
+    if len(peaks) < 3:
+        raise ValueError("non-monotone tail with too few oscillation peaks to fit an envelope")
+    slope = np.polyfit(times[peaks], np.log(dist[peaks]), 1)[0]
+    return RateFit(kappa=float(-slope), envelope=True, n_points=len(peaks))
+
+
+def sign_change_brackets(grid, values) -> list:
+    """Grid cells that hold a root of a sampled function, in grid order.
+
+    A sample that is exactly zero gives the degenerate cell ``(a, a)``;
+    adjacent nonzero samples of opposite sign give ``(a, b)``, a bracket for
+    :func:`scipy.optimize.brentq`.
+    """
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    zero, negative = values == 0.0, values < 0.0
+    change = (negative[:-1] != negative[1:]) & ~zero[:-1] & ~zero[1:]
+    cells = [(j, j) for j in np.flatnonzero(zero)] + [(j, j + 1) for j in np.flatnonzero(change)]
+    return [(float(grid[a]), float(grid[b])) for a, b in sorted(cells)]
+
+
+def find_bifurcation(spec: SweepSpec, criterion: str = "r0") -> float:
+    """Locate a threshold crossing of the swept parameter.
+
+    ``criterion="r0"`` solves ``R0 - 1 = 0``; ``criterion="existence"``
+    solves for a zero of the small-waning endemic existence margin.  The grid
+    supplies the bracket (the first grid zero or adjacent sign change);
+    Brent's method refines it to within ``BIFURCATION_XTOL`` (absolute, in
+    the swept parameter).
+
+    Raises:
+        ValueError: if the criterion does not change sign across the grid.
+    """
+    if criterion == "r0":
+        def f(value: float) -> float:
+            return basic_reproduction_number(substitute_parameter(spec.base_config, spec.parameter, value)).r0 - 1.0
+    elif criterion == "existence":
+        def f(value: float) -> float:
+            return existence_margin(substitute_parameter(spec.base_config, spec.parameter, value))
+    else:
+        raise ValueError(f"unknown bifurcation criterion {criterion!r}")
+
+    brackets = sign_change_brackets(spec.grid, [f(v) for v in spec.grid])
+    if not brackets:
+        raise ValueError(f"no sign change of criterion {criterion!r} across the grid")
+    lo, hi = brackets[0]
+    return lo if lo == hi else scipy.optimize.brentq(f, lo, hi, xtol=BIFURCATION_XTOL)
+
+
+def is_last_only(config: ModelConfig) -> bool:
+    """True when no tier below ``S_n`` has vaccination coverage."""
+    return bool(np.all(config.p[:-1] == 0.0))
+
+
+def last_only_transmission_threshold(config: ModelConfig, omega_n: float) -> float:
+    """DFE transmission level as a function of the last-tier return rate.
+
+    Only valid for configurations that vaccinate the least-immune tier alone;
+    there the disease-free profile is geometric in ``delta/(delta+mu)`` and the
+    threshold admits an explicit rational form in ``omega_n/(omega_n+mu)``.
+    Monotone non-increasing in ``omega_n``; strictly decreasing when
+    ``beta[0] < beta[n]``.
+    """
+    if not is_last_only(config):
+        raise ConfigError("transmission threshold curve requires a last-tier-only coverage scheme")
+    if omega_n < 0:
+        raise ValueError(f"omega_n must be >= 0, got {omega_n}")
+    n, mu, delta = config.n, config.mu, config.delta
+    sigma = delta / (delta + mu)
+    xi = omega_n / (omega_n + mu)
+    a_const = mu / (delta + mu) * float(np.sum(config.beta[:-1] * sigma ** np.arange(n)))
+    return float((a_const * xi + config.beta[-1] * (1.0 - xi)) / (1.0 - sigma**n * xi))

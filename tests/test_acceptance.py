@@ -18,7 +18,7 @@ from waningsim.dfe import (
     solve_dfe_numeric,
     susceptible_block_matrix,
 )
-from waningsim.dynamics import convergence_rate, infection_free_solution, integrate
+from waningsim.dynamics import integrate
 from waningsim.endemic import (
     NoEndemicEquilibriumError,
     contraction_precondition_holds,
@@ -32,7 +32,6 @@ from waningsim.scanfit import (
     FitOptions,
     SweepSpec,
     TimeSeries,
-    find_bifurcation,
     fit,
     simulate_annual_prevalence,
     substitute_parameter,
@@ -40,7 +39,15 @@ from waningsim.scanfit import (
 from waningsim.stability import dfe_spectrum, endemic_spectrum
 
 from conftest import random_config
-from oracles import column_discs, equilibrium_transmission, equilibrium_transmission_no_waning, transmission_gap_bound
+from oracles import (
+    column_discs,
+    convergence_rate,
+    equilibrium_transmission,
+    equilibrium_transmission_no_waning,
+    find_bifurcation,
+    infection_free_solution,
+    transmission_gap_bound,
+)
 
 
 def conclude(criterion: int, ok: bool, detail: str) -> None:

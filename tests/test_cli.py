@@ -122,6 +122,13 @@ class TestSimulate:
         assert main(["simulate", "--config", endemic_config_path, "--t-end", "5", "--i0", "nan"]) == 2
         assert "not NaN" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("i0", ["1.5", "-1", "nan"])
+    def test_initial_prevalence_outside_the_unit_interval_names_i0(self, tmp_path, endemic_config_path, capsys, i0):
+        out = tmp_path / "s.json"
+        assert main(["simulate", "--config", endemic_config_path, "--t-end", "5", "--i0", i0, "--out", str(out)]) == 2
+        assert "i0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stiff_blowup_exits_3(self, tmp_path, capsys):
         stiff = tmp_path / "stiff.json"
         stiff.write_text(config_to_json(build_general(1, (1e6, 1e6), 0.0, 1.0, 1.0, 0.0, (0.0, 0.0))))

@@ -13,7 +13,6 @@ from waningsim.dfe import (
     DfeSolution,
     NonFiniteThresholdError,
     basic_reproduction_number,
-    last_only_transmission_threshold,
     solve_dfe_closed_form,
     solve_dfe_numeric,
     susceptible_block_matrix,
@@ -21,7 +20,7 @@ from waningsim.dfe import (
 from waningsim.model import ConfigError, build_all_but_last, build_general, build_last_only
 
 from conftest import random_config
-from oracles import matrix_determinant
+from oracles import last_only_transmission_threshold, matrix_determinant
 
 
 class TestSusceptibleBlockMatrix:

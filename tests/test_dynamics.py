@@ -10,15 +10,12 @@ import scipy.linalg
 
 from waningsim import stepper
 from waningsim._stepper_py import _A, _ERR
-from waningsim.dynamics import (
-    IntegrationError,
-    convergence_rate,
-    infection_free_solution,
-    integrate,
-)
+from waningsim.dynamics import IntegrationError, integrate
 from waningsim.endemic import localize_endemic, refine_endemic
 from waningsim.model import StateVector, build_general, build_last_only, config_digest, epidemic_start, vector_field
 from waningsim.stability import endemic_spectrum
+
+from oracles import convergence_rate, infection_free_solution
 
 
 @pytest.fixture

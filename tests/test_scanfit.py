@@ -17,13 +17,14 @@ from waningsim.scanfit import (
     SweepSpec,
     TimeSeries,
     TimeSeriesError,
-    find_bifurcation,
     fit,
     ingest_timeseries,
     simulate_annual_prevalence,
     substitute_parameter,
     sweep,
 )
+
+from oracles import find_bifurcation
 
 
 BASE = build_general(2, (1.5, 2.0, 4.0), 0.05, 0.3, 1.2, 2.0, (0.0, 0.1, 0.5))
@@ -63,6 +64,33 @@ class TestSweep:
     def test_parallel_matches_serial(self):
         spec = SweepSpec(BASE, "omega", np.linspace(0.0, 10.0, 9), "r0")
         assert sweep(spec, jobs=2) == sweep(spec, jobs=1)
+
+    # a spec holds at least two grid points, so one CPU (or an unknown count)
+    # is how a large jobs value comes down to one worker
+    @pytest.mark.parametrize("cpus, pools", [(8, [3]), (2, [2]), (1, []), (None, [])],
+                             ids=["8-cpus", "2-cpus", "1-cpu", "unknown-cpus"])
+    def test_pool_has_at_most_one_worker_per_point_and_per_cpu(self, monkeypatch, cpus, pools):
+        spec = SweepSpec(BASE, "omega", np.linspace(0.0, 10.0, 3), "r0")
+        serial = sweep(spec)
+        built = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(scanfit, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(scanfit.os, "cpu_count", lambda: cpus)
+        assert sweep(spec, jobs=10**6) == serial
+        assert built == pools
 
     def test_per_point_errors_are_recorded(self):
         spec = SweepSpec(BASE, "beta0", np.array([1.0, 1.9, 2.5]), "r0")
