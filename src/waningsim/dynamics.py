@@ -10,7 +10,6 @@ are reported with the failing time instead of silently switching methods.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,8 +46,10 @@ class Trajectory:
 
     ``times`` are strictly increasing and include every requested sample time
     exactly.  ``terminal_status`` is ``"converged_dfe"``,
-    ``"converged_endemic"`` or ``"max_time"``.  ``config`` is the integrated
-    configuration; its digest is computed only when asked for.
+    ``"converged_endemic"`` or ``"max_time"``.  ``t_end`` is the horizon of
+    the integration, which a converged or restricted record ends before.
+    ``config`` is the integrated configuration; its digest is computed only
+    when asked for.
     """
 
     times: np.ndarray
@@ -58,6 +59,7 @@ class Trajectory:
     n_rejected: int
     rtol: float
     atol: float
+    t_end: float
     config: ModelConfig
 
     @property
@@ -75,22 +77,31 @@ class Trajectory:
     def state_at(self, index: int) -> StateVector:
         return StateVector.from_array(self.states[index])
 
-    def sample(self, times) -> np.ndarray:
-        """States at previously requested sample times (exact hits only)."""
+    def _indices(self, times) -> tuple:
+        """``(times, idx)``: the requested times as floats and the index of
+        each in the stored grid, on exact hits only.  On a record that ends at
+        its horizon a time at most 1e-12 above it is the horizon, as in
+        :func:`integrate`'s ``t_eval``."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
+        if self.times[-1] == self.t_end:
+            times = np.where((times > self.t_end) & (times <= self.t_end + 1e-12), self.t_end, times)
         idx = np.minimum(np.searchsorted(self.times, times), self.times.size - 1)
-        bad = np.abs(self.times[idx] - times) > 1e-9
+        bad = self.times[idx] != times
         if bad.any():
             raise KeyError(f"times not on the stored grid: {times[bad]}")
-        return self.states[idx]
+        return times, idx
+
+    def sample(self, times) -> np.ndarray:
+        """States at previously requested sample times (exact hits only)."""
+        return self.states[self._indices(times)[1]]
 
     def conservation_drift(self) -> float:
         return float(np.max(np.abs(self.states.sum(axis=1) - 1.0)))
 
     def at_times(self, times) -> "Trajectory":
         """Restriction of the record to a subset of stored times."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        return replace(self, times=times, states=self.sample(times))
+        times, idx = self._indices(times)
+        return replace(self, times=times, states=self.states[idx])
 
     def to_csv(self) -> str:
         """CSV with header ``t,S_0,...,S_n,I``, each float as ``repr``
@@ -99,12 +110,16 @@ class Trajectory:
         table = np.column_stack((self.times, self.states))
         body = None
         if stepper.format_floats is not None:
-            body = stepper.format_floats(array("d", table.tobytes()), n + 3, ",", "\n")
+            body = stepper.format_floats(table, n + 3, ",", "\n")
         if body is None:
             body = "\n".join(",".join(map(repr, row)) for row in table.tolist())
         return "t," + ",".join(f"S_{i}" for i in range(n + 1)) + ",I\n" + body + "\n"
 
     def to_json_dict(self) -> dict:
+        """The record for :func:`reports.json_document`.  ``times`` and
+        ``states`` are the float64 arrays themselves: the writer puts each in
+        the artifact exactly as its ``tolist()`` would be, with one compiled
+        formatter call per array when the library is loaded."""
         return {
             "config_hash": self.config_hash,
             "rtol": self.rtol,
@@ -112,8 +127,8 @@ class Trajectory:
             "terminal_status": self.terminal_status,
             "n_accepted": self.n_accepted,
             "n_rejected": self.n_rejected,
-            "times": self.times.tolist(),
-            "states": self.states.tolist(),
+            "times": self.times,
+            "states": self.states,
         }
 
 
@@ -224,5 +239,6 @@ def integrate(
         n_rejected=n_rej,
         rtol=rtol,
         atol=atol,
+        t_end=t_end,
         config=config,
     )

@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -98,6 +99,13 @@ class ModelConfig:
     @property
     def omega_n(self) -> float:
         return float(self.omega_i[-1])
+
+    @cached_property
+    def _digest(self) -> str:
+        """:func:`config_digest`, computed once per object, whose fields never
+        change."""
+        canonical = json.dumps(config_to_dict(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
     def replace(self, **changes) -> "ModelConfig":
         """Return a copy with the given fields substituted.
@@ -434,8 +442,7 @@ def config_to_json(config: ModelConfig, indent: int | None = 2) -> str:
 
 def config_digest(config: ModelConfig) -> str:
     """sha256 of the canonical (sorted-key, compact) JSON form."""
-    canonical = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return config._digest
 
 
 def config_from_json(text: str) -> ModelConfig:

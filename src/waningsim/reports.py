@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from array import array
 from datetime import datetime, timezone
-from itertools import chain
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import __version__, stepper
 from .dfe import basic_reproduction_number
@@ -127,25 +127,21 @@ def analyze_config(config: ModelConfig) -> dict:
 SHORT_RUN = 5
 
 
-def _float_run(value, level: str) -> str | None:
-    """``value`` as :func:`_encode` writes it, by one call of the compiled
-    formatter, if it is a list of finite floats or a list of equally long
-    lists of them; otherwise ``None``.  An ``int`` or ``bool`` element, which
-    json writes as ``1`` or ``true``, makes it ``None``."""
+def _float_array(a: np.ndarray, level: str) -> str | None:
+    """``a.tolist()`` as :func:`_encode` writes it, by one call of the
+    compiled formatter, if ``a`` is a 1-D or 2-D float64 array of at least
+    ``SHORT_RUN`` finite elements; otherwise ``None``."""
+    if stepper.format_floats is None or a.dtype != np.float64 or a.ndim not in (1, 2) or a.size < SHORT_RUN:
+        return None
     inner = level + "  "
-    kinds = set(map(type, value))
-    if kinds == {float}:
-        flat, cols = value, len(value)
+    if a.ndim == 1:
         head, sep, row_sep, tail = "[\n" + inner, ",\n" + inner, "", "\n" + level + "]"
-    elif kinds <= {list, tuple} and value[0] and len(set(map(len, value))) == 1:
-        flat, cols, cell = list(chain.from_iterable(value)), len(value[0]), inner + "  "
-        if set(map(type, flat)) != {float}:
-            return None
+    else:
+        cell = inner + "  "
         head, sep, tail = "[\n" + inner + "[\n" + cell, ",\n" + cell, "\n" + inner + "]\n" + level + "]"
         row_sep = "\n" + inner + "],\n" + inner + "[\n" + cell
-    else:
-        return None
-    body = stepper.format_floats(array("d", flat), cols, sep, row_sep)
+    # a flat view of a C-contiguous array, a copy of any other
+    body = stepper.format_floats(a.ravel(), a.shape[-1], sep, row_sep)
     return None if body is None else head + body + tail
 
 
@@ -174,11 +170,14 @@ def _encode(value, level: str) -> str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             items.append(f"{encode_basestring_ascii(key)}: {_encode(item, inner)}")
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + level + "}"
+    if isinstance(value, np.ndarray):
+        text = _float_array(value, level)
+        return _encode(value.tolist(), level) if text is None else text
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if stepper.format_floats is not None and len(value) >= SHORT_RUN:
-            text = _float_run(value, level)
+        if stepper.format_floats is not None and len(value) >= SHORT_RUN and set(map(type, value)) == {float}:
+            text = _float_array(np.array(value), level)
             if text is not None:
                 return text
         sep = ",\n" + inner
@@ -198,13 +197,15 @@ def json_document(manifest: dict, data) -> str:
 
     The text is byte for byte ``json.dumps({"manifest": manifest, "data":
     data}, indent=2) + "\\n"``, except that non-finite floats are written as
-    ``null``, so the artifact is valid RFC 8259 JSON.  Dict keys must be
+    ``null``, so the artifact is valid RFC 8259 JSON, and that a NumPy array
+    is written exactly as its ``tolist()`` would be.  Dict keys must be
     ``str``; other keys, and values ``json.dumps`` rejects, raise
     ``TypeError``.  One pass writes it, because ``json.dumps`` with an
-    indent runs its pure-Python encoder.  Each list of finite floats, and
-    each list of equally long lists of them (``states``, eigenvalue pairs),
-    of ``SHORT_RUN`` or more elements, is formatted by one call of the
-    compiled formatter in the kernel's C library
-    (:func:`stepper.format_floats`) when that library is loaded.
+    indent runs its pure-Python encoder.  When the kernel's C library is
+    loaded, each 1-D or 2-D float64 array of ``SHORT_RUN`` or more finite
+    elements (a trajectory's ``times`` and ``states``, eigenvalue pairs) is
+    formatted from its buffer by one call of the compiled formatter
+    (:func:`stepper.format_floats`), and so is each list of ``SHORT_RUN`` or
+    more finite floats, by way of ``np.array``.
     """
     return _encode({"manifest": manifest, "data": data}, "") + "\n"

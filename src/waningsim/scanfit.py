@@ -366,11 +366,13 @@ class FitResult:
     failed_evaluations: int
 
     def to_json_dict(self) -> dict:
+        """The record for :func:`reports.json_document`, which writes the
+        ``residuals`` array as its ``tolist()`` would be."""
         return {
             "parameters": {k: float(v) for k, v in self.parameters.items()},
             "config": config_to_dict(self.fitted_config),
             "sse": self.sse,
-            "residuals": self.residuals.tolist(),
+            "residuals": self.residuals,
             "converged": self.converged,
             "evaluations": self.evaluations,
             "failed_evaluations": self.failed_evaluations,

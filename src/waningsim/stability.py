@@ -72,8 +72,10 @@ class StabilityVerdict:
     classification: str
 
     def to_dict(self) -> dict:
+        """``eigenvalues`` as a float64 array of ``(real, imag)`` rows, which
+        the artifact writer formats in one call."""
         return {
-            "eigenvalues": [[float(z.real), float(z.imag)] for z in self.eigenvalues],
+            "eigenvalues": np.column_stack((self.eigenvalues.real, self.eigenvalues.imag)),
             "max_real_part": self.max_real_part,
             "classification": self.classification,
         }

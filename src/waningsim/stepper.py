@@ -80,18 +80,17 @@ def _load_library():
         lib = ctypes.CDLL(str(path))
         # a raw address: the caller makes each array C-contiguous float64 and
         # checks its length first, which ndpointer would check again per call
-        array = ctypes.c_void_p
+        address = ctypes.c_void_p
         lib.ws_integrate.restype = ctypes.c_int
         lib.ws_integrate.argtypes = [
-            ctypes.c_int64, array, array, array, ctypes.c_double, ctypes.c_double, array,
-            ctypes.c_double, ctypes.c_double, array, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int64, address, address, address, ctypes.c_double, ctypes.c_double, address,
+            ctypes.c_double, ctypes.c_double, address, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_int, ctypes.POINTER(_Record),
         ]
         lib.ws_free.restype = None
         lib.ws_free.argtypes = [ctypes.POINTER(_Record)]
         lib.ws_format.restype = ctypes.c_int64
-        lib.ws_format.argtypes = [array, ctypes.c_int64, ctypes.c_int64, ctypes.c_char_p, ctypes.c_char_p,
-                                  ctypes.c_char_p]
+        lib.ws_format.argtypes = [address, ctypes.c_int64, ctypes.c_int64, ctypes.c_char_p, ctypes.c_char_p, address]
         return lib
     except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
         return None
@@ -128,20 +127,28 @@ def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, ma
     return rows[:, 0], rows[:, 1:], status, rec.n_accepted, rec.n_rejected, rec.t_reached
 
 
-def _c_format_floats(values, cols: int, sep: str, row_sep: str) -> str | None:
-    """The doubles of ``values``, an ``array("d")``, each as ``float.__repr__``
-    writes it, with ``sep`` between two in a row of ``cols`` and ``row_sep``
-    between two rows; ``None`` if a value is not finite."""
-    if values.typecode != "d":
-        raise TypeError(f"values must be an array of typecode 'd', not {values.typecode!r}")
+def _c_format_floats(values: np.ndarray, cols: int, sep: str, row_sep: str) -> str | None:
+    """The doubles of ``values``, a C-contiguous float64 ndarray read in
+    memory order whatever its shape, each as ``float.__repr__`` writes it,
+    with ``sep`` between two in a row of ``cols`` and ``row_sep`` between two
+    rows; ``None`` if a value is not finite."""
+    if not isinstance(values, np.ndarray):
+        raise TypeError(f"values must be a C-contiguous float64 ndarray, not {type(values).__name__}")
+    if values.dtype != np.float64 or not values.flags.c_contiguous:
+        raise TypeError(f"values must be a C-contiguous float64 ndarray, got dtype {values.dtype}, "
+                        f"C-contiguous {values.flags.c_contiguous}")
     if cols < 1:
         raise ValueError(f"cols must be >= 1, got {cols}")
-    address, n = values.buffer_info()
+    n = values.size
+    if n == 0:
+        return ""
     rows = -(-n // cols)
     sep, row_sep = sep.encode("ascii"), row_sep.encode("ascii")
-    out = ctypes.create_string_buffer(n * _REPR_MAX + (n - rows) * len(sep) + max(rows - 1, 0) * len(row_sep) + 1)
-    length = _lib.ws_format(address, n, cols, sep, row_sep, out)
-    return None if length < 0 else out[:length].decode("ascii")
+    # uninitialised: the formatter writes every byte that is read back
+    out = np.empty(n * _REPR_MAX + (n - rows) * len(sep) + (rows - 1) * len(row_sep), np.uint8)
+    length = _lib.ws_format(values.ctypes.data, n, cols, sep, row_sep, out.ctypes.data)
+    # str() decodes straight from the buffer, the one copy of the text
+    return None if length < 0 else str(memoryview(out)[:length], "ascii")
 
 
 format_floats = None if _lib is None else _c_format_floats

@@ -8,15 +8,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import waningsim
-from waningsim import dfe, stepper
+from waningsim import dfe, model, stepper
 from waningsim.cli import build_parser, main
 from waningsim.dfe import susceptible_block_matrix
-from waningsim.model import build_general, config_to_json
+from waningsim.model import build_general, config_digest, config_to_json
 from waningsim.scanfit import simulate_annual_prevalence
 
 from conftest import tiny_rate_configs
@@ -73,6 +74,15 @@ class TestSimulate:
         assert doc["manifest"]["command"] == "simulate"
         assert doc["data"]["terminal_status"] in ("max_time", "converged_endemic")
         assert len(doc["data"]["times"]) == 6
+
+    def test_json_config_digest_computed_once_for_manifest_and_data(self, endemic_config_path, capsys,
+                                                                     monkeypatch):
+        sha256, hashed = model.hashlib.sha256, []
+        monkeypatch.setattr(model, "hashlib", SimpleNamespace(sha256=lambda b: hashed.append(b) or sha256(b)))
+        assert main(["simulate", "--config", endemic_config_path, "--t-end", "10", "--format", "json"]) == 0
+        assert len(hashed) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["manifest"]["config_hash"] == doc["data"]["config_hash"] == config_digest(ENDEMIC_CFG)
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

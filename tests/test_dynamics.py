@@ -68,6 +68,31 @@ class TestIntegrate:
         with pytest.raises(KeyError):
             traj.sample([0.31])
 
+    def test_sample_takes_exact_hits_only_in_any_time_unit(self, pertussis):
+        # the grid's spacing, 2.5e-9, is below an absolute tolerance of 1e-9:
+        # a time between two stored times is not on the grid
+        grid = np.linspace(0.0, 1e-8, 5)[1:]
+        traj = integrate(pertussis, epidemic_start(pertussis), 1e-8, t_eval=grid)
+        with pytest.raises(KeyError):
+            traj.at_times([4.7e-9])
+        with pytest.raises(KeyError):
+            traj.sample([5e-9 + 1e-24])
+        with pytest.raises(KeyError):
+            traj.sample([math.nan])
+        np.testing.assert_array_equal(traj.at_times(grid).times, grid)
+
+    def test_sample_time_within_allowance_is_the_horizon(self):
+        traj = integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 20.0, t_eval=[5.0, 20.0])
+        late = traj.at_times([5.0, 20.0 + 5e-13])
+        np.testing.assert_array_equal(late.times, [5.0, 20.0])
+        np.testing.assert_array_equal(late.states, traj.sample([5.0, 20.0]))
+        with pytest.raises(KeyError):
+            traj.sample([20.0 + 2e-12])
+        # a restriction that ends before the horizon folds nothing into its last time
+        with pytest.raises(KeyError):
+            traj.at_times([5.0]).sample([5.0 + 5e-13])
+        np.testing.assert_array_equal(late.at_times([20.0 + 5e-13]).times, [20.0])
+
     def test_sample_time_within_allowance_folds_into_t_end(self):
         traj = integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 20.0, t_eval=[5.0, 20.0 + 5e-13])
         assert traj.times[-1] == 20.0
@@ -191,7 +216,7 @@ class TestIntegrate:
         traj = integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 5.0, t_eval=[1.0, 5.0])
         doc = traj.to_json_dict()
         assert doc["config_hash"] == config_digest(ENDEMIC_CFG)
-        assert all(type(v) is float for row in doc["states"] for v in row)
+        assert doc["times"].dtype == np.float64 and doc["states"].dtype == np.float64
         np.testing.assert_array_equal(doc["times"], traj.times)
         np.testing.assert_array_equal(doc["states"], traj.states)
 

@@ -38,7 +38,7 @@ def test_power_of_ten_table_rederived_exactly():
 
 def formatted(values) -> list:
     """Each value as the compiled formatter writes it."""
-    text = stepper.format_floats(array("d", values), max(len(values), 1), "\n", "\n")
+    text = stepper.format_floats(np.array(values, dtype=np.float64), max(len(values), 1), "\n", "\n")
     assert text is not None
     return text.split("\n")
 
@@ -98,18 +98,33 @@ class TestAgainstRepr:
 @compiled
 class TestLayout:
     def test_separators_between_elements_and_rows(self):
-        text = stepper.format_floats(array("d", [1.0, 0.5, -2.0, 1e-7, 3.25]), 2, ", ", ";\n")
+        text = stepper.format_floats(np.array([1.0, 0.5, -2.0, 1e-7, 3.25]), 2, ", ", ";\n")
         assert text == "1.0, 0.5;\n-2.0, 1e-07;\n3.25"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_are_refused(self, bad):
-        assert stepper.format_floats(array("d", [1.0, bad]), 2, ",", "\n") is None
+        assert stepper.format_floats(np.array([1.0, bad]), 2, ",", "\n") is None
 
     def test_empty_run(self):
-        assert stepper.format_floats(array("d"), 1, ",", "\n") == ""
+        assert stepper.format_floats(np.array([]), 1, ",", "\n") == ""
 
     def test_bad_arguments_raise(self):
         with pytest.raises(TypeError):
             stepper.format_floats(array("f", [1.0]), 1, ",", "\n")
         with pytest.raises(ValueError):
-            stepper.format_floats(array("d", [1.0]), 0, ",", "\n")
+            stepper.format_floats(np.array([1.0]), 0, ",", "\n")
+
+    def test_contiguous_float64_array_is_read_in_memory_order(self):
+        values = np.array([[1.0, 0.5], [-2.0, 1e-7], [3.25, -0.0]])
+        assert stepper.format_floats(values, 2, ", ", ";\n") == "1.0, 0.5;\n-2.0, 1e-07;\n3.25, -0.0"
+        assert stepper.format_floats(values.reshape(-1), 3, ",", "|") == "1.0,0.5,-2.0|1e-07,3.25,-0.0"
+        assert stepper.format_floats(np.empty((0, 3)), 3, ",", "\n") == ""
+        assert stepper.format_floats(np.array([1.0, np.nan]), 2, ",", "\n") is None
+
+    @pytest.mark.parametrize("bad", [
+        np.arange(4), np.arange(4.0, dtype=np.float32), np.arange(4.0).astype(">f8"), np.arange(4.0)[::2],
+        np.arange(6.0).reshape(2, 3).T, [1.0, 2.0], (1.0,), b"12345678", array("d", [1.0]),
+    ], ids=["int64", "float32", "big-endian", "strided", "transposed", "list", "tuple", "bytes", "array-d"])
+    def test_other_inputs_raise_type_error(self, bad):
+        with pytest.raises(TypeError):
+            stepper.format_floats(bad, 1, ",", "\n")

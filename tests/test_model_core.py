@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -18,6 +19,7 @@ from waningsim.model import (
     build_general,
     build_last_only,
     config_from_dict,
+    config_digest,
     config_from_json,
     config_to_dict,
     config_to_json,
@@ -293,6 +295,15 @@ class TestConfigJson:
         back = config_from_json(config_to_json(cfg))
         assert json.loads(config_to_json(back)) == json.loads(config_to_json(cfg))
         assert back.beta[0] == cfg.beta[0]
+
+    def test_digest_is_computed_once_per_object_and_follows_replace(self, pertussis):
+        canonical = json.dumps(config_to_dict(pertussis), sort_keys=True, separators=(",", ":"))
+        digest = config_digest(pertussis)
+        assert digest == hashlib.sha256(canonical.encode()).hexdigest()
+        assert config_digest(pertussis) is digest
+        changed = pertussis.replace(mu=2 * pertussis.mu)
+        assert config_digest(changed) != digest
+        assert config_digest(changed.replace(mu=pertussis.mu)) == digest
 
 
 def _assert_same_config(a, b):

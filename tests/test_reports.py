@@ -174,3 +174,49 @@ def test_one_formatter_call_per_float_list_or_matrix(monkeypatch):
     assert sorted(calls) == sorted([(len(doc["times"]),) * 2, (len(doc["states"]) * cols, cols)])
     monkeypatch.setattr(stepper, "format_floats", None)
     assert json_document({}, doc) == text
+
+
+def random_array(rng):
+    """A float64 array of 0 to 2 dimensions (among them ``(k, 1)``, ``(1, k)``
+    and 0-size shapes), often a transposed or strided view, with signed
+    zeros, subnormals and now and then a non-finite value."""
+    shape = [(), (int(rng.integers(0, 9)),), (int(rng.integers(0, 5)), int(rng.integers(0, 5))),
+             (int(rng.integers(1, 9)), 1), (1, int(rng.integers(1, 9)))][rng.integers(5)]
+    base = np.array([random_float(rng) for _ in range(2 * 2 * max(math.prod(shape), 1))])
+    special = [-0.0, 5e-324, -2.5e-320, 2.225073858507201e-308]
+    if rng.integers(3) == 0:
+        special += [math.nan, math.inf, -math.inf]
+    for _ in range(rng.integers(0, 4)):
+        base[rng.integers(base.size)] = special[rng.integers(len(special))]
+    view = rng.integers(3)
+    if view == 0 or not shape:
+        return base[: math.prod(shape)].reshape(shape)
+    if view == 1:  # transposed
+        return base[: math.prod(shape)].reshape(shape[::-1]).T
+    return base.reshape(-1, 2)[::2, 1][: math.prod(shape)].reshape(shape)  # strided
+
+
+@pytest.mark.parametrize("formatter", ["compiled", "python"])
+def test_an_array_is_written_as_its_tolist(formatter, monkeypatch):
+    if formatter == "python":
+        monkeypatch.setattr(stepper, "format_floats", None)
+    elif stepper.format_floats is None:
+        pytest.skip("compiled library not built")
+    rows = np.array([[-0.0, 5e-324, math.nan], [math.inf, -math.inf, 1.5]])
+    nulled_rows = [[-0.0, 5e-324, None], [None, None, 1.5]]
+    assert json_document({}, {"a": rows, "b": rows.T}) == reference({}, {"a": nulled_rows,
+                                                                         "b": [list(c) for c in zip(*nulled_rows)]})
+    rng = np.random.default_rng(20261019)
+    for _ in range(1500):
+        arr = random_array(rng)
+        text = json_document({}, {"a": arr})
+        assert text == json_document({}, {"a": arr.tolist()})
+        assert text == reference({}, {"a": nulled(arr.tolist())})
+        json.loads(text, parse_constant=pytest.fail)
+
+
+@pytest.mark.parametrize("arr", [np.arange(6), np.arange(6.0, dtype=np.float32), np.zeros((2, 2, 2)),
+                                 np.array([True, False] * 3), np.array(2.5)],
+                         ids=["int64", "float32", "3-d", "bool", "0-d"])
+def test_other_arrays_are_written_as_their_tolist(arr):
+    assert json_document({}, {"a": arr}) == reference({}, {"a": arr.tolist()})
