@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelConfig, diagonal_coefficients
+from .model import ModelConfig, _tier_outflow, diagonal_coefficients
 
 __all__ = [
     "DfeSolution",
@@ -46,14 +46,19 @@ def susceptible_block_matrix(config: ModelConfig, prevalence: float = 0.0) -> np
     vaccination returns into the most-immune tier.  At ``prevalence == 0``
     this is the linear system whose solution is the disease-free equilibrium.
     """
-    n = config.n
-    a = np.zeros((n + 1, n + 1))
-    d = diagonal_coefficients(config, prevalence)
-    a[np.diag_indices(n + 1)] = d
-    a[0, 1:] += config.omega_i[1:]
-    sub = np.arange(n)
-    a[sub + 1, sub] = config.delta_i[:-1]
+    a = np.zeros((config.n + 1, config.n + 1))
+    _write_susceptible_block(a, config, prevalence)
     return a
+
+
+def _write_susceptible_block(a: np.ndarray, config: ModelConfig, prevalence) -> None:
+    """Write the nonzero entries of :func:`susceptible_block_matrix` into the
+    leading ``(n+1) x (n+1)`` block of the zero C-contiguous matrix ``a``."""
+    n, m = config.n, a.shape[1]
+    flat = a.reshape(-1)  # a view: the diagonal and subdiagonal are strided slices
+    flat[:: m + 1][: n + 1] = diagonal_coefficients(config, prevalence)
+    flat[m :: m + 1][:n] = config.delta_i[:-1]
+    a[0, 1 : n + 1] = config.omega_i[1:]
 
 
 def tier_weights(config: ModelConfig, prevalence=0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -65,8 +70,20 @@ def tier_weights(config: ModelConfig, prevalence=0.0) -> tuple[np.ndarray, np.nd
     delta_{n-1}/|d_n|``.  Each ``w_k = prod_{i<k} (delta_i/|d_i|) / |d_k|``
     is at most ``1/mu``, so no partial product overflows at any ``n``.
     """
-    ad = -diagonal_coefficients(config, prevalence)
-    return ad, np.cumprod(np.concatenate(([1.0], config.delta_i[:-1])) / ad, axis=-1)
+    ad = _tier_outflow(config, prevalence)
+    return ad, (config._chain / ad).cumprod(axis=-1)
+
+
+def _profile_terms(config: ModelConfig, x):
+    """``(|d_n|, w, sum(w), beta . w)`` with the :func:`tier_weights` ``w``:
+    Python floats (and a vector ``w``) at a float prevalence, which spares
+    the root search NumPy's scalar arithmetic, arrays of shape ``P`` at an
+    array of shape ``P``."""
+    ad, w = tier_weights(config, x)
+    if isinstance(x, float):
+        # np.add.reduce is the pairwise sum of w.sum(), without its Python wrapper
+        return float(ad[-1]), w, float(np.add.reduce(w)), float(w @ config.beta)
+    return ad[..., -1], w, w.sum(axis=-1), w @ config.beta
 
 
 def _steady_profile(config: ModelConfig, prevalence=0.0) -> np.ndarray:
@@ -83,16 +100,14 @@ def _steady_profile(config: ModelConfig, prevalence=0.0) -> np.ndarray:
     S)/mu`` can overflow, so the root search evaluates ``G = (r + mu - beta .
     S) D/mu`` alone (:func:`waningsim.endemic._equilibrium_condition`).
     """
-    # [()] turns a 0-d array into a NumPy scalar, whose arithmetic is cheaper
-    x = np.asarray(prevalence, dtype=float)[()]
-    ad, w = tier_weights(config, x)
-    total = w.sum(axis=-1)
-    ad_n = ad[..., -1][()]
-    denom = config.mu + x * ((w @ config.beta) / total)
+    # [()] turns a 0-d array into a NumPy scalar, which the float path takes
+    x = prevalence if isinstance(prevalence, float) else np.asarray(prevalence, dtype=float)[()]
+    ad_n, w, total, beta_dot_w = _profile_terms(config, x)
+    denom = config.mu + x * (beta_dot_w / total)
     # omega_n b/D as (omega_n/|d_n|)(mu/D): both factors stay normal where
     # b = mu/|d_n| is subnormal
     c = (config.r * x / denom + config.omega_n / ad_n * (config.mu / denom)) / total
-    s = c[..., None] * w
+    s = np.asarray(c)[..., None] * w
     s[..., -1] += config.mu / ad_n
     return s
 

@@ -40,9 +40,11 @@ class IntegrationError(RuntimeError):
         self.t_reached = t_reached
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Accepted-step record of one integration.
+
+    Records compare by identity: two integrations are two records.
 
     ``times`` are strictly increasing and include every requested sample time
     exactly.  ``terminal_status`` is ``"converged_dfe"``,

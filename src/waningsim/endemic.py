@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .dfe import _steady_profile, tier_weights
+from .dfe import _profile_terms, _steady_profile
 from .model import ModelConfig, unit_rates, vector_field
 
 __all__ = [
@@ -96,6 +96,9 @@ def solve_susceptible_block(config: ModelConfig, prevalence) -> np.ndarray:
     tier.  For ``prevalence`` of shape ``P`` the solution has shape
     ``P + (n+1,)``; it costs one prefix product over the tiers, and every
     component is non-negative.
+
+    Raises:
+        ValueError: naming the prevalence, if it is negative, NaN or infinite.
     """
     return _steady_profile(config, prevalence)
 
@@ -107,13 +110,15 @@ def _equilibrium_condition(config: ModelConfig, x):
     and ``mu = b (omega_n + mu + beta_n x)`` it is ``r + b (omega_n + mu +
     x beta_w) - (1 - x)(beta_n b + (1 - b) beta_w)``: nothing is subtracted at
     ``x = 1``, and no term exceeds the largest rate, so it stays finite where
-    ``S(x)`` overflows.
+    ``S(x)`` overflows.  At a float ``x``, as the bisection, Brent's method
+    and :func:`localize_endemic` pass, the scalars are Python floats and the
+    prevalence check is one comparison; an array takes the same formula
+    elementwise.
     """
-    ad, w = tier_weights(config, x)
-    ad_n = ad[..., -1][()]  # a NumPy scalar at one prevalence, whose arithmetic is cheaper
-    b = config.mu / ad_n
-    beta_w = (w @ config.beta) / w.sum(axis=-1)
-    mu, r, beta_n, omega_n = config.mu, config.r, config.beta[-1], config.omega_n
+    ad_n, _, total, beta_dot_w = _profile_terms(config, x)
+    beta_w = beta_dot_w / total
+    mu, r, beta_n, omega_n = config.mu, config.r, float(config.beta[-1]), config.omega_n
+    b = mu / ad_n
     return r + b * (omega_n + mu + x * beta_w) - (1.0 - x) * (beta_n * b + (omega_n + beta_n * x) / ad_n * beta_w)
 
 

@@ -55,7 +55,10 @@ class ConfigError(ValueError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+    return _frozen(np.array(a, dtype=float))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
@@ -107,6 +110,32 @@ class ModelConfig:
         canonical = json.dumps(config_to_dict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
+    @cached_property
+    def _outflow(self) -> np.ndarray:
+        """Per-tier outflow at prevalence 0, ``delta_i + omega_i + mu``, summed
+        in that order, to which :func:`_tier_outflow` adds ``beta_i x``.  Like
+        :attr:`_chain`, built on first use, so that a configuration that never
+        meets the equation layer (a fit's trial point) never builds it."""
+        return _frozen(self.delta_i + self.omega_i + self.mu)
+
+    @cached_property
+    def _chain(self) -> np.ndarray:
+        """Numerators ``(1, delta_0, ..., delta_{n-1})`` of the prefix product
+        in :func:`waningsim.dfe.tier_weights`."""
+        return _frozen(np.concatenate(([1.0], self.delta_i[:-1])))
+
+    def __eq__(self, other) -> bool:
+        """Configurations are equal when their :func:`config_to_dict` forms
+        are; the derived rates and vectors take no part."""
+        if not isinstance(other, ModelConfig):
+            return NotImplemented
+        return self is other or config_to_dict(self) == config_to_dict(other)
+
+    def __hash__(self) -> int:
+        # equal configurations have equal canonical JSON, as validation stores
+        # a zero as 0.0, never -0.0
+        return hash(self._digest)
+
     def replace(self, **changes) -> "ModelConfig":
         """Return a copy with the given fields substituted.
 
@@ -150,13 +179,15 @@ def _validated(n: int, fields: dict) -> dict:
     """The given fields of a configuration with ``n + 1`` tiers, checked in
     one fixed order (so the first fault reported never depends on which
     fields are given) and converted: arrays to private read-only float
-    copies, rates to floats."""
+    copies, rates to floats.  Adding 0.0 stores a zero as 0.0, never -0.0,
+    so equal configurations have one canonical JSON form."""
     out = {}
     for name in ("beta", "p"):
         if name in fields:
             a = np.array(fields[name], dtype=float)
             if a.shape != (n + 1,):
                 raise ConfigError(f"{name} must have length n+1={n + 1}, got shape {a.shape}")
+            a += 0.0
             out[name] = a
     beta = out.get("beta")
     # ndarray methods, not np.all/np.any, which cost several microseconds
@@ -170,7 +201,7 @@ def _validated(n: int, fields: dict) -> dict:
         beta.flags.writeable = False
     for name, lowest, bound in _RATES:
         if name in fields:
-            value = float(fields[name])
+            value = float(fields[name]) + 0.0
             if not lowest <= value < math.inf:  # a NaN fails too
                 raise ConfigError(f"{name} must be finite and {bound}, got {value}")
             out[name] = value
@@ -367,6 +398,31 @@ def unit_rates(config: ModelConfig) -> tuple[int, tuple[float, ...]]:
     return k, tuple(math.ldexp(v, k) for v in rates)
 
 
+def _tier_outflow(config: ModelConfig, prevalence) -> np.ndarray:
+    """Per-tier outflow magnitudes ``delta_i + omega_i + mu + beta_i x``, of
+    shape ``(n+1,)`` at a float prevalence and ``P + (n+1,)`` at an array of
+    shape ``P``.
+
+    A float is checked by one comparison and kept as it is, which the root
+    search's many evaluations rely on; anything else becomes a float array.
+
+    Raises:
+        ValueError: naming the prevalence (of an array, the entries at
+            fault), unless every entry is finite and ``>= 0`` (-0.0 is 0;
+            NaN fails the comparisons).
+    """
+    if isinstance(prevalence, float):
+        if 0.0 <= prevalence < math.inf:
+            return config._outflow + config.beta * prevalence
+    else:
+        x = np.asarray(prevalence, dtype=float)
+        ok = (x >= 0.0) & (x < math.inf)
+        if ok.all():
+            return config._outflow + config.beta * x[..., None]
+        prevalence = x[~ok].tolist() if x.ndim else float(x)  # the entries at fault
+    raise ValueError(f"prevalence must be finite and >= 0, got {prevalence!r}")
+
+
 def diagonal_coefficients(config: ModelConfig, prevalence) -> np.ndarray:
     """Per-tier total outflow coefficients ``-(delta_i + omega_i + mu + beta_i * I)``.
 
@@ -374,11 +430,11 @@ def diagonal_coefficients(config: ModelConfig, prevalence) -> np.ndarray:
     infection level ``prevalence``; they are strictly negative since
     ``mu > 0``.  An array of prevalences of shape ``P`` gives shape
     ``P + (n+1,)``.
+
+    Raises:
+        ValueError: naming the prevalence, if it is negative, NaN or infinite.
     """
-    prevalence = np.asarray(prevalence, dtype=float)
-    if (prevalence < 0).any():
-        raise ValueError(f"prevalence must be >= 0, got {prevalence}")
-    return -(config.delta_i + config.omega_i + config.mu + config.beta * prevalence[..., None])
+    return -_tier_outflow(config, prevalence)
 
 
 # -- strict JSON configuration format ---------------------------------------

@@ -34,7 +34,7 @@ from .dfe import basic_reproduction_number
 from .dynamics import DEFAULT_MAX_STEPS, IntegrationError, _run_kernel, integrate
 from .endemic import NoEndemicEquilibriumError, refine_endemic
 from .model import ConfigError, ModelConfig, _require_start_prevalence, config_to_dict, epidemic_start
-from .stability import dfe_spectrum
+from .stability import _dfe_max_real_part
 
 __all__ = [
     "SWEEP_PARAMETERS",
@@ -167,7 +167,7 @@ def _evaluate_point(args) -> SweepPoint:
         if observable == "r0":
             obs = r0.r0
         elif observable == "max_real_part":
-            obs = dfe_spectrum(cfg, r0.dfe).max_real_part
+            obs = _dfe_max_real_part(cfg, r0.dfe)
         elif observable == "endemic_I":
             try:
                 obs = refine_endemic(cfg).i_star

@@ -1,10 +1,12 @@
 """Jacobian assembly and linear stability classification.
 
-Both equilibria are classified by one dense eigensolve of the flow's
-Jacobian at the equilibrium state.  At the disease-free equilibrium the
-Jacobian is block triangular: its spectrum is the susceptible block's, whose
-column Gersgorin discs all end at ``-mu``, plus the scalar ``transmission -
-(r + mu)``, so the verdict is the sign of that scalar, the R0 threshold.
+Each spectrum is one dense eigensolve of the flow's Jacobian at the
+equilibrium state, and the endemic verdict is its largest real part.  At the
+disease-free equilibrium the Jacobian is block triangular: its spectrum is
+the susceptible block's, whose column Gersgorin discs all end at the
+eigenvalue ``-mu``, plus the scalar ``transmission - (r + mu)``, so the
+verdict is the closed form ``max(transmission - (r + mu), -mu)``, which needs
+no eigensolve.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfe import DfeSolution, susceptible_block_matrix
+from .dfe import DfeSolution, _write_susceptible_block
 from .endemic import EndemicSolution
 from .model import ModelConfig, _as_state_array, unit_rates
 
@@ -38,9 +40,9 @@ class StaleSolutionError(ValueError):
 def jacobian(config: ModelConfig, state) -> np.ndarray:
     """Dense (n+2) x (n+2) Jacobian of the flow at a state.
 
-    The susceptible block reuses :func:`susceptible_block_matrix`; the last
-    column carries the sensitivities to the prevalence and the last row the
-    infection pressure.  Every column sums to ``-mu``: the flow conserves
+    The susceptible block is :func:`susceptible_block_matrix`'s, written in
+    place; the last column carries the sensitivities to the prevalence and
+    the last row the infection pressure.  Every column sums to ``-mu``: the flow conserves
     total population, so mass leaves the system only through deaths.
     """
     y = _as_state_array(config, state)
@@ -49,7 +51,7 @@ def jacobian(config: ModelConfig, state) -> np.ndarray:
     transmission = float(config.beta @ s)
 
     out = np.zeros((n + 2, n + 2))
-    out[: n + 1, : n + 1] = susceptible_block_matrix(config, prevalence)
+    _write_susceptible_block(out, config, prevalence)
     out[0, n + 1] = config.r - config.beta[0] * s[0]
     out[1 : n + 1, n + 1] = -config.beta[1:] * s[1:]
     out[n + 1, : n + 1] = config.beta * prevalence
@@ -95,12 +97,20 @@ def _sorted_eigs(values: np.ndarray) -> np.ndarray:
     return values[np.lexsort((values.imag, values.real))]
 
 
-def _spectrum(config: ModelConfig, state) -> StabilityVerdict:
-    """Sorted eigenvalues of the :func:`jacobian` at ``state``, their largest
-    real part and its classification."""
-    eigs = _sorted_eigs(np.linalg.eigvals(jacobian(config, state)))
-    max_real = float(np.max(eigs.real))
+def _eigenvalues(config: ModelConfig, state) -> np.ndarray:
+    """Sorted eigenvalues of the :func:`jacobian` at ``state``."""
+    return _sorted_eigs(np.linalg.eigvals(jacobian(config, state)))
+
+
+def _verdict(config: ModelConfig, eigs: np.ndarray, max_real: float) -> StabilityVerdict:
     return StabilityVerdict(eigenvalues=eigs, max_real_part=max_real, classification=_classify(config, max_real))
+
+
+def _dfe_max_real_part(config: ModelConfig, dfe: DfeSolution) -> float:
+    """Largest real part of the Jacobian's spectrum at the disease-free
+    equilibrium ``dfe``, ``max(beta . S* - (r + mu), -mu)`` (see
+    :func:`dfe_spectrum`); the sweep's ``max_real_part`` observable too."""
+    return max(float(config.beta @ dfe.s) - (config.r + config.mu), -config.mu)
 
 
 def dfe_spectrum(config: ModelConfig, dfe: DfeSolution) -> StabilityVerdict:
@@ -113,9 +123,12 @@ def dfe_spectrum(config: ModelConfig, dfe: DfeSolution) -> StabilityVerdict:
     ``i`` holds the diagonal ``-(omega_i + delta_i + mu)`` and the
     off-diagonal entries ``delta_i`` (waning out) and ``omega_i`` (return to
     ``S_0``), with ``omega_0 = delta_n = 0``, so every column Gersgorin disc
-    ends at ``-mu``.
+    ends at ``-mu``; and ``-mu`` is an eigenvalue, as every column sums to
+    ``-mu``.  The largest real part and the classification are therefore
+    the closed form :func:`_dfe_max_real_part`; the one eigensolve gives
+    only the eigenvalue list.
     """
-    return _spectrum(config, np.append(dfe.s, 0.0))
+    return _verdict(config, _eigenvalues(config, np.append(dfe.s, 0.0)), _dfe_max_real_part(config, dfe))
 
 
 def _require_fresh(config: ModelConfig, solution: EndemicSolution) -> None:
@@ -134,4 +147,5 @@ def endemic_spectrum(config: ModelConfig, solution: EndemicSolution) -> Stabilit
             trust its spectrum.
     """
     _require_fresh(config, solution)
-    return _spectrum(config, np.append(solution.s_star, solution.i_star))
+    eigs = _eigenvalues(config, np.append(solution.s_star, solution.i_star))
+    return _verdict(config, eigs, float(np.max(eigs.real)))

@@ -456,3 +456,58 @@ def last_only_transmission_threshold(config: ModelConfig, omega_n: float) -> flo
     xi = omega_n / (omega_n + mu)
     a_const = mu / (delta + mu) * float(np.sum(config.beta[:-1] * sigma ** np.arange(n)))
     return float((a_const * xi + config.beta[-1] * (1.0 - xi)) / (1.0 - sigma**n * xi))
+
+
+# -- the equation layer's formulas as spelled out before the prepared
+# per-configuration vectors: every rate vector and sum rebuilt at each call,
+# every prevalence taken through a NumPy array.  The package must agree with
+# them bit for bit.
+
+
+def spelled_out_diagonal_coefficients(config: ModelConfig, prevalence) -> np.ndarray:
+    prevalence = np.asarray(prevalence, dtype=float)
+    return -(config.delta_i + config.omega_i + config.mu + config.beta * prevalence[..., None])
+
+
+def spelled_out_tier_weights(config: ModelConfig, prevalence) -> tuple[np.ndarray, np.ndarray]:
+    ad = -spelled_out_diagonal_coefficients(config, prevalence)
+    return ad, np.cumprod(np.concatenate(([1.0], config.delta_i[:-1])) / ad, axis=-1)
+
+
+def spelled_out_susceptible_block(config: ModelConfig, prevalence) -> np.ndarray:
+    x = np.asarray(prevalence, dtype=float)[()]
+    ad, w = spelled_out_tier_weights(config, x)
+    total = w.sum(axis=-1)
+    ad_n = ad[..., -1][()]
+    denom = config.mu + x * ((w @ config.beta) / total)
+    c = (config.r * x / denom + config.omega_n / ad_n * (config.mu / denom)) / total
+    s = c[..., None] * w
+    s[..., -1] += config.mu / ad_n
+    return s
+
+
+def spelled_out_equilibrium_condition(config: ModelConfig, x):
+    ad, w = spelled_out_tier_weights(config, x)
+    ad_n = ad[..., -1][()]
+    b = config.mu / ad_n
+    beta_w = (w @ config.beta) / w.sum(axis=-1)
+    mu, r, beta_n, omega_n = config.mu, config.r, config.beta[-1], config.omega_n
+    return r + b * (omega_n + mu + x * beta_w) - (1.0 - x) * (beta_n * b + (omega_n + beta_n * x) / ad_n * beta_w)
+
+
+def spelled_out_jacobian(config: ModelConfig, state) -> np.ndarray:
+    y = np.asarray(state, dtype=float)
+    n = config.n
+    s, prevalence = y[:-1], y[-1]
+    block = np.zeros((n + 1, n + 1))
+    block[np.diag_indices(n + 1)] = spelled_out_diagonal_coefficients(config, prevalence)
+    block[0, 1:] += config.omega_i[1:]
+    sub = np.arange(n)
+    block[sub + 1, sub] = config.delta_i[:-1]
+    out = np.zeros((n + 2, n + 2))
+    out[: n + 1, : n + 1] = block
+    out[0, n + 1] = config.r - config.beta[0] * s[0]
+    out[1 : n + 1, n + 1] = -config.beta[1:] * s[1:]
+    out[n + 1, : n + 1] = config.beta * prevalence
+    out[n + 1, n + 1] = float(config.beta @ s) - config.r - config.mu
+    return out

@@ -6,12 +6,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import sys
 
 import numpy as np
 import pytest
 
+from waningsim.data import pertussis_config
 from waningsim.dfe import tier_weights
+from waningsim.dynamics import integrate
+from waningsim.endemic import solve_susceptible_block
 from waningsim.model import (
     ConfigError,
     StateVector,
@@ -267,6 +271,20 @@ class TestDiagonalCoefficients:
         with pytest.raises(ValueError):
             diagonal_coefficients(pertussis, -0.1)
 
+    @pytest.mark.parametrize("function", [diagonal_coefficients, tier_weights, solve_susceptible_block])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_bad_prevalence_named(self, pertussis, function, bad):
+        for prevalence in (bad, np.float64(bad), np.array([0.5, bad]), [[0.25], [bad]]):
+            with pytest.raises(ValueError, match=f"prevalence must be finite and >= 0, got .*{bad}"):
+                function(pertussis, prevalence)
+
+    @pytest.mark.parametrize("function", [diagonal_coefficients, tier_weights, solve_susceptible_block])
+    def test_zero_of_either_sign_accepted(self, pertussis, function):
+        at_zero = np.asarray(function(pertussis, 0.0))
+        assert np.isfinite(at_zero).all()
+        for zero in (-0.0, np.float64(-0.0), np.array(-0.0), 0):
+            assert np.array_equal(np.asarray(function(pertussis, zero)), at_zero)
+
 
 class TestConfigJson:
     def test_round_trip(self, pertussis):
@@ -304,6 +322,56 @@ class TestConfigJson:
         changed = pertussis.replace(mu=2 * pertussis.mu)
         assert config_digest(changed) != digest
         assert config_digest(changed.replace(mu=pertussis.mu)) == digest
+
+
+class TestConfigEquality:
+    """Configurations compare by their ``config_to_dict`` form and hash by
+    their digest; the derived rates and prepared vectors take no part."""
+
+    def test_equal_copies(self, pertussis):
+        copy = pertussis_config()
+        assert copy is not pertussis and copy == pertussis and hash(copy) == hash(pertussis)
+        assert not copy != pertussis
+        assert config_from_json(config_to_json(pertussis)) == pertussis
+
+    def test_pickled_copy(self, pertussis):
+        tier_weights(pertussis, 0.5)  # prepared vectors and the digest travel with the object
+        copy = pickle.loads(pickle.dumps(pertussis))
+        assert copy == pertussis and hash(copy) == hash(pertussis)
+
+    def test_replaced_copy_differs_and_replacing_back_is_equal(self, pertussis):
+        changed = pertussis.replace(mu=2 * pertussis.mu)
+        assert changed != pertussis and hash(changed) != hash(pertussis)
+        assert changed.replace(mu=pertussis.mu) == pertussis
+
+    def test_prepared_vectors_take_no_part(self, pertussis):
+        fresh = pertussis_config()
+        tier_weights(pertussis, 0.5)
+        assert "_outflow" in vars(pertussis) and "_outflow" not in vars(fresh)
+        assert fresh == pertussis and pertussis == fresh
+
+    def test_dict_key(self, pertussis):
+        table = {pertussis: "pertussis", pertussis.replace(delta=0.5): "waning"}
+        assert table[pertussis_config()] == "pertussis"
+        assert table[pertussis_config().replace(delta=0.5)] == "waning"
+        assert len({pertussis, pertussis_config(), pickle.loads(pickle.dumps(pertussis))}) == 1
+
+    def test_negative_zero_is_stored_as_zero(self):
+        a = build_general(1, (0.0, 2.0), 0.0, 0.1, 1.0, 0.0, (0.0, 0.0))
+        b = build_general(1, (-0.0, 2.0), -0.0, 0.1, 1.0, -0.0, (-0.0, -0.0))
+        assert a == b and hash(a) == hash(b) and config_digest(a) == config_digest(b)
+        assert a.replace(delta=-0.0, beta=(-0.0, 2.0)) == a
+        for value in (b.delta, b.omega, b.beta[0], *b.p, *b.omega_i, *b.delta_i):
+            assert math.copysign(1.0, value) == 1.0
+
+    def test_other_types_are_not_equal(self, pertussis):
+        assert pertussis != config_to_dict(pertussis)
+        assert pertussis != None  # noqa: E711
+
+    def test_trajectories_compare_by_identity(self, pertussis):
+        one = integrate(pertussis, epidemic_start(pertussis), 1.0)
+        assert one == one and one != integrate(pertussis, epidemic_start(pertussis), 1.0)
+        assert hash(one) == hash(one)
 
 
 def _assert_same_config(a, b):

@@ -1,0 +1,134 @@
+"""The prepared per-configuration rate vectors: the equation layer agrees bit
+for bit with its formulas spelled out at every call, no configuration sees
+another's vectors, and a fit's trial points never build them."""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pytest
+
+from waningsim.dfe import basic_reproduction_number, tier_weights
+from waningsim.endemic import _equilibrium_condition, solve_susceptible_block
+from waningsim.model import ModelConfig, build_general, diagonal_coefficients
+from waningsim.scanfit import FitOptions, TimeSeries, fit, simulate_annual_prevalence
+from waningsim.stability import jacobian
+
+from oracles import (
+    spelled_out_diagonal_coefficients,
+    spelled_out_equilibrium_condition,
+    spelled_out_jacobian,
+    spelled_out_susceptible_block,
+    spelled_out_tier_weights,
+)
+
+GRID = np.linspace(0.0, 1.0, 257)
+
+
+def same_bits(a, b) -> bool:
+    """Equal values with equal signs of zero, at any shape."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def property_configs(count: int = 300, seed: int = 25) -> list[ModelConfig]:
+    """n from 1 to 64 with log-uniform rates; every fourth config has no
+    coverage, every fifth no waning, every sixth ``beta_0 = 0`` and every
+    seventh a birth rate of 1e-300 or 1e-12."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for k in range(count):
+        n = int(rng.integers(1, 65))
+        beta = np.sort(10.0 ** rng.uniform(-2, 3, n + 1))
+        if k % 6 == 0:
+            beta[0] = 0.0
+        p = rng.uniform(0.0, 1.0, n + 1) * (rng.uniform(size=n + 1) < 0.8)
+        p[0] = 0.0
+        if k % 4 == 0:
+            p[:] = 0.0
+        delta = 0.0 if k % 5 == 0 else float(10.0 ** rng.uniform(-3, 2))
+        mu = [1e-300, 1e-12][k % 2] if k % 7 == 0 else float(10.0 ** rng.uniform(-4, 0))
+        r, omega = 10.0 ** rng.uniform(-1, 2, 2)
+        configs.append(build_general(n, beta, delta, mu, float(r), float(omega), p))
+    return configs
+
+
+def float_prevalences(rng) -> list:
+    """Prevalences as the root search passes them (Python floats: the ends,
+    bisection midpoints, a random point) and as NumPy scalars."""
+    return [0.0, 1.0, 0.5, 0.00390625, float(rng.uniform()), np.float64(rng.uniform()), np.float64(0.0)]
+
+
+def assert_as_spelled_out(cfg: ModelConfig, rng) -> None:
+    for x in [*float_prevalences(rng), GRID]:
+        assert same_bits(diagonal_coefficients(cfg, x), spelled_out_diagonal_coefficients(cfg, x))
+        for got, expected in zip(tier_weights(cfg, x), spelled_out_tier_weights(cfg, x)):
+            assert same_bits(got, expected)
+        assert same_bits(solve_susceptible_block(cfg, x), spelled_out_susceptible_block(cfg, x))
+        assert same_bits(_equilibrium_condition(cfg, x), spelled_out_equilibrium_condition(cfg, x))
+    for x in (0.0, float(rng.uniform())):
+        state = np.append(spelled_out_susceptible_block(cfg, x), x)
+        assert same_bits(jacobian(cfg, state), spelled_out_jacobian(cfg, state))
+
+
+def test_equation_layer_bit_identical_to_the_spelled_out_formulas():
+    rng = np.random.default_rng(26)
+    for cfg in property_configs():
+        assert_as_spelled_out(cfg, rng)
+
+
+def test_replaced_configs_never_see_stale_prepared_vectors():
+    rng = np.random.default_rng(27)
+    for cfg in property_configs(count=60, seed=28):
+        tier_weights(cfg, 0.5)  # the base config's vectors are built and cached
+        p = rng.uniform(0.0, 1.0, cfg.n + 1)
+        p[0] = 0.0
+        for changes in ({"mu": cfg.mu * 3.0}, {"p": p}, {"delta": cfg.delta + 0.5}, {"omega": cfg.omega * 0.5},
+                        {"beta": cfg.beta * 2.0}):
+            changed = cfg.replace(**changes)
+            assert_as_spelled_out(changed, rng)
+            expected = build_general(**{key: changes.get(key, getattr(cfg, key))
+                                        for key in ("n", "beta", "delta", "mu", "r", "omega", "p")})
+            assert same_bits(changed._outflow, expected._outflow)
+            assert same_bits(changed._chain, expected._chain)
+        assert_as_spelled_out(cfg, rng)
+
+
+def test_prepared_vectors_are_read_only(pertussis):
+    for vector in (pertussis._outflow, pertussis._chain):
+        with pytest.raises(ValueError):
+            vector[0] = 1.0
+
+
+@pytest.fixture
+def prepared_builds(monkeypatch):
+    """The configurations that build their prepared outflow vector."""
+    built = []
+    original = ModelConfig.__dict__["_outflow"].func
+
+    def counted(self):
+        built.append(self)
+        return original(self)
+
+    prepared = functools.cached_property(counted)
+    prepared.__set_name__(ModelConfig, "_outflow")
+    monkeypatch.setattr(ModelConfig, "_outflow", prepared)
+    return built
+
+
+def test_preparation_is_lazy_and_once_per_config(pertussis, prepared_builds):
+    cfg = pertussis.replace(mu=0.03)
+    assert prepared_builds == []
+    basic_reproduction_number(cfg)
+    basic_reproduction_number(cfg)
+    assert prepared_builds == [cfg]
+
+
+def test_fit_trial_points_build_no_prepared_vector(prepared_builds):
+    truth = build_general(2, (1.2, 2.0, 3.6), 0.08, 0.25, 1.1, 1.5, (0.0, 0.1, 0.5))
+    years = np.arange(2000, 2010)
+    data = TimeSeries(years=years, prevalence=simulate_annual_prevalence(truth, years, 1999, 1e-4))
+    result = fit(truth.replace(omega=2.0), ["omega"], data, FitOptions(initial_prevalence=1e-4))
+    assert result.evaluations > 1
+    assert prepared_builds == []

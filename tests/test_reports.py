@@ -16,6 +16,8 @@ from waningsim.model import build_general, epidemic_start
 from waningsim.reports import analyze_config, json_document
 from waningsim.scanfit import _evaluate_point
 
+from conftest import random_config
+
 CHARS = "az09 _-\"\\/\x00\x01\x1f\x7f\t\n\ré€ß ☃\U0001f600\ud800"
 
 
@@ -77,6 +79,19 @@ def test_each_dfe_solved_once(analysis, pertussis, monkeypatch):
             monkeypatch.setattr(module, "solve_dfe_closed_form", counted)
     analysis(pertussis)
     assert len(calls) == 1
+
+
+def test_max_real_part_sweep_point_needs_no_eigensolve(pertussis, monkeypatch):
+    rng = np.random.default_rng(25)
+    configs = [pertussis] + [random_config(rng, n_range=(1, 16)) for _ in range(50)]
+    expected = [analyze_config(cfg)["dfe_stability"]["max_real_part"] for cfg in configs]
+
+    def no_eigensolve(matrix):
+        raise AssertionError("the max_real_part sweep point ran an eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigensolve)
+    for cfg, value in zip(configs, expected):
+        assert max_real_part_sweep_point(cfg).observable.hex() == value.hex()
 
 
 def reference(manifest, data) -> str:

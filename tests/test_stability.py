@@ -109,7 +109,10 @@ class TestDfeSpectrum:
             transmission = float(cfg.beta @ dfe.s)
             expected = max(transmission - (cfg.r + cfg.mu), -cfg.mu)
             scale = float(np.max(np.abs(susceptible_block_matrix(cfg)))) + cfg.r + transmission
-            assert dfe_spectrum(cfg, dfe).max_real_part == pytest.approx(expected, rel=1e-12, abs=1e-12 * scale)
+            verdict = dfe_spectrum(cfg, dfe)
+            # the verdict is the closed form, and the eigensolve's abscissa agrees with it
+            assert verdict.max_real_part == expected
+            assert float(np.max(verdict.eigenvalues.real)) == pytest.approx(expected, rel=1e-12, abs=1e-12 * scale)
 
     def test_known_eigenvalue_present(self, pertussis):
         verdict = dfe_spectrum(pertussis, solve_dfe_closed_form(pertussis))
