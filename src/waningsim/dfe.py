@@ -112,9 +112,10 @@ def _steady_profile(config: ModelConfig, prevalence=0.0) -> np.ndarray:
     return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DfeSolution:
-    """Disease-free equilibrium: the susceptible profile (prevalence 0)."""
+    """Disease-free equilibrium: the susceptible profile (prevalence 0);
+    solutions compare by identity."""
 
     s: np.ndarray
 

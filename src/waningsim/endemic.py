@@ -58,7 +58,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dfe import _profile_terms, _steady_profile
 from .model import ModelConfig, unit_rates, vector_field
@@ -79,6 +78,8 @@ __all__ = [
 # bisection steps before Brent's method: the last cell is one of the 256
 # cells of ``[0, 1]`` between multiples of 1/256
 BISECTION_STEPS = 8
+# the relative tolerance of Brent's method, SciPy's least allowed ``rtol``
+BRENT_RTOL = 4.0 * sys.float_info.epsilon
 
 
 class NoEndemicEquilibriumError(ValueError):
@@ -295,9 +296,9 @@ def localize_endemic(config: ModelConfig) -> LocalizationResult:
     return LocalizationResult(tuple(intervals), half, hat_c, exists, validity, roots, existence_margin(config))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EndemicSolution:
-    """The endemic equilibrium point.
+    """The endemic equilibrium point; solutions compare by identity.
 
     ``residual`` is the defect in the scalar equilibrium identity
     ``beta . S* = r + mu``; ``certification`` is ``"certified-unique"``,
@@ -346,8 +347,8 @@ def refine_endemic(config: ModelConfig) -> EndemicSolution:
     is unique.  ``BISECTION_STEPS`` bisections of ``[0, 1]`` on the sign of
     ``G`` narrow the bracket to one cell of width 1/256 (a midpoint where
     ``G`` is exactly 0 is the root), and Brent's method refines it; it stops
-    at the default relative tolerance (4 eps) at any normal root, however
-    small.  The result is labelled ``"certified-unique"``.
+    at the relative tolerance ``BRENT_RTOL`` (4 eps) at any normal root,
+    however small.  The result is labelled ``"certified-unique"``.
 
     Raises:
         NoEndemicEquilibriumError: when ``G(0) >= 0``.
@@ -368,14 +369,79 @@ def refine_endemic(config: ModelConfig) -> EndemicSolution:
             lo = mid
         else:
             hi = mid
-    # xtol is the smallest tolerance whose half is not 0, so the default rtol
-    # (4 eps) ends the search at any normal root however small; Brent (1973,
-    # ch. 4) bounds the search by about the square of the bisection count from
-    # the last cell down to that tolerance
+    # xtol is the smallest tolerance whose half is not 0, so BRENT_RTOL ends
+    # the search at any normal root however small; Brent (1973, ch. 4) bounds
+    # the search by about the square of the bisection count from the last
+    # cell down to that tolerance
     xtol = 2.0 * math.ulp(0.0)
     maxiter = (round(-math.log2(xtol)) - BISECTION_STEPS + 1) ** 2
     try:
-        root, info = brentq(g, lo, hi, xtol=xtol, maxiter=maxiter, full_output=True)
+        root, iterations = _brentq(g, lo, hi, xtol, maxiter)
     except (ValueError, RuntimeError) as exc:
         raise RefinementError(f"Brent's method failed on the bracket [{lo!r}, {hi!r}]: {exc}") from exc
-    return _finish_solution(config, root, info.iterations)
+    return _finish_solution(config, root, iterations)
+
+
+def _brentq(f, a, b, xtol, maxiter):
+    """A root of the float function ``f`` in ``[a, b]`` by Brent's method
+    (Brent 1973, ch. 4), and the number of iterations it took.
+
+    This is SciPy's ``brentq`` (``scipy/optimize/Zeros/brentq.c``) statement
+    for statement at ``rtol = BRENT_RTOL``, so roots and iteration counts
+    are SciPy's to the bit.  Where C divides by zero, the infinity or NaN
+    it gets fails the short-step test and the step bisects; Python raises
+    instead, and the step bisects all the same.  An end point where ``f``
+    is 0 is returned after no iteration.
+
+    Raises:
+        ValueError: ``f`` is NaN at some point, or ``f(a)`` and ``f(b)``
+            have the same sign.
+        RuntimeError: no convergence within ``maxiter`` iterations.
+    """
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    # the values are not 0 or NaN, so their sign bits are these comparisons
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for iterations in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iterations
+        stry = math.nan  # fails the short-step test: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")

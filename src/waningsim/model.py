@@ -124,6 +124,13 @@ class ModelConfig:
         in :func:`waningsim.dfe.tier_weights`."""
         return _frozen(np.concatenate(([1.0], self.delta_i[:-1])))
 
+    @cached_property
+    def _unit_rates(self) -> tuple[int, tuple[float, ...]]:
+        """:func:`unit_rates`, computed once per object."""
+        rates = (float(self.beta[0]), float(self.beta[-1]), self.mu, self.r, self.omega_n, self.delta)
+        k = -math.frexp(max(rates))[1]
+        return k, tuple(math.ldexp(v, k) for v in rates)
+
     def __eq__(self, other) -> bool:
         """Configurations are equal when their :func:`config_to_dict` forms
         are; the derived rates and vectors take no part."""
@@ -305,9 +312,10 @@ def build_last_only(
     return build_general(n, beta, delta, mu, r, omega, p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """A point ``(S_0, ..., S_n, I)`` on the unit simplex.
+    """A point ``(S_0, ..., S_n, I)`` on the unit simplex; states compare by
+    identity.
 
     Construction validates non-negativity (NaN fails it) and that the
     components sum to 1 within ``SIMPLEX_TOL``.  Renormalization is never
@@ -392,10 +400,9 @@ def unit_rates(config: ModelConfig) -> tuple[int, tuple[float, ...]]:
     The scaling is exact and the same from every power-of-two unit; no
     product of two scaled rates overflows, and one underflows only for rates
     some 300 orders of magnitude apart.  ``k <= 1021`` as ``mu`` is normal.
+    Computed once per configuration object, on first use.
     """
-    rates = (float(config.beta[0]), float(config.beta[-1]), config.mu, config.r, config.omega_n, config.delta)
-    k = -math.frexp(max(rates))[1]
-    return k, tuple(math.ldexp(v, k) for v in rates)
+    return config._unit_rates
 
 
 def _tier_outflow(config: ModelConfig, prevalence) -> np.ndarray:

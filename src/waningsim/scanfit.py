@@ -28,7 +28,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .dfe import basic_reproduction_number
 from .dynamics import DEFAULT_MAX_STEPS, IntegrationError, _run_kernel, integrate
@@ -85,9 +84,9 @@ def substitute_parameter(config: ModelConfig, parameter: str, value: float) -> M
     raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {SWEEP_PARAMETERS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSpec:
-    """One-parameter sweep description."""
+    """One-parameter sweep description; specs compare by identity."""
 
     base_config: ModelConfig
     parameter: str
@@ -216,9 +215,9 @@ class TimeSeriesError(ValueError):
     """Malformed or inconsistent time-series input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Annual observed prevalence proportions."""
+    """Annual observed prevalence proportions; series compare by identity."""
 
     years: np.ndarray
     prevalence: np.ndarray
@@ -348,9 +347,9 @@ class FitOptions:
             raise ConfigError(f"initial prevalence i0 must be finite and in (0, 1), got {self.initial_prevalence!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
-    """Outcome of :func:`fit`.
+    """Outcome of :func:`fit`; results compare by identity.
 
     ``evaluations`` counts the trial points integrated, each distinct point
     once, finite-difference neighbours and restarts included;
@@ -576,6 +575,19 @@ def _select_step(x, J_h, diag_h, g_h, p_h, d, radius, lo, hi, theta):
     return d * ag_h * t, ag_h * t, -ag_value
 
 
+def _svd(a):
+    """``U, s, Vt`` of the thin SVD of ``a`` by LAPACK's ``gesdd``, with
+    ``U`` and ``Vt`` in Fortran order: a product taken from a factor then
+    runs the BLAS path it ran when SciPy's LAPACK wrapper returned them, and
+    each fit's digits are those of the SciPy SVD.
+
+    Raises:
+        numpy.linalg.LinAlgError: the SVD did not converge.
+    """
+    U, s, Vt = np.linalg.svd(a, full_matrices=False)
+    return np.asfortranarray(U), s, np.asfortranarray(Vt)
+
+
 def _trust_region_reflective(fun, jac, x, lo, hi, max_nfev):
     """Bounded trust-region reflective least squares (Branch, Coleman & Li,
     SIAM J. Sci. Comput. 21, 1999) on the finite residuals ``fun`` with
@@ -628,9 +640,7 @@ def _trust_region_reflective(fun, jac, x, lo, hi, max_nfev):
         g_h = d * g
         J_augmented = np.vstack((J * d, np.diag(diag_h**0.5)))
         J_h = J_augmented[:m]
-        U, s, Vt, info = scipy.linalg.lapack.dgesdd(J_augmented, full_matrices=0)
-        if info:
-            raise np.linalg.LinAlgError("SVD did not converge")
+        U, s, Vt = _svd(J_augmented)
         f_augmented[:m] = f
         uf = U.T.dot(f_augmented)
         reduction = -1

@@ -59,9 +59,10 @@ def jacobian(config: ModelConfig, state) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityVerdict:
-    """Eigenvalues with a sign-of-spectral-abscissa classification.
+    """Eigenvalues with a sign-of-spectral-abscissa classification; verdicts
+    compare by identity.
 
     ``classification`` is ``"marginal"`` when the largest real part sits
     inside ``+-1e-10 rho``, ``rho`` the largest rate (so the label does not

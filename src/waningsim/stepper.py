@@ -99,29 +99,41 @@ def _load_library():
 _lib = _load_library()
 
 
+def _address(a: np.ndarray) -> int:
+    """The address of the first byte of a writable, C-contiguous, non-empty
+    ndarray, at about a quarter of the cost of ``a.ctypes.data``."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
 def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_steps, stop_at_equilibrium):
     """See ``_stepper_py.integrate_core``; identical contract."""
-    # the identity on arrays that are already C-contiguous float64, as the
-    # configuration's rates and the fit's start state and targets are
+    # arrays of any dtype and layout are converted below; anything else is
+    # converted here, a scalar to a vector of one
     beta, omega_i, delta_i, y, targets = (
-        np.ascontiguousarray(a, dtype=np.float64) for a in (beta, omega_i, delta_i, y0, targets))
+        a if isinstance(a, np.ndarray) and a.ndim else np.ascontiguousarray(a, dtype=np.float64)
+        for a in (beta, omega_i, delta_i, y0, targets))
     m = y.size
     if y.ndim != 1 or m < 2 or not beta.shape == omega_i.shape == delta_i.shape == (m - 1,):
         raise ValueError(f"rate arrays must have length {m - 1}, one less than the state's")
     if targets.ndim != 1 or targets.size == 0:
         raise ValueError("targets must be a non-empty 1-d array ending at the horizon")
+    # one contiguous float64 copy holds the five inputs in this order: one
+    # conversion and one address lookup for all of them
+    inputs = np.concatenate((beta, omega_i, delta_i, y, targets), dtype=np.float64, casting="unsafe")
+    at, rate_bytes = _address(inputs), 8 * (m - 1)
     rec = _Record()
     status = _lib.ws_integrate(
-        m, beta.ctypes.data, omega_i.ctypes.data, delta_i.ctypes.data, float(mu), float(r), y.ctypes.data,
-        float(rtol), float(atol), targets.ctypes.data, targets.size, int(max_steps), bool(stop_at_equilibrium),
+        m, at, at + rate_bytes, at + 2 * rate_bytes, float(mu), float(r), at + 3 * rate_bytes, float(rtol),
+        float(atol), at + 3 * rate_bytes + 8 * m, targets.size, int(max_steps), bool(stop_at_equilibrium),
         ctypes.byref(rec),
     )
     try:
         if status == _NO_MEMORY:
             raise MemoryError("the C kernel could not allocate its step record")
-        # the one copy of the record; times and states are views into it
+        # the one copy of the record (never empty: it starts with y0); times
+        # and states are views into it
         rows = np.empty((rec.n_rows, m + 1))
-        ctypes.memmove(rows.ctypes.data, rec.rows, rows.nbytes)
+        ctypes.memmove(_address(rows), rec.rows, rows.nbytes)
     finally:
         _lib.ws_free(ctypes.byref(rec))
     return rows[:, 0], rows[:, 1:], status, rec.n_accepted, rec.n_rejected, rec.t_reached
@@ -134,9 +146,10 @@ def _c_format_floats(values: np.ndarray, cols: int, sep: str, row_sep: str) -> s
     rows; ``None`` if a value is not finite."""
     if not isinstance(values, np.ndarray):
         raise TypeError(f"values must be a C-contiguous float64 ndarray, not {type(values).__name__}")
-    if values.dtype != np.float64 or not values.flags.c_contiguous:
+    flags = values.flags
+    if values.dtype != np.float64 or not flags.c_contiguous:
         raise TypeError(f"values must be a C-contiguous float64 ndarray, got dtype {values.dtype}, "
-                        f"C-contiguous {values.flags.c_contiguous}")
+                        f"C-contiguous {flags.c_contiguous}")
     if cols < 1:
         raise ValueError(f"cols must be >= 1, got {cols}")
     n = values.size
@@ -146,7 +159,8 @@ def _c_format_floats(values: np.ndarray, cols: int, sep: str, row_sep: str) -> s
     sep, row_sep = sep.encode("ascii"), row_sep.encode("ascii")
     # uninitialised: the formatter writes every byte that is read back
     out = np.empty(n * _REPR_MAX + (n - rows) * len(sep) + (rows - 1) * len(row_sep), np.uint8)
-    length = _lib.ws_format(values.ctypes.data, n, cols, sep, row_sep, out.ctypes.data)
+    at = _address(values) if flags.writeable else values.ctypes.data
+    length = _lib.ws_format(at, n, cols, sep, row_sep, _address(out))
     # str() decodes straight from the buffer, the one copy of the text
     return None if length < 0 else str(memoryview(out)[:length], "ascii")
 

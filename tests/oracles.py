@@ -1,6 +1,7 @@
 """Test oracles: closed forms, bounds and cross-checks of the paper's theory
-that the package's answer pipeline does not use, and SciPy's least-squares
-driver as the reference for the fit's own trust-region loop.
+that the package's answer pipeline does not use, and SciPy's root finder,
+least-squares driver and LAPACK wrapper as the references for the
+package's own Brent's method, the fit's trust-region loop and its SVD.
 
 Among them: the closed-form solution of the infection-free waning chain, a
 fitted exponential convergence rate of a trajectory, the threshold locator
@@ -14,12 +15,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.optimize
 from scipy.special import gammainc, gammaln
 
 from waningsim.dfe import basic_reproduction_number, susceptible_block_matrix, tier_weights
 from waningsim.dynamics import Trajectory
-from waningsim.endemic import EndemicSolution, existence_margin, localize_endemic, solve_susceptible_block
+from waningsim.endemic import (
+    BRENT_RTOL,
+    EndemicSolution,
+    existence_margin,
+    localize_endemic,
+    solve_susceptible_block,
+)
 from waningsim.model import ConfigError, ModelConfig
 from waningsim.scanfit import FIT_FTOL, FIT_XTOL, SweepSpec, substitute_parameter
 from waningsim.stability import _require_fresh, dfe_spectrum, jacobian
@@ -263,6 +271,26 @@ def scipy_trust_region_reflective(fun, jac, x0, lo, hi, max_nfev):
         max_nfev=max_nfev,
     )
     return result.x, result.fun, result.status > 0
+
+
+def scipy_brentq(f, a, b, xtol, maxiter):
+    """The root and iteration count of ``scipy.optimize.brentq`` at the
+    package's relative tolerance, or the type and message of what it raised:
+    the reference for ``endemic._brentq``."""
+    try:
+        root, info = scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=BRENT_RTOL, maxiter=maxiter, full_output=True)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return root, info.iterations
+
+
+def scipy_svd(a):
+    """The thin SVD ``scanfit`` took from SciPy's LAPACK wrapper (``dgesdd``)
+    before it took NumPy's: a drop-in for ``scanfit._svd``."""
+    U, s, Vt, info = scipy.linalg.lapack.dgesdd(a, full_matrices=0)
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return U, s, Vt
 
 
 @dataclass(frozen=True)

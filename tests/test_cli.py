@@ -703,6 +703,65 @@ class TestRerunsDifferOnlyInManifest:
         assert manifest1["run_key"] == manifest2["run_key"]
 
 
+# runs the commands given as JSON in a fresh interpreter, with every import
+# of SciPy made to fail first when asked, and reports the exit codes and the
+# SciPy modules loaded after the import of the CLI and after each command
+WITHOUT_SCIPY = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from waningsim.cli import main
+
+def scipy_modules():
+    return sorted(name for name, module in sys.modules.items() if name.split(".")[0] == "scipy" and module)
+
+report = {"after_import": scipy_modules(), "codes": [], "loaded": []}
+for argv in json.loads(sys.argv[2]):
+    report["codes"].append(main(argv))
+    report["loaded"].append(scipy_modules())
+print(json.dumps(report))
+"""
+
+
+class TestWithoutScipy:
+    """No command needs SciPy, and none imports it: each writes the data
+    section of the in-process run in a fresh interpreter that cannot import
+    SciPy, and a fresh interpreter that can has loaded none of it."""
+
+    @staticmethod
+    def commands(inputs) -> list:
+        words = []
+        for observable in ("endemic_I", "terminal_prevalence"):
+            spec = {"config": json.loads(config_to_json(ENDEMIC_CFG)), "parameter": "delta",
+                    "grid": [0.0, 0.02, 0.3], "observable": observable, "t_end": 200.0}
+            path = inputs["dir"] / f"spec_{observable}.json"
+            path.write_text(json.dumps(spec))
+            words.append(["sweep", "--spec", str(path)])
+        config = ["--config", inputs["config"]]
+        words += [["analyze", *config], ["simulate", *config, "--t-end", "30"], ["dfe", *config], ["r0", *config],
+                  ["fit", "--config", inputs["template"], "--data", inputs["data"], "--i0", "1e-4", "--free", "omega",
+                   "--start-year", "1999"]]
+        return [argv + ["--out", str(inputs["dir"] / f"{k}-{argv[0]}")] for k, argv in enumerate(words)]
+
+    @pytest.mark.parametrize("mode", ["blocked", "importable"])
+    def test_every_command_runs_without_scipy(self, inputs, mode):
+        commands = self.commands(inputs)
+        expected = []
+        for argv in commands:
+            assert main(argv) == 0
+            expected.append(TestRerunsDifferOnlyInManifest.split(Path(argv[-1]).read_text())[0])
+        src = str(Path(waningsim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, mode, json.dumps(commands)],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["codes"] == [0] * len(commands), proc.stderr
+        assert report["after_import"] == [] and report["loaded"] == [[]] * len(commands)
+        for argv, data in zip(commands, expected):
+            assert TestRerunsDifferOnlyInManifest.split(Path(argv[-1]).read_text())[0] == data, argv[0]
+
+
 class TestManifestOptions:
     """The manifest records every parsed option except the files read and
     written, and a sweep adds its spec's parameter, observable, grid size

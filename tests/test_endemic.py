@@ -1,4 +1,5 @@
-"""Endemic localization, refinement, and the perturbation bound chain."""
+"""Endemic localization, refinement with Brent's method (against SciPy's), and
+the perturbation bound chain."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from waningsim import endemic
 from waningsim.dfe import (
     basic_reproduction_number,
     solve_dfe_closed_form,
@@ -17,6 +19,8 @@ from waningsim.dfe import (
 from waningsim.endemic import (
     EndemicSolution,
     NoEndemicEquilibriumError,
+    RefinementError,
+    _brentq,
     _equilibrium_condition,
     existence_margin,
     localize_endemic,
@@ -32,6 +36,7 @@ from oracles import (
     equilibrium_transmission_no_waning,
     perturbation_norms,
     prevalence_linear_root,
+    scipy_brentq,
     transmission_gap_bound,
 )
 
@@ -409,6 +414,92 @@ class TestRefine:
         sol = refine_endemic(cfg)
         assert sol.i_star == pytest.approx(4.340373425564806e-05, rel=1e-12, abs=0.0)
         assert sol.certification == "certified-unique"
+
+
+def ported_brentq(f, a, b, xtol, maxiter):
+    """:func:`waningsim.endemic._brentq`, or the type and message of what it
+    raised, as :func:`oracles.scipy_brentq` reports them."""
+    try:
+        return _brentq(f, a, b, xtol, maxiter)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBrent:
+    """The package's Brent's method is SciPy's ``brentq``, root for root and
+    iteration for iteration."""
+
+    def test_every_endemic_root_and_iteration_count_is_scipys(self, monkeypatch):
+        calls = []
+
+        def both(f, a, b, xtol, maxiter):
+            ours = _brentq(f, a, b, xtol, maxiter)
+            calls.append((ours, scipy_brentq(f, a, b, xtol, maxiter)))
+            return ours
+
+        monkeypatch.setattr(endemic, "_brentq", both)
+        for cfg in seeded_configs(3000, seed=3) + tiny_rate_configs(1500, seed=5):
+            try:
+                refine_endemic(cfg)
+            except NoEndemicEquilibriumError:
+                pass
+        assert len(calls) > 2000
+        for ours, theirs in calls:
+            assert ours[1] == theirs[1] and ours[0].hex() == theirs[0].hex()
+
+    @pytest.mark.parametrize("f", [
+        lambda x: x**3 - 0.3,
+        lambda x: math.tanh(50.0 * (x - 0.37)),
+        lambda x: -1.0 if x < 0.61 else 1e-3 * (x - 0.61),  # a plateau: f(x_pre) = f(x_blk)
+        lambda x: 2.0**-700 * (x**3 - 0.3),  # products of the values underflow to 0
+        lambda x: 2.0**-1070 * (x - 0.3),  # subnormal values
+    ], ids=["cubic", "tanh", "plateau", "underflowing-denominators", "subnormal"])
+    @pytest.mark.parametrize("xtol", [2.0 * math.ulp(0.0), 1e-12])
+    def test_equals_scipy(self, f, xtol):
+        ours = ported_brentq(f, 0.0, 1.0, xtol, 1000)
+        assert ours == scipy_brentq(f, 0.0, 1.0, xtol, 1000)
+
+    def test_zero_denominators_bisect(self):
+        # the same cubic scaled by a power of two: its Brent iterates are the
+        # same until an interpolation denominator underflows to 0, where C
+        # divides to an infinity or NaN and bisects, and Python raises
+        xtol = 2.0 * math.ulp(0.0)
+        root, iterations = _brentq(lambda x: x**3 - 0.3, 0.0, 1.0, xtol, 1000)
+        scaled_root, scaled_iterations = _brentq(lambda x: 2.0**-700 * (x**3 - 0.3), 0.0, 1.0, xtol, 1000)
+        assert scaled_root == root and scaled_iterations > iterations
+
+    @pytest.mark.parametrize("f, a, b, maxiter", [
+        (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 100),
+        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 100),
+        (lambda x: x - 2.0, 0.0, 1.0, 100),
+        (lambda x: 1e-200, 0.3, 0.7, 100),
+        (lambda x: x**3 - 0.3, 0.0, 1.0, 2),
+        (lambda x: x**3 - 0.3, 0.0, 1.0, 0),
+    ], ids=["nan-at-an-end", "nan-at-an-iterate", "no-sign-change", "tiny-values-of-one-sign", "maxiter",
+            "no-iteration"])
+    def test_raises_as_scipy(self, f, a, b, maxiter):
+        ours = ported_brentq(f, a, b, 1e-12, maxiter)
+        assert ours == scipy_brentq(f, a, b, 1e-12, maxiter)
+        assert ours[0] in (ValueError, RuntimeError)
+
+    @pytest.mark.parametrize("f", [lambda x: x - 0.25, lambda x: x - 1.0, lambda x: 0.0, lambda x: -0.0])
+    def test_an_end_point_root_is_returned_after_no_iteration(self, f):
+        root, iterations = _brentq(f, 0.25, 1.0, 1e-12, 100)
+        assert root == scipy_brentq(f, 0.25, 1.0, 1e-12, 100)[0] and f(root) == 0.0 and iterations == 0
+
+    @pytest.mark.parametrize("condition, message", [
+        (lambda cfg, x: -1.0 if x < 0.3 else math.nan, "Brent's method failed on the bracket .* is NaN"),
+        (lambda cfg, x: -1.0, r"Brent's method failed on the bracket \[0.99609375, 1.0\]: f\(a\) and f\(b\) must"),
+    ], ids=["nan", "no-sign-change"])
+    def test_refine_endemic_wraps_a_failure(self, monkeypatch, condition, message):
+        monkeypatch.setattr(endemic, "_equilibrium_condition", condition)
+        with pytest.raises(RefinementError, match=message):
+            refine_endemic(build_general(1, (2.0, 3.0), 0.1, 0.1, 1.0, 0.5, (0.0, 0.5)))
+
+    def test_refine_endemic_wraps_exhausted_iterations(self, monkeypatch):
+        monkeypatch.setattr(endemic, "_brentq", lambda f, a, b, xtol, maxiter: _brentq(f, a, b, xtol, 2))
+        with pytest.raises(RefinementError, match="Failed to converge after 2 iterations"):
+            refine_endemic(build_general(1, (2.0, 3.0), 0.1, 0.1, 1.0, 0.5, (0.0, 0.5)))
 
 
 class TestUniquenessProof:

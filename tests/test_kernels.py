@@ -103,6 +103,33 @@ class TestCompiledKernel:
         assert got[2:] == want[2:]
         assert got[0][-1] == 20.0
 
+    @pytest.mark.parametrize("targets", [[1, 5], np.array(5.0), 5.0], ids=["list", "0-d-array", "scalar"])
+    def test_lists_and_scalars_match_arrays(self, targets):
+        # as in the NumPy kernel, a scalar target is a vector of one
+        c = stepper.kernels()["c"]
+        y0 = epidemic_start(CFG).as_array()
+        got = c.integrate_core(CFG.beta.tolist(), CFG.omega_i.tolist(), CFG.delta_i.tolist(), CFG.mu, CFG.r,
+                               y0.tolist(), 1e-10, 1e-12, targets, 1_000_000, False)
+        want = c.integrate_core(CFG.beta, CFG.omega_i, CFG.delta_i, CFG.mu, CFG.r, y0, 1e-10, 1e-12,
+                                np.atleast_1d(np.asarray(targets, dtype=float)), 1_000_000, False)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert got[2:] == want[2:]
+
+    @pytest.mark.parametrize("change, message", [
+        ({"beta": CFG.beta[:-1]}, "rate arrays must have length 3"),
+        ({"delta_i": np.append(CFG.delta_i, 0.0)}, "rate arrays must have length 3"),
+        ({"y0": np.ones((1, 4)) / 4}, "rate arrays must have length 3"),
+        ({"y0": np.ones(1)}, "rate arrays must have length 0"),
+        ({"targets": np.array([])}, "targets must be a non-empty 1-d array"),
+        ({"targets": np.array([[1.0, 5.0]])}, "targets must be a non-empty 1-d array"),
+    ], ids=["short-rates", "long-rates", "2-d-state", "one-component-state", "no-targets", "2-d-targets"])
+    def test_bad_shapes_are_rejected_before_the_kernel_runs(self, change, message):
+        args = dict(beta=CFG.beta, omega_i=CFG.omega_i, delta_i=CFG.delta_i, mu=CFG.mu, r=CFG.r,
+                    y0=epidemic_start(CFG).as_array(), rtol=1e-10, atol=1e-12, targets=np.array([5.0]),
+                    max_steps=1_000_000, stop_at_equilibrium=False)
+        with pytest.raises(ValueError, match=message):
+            stepper.kernels()["c"].integrate_core(**{**args, **change})
+
     def test_active_kernel_reports_compiled(self):
         assert stepper.active_kernel() == "c"
 

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from waningsim.data import pertussis_config
-from waningsim.dfe import tier_weights
+from waningsim.dfe import solve_dfe_closed_form, tier_weights
 from waningsim.dynamics import integrate
-from waningsim.endemic import solve_susceptible_block
+from waningsim.endemic import refine_endemic, solve_susceptible_block
 from waningsim.model import (
     ConfigError,
     StateVector,
@@ -31,6 +31,8 @@ from waningsim.model import (
     epidemic_start,
     vector_field,
 )
+from waningsim.scanfit import FitResult, SweepSpec, TimeSeries
+from waningsim.stability import dfe_spectrum
 
 from conftest import random_config, random_simplex_state
 
@@ -372,6 +374,22 @@ class TestConfigEquality:
         one = integrate(pertussis, epidemic_start(pertussis), 1.0)
         assert one == one and one != integrate(pertussis, epidemic_start(pertussis), 1.0)
         assert hash(one) == hash(one)
+
+    @pytest.mark.parametrize("make", [
+        lambda cfg: solve_dfe_closed_form(cfg),
+        lambda cfg: refine_endemic(cfg.replace(delta=0.25)),
+        lambda cfg: epidemic_start(cfg, 1e-4),
+        lambda cfg: SweepSpec(cfg, "delta", [0.1, 0.2], "r0"),
+        lambda cfg: TimeSeries(years=[2000, 2001], prevalence=[0.1, 0.2]),
+        lambda cfg: FitResult(cfg, {"omega": 1.0}, 0.5, np.array([0.5, -0.5]), True, 3, 0),
+        lambda cfg: dfe_spectrum(cfg, solve_dfe_closed_form(cfg)),
+    ], ids=["DfeSolution", "EndemicSolution", "StateVector", "SweepSpec", "TimeSeries", "FitResult",
+            "StabilityVerdict"])
+    def test_records_with_array_fields_compare_by_identity(self, pertussis, make):
+        # the generated __eq__ compared the arrays as tuple members and raised
+        one, copy = make(pertussis), make(pertussis_config())
+        assert one == one and one != copy and not one == copy
+        assert hash(one) == hash(one) and len({one, copy}) == 2
 
 
 def _assert_same_config(a, b):

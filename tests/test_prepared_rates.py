@@ -1,17 +1,20 @@
-"""The prepared per-configuration rate vectors: the equation layer agrees bit
-for bit with its formulas spelled out at every call, no configuration sees
-another's vectors, and a fit's trial points never build them."""
+"""The prepared per-configuration rate vectors and unit rates: the equation
+layer agrees bit for bit with its formulas spelled out at every call, no
+configuration sees another's vectors, and a fit's trial points never build
+them."""
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import pytest
 
 from waningsim.dfe import basic_reproduction_number, tier_weights
 from waningsim.endemic import _equilibrium_condition, solve_susceptible_block
-from waningsim.model import ModelConfig, build_general, diagonal_coefficients
+from waningsim.model import ModelConfig, build_general, diagonal_coefficients, unit_rates
+from waningsim.reports import analyze_config
 from waningsim.scanfit import FitOptions, TimeSeries, fit, simulate_annual_prevalence
 from waningsim.stability import jacobian
 
@@ -95,26 +98,58 @@ def test_replaced_configs_never_see_stale_prepared_vectors():
         assert_as_spelled_out(cfg, rng)
 
 
+def spelled_out_unit_rates(cfg: ModelConfig):
+    rates = (float(cfg.beta[0]), float(cfg.beta[-1]), cfg.mu, cfg.r, float(cfg.p[-1] * cfg.omega), cfg.delta)
+    k = -math.frexp(max(rates))[1]
+    return k, tuple(math.ldexp(v, k) for v in rates)
+
+
+def test_replaced_configs_never_see_stale_unit_rates():
+    rng = np.random.default_rng(29)
+    for cfg in property_configs(count=60, seed=30):
+        assert unit_rates(cfg) == spelled_out_unit_rates(cfg)  # built and cached
+        p = rng.uniform(0.0, 1.0, cfg.n + 1)
+        p[0] = 0.0
+        for changes in ({"mu": cfg.mu * 3.0}, {"r": cfg.r * 40.0}, {"delta": cfg.delta + 500.0},
+                        {"omega": cfg.omega * 1e3 + 1.0}, {"p": p}, {"beta": cfg.beta * 2.0**60}):
+            changed = cfg.replace(**changes)
+            assert unit_rates(changed) == spelled_out_unit_rates(changed), changes
+        assert unit_rates(cfg) == spelled_out_unit_rates(cfg)
+
+
+def test_unit_rates_are_computed_once_per_analysis(monkeypatch, pertussis):
+    built = builds_of(monkeypatch, "_unit_rates")
+    for cfg in (pertussis.replace(mu=0.03), pertussis.replace(delta=0.25)):  # sub- and supercritical
+        analyze_config(cfg)
+        assert built == [cfg]
+        built.clear()
+
+
 def test_prepared_vectors_are_read_only(pertussis):
     for vector in (pertussis._outflow, pertussis._chain):
         with pytest.raises(ValueError):
             vector[0] = 1.0
 
 
-@pytest.fixture
-def prepared_builds(monkeypatch):
-    """The configurations that build their prepared outflow vector."""
+def builds_of(monkeypatch, name: str) -> list:
+    """The configurations that go on to build the cached property ``name``."""
     built = []
-    original = ModelConfig.__dict__["_outflow"].func
+    original = ModelConfig.__dict__[name].func
 
     def counted(self):
         built.append(self)
         return original(self)
 
     prepared = functools.cached_property(counted)
-    prepared.__set_name__(ModelConfig, "_outflow")
-    monkeypatch.setattr(ModelConfig, "_outflow", prepared)
+    prepared.__set_name__(ModelConfig, name)
+    monkeypatch.setattr(ModelConfig, name, prepared)
     return built
+
+
+@pytest.fixture
+def prepared_builds(monkeypatch):
+    """The configurations that build their prepared outflow vector."""
+    return builds_of(monkeypatch, "_outflow")
 
 
 def test_preparation_is_lazy_and_once_per_config(pertussis, prepared_builds):

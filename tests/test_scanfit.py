@@ -464,27 +464,54 @@ def trust_region_cases() -> dict:
 
 
 class TestTrustRegion:
-    """The in-house trust-region loop against SciPy's bounded driver."""
+    """The in-house trust-region loop against SciPy's bounded driver, and its
+    SVD against SciPy's LAPACK wrapper."""
 
     CASES = trust_region_cases()
+
+    def fit_case(self, case):
+        free, changes, bounds, log_sse = self.CASES[case]
+        years = np.arange(2000, 2016)
+        data = synthetic_series(FIT_TRUTH, years, i0=1e-4, noise=0.02, seed=list(self.CASES).index(case))
+        options = FitOptions(initial_prevalence=1e-4, log_sse=log_sse)
+        return fit(FIT_TRUTH.replace(**changes), free, data, options, bounds)
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_reaches_the_minimum_of_scipys_driver(self, case, monkeypatch):
         from oracles import scipy_trust_region_reflective
 
-        free, changes, bounds, log_sse = self.CASES[case]
-        years = np.arange(2000, 2016)
-        data = synthetic_series(FIT_TRUTH, years, i0=1e-4, noise=0.02, seed=list(self.CASES).index(case))
-        template = FIT_TRUTH.replace(**changes)
-        options = FitOptions(initial_prevalence=1e-4, log_sse=log_sse)
-        ours = fit(template, free, data, options, bounds)
+        free = self.CASES[case][0]
+        ours = self.fit_case(case)
         monkeypatch.setattr(scanfit, "_trust_region_reflective", scipy_trust_region_reflective)
-        theirs = fit(template, free, data, options, bounds)
+        theirs = self.fit_case(case)
         for name in free:
             assert ours.parameters[name] == pytest.approx(theirs.parameters[name], rel=1e-9, abs=0.0), name
         assert ours.sse == pytest.approx(theirs.sse, rel=1e-12, abs=0.0)
         assert ours.evaluations <= theirs.evaluations + 2
         assert ours.converged == theirs.converged
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_numpys_svd_fits_as_scipys_lapack_wrapper_did(self, case, monkeypatch):
+        from oracles import scipy_svd
+
+        ours = self.fit_case(case)
+        monkeypatch.setattr(scanfit, "_svd", scipy_svd)
+        theirs = self.fit_case(case)
+        assert ours.parameters == theirs.parameters
+        assert ours.sse == theirs.sse and ours.residuals.tobytes() == theirs.residuals.tobytes()
+        assert ours.evaluations == theirs.evaluations and ours.converged == theirs.converged
+
+    def test_svd_factors_are_lapacks_bit_for_bit(self):
+        from oracles import scipy_svd
+
+        rng = np.random.default_rng(26)
+        for _ in range(500):
+            k = int(rng.integers(1, 4))
+            a = np.vstack((rng.standard_normal((int(rng.integers(1, 30)), k)) * 10.0 ** rng.uniform(-8, 2, k),
+                           np.diag(rng.uniform(0.0, 1.0, k))))
+            for ours, theirs in zip(scanfit._svd(a), scipy_svd(a)):
+                assert ours.tobytes(order="A") == theirs.tobytes(order="A")
+                assert ours.flags.f_contiguous == theirs.flags.f_contiguous
 
     @pytest.mark.parametrize("name, value, box", [
         ("delta", 0.0, None),
