@@ -99,12 +99,6 @@ def _load_library():
 _lib = _load_library()
 
 
-def _address(a: np.ndarray) -> int:
-    """The address of the first byte of a writable, C-contiguous, non-empty
-    ndarray, at about a quarter of the cost of ``a.ctypes.data``."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(a))
-
-
 def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_steps, stop_at_equilibrium):
     """See ``_stepper_py.integrate_core``; identical contract."""
     # arrays of any dtype and layout are converted below; anything else is
@@ -120,7 +114,7 @@ def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, ma
     # one contiguous float64 copy holds the five inputs in this order: one
     # conversion and one address lookup for all of them
     inputs = np.concatenate((beta, omega_i, delta_i, y, targets), dtype=np.float64, casting="unsafe")
-    at, rate_bytes = _address(inputs), 8 * (m - 1)
+    at, rate_bytes = inputs.ctypes.data, 8 * (m - 1)
     rec = _Record()
     status = _lib.ws_integrate(
         m, at, at + rate_bytes, at + 2 * rate_bytes, float(mu), float(r), at + 3 * rate_bytes, float(rtol),
@@ -130,10 +124,9 @@ def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, ma
     try:
         if status == _NO_MEMORY:
             raise MemoryError("the C kernel could not allocate its step record")
-        # the one copy of the record (never empty: it starts with y0); times
-        # and states are views into it
+        # the one copy of the record; times and states are views into it
         rows = np.empty((rec.n_rows, m + 1))
-        ctypes.memmove(_address(rows), rec.rows, rows.nbytes)
+        ctypes.memmove(rows.ctypes.data, rec.rows, rows.nbytes)
     finally:
         _lib.ws_free(ctypes.byref(rec))
     return rows[:, 0], rows[:, 1:], status, rec.n_accepted, rec.n_rejected, rec.t_reached
@@ -146,10 +139,9 @@ def _c_format_floats(values: np.ndarray, cols: int, sep: str, row_sep: str) -> s
     rows; ``None`` if a value is not finite."""
     if not isinstance(values, np.ndarray):
         raise TypeError(f"values must be a C-contiguous float64 ndarray, not {type(values).__name__}")
-    flags = values.flags
-    if values.dtype != np.float64 or not flags.c_contiguous:
+    if values.dtype != np.float64 or not values.flags.c_contiguous:
         raise TypeError(f"values must be a C-contiguous float64 ndarray, got dtype {values.dtype}, "
-                        f"C-contiguous {flags.c_contiguous}")
+                        f"C-contiguous {values.flags.c_contiguous}")
     if cols < 1:
         raise ValueError(f"cols must be >= 1, got {cols}")
     n = values.size
@@ -159,8 +151,7 @@ def _c_format_floats(values: np.ndarray, cols: int, sep: str, row_sep: str) -> s
     sep, row_sep = sep.encode("ascii"), row_sep.encode("ascii")
     # uninitialised: the formatter writes every byte that is read back
     out = np.empty(n * _REPR_MAX + (n - rows) * len(sep) + (rows - 1) * len(row_sep), np.uint8)
-    at = _address(values) if flags.writeable else values.ctypes.data
-    length = _lib.ws_format(at, n, cols, sep, row_sep, _address(out))
+    length = _lib.ws_format(values.ctypes.data, n, cols, sep, row_sep, out.ctypes.data)
     # str() decodes straight from the buffer, the one copy of the text
     return None if length < 0 else str(memoryview(out)[:length], "ascii")
 
