@@ -24,6 +24,11 @@ an exact 0 is left alone.  A positive component thus moves by less than
 normal range is extinct from then on, rather than carried through every later
 step as subnormal operands (about 3x slower per step in the compiled kernel).
 A clamped step re-evaluates the derivative at the clamped state.
+
+The first step is the least of the derivative estimate ``0.01 d0/d1``, a
+tenth of the horizon and the first sample time.  The last two bounds are
+floored at ``H_START = 16 ulp(1)``, the least step the underflow test passes
+at t = 0; clipping lands the step on a nearer target.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ MAX_FACTOR = 10.0
 SAFETY = 0.9
 TINY = float(np.finfo(float).tiny)  # the smallest normal double, 2.2250738585072014e-308
 H_FLOOR = 1e3 * TINY
+H_START = 16.0 * math.ulp(1.0)  # 2**-48, the floor of the first step's bounds
 
 
 def _rhs(beta, omega_i, delta_i, mu, r, y, out):
@@ -81,7 +87,7 @@ def _initial_step(f0, y0, t_span, atol, rtol, first_gap):
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h = 0.01 * d0 / d1 if d1 > 1e-30 else t_span / 100.0
-    return min(h, t_span / 10.0, first_gap)
+    return min(h, max(t_span / 10.0, H_START), max(first_gap, H_START))
 
 
 def integrate_core(

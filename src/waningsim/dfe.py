@@ -64,31 +64,27 @@ def _write_susceptible_block(a: np.ndarray, config: ModelConfig, prevalence) -> 
 def tier_weights(config: ModelConfig, prevalence=0.0) -> tuple[np.ndarray, np.ndarray]:
     """Outflow magnitudes ``|d|`` and ``w = -L^{-1} e_0``, where ``L`` is the
     lower-bidiagonal part of :func:`susceptible_block_matrix`, at one
-    prevalence or an array of them (both of shape ``P + (n+1,)``).
+    prevalence.
 
     ``w`` is the prefix product of ``1/|d_0|, delta_0/|d_1|, ...,
     delta_{n-1}/|d_n|``.  Each ``w_k = prod_{i<k} (delta_i/|d_i|) / |d_k|``
     is at most ``1/mu``, so no partial product overflows at any ``n``.
     """
     ad = _tier_outflow(config, prevalence)
-    return ad, (config._chain / ad).cumprod(axis=-1)
+    return ad, (config._chain / ad).cumprod()
 
 
 def _profile_terms(config: ModelConfig, x):
     """``(|d_n|, w, sum(w), beta . w)`` with the :func:`tier_weights` ``w``:
-    Python floats (and a vector ``w``) at a float prevalence, which spares
-    the root search NumPy's scalar arithmetic, arrays of shape ``P`` at an
-    array of shape ``P``."""
+    Python floats and the vector ``w``, which spares the root search NumPy's
+    scalar arithmetic."""
     ad, w = tier_weights(config, x)
-    if isinstance(x, float):
-        # np.add.reduce is the pairwise sum of w.sum(), without its Python wrapper
-        return float(ad[-1]), w, float(np.add.reduce(w)), float(w @ config.beta)
-    return ad[..., -1], w, w.sum(axis=-1), w @ config.beta
+    # np.add.reduce is the pairwise sum of w.sum(), without its Python wrapper
+    return float(ad[-1]), w, float(np.add.reduce(w)), float(w @ config.beta)
 
 
 def _steady_profile(config: ModelConfig, prevalence=0.0) -> np.ndarray:
-    """Steady susceptible profile ``S(x)`` at one prevalence or an array of
-    them (shape ``P + (n+1,)``).
+    """Steady susceptible profile ``S(x)`` at one prevalence.
 
     ``S`` solves ``(L + e_0 omega^T) S = -r x e_0 - mu e_n``.  With the
     :func:`tier_weights` ``w`` and ``b = mu/|d_n|``, Sherman-Morrison gives
@@ -100,15 +96,14 @@ def _steady_profile(config: ModelConfig, prevalence=0.0) -> np.ndarray:
     S)/mu`` can overflow, so the root search evaluates ``G = (r + mu - beta .
     S) D/mu`` alone (:func:`waningsim.endemic._equilibrium_condition`).
     """
-    # [()] turns a 0-d array into a NumPy scalar, which the float path takes
-    x = prevalence if isinstance(prevalence, float) else np.asarray(prevalence, dtype=float)[()]
-    ad_n, w, total, beta_dot_w = _profile_terms(config, x)
+    ad_n, w, total, beta_dot_w = _profile_terms(config, prevalence)
+    x = float(prevalence)  # checked by _profile_terms
     denom = config.mu + x * (beta_dot_w / total)
     # omega_n b/D as (omega_n/|d_n|)(mu/D): both factors stay normal where
     # b = mu/|d_n| is subnormal
     c = (config.r * x / denom + config.omega_n / ad_n * (config.mu / denom)) / total
-    s = np.asarray(c)[..., None] * w
-    s[..., -1] += config.mu / ad_n
+    s = c * w
+    s[-1] += config.mu / ad_n
     return s
 
 

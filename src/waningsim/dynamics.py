@@ -189,6 +189,10 @@ def integrate(
     flow, so a subcritical infection that decays out of the normal range ends
     exactly at 0 instead of in subnormal values, which are slow to step.
 
+    The first step is at most ``t_end/10`` and the first sample time, each
+    bound floored at ``16 ulp(1)`` (about 3.6e-15), the least step the
+    underflow test passes at t = 0; clipping lands the step on a nearer time.
+
     Args:
         t_eval: optional sample times in ``[0, t_end]``; each is hit exactly
             by step clipping.  ``t_end`` is always included, and a time less

@@ -91,21 +91,21 @@ class RefinementError(RuntimeError):
 
 
 def solve_susceptible_block(config: ModelConfig, prevalence) -> np.ndarray:
-    """Steady susceptible profile at one prevalence or at an array of them.
+    """Steady susceptible profile at one prevalence.
 
     Recovery inflow ``r x`` enters the top tier and births ``mu`` the bottom
-    tier.  For ``prevalence`` of shape ``P`` the solution has shape
-    ``P + (n+1,)``; it costs one prefix product over the tiers, and every
+    tier.  The solution costs one prefix product over the tiers, and every
     component is non-negative.
 
     Raises:
+        TypeError: if ``prevalence`` is an array.
         ValueError: naming the prevalence, if it is negative, NaN or infinite.
     """
     return _steady_profile(config, prevalence)
 
 
 def _equilibrium_condition(config: ModelConfig, x):
-    """``G(x)/sum(w)`` (module docstring) at one prevalence or an array of them.
+    """``G(x)/sum(w)`` (module docstring) at one prevalence.
 
     With ``beta_w = beta . w/sum(w)``, ``1 - b = (omega_n + beta_n x)/|d_n|``
     and ``mu = b (omega_n + mu + beta_n x)`` it is ``r + b (omega_n + mu +
@@ -113,10 +113,10 @@ def _equilibrium_condition(config: ModelConfig, x):
     ``x = 1``, and no term exceeds the largest rate, so it stays finite where
     ``S(x)`` overflows.  At a float ``x``, as the bisection, Brent's method
     and :func:`localize_endemic` pass, the scalars are Python floats and the
-    prevalence check is one comparison; an array takes the same formula
-    elementwise.
+    prevalence check is one comparison.
     """
     ad_n, _, total, beta_dot_w = _profile_terms(config, x)
+    x = float(x)  # checked by _profile_terms
     beta_w = beta_dot_w / total
     mu, r, beta_n, omega_n = config.mu, config.r, float(config.beta[-1]), config.omega_n
     b = mu / ad_n
@@ -124,8 +124,9 @@ def _equilibrium_condition(config: ModelConfig, x):
 
 
 def existence_margin(config: ModelConfig) -> float:
-    """Positive iff a unique endemic equilibrium exists in the no-waning
-    limit: ``beta0*omega_n + beta_n*mu - (omega_n + mu)(mu + r)``.
+    """R0's verdict at zero waning, ``beta0*omega_n + beta_n*mu - (omega_n +
+    mu)(mu + r) = (omega_n + mu)(r + mu)(R0(delta=0) - 1)``; not a second
+    test of existence, which is the sign of ``G(0)`` (module docstring).
 
     It is formed from the rates of :func:`waningsim.model.unit_rates` and
     scaled back by ``4**-k``, so its sign is right where the products in the
@@ -209,7 +210,8 @@ class LocalizationResult:
     ``intervals`` are closed intervals clipped to ``[0, 1]`` around the
     ``roots`` of the no-waning polynomial; ``validity`` records whether the
     contraction precondition, under which they hold, is met over the whole
-    prevalence range.  ``margin`` is :func:`existence_margin`.
+    prevalence range.  ``margin`` is :func:`existence_margin`, R0's verdict at
+    zero waning ``(omega_n + mu)(r + mu)(R0(delta=0) - 1)``, not an existence test.
     """
 
     intervals: tuple

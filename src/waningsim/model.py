@@ -54,10 +54,6 @@ class ConfigError(ValueError):
     """Raised when a model configuration violates a structural constraint."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    return _frozen(np.array(a, dtype=float))
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -326,7 +322,7 @@ class StateVector:
     i: float
 
     def __post_init__(self):
-        s = _readonly(self.s)
+        s = _frozen(np.array(self.s, dtype=float))
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "i", float(self.i))
         if s.ndim != 1 or s.size < 2:
@@ -406,27 +402,21 @@ def unit_rates(config: ModelConfig) -> tuple[int, tuple[float, ...]]:
 
 
 def _tier_outflow(config: ModelConfig, prevalence) -> np.ndarray:
-    """Per-tier outflow magnitudes ``delta_i + omega_i + mu + beta_i x``, of
-    shape ``(n+1,)`` at a float prevalence and ``P + (n+1,)`` at an array of
-    shape ``P``.
-
-    A float is checked by one comparison and kept as it is, which the root
-    search's many evaluations rely on; anything else becomes a float array.
+    """Per-tier outflow magnitudes ``delta_i + omega_i + mu + beta_i x`` at
+    one prevalence ``x``: a float is kept as it is, which the root search's
+    many evaluations rely on, and anything else goes through ``float()``.
 
     Raises:
-        ValueError: naming the prevalence (of an array, the entries at
-            fault), unless every entry is finite and ``>= 0`` (-0.0 is 0;
-            NaN fails the comparisons).
+        TypeError: for an array of any shape.
+        ValueError: naming the prevalence, unless it is finite and ``>= 0``
+            (-0.0 is 0; NaN fails the comparisons).
     """
-    if isinstance(prevalence, float):
-        if 0.0 <= prevalence < math.inf:
-            return config._outflow + config.beta * prevalence
-    else:
-        x = np.asarray(prevalence, dtype=float)
-        ok = (x >= 0.0) & (x < math.inf)
-        if ok.all():
-            return config._outflow + config.beta * x[..., None]
-        prevalence = x[~ok].tolist() if x.ndim else float(x)  # the entries at fault
+    if not isinstance(prevalence, float):
+        if np.ndim(prevalence):
+            raise TypeError(f"prevalence must be one number, got an array of shape {np.shape(prevalence)}")
+        prevalence = float(prevalence)
+    if 0.0 <= prevalence < math.inf:
+        return config._outflow + config.beta * prevalence
     raise ValueError(f"prevalence must be finite and >= 0, got {prevalence!r}")
 
 
@@ -435,10 +425,10 @@ def diagonal_coefficients(config: ModelConfig, prevalence) -> np.ndarray:
 
     These are the diagonal entries of the susceptible-block matrix at
     infection level ``prevalence``; they are strictly negative since
-    ``mu > 0``.  An array of prevalences of shape ``P`` gives shape
-    ``P + (n+1,)``.
+    ``mu > 0``.
 
     Raises:
+        TypeError: if ``prevalence`` is an array.
         ValueError: naming the prevalence, if it is negative, NaN or infinite.
     """
     return -_tier_outflow(config, prevalence)

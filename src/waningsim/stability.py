@@ -11,14 +11,13 @@ no eigensolve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dfe import DfeSolution, _write_susceptible_block
 from .endemic import EndemicSolution
-from .model import ModelConfig, _as_state_array, unit_rates
+from .model import ModelConfig, _as_state_array
 
 __all__ = [
     "StaleSolutionError",
@@ -85,8 +84,8 @@ class StabilityVerdict:
 
 
 def _classify(config: ModelConfig, max_real: float) -> str:
-    k, rates = unit_rates(config)
-    band = MARGINAL_BAND * math.ldexp(max(rates), -k)
+    band = MARGINAL_BAND * max(float(config.beta[0]), float(config.beta[-1]), config.mu, config.r, config.omega_n,
+                               config.delta)
     if max_real < -band:
         return "asymptotically_stable"
     if max_real > band:

@@ -58,8 +58,8 @@ def matrix_determinant(config: ModelConfig, prevalence: float = 0.0) -> float:
 
 def equilibrium_transmission(config: ModelConfig, prevalence) -> float:
     """Transmission sum ``beta . S`` of the steady susceptible profile at the
-    given prevalence (elementwise for an array); an endemic equilibrium
-    solves ``equilibrium_transmission(x) = r + mu``."""
+    given prevalence; an endemic equilibrium solves
+    ``equilibrium_transmission(x) = r + mu``."""
     return solve_susceptible_block(config, prevalence) @ config.beta
 
 
@@ -489,7 +489,8 @@ def last_only_transmission_threshold(config: ModelConfig, omega_n: float) -> flo
 # -- the equation layer's formulas as spelled out before the prepared
 # per-configuration vectors: every rate vector and sum rebuilt at each call,
 # every prevalence taken through a NumPy array.  The package must agree with
-# them bit for bit.
+# them bit for bit.  Unlike the package they take an array of prevalences
+# too, for the uniqueness proof's grid scans.
 
 
 def spelled_out_diagonal_coefficients(config: ModelConfig, prevalence) -> np.ndarray:

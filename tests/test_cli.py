@@ -139,6 +139,12 @@ class TestSimulate:
         assert "i0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_horizon_below_the_least_step_is_reached(self, config_path, capsys):
+        # 1e-15 is below 16 ulp(1), the least step the underflow test passes at t = 0
+        assert main(["simulate", "--config", config_path, "--t-end", "1e-15", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["data"]["times"][-1] == 1e-15 and len(doc["data"]["times"]) == 201
+
     def test_stiff_blowup_exits_3(self, tmp_path, capsys):
         stiff = tmp_path / "stiff.json"
         stiff.write_text(config_to_json(build_general(1, (1e6, 1e6), 0.0, 1.0, 1.0, 0.0, (0.0, 0.0))))

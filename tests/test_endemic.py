@@ -37,6 +37,8 @@ from oracles import (
     perturbation_norms,
     prevalence_linear_root,
     scipy_brentq,
+    spelled_out_equilibrium_condition,
+    spelled_out_tier_weights,
     transmission_gap_bound,
 )
 
@@ -76,14 +78,6 @@ class TestBlockSolve:
             fast = solve_susceptible_block(cfg, prevalence)
             dense = np.linalg.solve(susceptible_block_matrix(cfg, prevalence), equilibrium_rhs(cfg, prevalence))
             np.testing.assert_allclose(fast, dense, rtol=1e-9, atol=1e-12)
-
-            # an array of prevalences: row j solves the system at prevalences[j]
-            prevalences = rng.uniform(0, 1, 5)
-            fast = solve_susceptible_block(cfg, prevalences)
-            assert fast.shape == (5, cfg.n + 1)
-            for j, x in enumerate(prevalences):
-                dense = np.linalg.solve(susceptible_block_matrix(cfg, x), equilibrium_rhs(cfg, x))
-                np.testing.assert_allclose(fast[j], dense, rtol=1e-9, atol=1e-12)
 
     def test_large_n_matches_dense_solve(self):
         # the prefix product stays in range where products of n rates do not
@@ -126,9 +120,10 @@ class TestTransmissionFunctions:
         grid = np.linspace(0.0, 1.0, 9)
         for _ in range(25):
             cfg = random_config(rng, n_range=(1, 8), rate_low=0.01, rate_high=20)
-            _, w = tier_weights(cfg, grid)
-            scale = (cfg.mu + grid * (w @ cfg.beta) / w.sum(axis=-1)) / cfg.mu
-            for x, g, k in zip(grid, _equilibrium_condition(cfg, grid), scale):
+            for x in grid:
+                _, w = tier_weights(cfg, x)
+                k = (cfg.mu + x * (w @ cfg.beta) / w.sum()) / cfg.mu
+                g = _equilibrium_condition(cfg, x)
                 dense = np.linalg.solve(susceptible_block_matrix(cfg, x), equilibrium_rhs(cfg, x))
                 transmission = float(cfg.beta @ dense)
                 removal = cfg.r + cfg.mu
@@ -505,7 +500,12 @@ class TestBrent:
 class TestUniquenessProof:
     """Each step of the existence and uniqueness proof in the ``endemic``
     module docstring, checked on 500 configurations over the benchmark-note
-    rate ranges and 200 with rates near the bottom of the double range."""
+    rate ranges and 200 with rates near the bottom of the double range.
+
+    The package takes one prevalence per call; steps 3 and 6 scan their
+    grids through the formulas spelled out in ``oracles``, which take
+    arrays and which ``test_prepared_rates`` pins the package to, bit for
+    bit, on these same configurations."""
 
     @pytest.fixture(scope="class")
     def configs(self):
@@ -513,7 +513,7 @@ class TestUniquenessProof:
 
     @staticmethod
     def beta_w(cfg, x):
-        _, w = tier_weights(cfg, x)
+        _, w = spelled_out_tier_weights(cfg, x)
         return (w @ cfg.beta) / w.sum(axis=-1)
 
     def test_step_1_signs_at_the_ends(self, configs):
@@ -549,11 +549,19 @@ class TestUniquenessProof:
     def test_step_6_one_sign_change(self, configs):
         grid = np.linspace(0.0, 1.0, 1025)
         for cfg in configs:
-            negative = _equilibrium_condition(cfg, grid) < 0.0
+            negative = spelled_out_equilibrium_condition(cfg, grid) < 0.0
             assert np.count_nonzero(negative[1:] != negative[:-1]) <= 1
 
 
 class TestClassificationAgreement:
+    def test_margin_is_r0_at_zero_waning(self):
+        # existence_margin = (omega_n + mu)(r + mu)(R0(delta=0) - 1): the
+        # zero-waning verdict of R0, not a second test of existence
+        for cfg in seeded_configs(200, seed=9):
+            r0 = basic_reproduction_number(cfg.replace(delta=0.0)).r0
+            scale = (cfg.omega_n + cfg.mu) * (cfg.r + cfg.mu)
+            assert abs(existence_margin(cfg) - scale * (r0 - 1.0)) <= 1e-13 * scale * max(r0, 1.0), cfg
+
     def test_refine_succeeds_iff_margin_positive(self):
         rng = np.random.default_rng(13)
         tried = 0

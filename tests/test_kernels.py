@@ -11,6 +11,7 @@ import pytest
 from waningsim import stepper
 from waningsim._stepper_py import TINY, _rhs
 from waningsim.data import pertussis_config
+from waningsim.dynamics import integrate
 from waningsim.model import build_general, epidemic_start, vector_field
 
 from conftest import random_config, random_simplex_state
@@ -161,6 +162,21 @@ def test_components_below_the_normal_range_are_set_to_zero(name):
     assert not ((states > 0.0) & (states < TINY)).any()
     assert states[-1, -1] == 0.0
     np.testing.assert_allclose(states[-1], subcritical_run("python")[1][-1], rtol=1e-7, atol=1e-10)
+
+
+@pytest.mark.parametrize("t_end, t_eval", [(10.0, [1e-16, 5.0]), (1e-15, np.linspace(0.0, 1e-15, 201))],
+                         ids=["first-sample-1e-16", "horizon-1e-15"])
+def test_times_below_the_least_step_are_reached(monkeypatch, pertussis, t_end, t_eval):
+    # both lie below 16 ulp(1), the least step the underflow test passes at
+    # t = 0; the first step's bounds stop there, and clipping lands the step
+    # on its target
+    runs = {}
+    for name, impl in stepper.kernels().items():
+        monkeypatch.setattr(stepper, "integrate_core", impl.integrate_core)
+        runs[name] = integrate(pertussis, epidemic_start(pertussis), t_end, t_eval=t_eval)
+    for run in runs.values():
+        assert run.times[-1] == t_end and run.terminal_status == runs["python"].terminal_status
+        np.testing.assert_allclose(run.final_state, runs["python"].final_state, rtol=1e-7, atol=1e-10)
 
 
 def test_unusable_compiler_falls_back_to_python(monkeypatch, tmp_path):

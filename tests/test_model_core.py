@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from waningsim.data import pertussis_config
-from waningsim.dfe import solve_dfe_closed_form, tier_weights
+from waningsim.dfe import _profile_terms, _steady_profile, solve_dfe_closed_form, tier_weights
 from waningsim.dynamics import integrate
-from waningsim.endemic import refine_endemic, solve_susceptible_block
+from waningsim.endemic import _equilibrium_condition, refine_endemic, solve_susceptible_block
 from waningsim.model import (
     ConfigError,
+    _tier_outflow,
     StateVector,
     build_all_but_last,
     build_general,
@@ -245,6 +246,16 @@ class TestVectorField:
             vector_field(cfg, np.array([0.5, 0.5]))
 
 
+# the equation layer's functions of one prevalence
+ONE_PREVALENCE = [diagonal_coefficients, tier_weights, solve_susceptible_block, _tier_outflow, _profile_terms,
+                  _steady_profile, _equilibrium_condition]
+
+
+def flat(result) -> np.ndarray:
+    """A result of one of ``ONE_PREVALENCE``, its parts joined in one vector."""
+    return np.hstack(result if isinstance(result, tuple) else [result])
+
+
 class TestDiagonalCoefficients:
     def test_interior_and_endpoint_values_at_zero_prevalence(self):
         cfg = build_general(2, (9.0, 165.1, 260.0), 0.2, 0.02, 17.0, 20.0, (0, 0.2, 0.62))
@@ -276,16 +287,23 @@ class TestDiagonalCoefficients:
     @pytest.mark.parametrize("function", [diagonal_coefficients, tier_weights, solve_susceptible_block])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
     def test_bad_prevalence_named(self, pertussis, function, bad):
-        for prevalence in (bad, np.float64(bad), np.array([0.5, bad]), [[0.25], [bad]]):
+        for prevalence in (bad, np.float64(bad)):
             with pytest.raises(ValueError, match=f"prevalence must be finite and >= 0, got .*{bad}"):
                 function(pertussis, prevalence)
 
-    @pytest.mark.parametrize("function", [diagonal_coefficients, tier_weights, solve_susceptible_block])
+    @pytest.mark.parametrize("function", ONE_PREVALENCE)
+    def test_array_prevalence_rejected(self, pertussis, function):
+        # one prevalence per call, also where an array holds one number
+        for prevalence in (np.array([0.5, 0.25]), np.array([0.5]), [[0.25]]):
+            with pytest.raises(TypeError, match=r"prevalence must be one number, got an array of shape \("):
+                function(pertussis, prevalence)
+
+    @pytest.mark.parametrize("function", ONE_PREVALENCE)
     def test_zero_of_either_sign_accepted(self, pertussis, function):
-        at_zero = np.asarray(function(pertussis, 0.0))
+        at_zero = flat(function(pertussis, 0.0))
         assert np.isfinite(at_zero).all()
-        for zero in (-0.0, np.float64(-0.0), np.array(-0.0), 0):
-            assert np.array_equal(np.asarray(function(pertussis, zero)), at_zero)
+        for zero in (-0.0, np.float64(-0.0), np.array(-0.0), 0, np.float64(0.0), np.array(0.0)):
+            assert np.array_equal(flat(function(pertussis, zero)), at_zero)
 
 
 class TestConfigJson:

@@ -1,7 +1,8 @@
 """The prepared per-configuration rate vectors and unit rates: the equation
 layer agrees bit for bit with its formulas spelled out at every call, no
 configuration sees another's vectors, and a fit's trial points never build
-them."""
+them.  The spelled-out formulas also take arrays, and the uniqueness proof's
+tests scan their grids through them."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from waningsim.reports import analyze_config
 from waningsim.scanfit import FitOptions, TimeSeries, fit, simulate_annual_prevalence
 from waningsim.stability import jacobian
 
+from conftest import seeded_configs, tiny_rate_configs
 from oracles import (
     spelled_out_diagonal_coefficients,
     spelled_out_equilibrium_condition,
@@ -25,8 +27,6 @@ from oracles import (
     spelled_out_susceptible_block,
     spelled_out_tier_weights,
 )
-
-GRID = np.linspace(0.0, 1.0, 257)
 
 
 def same_bits(a, b) -> bool:
@@ -64,7 +64,7 @@ def float_prevalences(rng) -> list:
 
 
 def assert_as_spelled_out(cfg: ModelConfig, rng) -> None:
-    for x in [*float_prevalences(rng), GRID]:
+    for x in float_prevalences(rng):
         assert same_bits(diagonal_coefficients(cfg, x), spelled_out_diagonal_coefficients(cfg, x))
         for got, expected in zip(tier_weights(cfg, x), spelled_out_tier_weights(cfg, x)):
             assert same_bits(got, expected)
@@ -78,6 +78,14 @@ def assert_as_spelled_out(cfg: ModelConfig, rng) -> None:
 def test_equation_layer_bit_identical_to_the_spelled_out_formulas():
     rng = np.random.default_rng(26)
     for cfg in property_configs():
+        assert_as_spelled_out(cfg, rng)
+
+
+def test_equation_layer_bit_identical_on_the_uniqueness_proof_configs():
+    # test_endemic.TestUniquenessProof scans these configurations through the
+    # spelled-out formulas
+    rng = np.random.default_rng(31)
+    for cfg in seeded_configs(500, seed=3) + tiny_rate_configs(200, seed=6):
         assert_as_spelled_out(cfg, rng)
 
 
