@@ -16,6 +16,10 @@ JSON artifacts hold it under ``"manifest"`` beside the ``"data"`` section;
 CSV artifacts carry it in one leading ``#`` comment line.  Data sections
 are byte-identical across reruns with identical inputs on the same kernel
 (the compiled and NumPy kernels' trajectories agree only to rounding).
+
+A command imports only the modules it runs: this module loads what every
+command needs, and ``sweep`` and ``fit`` import :mod:`.scanfit` when they
+run.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .dfe import NonFiniteThresholdError, basic_reproduction_number, solve_dfe_c
 from .dynamics import IntegrationError, integrate
 from .model import ConfigError, config_from_dict, epidemic_start, json_number, load_config
 from .reports import analyze_config, build_manifest, json_document
-from .scanfit import FitOptions, SweepSpec, fit, ingest_timeseries, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,6 +97,8 @@ def cmd_r0(args):
 
 
 def _load_sweep_spec(path: str) -> SweepSpec:
+    from .scanfit import SweepSpec
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -130,6 +135,8 @@ def _load_sweep_spec(path: str) -> SweepSpec:
 
 
 def cmd_sweep(args):
+    from .scanfit import sweep
+
     spec = _load_sweep_spec(args.spec)
     result = sweep(spec, jobs=args.jobs)
     extra = {"parameter": spec.parameter, "observable": spec.observable, "grid_size": int(spec.grid.size),
@@ -138,6 +145,8 @@ def cmd_sweep(args):
 
 
 def cmd_fit(args):
+    from .scanfit import FitOptions, fit, ingest_timeseries
+
     config = load_config(args.config)
     data = ingest_timeseries(args.data)
     options = FitOptions(

@@ -98,7 +98,7 @@ def solve_susceptible_block(config: ModelConfig, prevalence) -> np.ndarray:
     component is non-negative.
 
     Raises:
-        TypeError: if ``prevalence`` is an array.
+        TypeError: if ``prevalence`` is an array, a string, bytes or a bool.
         ValueError: naming the prevalence, if it is negative, NaN or infinite.
     """
     return _steady_profile(config, prevalence)

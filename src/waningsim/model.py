@@ -404,14 +404,17 @@ def unit_rates(config: ModelConfig) -> tuple[int, tuple[float, ...]]:
 def _tier_outflow(config: ModelConfig, prevalence) -> np.ndarray:
     """Per-tier outflow magnitudes ``delta_i + omega_i + mu + beta_i x`` at
     one prevalence ``x``: a float is kept as it is, which the root search's
-    many evaluations rely on, and anything else goes through ``float()``.
+    many evaluations rely on, and any other number goes through ``float()``.
 
     Raises:
-        TypeError: for an array of any shape.
+        TypeError: for an array of any shape, and for a string, bytes or a
+            bool, which ``float()`` would turn into a number.
         ValueError: naming the prevalence, unless it is finite and ``>= 0``
             (-0.0 is 0; NaN fails the comparisons).
     """
     if not isinstance(prevalence, float):
+        if isinstance(prevalence, (str, bytes, bool, np.bool_)):
+            raise TypeError(f"prevalence must be a number, not {type(prevalence).__name__}")
         if np.ndim(prevalence):
             raise TypeError(f"prevalence must be one number, got an array of shape {np.shape(prevalence)}")
         prevalence = float(prevalence)
@@ -428,7 +431,7 @@ def diagonal_coefficients(config: ModelConfig, prevalence) -> np.ndarray:
     ``mu > 0``.
 
     Raises:
-        TypeError: if ``prevalence`` is an array.
+        TypeError: if ``prevalence`` is an array, a string, bytes or a bool.
         ValueError: naming the prevalence, if it is negative, NaN or infinite.
     """
     return -_tier_outflow(config, prevalence)

@@ -23,14 +23,7 @@ import numpy as np
 
 from . import __version__, stepper
 from .dfe import basic_reproduction_number
-from .endemic import (
-    NoEndemicEquilibriumError,
-    RefinementError,
-    localize_endemic,
-    refine_endemic,
-)
 from .model import ModelConfig, config_digest, config_to_dict
-from .stability import dfe_spectrum, endemic_spectrum
 
 __all__ = ["build_manifest", "run_key", "analyze_config", "json_document"]
 
@@ -90,7 +83,15 @@ def _consistency(report: dict) -> dict:
 
 
 def analyze_config(config: ModelConfig) -> dict:
-    """Full equilibrium and stability report for one configuration."""
+    """Full equilibrium and stability report for one configuration.
+
+    The endemic and stability layers are imported by the call, not with
+    this module, so that the commands that never analyze (``r0``, ``dfe``,
+    ``simulate``) never load them.
+    """
+    from .endemic import NoEndemicEquilibriumError, RefinementError, localize_endemic, refine_endemic
+    from .stability import dfe_spectrum, endemic_spectrum
+
     r0 = basic_reproduction_number(config)
     dfe = r0.dfe
     loc = localize_endemic(config)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,9 +188,11 @@ def sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     process pool with output order fixed by the grid, so results are
     deterministic either way.  The pool has ``min(jobs, grid points, CPUs)``
     workers, as a pool starts all of its workers at once, and the sweep runs
-    serially when that is 1; the manifest records ``jobs`` as given.
-    Per-point configuration violations are recorded in the result rather
-    than aborting the sweep.
+    serially when that is 1; the manifest records ``jobs`` as given.  The
+    process pool's modules (:mod:`concurrent.futures.process` and
+    :mod:`multiprocessing`) are imported only when a pool starts, so a serial
+    sweep never loads them.  Per-point configuration violations are recorded
+    in the result rather than aborting the sweep.
 
     Raises:
         ConfigError: for ``jobs < 1``.
@@ -204,6 +205,8 @@ def sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     ]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_evaluate_point, tasks))
     else:

@@ -5,7 +5,9 @@ The first import compiles ``_stepper.c`` with the C compiler Python was built
 with (``$CC`` overrides it) into ``$XDG_CACHE_HOME/waningsim/`` (default
 ``~/.cache/waningsim/``), under a name keyed by source, compiler and
 platform, and loads it with :mod:`ctypes`.  If that fails, the NumPy
-reference kernel runs.  :func:`kernels` lists every usable kernel.
+reference kernel runs.  :func:`kernels` lists every usable kernel.  Only a
+build imports :mod:`subprocess`, so an import that finds the library cached
+never loads it.
 
 The same library formats floats: :func:`format_floats` writes a run of
 doubles byte for byte as ``float.__repr__`` writes each.  It is ``None``
@@ -18,9 +20,7 @@ import ctypes
 import hashlib
 import os
 import shlex
-import subprocess
 import sysconfig
-import tempfile
 import types
 from pathlib import Path
 
@@ -61,12 +61,22 @@ def _library_path(compiler) -> Path:
 
 def _build(compiler, path: Path) -> None:
     """Compile into a private directory, then move the library into place in
-    one step, so a concurrent import never loads a partial file."""
+    one step, so a concurrent import never loads a partial file.
+
+    Raises:
+        OSError: if the compiler cannot run, fails or times out.
+    """
+    import subprocess
+    import tempfile
+
     path.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
         built = os.path.join(tmp, path.name)
         command = [*compiler, "-O3", "-shared", "-fPIC", "-o", built, str(_SOURCE), "-lm"]
-        subprocess.run(command, check=True, capture_output=True, timeout=300)
+        try:
+            subprocess.run(command, check=True, capture_output=True, timeout=300)
+        except subprocess.SubprocessError as exc:
+            raise OSError(f"building {path.name} failed: {exc}") from exc
         os.replace(built, path)
 
 
@@ -92,7 +102,7 @@ def _load_library():
         lib.ws_format.restype = ctypes.c_int64
         lib.ws_format.argtypes = [address, ctypes.c_int64, ctypes.c_int64, ctypes.c_char_p, ctypes.c_char_p, address]
         return lib
-    except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
+    except (OSError, ValueError, AttributeError):
         return None
 
 

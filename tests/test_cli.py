@@ -768,6 +768,72 @@ class TestWithoutScipy:
             assert TestRerunsDifferOnlyInManifest.split(Path(argv[-1]).read_text())[0] == data, argv[0]
 
 
+IMPORT_BOUNDARY = """
+import json, sys
+from waningsim import stepper
+from waningsim.cli import main
+
+watched, argv = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+report = {"kernel": stepper.active_kernel(), "after_import": [name for name in watched if name in sys.modules]}
+if argv:
+    report["code"] = main(argv)
+    report["after_command"] = [name for name in watched if name in sys.modules]
+print(json.dumps(report))
+"""
+
+
+class TestImportBoundary:
+    """A command loads only the modules it runs: in a fresh interpreter,
+    ``import waningsim.cli`` loads none of the modules below, ``r0``, ``dfe``
+    and ``simulate`` none either, ``analyze`` the equation layers but not the
+    sweep and fit layer, and only a sweep that starts a pool loads the
+    pool's modules."""
+
+    WATCHED = ("waningsim.scanfit", "waningsim.endemic", "waningsim.stability", "csv", "concurrent.futures",
+               "concurrent.futures.process", "multiprocessing", "subprocess")
+    EQUATIONS = ["waningsim.endemic", "waningsim.stability"]
+    SCANFIT = ["waningsim.scanfit", *EQUATIONS, "csv"]
+
+    def run(self, argv) -> list:
+        """The watched modules loaded after ``argv`` ran in a fresh interpreter."""
+        src = str(Path(waningsim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, json.dumps(self.WATCHED), json.dumps(argv)],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report.get("code", 0) == 0, proc.stderr
+        # this process has loaded the compiled library, so the child finds it
+        # cached; without a usable compiler each import tries a build
+        assert report["kernel"] == stepper.active_kernel()
+        built = {"subprocess"} if report["kernel"] == "python" else set()
+        assert set(report["after_import"]) - built == set()
+        return sorted(set(report.get("after_command", [])) - built)
+
+    @pytest.mark.parametrize("command, loaded", [
+        ([], []),
+        (["r0"], []),
+        (["dfe"], []),
+        (["simulate", "--t-end", "30"], []),
+        (["analyze"], EQUATIONS),
+        (["sweep", "--jobs", "1"], SCANFIT),
+        (["fit"], SCANFIT),
+    ], ids=["import", "r0", "dfe", "simulate", "analyze", "sweep-serial", "fit"])
+    def test_command_loads_only_what_it_runs(self, inputs, command, loaded):
+        files = {"fit": ["--config", inputs["template"], "--data", inputs["data"], "--i0", "1e-4", "--free", "omega",
+                         "--start-year", "1999", "--max-iterations", "5", "--restarts", "0"],
+                 "sweep": ["--spec", inputs["spec"]]}
+        argv = []
+        if command:
+            argv = command + files.get(command[0], ["--config", inputs["config"]]) + ["--out", str(inputs["dir"] / "out")]
+        assert self.run(argv) == sorted(loaded)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs at least two CPUs")
+    def test_sweep_that_starts_a_pool_loads_it(self, inputs):
+        loaded = self.run(["sweep", "--spec", inputs["spec"], "--jobs", "2", "--out", str(inputs["dir"] / "out")])
+        assert set(self.SCANFIT) | {"concurrent.futures.process", "multiprocessing"} <= set(loaded)
+
+
 class TestManifestOptions:
     """The manifest records every parsed option except the files read and
     written, and a sweep adds its spec's parameter, observable, grid size

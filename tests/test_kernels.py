@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import importlib
+import shlex
+import sys
 
 import numpy as np
 import pytest
@@ -180,12 +182,14 @@ def test_times_below_the_least_step_are_reached(monkeypatch, pertussis, t_end, t
 
 
 def test_unusable_compiler_falls_back_to_python(monkeypatch, tmp_path):
-    try:
-        with monkeypatch.context() as patch:
-            patch.setenv("CC", str(tmp_path / "no-such-compiler"))
-            patch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    # a compiler that cannot be run, and one that runs and fails
+    for cc in (str(tmp_path / "no-such-compiler"), shlex.join([sys.executable, "-c", "raise SystemExit(1)"])):
+        try:
+            with monkeypatch.context() as patch:
+                patch.setenv("CC", cc)
+                patch.setenv("XDG_CACHE_HOME", str(tmp_path))
+                importlib.reload(stepper)
+                assert stepper.active_kernel() == "python", cc
+                assert list(stepper.kernels()) == ["python"]
+        finally:
             importlib.reload(stepper)
-            assert stepper.active_kernel() == "python"
-            assert list(stepper.kernels()) == ["python"]
-    finally:
-        importlib.reload(stepper)

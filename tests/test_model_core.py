@@ -299,6 +299,13 @@ class TestDiagonalCoefficients:
                 function(pertussis, prevalence)
 
     @pytest.mark.parametrize("function", ONE_PREVALENCE)
+    def test_strings_bytes_and_bools_rejected(self, pertussis, function):
+        # float() would read each of these as a prevalence
+        for prevalence in ("0.5", " 1e-3 ", b"0.5", True, np.True_):
+            with pytest.raises(TypeError, match=f"prevalence must be a number, not {type(prevalence).__name__}$"):
+                function(pertussis, prevalence)
+
+    @pytest.mark.parametrize("function", ONE_PREVALENCE)
     def test_zero_of_either_sign_accepted(self, pertussis, function):
         at_zero = flat(function(pertussis, 0.0))
         assert np.isfinite(at_zero).all()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import io
 import warnings
 
@@ -87,7 +88,8 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(scanfit, "ProcessPoolExecutor", RecordingPool)
+        # the sweep imports the pool class from its package when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(scanfit.os, "cpu_count", lambda: cpus)
         assert sweep(spec, jobs=10**6) == serial
         assert built == pools
