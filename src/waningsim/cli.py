@@ -19,7 +19,11 @@ are byte-identical across reruns with identical inputs on the same kernel
 
 A command imports only the modules it runs: this module loads what every
 command needs, and ``sweep`` and ``fit`` import :mod:`.scanfit` when they
-run.
+run.  Each command does its work once: :func:`main` gives a known
+command's arguments straight to that command's parser (the full parser
+answers ``--help``, no command, an unknown command and an unknown option,
+with argparse's own messages), and ``analyze`` forms the steady profile at
+prevalence 0 once for R0, the existence test and the root search.
 """
 
 from __future__ import annotations
@@ -113,9 +117,14 @@ def _load_sweep_spec(path: str) -> SweepSpec:
         config = config_from_dict(raw["config"])
         grid_spec = raw["grid"]
         if isinstance(grid_spec, dict):
+            unknown = sorted(set(grid_spec) - {"start", "stop", "num"})
+            if unknown:
+                raise ConfigError(f"unknown grid keys: {', '.join(unknown)}")
             num = grid_spec["num"]
             if isinstance(num, bool) or not isinstance(num, int):
                 raise ConfigError(f"grid num must be an integer, got {num!r}")
+            if num < 2:
+                raise ConfigError(f"grid num must be >= 2, got {num}")
             grid = np.linspace(json_number("grid start", grid_spec["start"]),
                                json_number("grid stop", grid_spec["stop"]), num)
         elif isinstance(grid_spec, list):
@@ -218,13 +227,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="residual evaluations per least-squares run, finite-difference Jacobian ones not counted")
     p.add_argument("--restarts", type=int, default=2, help="re-runs from the best point while the SSE falls")
     p.set_defaults(func=cmd_fit)
+    # each command's own parser, by name, for main's one parse
+    parser.commands = sub.choices
     return parser
+
+
+def _parse(argv):
+    """The parsed arguments, parsed once: a known command's by its own
+    parser, which the full parser would call with the same arguments and
+    whose errors and help are the same either way.  Anything else goes to
+    the full parser, so that an option no parser knows is reported as the
+    full parser reports it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, unknown = command.parse_known_args(argv[1:])
+        if not unknown:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one command, ``argv`` without the program name (default
     ``sys.argv[1:]``), write its artifact and return its exit code."""
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         config, extra, result = args.func(args)
         options = {key: value for key, value in vars(args).items() if key not in _NOT_OPTIONS}
@@ -236,8 +264,8 @@ def main(argv=None) -> int:
         if args.out is None or args.out == "-":
             sys.stdout.write(text)
         else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(args.out, "wb") as fh:
+                fh.write(text.encode())
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION

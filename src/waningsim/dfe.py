@@ -77,7 +77,10 @@ def tier_weights(config: ModelConfig, prevalence=0.0) -> tuple[np.ndarray, np.nd
 def _profile_terms(config: ModelConfig, x):
     """``(|d_n|, w, sum(w), beta . w)`` with the :func:`tier_weights` ``w``:
     Python floats and the vector ``w``, which spares the root search NumPy's
-    scalar arithmetic."""
+    scalar arithmetic.  At the float 0.0 (or -0.0, the same terms) they are
+    the configuration's prepared ``_profile0``, with ``w`` read-only."""
+    if type(x) is float and x == 0.0:
+        return config._profile0
     ad, w = tier_weights(config, x)
     # np.add.reduce is the pairwise sum of w.sum(), without its Python wrapper
     return float(ad[-1]), w, float(np.add.reduce(w)), float(w @ config.beta)

@@ -350,18 +350,24 @@ def refine_endemic(config: ModelConfig) -> EndemicSolution:
     ``G`` narrow the bracket to one cell of width 1/256 (a midpoint where
     ``G`` is exactly 0 is the root), and Brent's method refines it; it stops
     at the relative tolerance ``BRENT_RTOL`` (4 eps) at any normal root,
-    however small.  The result is labelled ``"certified-unique"``.
+    however small.  ``G`` is evaluated once per point: Brent's method reuses
+    the bisection's values at the ends of the bracket, so the search costs
+    ``BISECTION_STEPS`` plus Brent's iterations evaluations, and one more
+    where the upper end is 1.0.  The result is labelled
+    ``"certified-unique"``.
 
     Raises:
         NoEndemicEquilibriumError: when ``G(0) >= 0``.
         RefinementError: Brent's method failed on the bracket.
     """
     g = functools.partial(_equilibrium_condition, config)
-    if not g(0.0) < 0.0:
+    g_lo = g(0.0)
+    if not g_lo < 0.0:
         raise NoEndemicEquilibriumError("no endemic equilibrium: R0 <= 1, the equilibrium condition is >= 0 at 0")
     # G(1) >= 0 in floating point too, as nothing is subtracted at x = 1
     # (_equilibrium_condition): the last cell always brackets the root
     lo, hi = 0.0, 1.0
+    known = {lo: g_lo}  # G at every point evaluated so far
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         value = g(mid)
@@ -371,6 +377,14 @@ def refine_endemic(config: ModelConfig) -> EndemicSolution:
             lo = mid
         else:
             hi = mid
+        known[mid] = value
+
+    def g_bracket(x):
+        # Brent's method starts at both ends of the bracket, whose values
+        # are known unless the upper end is still 1.0
+        value = known.get(x)
+        return g(x) if value is None else value
+
     # xtol is the smallest tolerance whose half is not 0, so BRENT_RTOL ends
     # the search at any normal root however small; Brent (1973, ch. 4) bounds
     # the search by about the square of the bisection count from the last
@@ -378,7 +392,7 @@ def refine_endemic(config: ModelConfig) -> EndemicSolution:
     xtol = 2.0 * math.ulp(0.0)
     maxiter = (round(-math.log2(xtol)) - BISECTION_STEPS + 1) ** 2
     try:
-        root, iterations = _brentq(g, lo, hi, xtol, maxiter)
+        root, iterations = _brentq(g_bracket, lo, hi, xtol, maxiter)
     except (ValueError, RuntimeError) as exc:
         raise RefinementError(f"Brent's method failed on the bracket [{lo!r}, {hi!r}]: {exc}") from exc
     return _finish_solution(config, root, iterations)

@@ -103,8 +103,7 @@ class ModelConfig:
     def _digest(self) -> str:
         """:func:`config_digest`, computed once per object, whose fields never
         change."""
-        canonical = json.dumps(config_to_dict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return hashlib.sha256(_canonical_json(self).encode()).hexdigest()
 
     @cached_property
     def _outflow(self) -> np.ndarray:
@@ -119,6 +118,16 @@ class ModelConfig:
         """Numerators ``(1, delta_0, ..., delta_{n-1})`` of the prefix product
         in :func:`waningsim.dfe.tier_weights`."""
         return _frozen(np.concatenate(([1.0], self.delta_i[:-1])))
+
+    @cached_property
+    def _profile0(self) -> tuple[float, np.ndarray, float, float]:
+        """:func:`waningsim.dfe._profile_terms` at prevalence 0, ``(|d_n|, w,
+        sum(w), beta . w)`` with the prefix product ``w`` read-only, formed
+        once per configuration for R0, the existence test and the root
+        search.  At prevalence 0 the outflow is :attr:`_outflow` itself, bit
+        for bit (``beta_i 0`` is 0.0, and adding 0.0 changes no positive sum)."""
+        w = _frozen((self._chain / self._outflow).cumprod())
+        return float(self._outflow[-1]), w, float(np.add.reduce(w)), float(w @ self.beta)
 
     @cached_property
     def _unit_rates(self) -> tuple[int, tuple[float, ...]]:
@@ -452,6 +461,10 @@ def config_to_dict(config: ModelConfig) -> dict:
     }
 
 
+# the types json.loads gives a number; a bool is not one of them
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
+
 def config_from_dict(data: dict) -> ModelConfig:
     """Parse a configuration mapping, rejecting unknown keys.
 
@@ -469,10 +482,12 @@ def config_from_dict(data: dict) -> ModelConfig:
     for key in ("delta", "mu", "r", "omega"):
         json_number(key, data[key])
     for key in ("beta", "p"):
-        if not isinstance(data[key], list):
-            raise ConfigError(f"{key} must be a list of numbers, got {data[key]!r}")
-        for k, value in enumerate(data[key]):
-            json_number(f"{key}[{k}]", value)
+        values = data[key]
+        if not isinstance(values, list):
+            raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+        if not _JSON_NUMBER_TYPES.issuperset(map(type, values)):  # each element on its own, for its message
+            for k, value in enumerate(values):
+                json_number(f"{key}[{k}]", value)
     return build_general(
         n=data["n"],
         beta=data["beta"],
@@ -494,6 +509,33 @@ def json_number(name: str, value) -> float:
 
 def config_to_json(config: ModelConfig, indent: int | None = 2) -> str:
     return json.dumps(config_to_dict(config), indent=indent)
+
+
+# from this n on, one call of the compiled float formatter writes beta and p
+# faster than Python's join (n = 8: 15 against 14 us; n = 16: 17 against
+# 23 us; n = 64: 27 against 83 us)
+_FORMATTED_N = 12
+
+
+def _canonical_json(config: ModelConfig) -> str:
+    """``json.dumps(config_to_dict(config), sort_keys=True, separators=(",",
+    ":"))``, written directly: every float of a validated configuration is
+    finite, and ``json.dumps`` writes a finite float as ``float.__repr__``
+    does.  From ``n = _FORMATTED_N`` on, when the kernel's C library is
+    loaded, one call of its float formatter writes ``beta`` and ``p``; the
+    kernel module loads with every command, and a large configuration
+    hashed without it loads it here."""
+    r = float.__repr__
+    between = f'],"delta":{r(config.delta)},"mu":{r(config.mu)},"n":{config.n},"omega":{r(config.omega)},"p":['
+    floats = None
+    if config.n >= _FORMATTED_N:
+        from .stepper import format_floats
+
+        if format_floats is not None:
+            floats = format_floats(np.concatenate((config.beta, config.p)), config.n + 1, ",", between)
+    if floats is None:
+        floats = ",".join(map(r, config.beta.tolist())) + between + ",".join(map(r, config.p.tolist()))
+    return f'{{"beta":[{floats}],"r":{r(config.r)}}}'
 
 
 def config_digest(config: ModelConfig) -> str:

@@ -242,7 +242,8 @@ def ingest_timeseries(source) -> TimeSeries:
     Accepts a path, an open text file, or a CSV string.  Header must be
     ``year,prevalence`` or ``year,cases,population`` (prevalence is then
     ``cases / population``).  Lines starting with ``#`` are comments.
-    Malformed rows report their line number.
+    Malformed rows report their line number; a quoted field must close on
+    the line that opens it.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -252,13 +253,16 @@ def ingest_timeseries(source) -> TimeSeries:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
 
+    kept = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.strip()) and not line.startswith("#")]
+    reader = csv.reader([line for _, line in kept])
     rows = []
     header = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = [c.strip() for c in next(csv.reader([line]))]
+    for k, cells in enumerate(reader):
+        lineno, line = kept[k]
+        if reader.line_num != k + 1:  # the row ran on into the next line
+            raise TimeSeriesError(f"line {lineno}: a quoted field is not closed on its line")
+        cells = [c.strip() for c in cells]
         if header is None:
             header = [c.lower() for c in cells]
             if header not in (["year", "prevalence"], ["year", "cases", "population"]):

@@ -74,10 +74,10 @@ class StabilityVerdict:
     classification: str
 
     def to_dict(self) -> dict:
-        """``eigenvalues`` as a float64 array of ``(real, imag)`` rows, which
-        the artifact writer formats in one call."""
+        """``eigenvalues`` as a float64 array of ``(real, imag)`` rows, a view
+        of the complex array, which the artifact writer formats in one call."""
         return {
-            "eigenvalues": np.column_stack((self.eigenvalues.real, self.eigenvalues.imag)),
+            "eigenvalues": self.eigenvalues.view(np.float64).reshape(-1, 2),
             "max_real_part": self.max_real_part,
             "classification": self.classification,
         }
@@ -94,7 +94,9 @@ def _classify(config: ModelConfig, max_real: float) -> str:
 
 
 def _sorted_eigs(values: np.ndarray) -> np.ndarray:
-    return values[np.lexsort((values.imag, values.real))]
+    """``values`` sorted by real, then imaginary part, as a new complex128
+    array (``eigvals`` returns a real array when no eigenvalue is complex)."""
+    return values[np.lexsort((values.imag, values.real))].astype(np.complex128, copy=False)
 
 
 def _eigenvalues(config: ModelConfig, state) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import waningsim
-from waningsim import dfe, model, stepper
+from waningsim import cli, dfe, model, stepper
 from waningsim.cli import build_parser, main
 from waningsim.dfe import susceptible_block_matrix
 from waningsim.model import build_general, config_digest, config_to_json
@@ -523,6 +524,26 @@ class TestSweep:
         assert main(["sweep", "--spec", self.write_spec(tmp_path, **overrides)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"start": 0.1, "stop": 0.3, "num": 3, "endpoint": False}, "unknown grid keys: endpoint"),
+        ({"start": 0.1, "stop": 0.3, "num": 3, "step": 0.1, "Num": 3}, "unknown grid keys: Num, step"),
+        ({"start": 0.1, "stop": 0.3, "num": -1}, "grid num must be >= 2, got -1"),
+        ({"start": 0.1, "stop": 0.3, "num": 0}, "grid num must be >= 2, got 0"),
+        ({"start": 0.1, "stop": 0.3, "num": 1}, "grid num must be >= 2, got 1"),
+    ], ids=["endpoint", "two-unknown", "negative-num", "zero-num", "one-num"])
+    def test_bad_grid_object_exits_2(self, tmp_path, capsys, grid, message):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--spec", self.write_spec(tmp_path, grid=grid), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_point_grid_object(self, tmp_path):
+        out = tmp_path / "s.csv"
+        grid = {"start": 0.1, "stop": 0.3, "num": 2}
+        assert main(["sweep", "--spec", self.write_spec(tmp_path, grid=grid), "--out", str(out)]) == 0
+        rows = split_csv_artifact(out.read_text())[1].splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.1", "0.3"]
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_bad_jobs_exits_2(self, tmp_path, capsys, jobs):
         out = tmp_path / "s.csv"
@@ -674,6 +695,90 @@ class TestParserBuiltOnce:
             assert exc.value.code == 2
             assert self.data_section(good, inputs["dir"] / "b.csv") == expected
         assert build_parser() is build_parser()
+
+
+class TestArgumentDispatch:
+    """``main`` gives a known command's arguments straight to that command's
+    parser, and parses them once; for every command a missing required
+    option, a badly typed or missing value, an unknown option and
+    ``--help`` exit with the status, standard output and standard error of
+    the full parser, and so do no command, ``--help`` alone and an unknown
+    command."""
+
+    # arguments each command's parser accepts; the files need not exist, as no command runs
+    VALID = {
+        "simulate": ["--config", "c.json", "--t-end", "30", "--samples", "5", "--format", "json", "--out", "o"],
+        "analyze": ["--config", "c.json"],
+        "dfe": ["--config", "c.json", "--out", "-"],
+        "r0": ["--config", "c.json"],
+        "sweep": ["--spec", "s.json", "--jobs", "2", "--format", "json"],
+        "fit": ["--config", "c.json", "--data", "d.csv", "--free", "omega, delta", "--start-year", "1999",
+                "--log-sse", "--max-iterations", "7", "--restarts", "0"],
+    }
+    MISSING = {
+        "simulate": ["--config", "c.json"],
+        "analyze": [],
+        "dfe": ["--out", "o"],
+        "r0": [],
+        "sweep": ["--jobs", "2"],
+        "fit": ["--config", "c.json"],
+    }
+    # a value of the wrong type, or none, where a command has no typed option
+    BAD_VALUE = {
+        "simulate": ["--config", "c.json", "--t-end", "30", "--samples", "many"],
+        "analyze": ["--config"],
+        "dfe": ["--config", "c.json", "--out"],
+        "r0": ["--config"],
+        "sweep": ["--spec", "s.json", "--format", "xml"],
+        "fit": ["--config", "c.json", "--data", "d.csv", "--max-iterations", "1.5"],
+    }
+
+    @staticmethod
+    def outcome(call, argv, capsys):
+        """Exit status, standard output and standard error of a call that exits."""
+        with pytest.raises(SystemExit) as exc:
+            call(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize("command", list(VALID))
+    @pytest.mark.parametrize("case", ["missing", "bad-value", "unknown-option", "unknown-option-value", "help"])
+    def test_errors_and_help_match_the_full_parser(self, command, case, capsys):
+        argv = [command] + {
+            "missing": self.MISSING[command],
+            "bad-value": self.BAD_VALUE[command],
+            "unknown-option": self.VALID[command] + ["--bogus"],
+            "unknown-option-value": ["--seed", "3"] + self.VALID[command],
+            "help": self.VALID[command][:2] + ["--help"],
+        }[case]
+        expected = self.outcome(build_parser().parse_args, argv, capsys)
+        assert expected[0] == (0 if case == "help" else 2)
+        assert self.outcome(main, argv, capsys) == expected
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["no-such-command"], ["--config", "c.json"],
+                                      ["Analyze", "--config", "c.json"]],
+                             ids=["no-command", "help", "h", "unknown-command", "option-first", "wrong-case"])
+    def test_no_or_unknown_command_matches_the_full_parser(self, argv, capsys):
+        expected = self.outcome(build_parser().parse_args, argv, capsys)
+        assert self.outcome(main, argv, capsys) == expected
+
+    @pytest.mark.parametrize("command", list(VALID))
+    def test_arguments_parse_as_the_full_parser_parses_them(self, command):
+        argv = [command] + self.VALID[command]
+        assert vars(cli._parse(argv)) == vars(build_parser().parse_args(argv))
+        assert vars(cli._parse(tuple(argv))) == vars(build_parser().parse_args(argv))
+
+    def test_a_known_command_is_parsed_once(self, inputs, monkeypatch):
+        parses = []
+        original = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            parses.append(parser.prog)
+            return original(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert main(["r0", "--config", inputs["config"], "--out", str(inputs["dir"] / "r0.json")]) == 0
+        assert parses == ["waningsim r0"]
 
 
 class TestRerunsDifferOnlyInManifest:

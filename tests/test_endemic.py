@@ -411,6 +411,63 @@ class TestRefine:
         assert sol.certification == "certified-unique"
 
 
+class TestEvaluationCount:
+    """``refine_endemic`` evaluates the equilibrium condition once per
+    point: once at 0, once per bisection and once per new iterate of
+    Brent's method, which reuses the bisection's values at the ends of the
+    bracket; only an upper end of 1.0 costs one evaluation more."""
+
+    # an SIR-like configuration with R0 near 1000 whose root, near 0.998,
+    # lies in the last cell [255/256, 1]
+    NEAR_ONE = build_general(1, (1000.0, 1000.0), 0.0, 1.0, 1e-3, 0.0, (0.0, 0.0))
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The prevalences the condition is evaluated at, and the brackets
+        handed to Brent's method, of the last ``refine_endemic`` call."""
+        points, brackets = [], []
+        condition, brentq = endemic._equilibrium_condition, endemic._brentq
+
+        def counted_condition(config, x):
+            points.append(x)
+            return condition(config, x)
+
+        def recorded_brentq(f, a, b, xtol, maxiter):
+            brackets.append((a, b))
+            return brentq(f, a, b, xtol, maxiter)
+
+        monkeypatch.setattr(endemic, "_equilibrium_condition", counted_condition)
+        monkeypatch.setattr(endemic, "_brentq", recorded_brentq)
+        return points, brackets
+
+    def test_one_evaluation_per_point(self, counted):
+        points, brackets = counted
+        searched = last_cell = 0
+        for cfg in seeded_configs(600, seed=3) + tiny_rate_configs(300, seed=5) + [self.NEAR_ONE]:
+            points.clear()
+            brackets.clear()
+            try:
+                solution = refine_endemic(cfg)
+            except NoEndemicEquilibriumError:
+                assert points == [0.0]
+                continue
+            assert len(set(points)) == len(points), points
+            if not brackets:  # a bisection midpoint is the root
+                assert solution.iterations == 0 and len(points) <= 1 + endemic.BISECTION_STEPS
+                continue
+            (_, hi), = brackets
+            assert len(points) == endemic.BISECTION_STEPS + solution.iterations + (hi == 1.0)
+            searched += 1
+            last_cell += hi == 1.0
+        assert searched > 300 and last_cell >= 1
+
+    def test_the_last_cell_evaluates_the_upper_end(self, counted):
+        points, brackets = counted
+        solution = refine_endemic(self.NEAR_ONE)
+        assert brackets == [(255 / 256, 1.0)] and 255 / 256 < solution.i_star < 1.0
+        assert points.count(1.0) == 1 and points[1 + endemic.BISECTION_STEPS] == 1.0  # Brent's first point
+
+
 def ported_brentq(f, a, b, xtol, maxiter):
     """:func:`waningsim.endemic._brentq`, or the type and message of what it
     raised, as :func:`oracles.scipy_brentq` reports them."""

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from waningsim import model
 from waningsim.data import pertussis_config
 from waningsim.dfe import _profile_terms, _steady_profile, solve_dfe_closed_form, tier_weights
 from waningsim.dynamics import integrate
@@ -349,6 +350,19 @@ class TestConfigJson:
         changed = pertussis.replace(mu=2 * pertussis.mu)
         assert config_digest(changed) != digest
         assert config_digest(changed.replace(mu=pertussis.mu)) == digest
+
+
+    @pytest.mark.parametrize("n", [1, 2, model._FORMATTED_N - 1, model._FORMATTED_N, 64, 512])
+    def test_digest_hashes_the_canonical_json_at_every_size(self, n):
+        # rates across the double range, subnormal ones included: the
+        # canonical text is written directly, by Python's join below
+        # _FORMATTED_N and by the compiled formatter, where loaded, above
+        rng = np.random.default_rng(n)
+        p = np.minimum(rng.uniform(0, 1, n + 1) * 10.0 ** rng.uniform(-320, 0, n + 1), 1.0)
+        p[0] = 0.0
+        cfg = build_general(n, np.sort(10.0 ** rng.uniform(-300, 300, n + 1)), 1e-310, 1e-300, 5e-324, 1e300, p)
+        canonical = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+        assert config_digest(cfg) == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 class TestConfigEquality:

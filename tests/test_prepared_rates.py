@@ -1,8 +1,9 @@
-"""The prepared per-configuration rate vectors and unit rates: the equation
-layer agrees bit for bit with its formulas spelled out at every call, no
-configuration sees another's vectors, and a fit's trial points never build
-them.  The spelled-out formulas also take arrays, and the uniqueness proof's
-tests scan their grids through them."""
+"""The prepared per-configuration rate vectors, terms at prevalence 0 and
+unit rates: the equation layer agrees bit for bit with its formulas spelled
+out at every call, no configuration sees another's vectors, an analysis or
+an endemic sweep point forms the prefix product at prevalence 0 once, and a
+fit's trial points never build them.  The spelled-out formulas also take
+arrays, and the uniqueness proof's tests scan their grids through them."""
 
 from __future__ import annotations
 
@@ -12,11 +13,12 @@ import math
 import numpy as np
 import pytest
 
+from waningsim import dfe
 from waningsim.dfe import basic_reproduction_number, tier_weights
 from waningsim.endemic import _equilibrium_condition, solve_susceptible_block
 from waningsim.model import ModelConfig, build_general, diagonal_coefficients, unit_rates
 from waningsim.reports import analyze_config
-from waningsim.scanfit import FitOptions, TimeSeries, fit, simulate_annual_prevalence
+from waningsim.scanfit import FitOptions, SweepSpec, TimeSeries, fit, simulate_annual_prevalence, sweep
 from waningsim.stability import jacobian
 
 from conftest import seeded_configs, tiny_rate_configs
@@ -75,6 +77,23 @@ def assert_as_spelled_out(cfg: ModelConfig, rng) -> None:
         assert same_bits(jacobian(cfg, state), spelled_out_jacobian(cfg, state))
 
 
+def spelled_out_profile0(cfg: ModelConfig):
+    ad, w = spelled_out_tier_weights(cfg, 0.0)
+    return float(ad[-1]), w, float(w.sum()), float(w @ cfg.beta)
+
+
+def assert_profile0_as_spelled_out(cfg: ModelConfig) -> None:
+    prepared, expected = cfg._profile0, spelled_out_profile0(cfg)
+    assert len(prepared) == 4 and type(prepared[0]) is type(prepared[2]) is type(prepared[3]) is float
+    for got, want in zip(prepared, expected):
+        assert same_bits(got, want)
+
+
+def test_prepared_zero_prevalence_terms_bit_identical_to_the_spelled_out_formulas():
+    for cfg in property_configs() + seeded_configs(500, seed=3) + tiny_rate_configs(200, seed=6):
+        assert_profile0_as_spelled_out(cfg)
+
+
 def test_equation_layer_bit_identical_to_the_spelled_out_formulas():
     rng = np.random.default_rng(26)
     for cfg in property_configs():
@@ -93,6 +112,7 @@ def test_replaced_configs_never_see_stale_prepared_vectors():
     rng = np.random.default_rng(27)
     for cfg in property_configs(count=60, seed=28):
         tier_weights(cfg, 0.5)  # the base config's vectors are built and cached
+        basic_reproduction_number(cfg)  # and so are its terms at prevalence 0
         p = rng.uniform(0.0, 1.0, cfg.n + 1)
         p[0] = 0.0
         for changes in ({"mu": cfg.mu * 3.0}, {"p": p}, {"delta": cfg.delta + 0.5}, {"omega": cfg.omega * 0.5},
@@ -103,6 +123,7 @@ def test_replaced_configs_never_see_stale_prepared_vectors():
                                         for key in ("n", "beta", "delta", "mu", "r", "omega", "p")})
             assert same_bits(changed._outflow, expected._outflow)
             assert same_bits(changed._chain, expected._chain)
+            assert_profile0_as_spelled_out(changed)
         assert_as_spelled_out(cfg, rng)
 
 
@@ -134,9 +155,50 @@ def test_unit_rates_are_computed_once_per_analysis(monkeypatch, pertussis):
 
 
 def test_prepared_vectors_are_read_only(pertussis):
-    for vector in (pertussis._outflow, pertussis._chain):
+    for vector in (pertussis._outflow, pertussis._chain, pertussis._profile0[1]):
         with pytest.raises(ValueError):
             vector[0] = 1.0
+
+
+def test_profiles_at_prevalence_0_are_fresh_arrays(pertussis):
+    # the steady profile at 0 is formed from the prepared w, never a view of it
+    for profile in (solve_susceptible_block(pertussis, 0.0), basic_reproduction_number(pertussis).dfe.s):
+        assert profile.flags.writeable and not np.shares_memory(profile, pertussis._profile0[1])
+    assert same_bits(solve_susceptible_block(pertussis, 0.0), spelled_out_susceptible_block(pertussis, 0.0))
+
+
+def zero_prevalence_products(monkeypatch) -> list:
+    """The configuration of each forming of the prefix product ``w`` at
+    prevalence 0: a build of the prepared terms, or a ``tier_weights`` call
+    at 0."""
+    formed = builds_of(monkeypatch, "_profile0")
+    original = dfe.tier_weights
+
+    def counted(config, prevalence=0.0):
+        if prevalence == 0.0:
+            formed.append(config)
+        return original(config, prevalence)
+
+    monkeypatch.setattr(dfe, "tier_weights", counted)
+    return formed
+
+
+def test_an_analysis_forms_the_zero_prevalence_product_once(monkeypatch, pertussis):
+    formed = zero_prevalence_products(monkeypatch)
+    for cfg in (pertussis.replace(mu=0.03), pertussis.replace(delta=0.25)):  # sub- and supercritical
+        report = analyze_config(cfg)
+        assert formed == [cfg]
+        formed.clear()
+    assert report["endemic"] is not None
+
+
+def test_an_endemic_sweep_point_forms_the_zero_prevalence_product_once(monkeypatch, pertussis):
+    formed = zero_prevalence_products(monkeypatch)
+    spec = SweepSpec(base_config=pertussis, parameter="delta", grid=np.array([0.1, 0.2, 0.25, 0.3]),
+                     observable="endemic_I")
+    result = sweep(spec)
+    assert [point.classification for point in result.points] == ["dfe_stable", "dfe_stable", "endemic", "endemic"]
+    assert [cfg.delta for cfg in formed] == [0.1, 0.2, 0.25, 0.3]
 
 
 def builds_of(monkeypatch, name: str) -> list:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import io
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -223,6 +224,32 @@ class TestIngest:
     def test_file_object_input(self):
         ts = ingest_timeseries(io.StringIO("year,prevalence\n2000,0.25\n"))
         assert ts.prevalence[0] == 0.25
+
+    # line 1 a comment, 3 blank, 4 the header, 6 a comment; rows from line 5
+    LINES = ["# survey", "", "  ", "year,cases,population", '  1990,"25", 1000 ', "# mid", "1991,30,1000"]
+
+    @pytest.mark.parametrize("lineno, row, message", [
+        (5, "1990,abc,1000", "could not convert string to float"),
+        (5, "1990,25", "expected 3 fields, got 2"),
+        (7, "1991,30,0", "population must be positive"),
+        (7, "1991,3000,1000", "prevalence 3.0 outside"),
+        (5, '1990,"25,1000', "a quoted field is not closed on its line"),
+    ], ids=["float", "fields", "population", "range", "open-quote"])
+    def test_every_error_names_its_line(self, lineno, row, message):
+        lines = list(self.LINES)
+        lines[lineno - 1] = row
+        with pytest.raises(TimeSeriesError, match=f"^line {lineno}: {message}"):
+            ingest_timeseries("\n".join(lines) + "\n")
+
+    def test_one_reader_over_the_file(self, monkeypatch, tmp_path):
+        readers = []
+        reader = scanfit.csv.reader
+        monkeypatch.setattr(scanfit, "csv", SimpleNamespace(reader=lambda lines: readers.append(lines) or reader(lines)))
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(self.LINES) + "\n")
+        ts = ingest_timeseries(str(path))
+        assert ts.years.tolist() == [1990, 1991] and ts.prevalence.tolist() == [0.025, 0.03]
+        assert len(readers) == 1
 
 
 FIT_TRUTH = build_general(2, (1.2, 2.0, 3.6), 0.08, 0.25, 1.1, 1.5, (0.0, 0.1, 0.5))
