@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelConfig, _tier_outflow, diagonal_coefficients
+from .model import ModelConfig, _profile_terms_of, _tier_outflow, diagonal_coefficients
 
 __all__ = [
     "DfeSolution",
@@ -71,19 +71,16 @@ def tier_weights(config: ModelConfig, prevalence=0.0) -> tuple[np.ndarray, np.nd
     is at most ``1/mu``, so no partial product overflows at any ``n``.
     """
     ad = _tier_outflow(config, prevalence)
-    return ad, (config._chain / ad).cumprod()
+    return ad, _profile_terms_of(config, ad)[1]
 
 
 def _profile_terms(config: ModelConfig, x):
-    """``(|d_n|, w, sum(w), beta . w)`` with the :func:`tier_weights` ``w``:
-    Python floats and the vector ``w``, which spares the root search NumPy's
-    scalar arithmetic.  At the float 0.0 (or -0.0, the same terms) they are
+    """``(|d_n|, w, sum(w), beta . w)`` with the :func:`tier_weights` ``w`` at
+    prevalence ``x``.  At the float 0.0 (or -0.0, the same terms) they are
     the configuration's prepared ``_profile0``, with ``w`` read-only."""
     if type(x) is float and x == 0.0:
         return config._profile0
-    ad, w = tier_weights(config, x)
-    # np.add.reduce is the pairwise sum of w.sum(), without its Python wrapper
-    return float(ad[-1]), w, float(np.add.reduce(w)), float(w @ config.beta)
+    return _profile_terms_of(config, _tier_outflow(config, x))
 
 
 def _steady_profile(config: ModelConfig, prevalence=0.0) -> np.ndarray:

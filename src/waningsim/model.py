@@ -103,7 +103,8 @@ class ModelConfig:
     def _digest(self) -> str:
         """:func:`config_digest`, computed once per object, whose fields never
         change."""
-        return hashlib.sha256(_canonical_json(self).encode()).hexdigest()
+        canonical = json.dumps(config_to_dict(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
     @cached_property
     def _outflow(self) -> np.ndarray:
@@ -126,8 +127,8 @@ class ModelConfig:
         once per configuration for R0, the existence test and the root
         search.  At prevalence 0 the outflow is :attr:`_outflow` itself, bit
         for bit (``beta_i 0`` is 0.0, and adding 0.0 changes no positive sum)."""
-        w = _frozen((self._chain / self._outflow).cumprod())
-        return float(self._outflow[-1]), w, float(np.add.reduce(w)), float(w @ self.beta)
+        ad_n, w, total, beta_dot_w = _profile_terms_of(self, self._outflow)
+        return ad_n, _frozen(w), total, beta_dot_w
 
     @cached_property
     def _unit_rates(self) -> tuple[int, tuple[float, ...]]:
@@ -432,6 +433,16 @@ def _tier_outflow(config: ModelConfig, prevalence) -> np.ndarray:
     raise ValueError(f"prevalence must be finite and >= 0, got {prevalence!r}")
 
 
+def _profile_terms_of(config: ModelConfig, ad: np.ndarray) -> tuple[float, np.ndarray, float, float]:
+    """``(|d_n|, w, sum(w), beta . w)`` for the outflow magnitudes ``ad`` of
+    one prevalence, with ``w`` the prefix product of :func:`waningsim.dfe.tier_weights`:
+    Python floats and the vector ``w``, which spares the root search NumPy's
+    scalar arithmetic."""
+    w = (config._chain / ad).cumprod()
+    # np.add.reduce is the pairwise sum of w.sum(), without its Python wrapper
+    return float(ad[-1]), w, float(np.add.reduce(w)), float(w @ config.beta)
+
+
 def diagonal_coefficients(config: ModelConfig, prevalence) -> np.ndarray:
     """Per-tier total outflow coefficients ``-(delta_i + omega_i + mu + beta_i * I)``.
 
@@ -509,33 +520,6 @@ def json_number(name: str, value) -> float:
 
 def config_to_json(config: ModelConfig, indent: int | None = 2) -> str:
     return json.dumps(config_to_dict(config), indent=indent)
-
-
-# from this n on, one call of the compiled float formatter writes beta and p
-# faster than Python's join (n = 8: 15 against 14 us; n = 16: 17 against
-# 23 us; n = 64: 27 against 83 us)
-_FORMATTED_N = 12
-
-
-def _canonical_json(config: ModelConfig) -> str:
-    """``json.dumps(config_to_dict(config), sort_keys=True, separators=(",",
-    ":"))``, written directly: every float of a validated configuration is
-    finite, and ``json.dumps`` writes a finite float as ``float.__repr__``
-    does.  From ``n = _FORMATTED_N`` on, when the kernel's C library is
-    loaded, one call of its float formatter writes ``beta`` and ``p``; the
-    kernel module loads with every command, and a large configuration
-    hashed without it loads it here."""
-    r = float.__repr__
-    between = f'],"delta":{r(config.delta)},"mu":{r(config.mu)},"n":{config.n},"omega":{r(config.omega)},"p":['
-    floats = None
-    if config.n >= _FORMATTED_N:
-        from .stepper import format_floats
-
-        if format_floats is not None:
-            floats = format_floats(np.concatenate((config.beta, config.p)), config.n + 1, ",", between)
-    if floats is None:
-        floats = ",".join(map(r, config.beta.tolist())) + between + ",".join(map(r, config.p.tolist()))
-    return f'{{"beta":[{floats}],"r":{r(config.r)}}}'
 
 
 def config_digest(config: ModelConfig) -> str:

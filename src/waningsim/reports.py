@@ -148,40 +148,21 @@ def _float_array(a: np.ndarray, level: str) -> str | None:
 
 def _encode(value, level: str) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it at nesting
-    ``level`` (the indent of its own line), non-finite floats as ``null``.
-
-    The exact types of a report (float, str, dict, list) are told by
-    identity; any other value takes json's ``isinstance`` order, which
-    writes a subclass as its base type and a bool before an int."""
-    kind = type(value)
-    if kind is not float and kind is not str and kind is not dict and kind is not list:
-        if isinstance(value, float):
-            kind = float
-        elif isinstance(value, str):
-            kind = str
-        elif value is None:
-            return "null"
-        elif value is True:
-            return "true"
-        elif value is False:
-            return "false"
-        elif isinstance(value, int):
-            return int.__repr__(value)
-        elif isinstance(value, dict):
-            kind = dict
-        elif isinstance(value, np.ndarray):
-            text = _float_array(value, level)
-            return _encode(value.tolist(), level) if text is None else text
-        elif isinstance(value, (list, tuple)):
-            kind = list
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if kind is float:
+    ``level`` (the indent of its own line), non-finite floats as ``null``."""
+    if isinstance(value, float):
         return float.__repr__(value) if math.isfinite(value) else "null"
-    if kind is str:
+    if isinstance(value, str):
         return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     inner = level + "  "
-    if kind is dict:
+    if isinstance(value, dict):
         if not value:
             return "{}"
         items = []
@@ -190,20 +171,25 @@ def _encode(value, level: str) -> str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             items.append(f"{encode_basestring_ascii(key)}: {_encode(item, inner)}")
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + level + "}"
-    if not value:
-        return "[]"
-    if stepper.format_floats is not None and len(value) >= SHORT_RUN and set(map(type, value)) == {float}:
-        text = _float_array(np.array(value), level)
-        if text is not None:
-            return text
-    sep = ",\n" + inner
-    try:  # fast path: a list of floats
-        body = sep.join(map(float.__repr__, value))
-    except TypeError:  # an element is not a float
-        body = None
-    if body is None or "n" in body:  # the "n" of nan or inf: each element on its own
-        body = sep.join([_encode(item, inner) for item in value])
-    return "[\n" + inner + body + "\n" + level + "]"
+    if isinstance(value, np.ndarray):
+        text = _float_array(value, level)
+        return _encode(value.tolist(), level) if text is None else text
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if stepper.format_floats is not None and len(value) >= SHORT_RUN and set(map(type, value)) == {float}:
+            text = _float_array(np.array(value), level)
+            if text is not None:
+                return text
+        sep = ",\n" + inner
+        try:  # fast path: a list of floats
+            body = sep.join(map(float.__repr__, value))
+        except TypeError:  # an element is not a float
+            body = None
+        if body is None or "n" in body:  # the "n" of nan or inf: each element on its own
+            body = sep.join([_encode(item, inner) for item in value])
+        return "[\n" + inner + body + "\n" + level + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def json_document(manifest: dict, data) -> str:

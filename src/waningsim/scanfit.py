@@ -243,7 +243,7 @@ def ingest_timeseries(source) -> TimeSeries:
     ``year,prevalence`` or ``year,cases,population`` (prevalence is then
     ``cases / population``).  Lines starting with ``#`` are comments.
     Malformed rows report their line number; a quoted field must close on
-    the line that opens it.
+    the line that opens it, before the next comma or the end of the line.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -255,12 +255,15 @@ def ingest_timeseries(source) -> TimeSeries:
 
     kept = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
             if (line := raw.strip()) and not line.startswith("#")]
-    reader = csv.reader([line for _, line in kept])
+    reader = csv.reader([line for _, line in kept], strict=True)
     rows = []
     header = None
-    for k, cells in enumerate(reader):
-        lineno, line = kept[k]
-        if reader.line_num != k + 1:  # the row ran on into the next line
+    for k, (lineno, line) in enumerate(kept, start=1):
+        try:
+            cells = next(reader)
+        except csv.Error as exc:  # a quote still open at the end of the text, or text after a closing quote
+            raise TimeSeriesError(f"line {lineno}: {exc}") from exc
+        if reader.line_num != k:  # the row ran on into a later line
             raise TimeSeriesError(f"line {lineno}: a quoted field is not closed on its line")
         cells = [c.strip() for c in cells]
         if header is None:

@@ -6,8 +6,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import pickle
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,18 +354,18 @@ class TestConfigJson:
         assert config_digest(changed) != digest
         assert config_digest(changed.replace(mu=pertussis.mu)) == digest
 
-
-    @pytest.mark.parametrize("n", [1, 2, model._FORMATTED_N - 1, model._FORMATTED_N, 64, 512])
-    def test_digest_hashes_the_canonical_json_at_every_size(self, n):
-        # rates across the double range, subnormal ones included: the
-        # canonical text is written directly, by Python's join below
-        # _FORMATTED_N and by the compiled formatter, where loaded, above
-        rng = np.random.default_rng(n)
-        p = np.minimum(rng.uniform(0, 1, n + 1) * 10.0 ** rng.uniform(-320, 0, n + 1), 1.0)
-        p[0] = 0.0
-        cfg = build_general(n, np.sort(10.0 ** rng.uniform(-300, 300, n + 1)), 1e-310, 1e-300, 5e-324, 1e300, p)
-        canonical = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
-        assert config_digest(cfg) == hashlib.sha256(canonical.encode()).hexdigest()
+    def test_hashing_a_configuration_loads_no_kernel(self):
+        # the model layer digests in Python: a configuration of any size put
+        # in a set loads neither the compiled kernel nor a compiler process
+        script = ("import sys, numpy as np; from waningsim.model import build_general, config_digest; "
+                  "cfg = build_general(64, np.linspace(1.0, 2.0, 65), 0.1, 0.02, 1.0, 0.5, np.r_[0.0, np.full(64, 0.5)]); "
+                  "{cfg}; config_digest(cfg); "
+                  "print(sorted(set(sys.modules) & {'waningsim.stepper', 'subprocess'}))")
+        src = str(Path(model.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestConfigEquality:

@@ -169,17 +169,18 @@ def test_profiles_at_prevalence_0_are_fresh_arrays(pertussis):
 
 def zero_prevalence_products(monkeypatch) -> list:
     """The configuration of each forming of the prefix product ``w`` at
-    prevalence 0: a build of the prepared terms, or a ``tier_weights`` call
-    at 0."""
+    prevalence 0: a build of the prepared terms, or an outflow at 0 formed
+    in :mod:`waningsim.dfe`, from which ``tier_weights`` and
+    ``_profile_terms`` form ``w``."""
     formed = builds_of(monkeypatch, "_profile0")
-    original = dfe.tier_weights
+    original = dfe._tier_outflow
 
-    def counted(config, prevalence=0.0):
+    def counted(config, prevalence):
         if prevalence == 0.0:
             formed.append(config)
         return original(config, prevalence)
 
-    monkeypatch.setattr(dfe, "tier_weights", counted)
+    monkeypatch.setattr(dfe, "_tier_outflow", counted)
     return formed
 
 

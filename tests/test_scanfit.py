@@ -233,18 +233,28 @@ class TestIngest:
         (5, "1990,25", "expected 3 fields, got 2"),
         (7, "1991,30,0", "population must be positive"),
         (7, "1991,3000,1000", "prevalence 3.0 outside"),
-        (5, '1990,"25,1000', "a quoted field is not closed on its line"),
-    ], ids=["float", "fields", "population", "range", "open-quote"])
+        (5, '1990,"25,1000', "unexpected end of data"),
+        (7, '1991,"30,1000', "unexpected end of data"),
+        (7, '1991,"30"0,1000', "',' expected after '\"'"),
+    ], ids=["float", "fields", "population", "range", "open-quote", "open-quote-last-line", "after-quote"])
     def test_every_error_names_its_line(self, lineno, row, message):
         lines = list(self.LINES)
         lines[lineno - 1] = row
         with pytest.raises(TimeSeriesError, match=f"^line {lineno}: {message}"):
             ingest_timeseries("\n".join(lines) + "\n")
 
+    def test_a_quote_closed_on_a_later_line_names_the_line_that_opens_it(self):
+        lines = list(self.LINES)
+        lines[4], lines[6] = '1990,"25', '1991",30,1000'
+        with pytest.raises(TimeSeriesError, match="^line 5: a quoted field is not closed on its line"):
+            ingest_timeseries("\n".join(lines) + "\n")
+
     def test_one_reader_over_the_file(self, monkeypatch, tmp_path):
         readers = []
         reader = scanfit.csv.reader
-        monkeypatch.setattr(scanfit, "csv", SimpleNamespace(reader=lambda lines: readers.append(lines) or reader(lines)))
+        counted = SimpleNamespace(reader=lambda lines, **options: readers.append(lines) or reader(lines, **options),
+                                  Error=scanfit.csv.Error)
+        monkeypatch.setattr(scanfit, "csv", counted)
         path = tmp_path / "data.csv"
         path.write_text("\n".join(self.LINES) + "\n")
         ts = ingest_timeseries(str(path))
