@@ -65,7 +65,6 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 SAFETY = 0.9
 TINY = float(np.finfo(float).tiny)  # the smallest normal double, 2.2250738585072014e-308
-H_FLOOR = 1e3 * TINY
 H_START = 16.0 * math.ulp(1.0)  # 2**-48, the floor of the first step's bounds
 
 
@@ -138,7 +137,6 @@ def integrate_core(
     while t < t_end:
         if n_accepted + n_rejected >= max_steps:
             return _finish(times, states, STATUS_MAX_STEPS, n_accepted, n_rejected, t)
-        h = max(h, H_FLOOR)
         if h < 16.0 * math.ulp(max(abs(t), 1.0)):
             return _finish(times, states, STATUS_UNDERFLOW, n_accepted, n_rejected, t)
 

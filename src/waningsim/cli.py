@@ -37,7 +37,7 @@ import numpy as np
 
 from .dfe import NonFiniteThresholdError, basic_reproduction_number, solve_dfe_closed_form, solve_dfe_numeric
 from .dynamics import IntegrationError, integrate
-from .model import ConfigError, config_from_dict, epidemic_start, json_number, load_config
+from .model import ConfigError, _parse_json, config_from_dict, epidemic_start, json_number, load_config
 from .reports import analyze_config, build_manifest, json_document
 
 EXIT_OK = 0
@@ -104,10 +104,7 @@ def _load_sweep_spec(path: str) -> SweepSpec:
     from .scanfit import SweepSpec
 
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        raw = _parse_json(fh.read())
     if not isinstance(raw, dict):
         raise ConfigError("sweep spec must be a JSON object")
     unknown = sorted(set(raw) - {"config", "parameter", "grid", "observable", "t_end"})

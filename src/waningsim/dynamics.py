@@ -150,8 +150,8 @@ def _run_kernel(config: ModelConfig, y0, rtol, atol, targets, max_steps, stop_at
     """
     if not (math.isfinite(rtol) and math.isfinite(atol) and rtol >= 0 and atol >= 0) or rtol == atol == 0:
         raise ValueError(f"rtol and atol must be finite, >= 0 and not both 0, got rtol={rtol}, atol={atol}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if not 1 <= max_steps < 2**63:  # the compiled kernel takes an int64
+        raise ValueError(f"max_steps must be >= 1 and < 2**63, got {max_steps}")
     times, states, status, n_acc, n_rej, t_reached = stepper.integrate_core(
         config.beta,
         config.omega_i,

@@ -197,7 +197,10 @@ def _validated(n: int, fields: dict) -> dict:
     out = {}
     for name in ("beta", "p"):
         if name in fields:
-            a = np.array(fields[name], dtype=float)
+            try:
+                a = np.array(fields[name], dtype=float)
+            except OverflowError:  # an integer beyond the double range
+                raise ConfigError(f"{name} entries must be finite, got an integer beyond the double range") from None
             if a.shape != (n + 1,):
                 raise ConfigError(f"{name} must have length n+1={n + 1}, got shape {a.shape}")
             a += 0.0
@@ -511,11 +514,15 @@ def config_from_dict(data: dict) -> ModelConfig:
 
 
 def json_number(name: str, value) -> float:
-    """``value`` as a float if it is a JSON number, else a :class:`ConfigError`
-    naming the field ``name``.  A bool or a numeric string is not a number."""
+    """``value`` as a float if it is a JSON number in the double range, else
+    a :class:`ConfigError` naming the field ``name``.  A bool or a numeric
+    string is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the double range
+        raise ConfigError(f"{name} must be finite, got an integer beyond the double range") from None
 
 
 def config_to_json(config: ModelConfig, indent: int | None = 2) -> str:
@@ -527,12 +534,28 @@ def config_digest(config: ModelConfig) -> str:
     return config._digest
 
 
-def config_from_json(text: str) -> ModelConfig:
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members; a key given twice would silently keep its
+    last value, so it is a :class:`ConfigError` naming the key."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise ConfigError(f"duplicate key {key!r}")
+        members[key] = value
+    return members
+
+
+def _parse_json(text: str):
+    """``text`` parsed as the JSON of a config or a sweep spec: a malformed
+    document or a repeated key is a :class:`ConfigError`."""
     try:
-        data = json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return config_from_dict(data)
+
+
+def config_from_json(text: str) -> ModelConfig:
+    return config_from_dict(_parse_json(text))
 
 
 def load_config(path) -> ModelConfig:

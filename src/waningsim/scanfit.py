@@ -230,7 +230,7 @@ class TimeSeries:
         object.__setattr__(self, "prevalence", np.asarray(self.prevalence, dtype=float))
         if self.years.size != self.prevalence.size or self.years.size == 0:
             raise TimeSeriesError("years and prevalence must be matching non-empty vectors")
-        if np.any(np.diff(self.years) <= 0):
+        if (self.years[1:] <= self.years[:-1]).any():  # a difference of int64 years can wrap
             raise TimeSeriesError("years must be strictly increasing")
         if np.any(self.prevalence < 0) or np.any(self.prevalence > 1):
             raise TimeSeriesError("prevalence must lie in [0, 1]")
@@ -289,6 +289,10 @@ def ingest_timeseries(source) -> TimeSeries:
             value = numbers[0]
         if not 0.0 <= value <= 1.0:
             raise TimeSeriesError(f"line {lineno}: prevalence {value!r} outside [0, 1]")
+        if not -2**63 <= year < 2**63:  # years are held as int64
+            raise TimeSeriesError(f"line {lineno}: year {year} outside the 64-bit integer range")
+        if rows and year <= rows[-1][0]:
+            raise TimeSeriesError(f"line {lineno}: years must be strictly increasing, got {year} after {rows[-1][0]}")
         rows.append((year, value))
     if header is None or not rows:
         raise TimeSeriesError("no data rows found")
@@ -715,8 +719,9 @@ def fit(
 
     Raises:
         ConfigError: when the start point itself fails to integrate or to
-            form a valid configuration, or a bound is not finite or not
-            below its upper bound.
+            form a valid configuration, a bound is not finite or not below
+            its upper bound, or the start year comes after the first
+            observation year or more than ``2**63 - 1`` years before the last.
     """
     opts = options or FitOptions()
     names = list(free_parameters)
@@ -729,7 +734,12 @@ def fit(
     hi = np.array([b[1] for b in box], dtype=float)
     if not (np.isfinite(lo) & np.isfinite(hi) & (lo < hi)).all():
         raise ConfigError(f"fit bounds must be finite with lower < upper, got {box}")
-    start_year = opts.start_year if opts.start_year is not None else int(timeseries.years[0]) - 1
+    first, last = int(timeseries.years[0]), int(timeseries.years[-1])
+    start_year = opts.start_year if opts.start_year is not None else first - 1
+    # every observation time years - start_year + 1 is positive, and the
+    # int64 difference cannot wrap
+    if not (start_year <= first and last - start_year < 2**63):
+        raise ConfigError(f"start year must lie in [{last - 2**63 + 1}, {first}], got {start_year}")
 
     defaults = {
         "beta_scale": 1.0,

@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import waningsim
 from waningsim.data import pertussis_config
 from waningsim.model import ModelConfig, build_general
+
+
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports the same waningsim
+    as the tests, wherever that lives, and fails on a RuntimeWarning as
+    pytest's filterwarnings makes the tests' own process fail."""
+    src = str(Path(waningsim.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                PYTHONWARNINGS="error::RuntimeWarning")
 
 
 def random_config(

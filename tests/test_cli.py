@@ -14,14 +14,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import waningsim
 from waningsim import cli, dfe, model, stepper
 from waningsim.cli import build_parser, main
 from waningsim.dfe import susceptible_block_matrix
 from waningsim.model import build_general, config_digest, config_to_json
-from waningsim.scanfit import simulate_annual_prevalence
+from waningsim.scanfit import simulate_annual_prevalence, substitute_parameter
 
-from conftest import tiny_rate_configs
+from conftest import child_env, tiny_rate_configs
 
 ENDEMIC_CFG = build_general(2, (1.5, 2.0, 4.0), 0.02, 0.3, 1.2, 2.0, (0.0, 0.1, 0.5))
 # with mu = 1e-300, every product in the small-waning existence margin is subnormal
@@ -111,6 +110,13 @@ class TestSimulate:
         ("beta", [1.5, "2", 4.0], "beta[1] must be a number, got '2'"),
         ("p", [False, 0.1, 0.5], "p[0] must be a number, got False"),
         ("p", {"0": 0.0}, "p must be a list of numbers"),
+        # integer literals beyond the double range
+        pytest.param("delta", 10**400, "delta must be finite, got an integer beyond the double range",
+                     id="delta-huge-integer"),
+        pytest.param("beta", [10**400, 2.0, 4.0], "beta entries must be finite, got an integer beyond the double range",
+                     id="beta-huge-integer"),
+        pytest.param("p", [0, 10**400, 0.5], "p entries must be finite, got an integer beyond the double range",
+                     id="p-huge-integer"),
     ])
     def test_wrongly_typed_config_field_exits_2(self, tmp_path, capsys, field, value, message):
         cfg = json.loads(config_to_json(ENDEMIC_CFG))
@@ -119,6 +125,20 @@ class TestSimulate:
         path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(path), "--t-end", "5"]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_duplicate_config_key_exits_2(self, tmp_path, capsys, pertussis):
+        # the last delta would give R0 5.30; the first, 0.979
+        path = tmp_path / "twice.json"
+        path.write_text(config_to_json(pertussis)[:-2] + ',\n  "delta": 5.0\n}')
+        out = tmp_path / "r0.json"
+        assert main(["r0", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: duplicate key 'delta'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("max_steps", [str(2**63), str(2**64 + 1)])
+    def test_step_budget_beyond_int64_exits_2(self, endemic_config_path, capsys, max_steps):
+        assert main(["simulate", "--config", endemic_config_path, "--t-end", "5", "--max-steps", max_steps]) == 2
+        assert f"max_steps must be >= 1 and < 2**63, got {max_steps}" in capsys.readouterr().err
 
     def test_nan_horizon_exits_2(self, endemic_config_path, capsys):
         assert main(["simulate", "--config", endemic_config_path, "--t-end", "nan"]) == 2
@@ -519,10 +539,26 @@ class TestSweep:
         ({"grid": {"start": 0.0, "stop": 0.5, "num": True}}, "grid num must be an integer, got True"),
         ({"grid": "0:1"}, "grid must be a list of numbers or an object"),
         ({"config": dict(json.loads(config_to_json(ENDEMIC_CFG)), r=None)}, "r must be a number, got None"),
+        ({"grid": [0.1, 10**400]}, "grid[1] must be finite, got an integer beyond the double range"),
+        ({"grid": {"start": 0, "stop": -10**400, "num": 3}},
+         "grid stop must be finite, got an integer beyond the double range"),
+        ({"t_end": 10**400}, "t_end must be finite, got an integer beyond the double range"),
     ])
     def test_wrongly_typed_spec_field_exits_2(self, tmp_path, capsys, overrides, message):
         assert main(["sweep", "--spec", self.write_spec(tmp_path, **overrides)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("member, twice", [
+        ('"observable"', '"grid": [0.2, 0.3], "observable"'),
+        ('"num": 11', '"num": 3, "num": 11'),
+        ('"delta": ', '"delta": 0.5, "delta": '),
+    ], ids=["grid", "num", "config-delta"])
+    def test_duplicate_spec_key_exits_2(self, tmp_path, capsys, member, twice):
+        path = Path(self.write_spec(tmp_path))
+        path.write_text(path.read_text().replace(member, twice, 1))
+        assert main(["sweep", "--spec", str(path)]) == 2
+        key = twice.split('"')[1]
+        assert capsys.readouterr().err == f"error: duplicate key {key!r}\n"
 
     @pytest.mark.parametrize("grid, message", [
         ({"start": 0.1, "stop": 0.3, "num": 3, "endpoint": False}, "unknown grid keys: endpoint"),
@@ -550,6 +586,24 @@ class TestSweep:
         assert main(["sweep", "--spec", self.write_spec(tmp_path), "--jobs", jobs, "--out", str(out)]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_max_real_part_across_r0_one_is_the_closed_form(self, tmp_path, capsys, pertussis):
+        # beta0 from 0 to 20 takes the bundled config across R0 = 1 (at beta0 = 9.37)
+        spec = self.write_spec(tmp_path, config=json.loads(config_to_json(pertussis)), parameter="beta0",
+                               grid={"start": 0.0, "stop": 20.0, "num": 41}, observable="max_real_part")
+        assert main(["sweep", "--spec", spec, "--format", "json"]) == 0
+        points = json.loads(capsys.readouterr().out)["data"]["points"]
+        labels = []
+        for point in points:
+            cfg = substitute_parameter(pertussis, "beta0", point["value"])
+            r0 = dfe.basic_reproduction_number(cfg)
+            label = "endemic" if r0.r0 > 1.0 else "dfe_stable"
+            assert repr(point["observable"]) == repr(max(r0.threshold_sum - (cfg.r + cfg.mu), -cfg.mu)), point
+            assert point["error"] is None and point["classification"] == label, point
+            assert (point["observable"] > 0.0) == (label == "endemic"), point
+            labels.append(label)
+        flip = labels.index("endemic")
+        assert flip > 0 and labels == ["dfe_stable"] * flip + ["endemic"] * (len(points) - flip), labels
 
     def test_json_is_strict_rfc_8259(self, tmp_path, capsys):
         # a negative waning rate is a per-point error whose observable is NaN
@@ -602,6 +656,17 @@ class TestFit:
         assert main(["fit", "--config", config_path, "--data", str(synthetic_prevalence_path()),
                      "--free", free]) == 2
         assert repr(free.split(",")[-1]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start_year", [str(10**30), str(-10**30), "2001"],
+                             ids=["huge", "huge-negative", "after-the-first-year"])
+    def test_start_year_outside_its_range_exits_2(self, config_path, capsys, start_year):
+        # the shipped data's years run from 2000 to 2024
+        from waningsim.data import synthetic_prevalence_path
+
+        assert main(["fit", "--config", config_path, "--data", str(synthetic_prevalence_path()),
+                     f"--start-year={start_year}"]) == 2
+        assert capsys.readouterr().err == (f"error: start year must lie in [{2024 - 2**63 + 1}, 2000], "
+                                           f"got {start_year}\n")
 
     def test_start_point_that_fails_exits_2(self, config_path, monkeypatch, capsys):
         from waningsim import scanfit
@@ -783,7 +848,10 @@ class TestArgumentDispatch:
 
 class TestRerunsDifferOnlyInManifest:
     """Every command run twice on the same inputs writes the same bytes
-    outside its manifest, and the manifest names the kernel."""
+    outside its manifest, and the manifest names the kernel.  A third run
+    with the Python writers (``stepper.format_floats`` set to ``None``, as
+    without the compiled library) writes those bytes too, and every JSON
+    artifact is strict JSON."""
 
     @staticmethod
     def split(text: str):
@@ -798,20 +866,24 @@ class TestRerunsDifferOnlyInManifest:
         ["simulate", "--format", "json"], ["simulate", "--format", "csv"], ["analyze"], ["sweep"],
         ["sweep", "--format", "json"], ["fit"], ["dfe"], ["r0"],
     ], ids=lambda words: "-".join(words).replace("--format-", ""))
-    def test_two_runs(self, inputs, command):
+    def test_two_runs(self, inputs, command, monkeypatch):
         files = {"simulate": ["--config", inputs["config"], "--t-end", "30"],
                  "fit": ["--config", inputs["template"], "--data", inputs["data"], "--i0", "1e-4", "--free", "omega",
                          "--start-year", "1999", "--max-iterations", "5", "--restarts", "0"],
                  "sweep": ["--spec", inputs["spec"]]}.get(command[0], ["--config", inputs["config"]])
         texts = []
-        for run in (1, 2):
+        for run in (1, 2, 3):
+            if run == 3:
+                monkeypatch.setattr(stepper, "format_floats", None)
             out = inputs["dir"] / f"run{run}"
             assert main(command[:1] + files + command[1:] + ["--out", str(out)]) == 0
             texts.append(out.read_text())
-        (rest1, manifest1), (rest2, manifest2) = map(self.split, texts)
-        assert rest1 == rest2
+        (rest1, manifest1), (rest2, manifest2), (python_rest, _) = map(self.split, texts)
+        assert rest1 == rest2 == python_rest
         assert manifest1["kernel"] == manifest2["kernel"] == stepper.active_kernel()
         assert manifest1["run_key"] == manifest2["run_key"]
+        if texts[0].startswith("{"):
+            json.loads(texts[0], parse_constant=pytest.fail)
 
 
 # runs the commands given as JSON in a fresh interpreter, with every import
@@ -861,10 +933,8 @@ class TestWithoutScipy:
         for argv in commands:
             assert main(argv) == 0
             expected.append(TestRerunsDifferOnlyInManifest.split(Path(argv[-1]).read_text())[0])
-        src = str(Path(waningsim.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, mode, json.dumps(commands)],
-                              capture_output=True, text=True, timeout=300, env=env)
+                              capture_output=True, text=True, timeout=300, env=child_env())
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["codes"] == [0] * len(commands), proc.stderr
@@ -901,10 +971,8 @@ class TestImportBoundary:
 
     def run(self, argv) -> list:
         """The watched modules loaded after ``argv`` ran in a fresh interpreter."""
-        src = str(Path(waningsim.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, json.dumps(self.WATCHED), json.dumps(argv)],
-                              capture_output=True, text=True, timeout=300, env=env)
+                              capture_output=True, text=True, timeout=300, env=child_env())
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report.get("code", 0) == 0, proc.stderr
@@ -977,15 +1045,12 @@ class TestManifestOptions:
 
 
 def test_module_entry_point_smoke(config_path):
-    # the child imports the same waningsim as this test, wherever that lives
-    src = str(Path(waningsim.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "waningsim", "r0", "--config", config_path],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -1030,7 +1095,8 @@ class TestRatesNearTheBottomOfTheDoubleRange:
 
 class TestFitStartPrevalence:
     @pytest.mark.parametrize("i0", ["0", "1", "2", "-1", "nan", "inf"])
-    def test_i0_outside_the_unit_interval_exits_2_before_the_search(self, config_path, monkeypatch, capsys, i0):
+    def test_i0_outside_the_unit_interval_exits_2_before_the_search(self, tmp_path, config_path, monkeypatch, capsys,
+                                                                      i0):
         from waningsim import scanfit
         from waningsim.data import synthetic_prevalence_path
 
@@ -1038,5 +1104,8 @@ class TestFitStartPrevalence:
             raise AssertionError("the search started")
 
         monkeypatch.setattr(scanfit, "simulate_annual_prevalence", never)
-        assert main(["fit", "--config", config_path, "--data", str(synthetic_prevalence_path()), "--i0", i0]) == 2
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--config", config_path, "--data", str(synthetic_prevalence_path()), "--i0", i0,
+                     "--out", str(out)]) == 2
         assert "i0 must be finite and in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()

@@ -5,7 +5,10 @@ from __future__ import annotations
 import functools
 import importlib
 import shlex
+import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +39,14 @@ def run_kernel(impl, cfg, t_end=50.0):
         1_000_000,
         False,
     )
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not on PATH")
+def test_compiled_source_has_no_warnings():
+    source = Path(stepper.__file__).with_name("_stepper.c")
+    proc = subprocess.run(["gcc", "-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-fsyntax-only", str(source)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_python_rhs_matches_vector_field():
@@ -179,6 +190,17 @@ def test_times_below_the_least_step_are_reached(monkeypatch, pertussis, t_end, t
     for run in runs.values():
         assert run.times[-1] == t_end and run.terminal_status == runs["python"].terminal_status
         np.testing.assert_allclose(run.final_state, runs["python"].final_state, rtol=1e-7, atol=1e-10)
+
+
+@pytest.mark.parametrize("max_steps", [2**63, 2**64 + 1])
+def test_step_budget_beyond_int64_is_rejected(monkeypatch, max_steps):
+    # the compiled kernel's int64 argument would wrap: 2**63 to a negative
+    # budget, 2**64 + 1 to 1
+    for name, impl in stepper.kernels().items():
+        monkeypatch.setattr(stepper, "integrate_core", impl.integrate_core)
+        with pytest.raises(ValueError, match=r"max_steps must be >= 1 and < 2\*\*63"):
+            integrate(CFG, epidemic_start(CFG), 5.0, max_steps=max_steps)
+        assert integrate(CFG, epidemic_start(CFG), 5.0, max_steps=2**63 - 1).times[-1] == 5.0, name
 
 
 def test_unusable_compiler_falls_back_to_python(monkeypatch, tmp_path):

@@ -6,11 +6,9 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +37,7 @@ from waningsim.model import (
 from waningsim.scanfit import FitResult, SweepSpec, TimeSeries
 from waningsim.stability import dfe_spectrum
 
-from conftest import random_config, random_simplex_state
+from conftest import child_env, random_config, random_simplex_state
 
 
 class TestBuilders:
@@ -361,9 +359,8 @@ class TestConfigJson:
                   "cfg = build_general(64, np.linspace(1.0, 2.0, 65), 0.1, 0.02, 1.0, 0.5, np.r_[0.0, np.full(64, 0.5)]); "
                   "{cfg}; config_digest(cfg); "
                   "print(sorted(set(sys.modules) & {'waningsim.stepper', 'subprocess'}))")
-        src = str(Path(model.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                              env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 

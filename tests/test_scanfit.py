@@ -236,12 +236,20 @@ class TestIngest:
         (5, '1990,"25,1000', "unexpected end of data"),
         (7, '1991,"30,1000', "unexpected end of data"),
         (7, '1991,"30"0,1000', "',' expected after '\"'"),
-    ], ids=["float", "fields", "population", "range", "open-quote", "open-quote-last-line", "after-quote"])
+        (7, f"{2**63},30,1000", f"year {2**63} outside the 64-bit integer range"),
+        (7, "1990,30,1000", "years must be strictly increasing, got 1990 after 1990"),
+    ], ids=["float", "fields", "population", "range", "open-quote", "open-quote-last-line", "after-quote",
+            "year-beyond-int64", "year-repeated"])
     def test_every_error_names_its_line(self, lineno, row, message):
         lines = list(self.LINES)
         lines[lineno - 1] = row
         with pytest.raises(TimeSeriesError, match=f"^line {lineno}: {message}"):
             ingest_timeseries("\n".join(lines) + "\n")
+
+    def test_years_a_full_int64_range_apart(self):
+        # their difference wraps in int64
+        ts = ingest_timeseries(f"year,prevalence\n{-2**63},0.1\n{2**63 - 1},0.2\n")
+        assert ts.years.tolist() == [-2**63, 2**63 - 1]
 
     def test_a_quote_closed_on_a_later_line_names_the_line_that_opens_it(self):
         lines = list(self.LINES)
