@@ -48,6 +48,9 @@ EXIT_INCONSISTENT = 4
 # parsed arguments that are not options of the run: the command itself and
 # the files it reads and writes
 _NOT_OPTIONS = ("command", "func", "config", "spec", "out")
+# the most points a sweep spec's grid object may ask for: each is one full
+# analysis or integration, and the grid is allocated before the first runs
+MAX_GRID_NUM = 1_000_000
 
 
 class InconsistentReportError(Exception):
@@ -61,6 +64,9 @@ def _free_parameters(text: str) -> list:
 def cmd_simulate(args):
     if args.samples < 0:
         raise ConfigError(f"--samples must be >= 0, got {args.samples}")
+    if args.samples > args.max_steps:
+        raise ConfigError(f"--samples {args.samples} exceeds --max-steps {args.max_steps}: "
+                          "each sample time costs at least one step")
     config = load_config(args.config)
     grid = np.linspace(0.0, args.t_end, args.samples + 1) if args.samples else None
     trajectory = integrate(
@@ -122,6 +128,8 @@ def _load_sweep_spec(path: str) -> SweepSpec:
                 raise ConfigError(f"grid num must be an integer, got {num!r}")
             if num < 2:
                 raise ConfigError(f"grid num must be >= 2, got {num}")
+            if num > MAX_GRID_NUM:
+                raise ConfigError(f"grid num must be <= {MAX_GRID_NUM}, got {num}")
             grid = np.linspace(json_number("grid start", grid_spec["start"]),
                                json_number("grid stop", grid_spec["stop"]), num)
         elif isinstance(grid_spec, list):

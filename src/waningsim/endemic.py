@@ -42,12 +42,13 @@ brackets the one root with no scan of ``[0, 1]``.
 
 With the waning rate set to zero the transmission function has an explicit
 rational form whose numerator is a monic quadratic ``Q(x) = x^2 + a x + b``;
-for small waning rates the true prevalence is trapped in intervals of width
-``O(sqrt(delta))`` around the roots of ``Q``: :func:`localize_endemic`'s
-perturbative prediction of where the root lies.  It works in the time unit
-of :func:`waningsim.model.unit_rates` (largest rate ``rho`` in ``[1/2,
-1)``): its products cannot overflow, and no answer but ``hat_c`` and the
-margin depends on the time unit.
+for small waning rates the true prevalence lies near a root of ``Q``.
+:func:`localize_endemic` reports those roots, the perturbative prediction of
+where the root lies, beside the existence margin; :func:`refine_endemic`
+finds the root itself.  The roots are formed in the time unit of
+:func:`waningsim.model.unit_rates` (largest rate ``rho`` in ``[1/2, 1)``):
+its products cannot overflow, and no answer but the margin depends on the
+time unit.
 """
 
 from __future__ import annotations
@@ -202,21 +203,18 @@ def prevalence_quadratic(config: ModelConfig) -> PrevalenceQuadratic:
 
 @dataclass(frozen=True)
 class LocalizationResult:
-    """Existence of an endemic equilibrium, and the perturbative intervals
-    that predict where it lies.
+    """Existence of an endemic equilibrium, and the perturbative prediction
+    of where it lies.
 
     ``exists`` is ``"unique"`` when ``G(0) < 0`` (R0 > 1) and ``"none"``
     otherwise, which the module docstring proves at every waning rate.
-    ``intervals`` are closed intervals clipped to ``[0, 1]`` around the
-    ``roots`` of the no-waning polynomial; ``validity`` records whether the
-    contraction precondition, under which they hold, is met over the whole
-    prevalence range.  ``margin`` is :func:`existence_margin`, R0's verdict at
-    zero waning ``(omega_n + mu)(r + mu)(R0(delta=0) - 1)``, not an existence test.
+    ``roots`` are the roots of the no-waning prevalence equation, ``None``
+    where there is no real root; ``validity`` records whether the
+    contraction precondition is met over the whole prevalence range.
+    ``margin`` is :func:`existence_margin`, R0's verdict at zero waning
+    ``(omega_n + mu)(r + mu)(R0(delta=0) - 1)``, not an existence test.
     """
 
-    intervals: tuple
-    half_width: float
-    hat_c: float
     exists: str
     validity: bool
     roots: tuple
@@ -224,9 +222,6 @@ class LocalizationResult:
 
     def to_dict(self) -> dict:
         return {
-            "intervals": [[float(a), float(b)] for a, b in self.intervals],
-            "half_width": self.half_width,
-            "hat_c": self.hat_c,
             "exists": self.exists,
             "validity": self.validity,
             "roots": [None if x is None else float(x) for x in self.roots],
@@ -243,59 +238,28 @@ def contraction_precondition_holds(config: ModelConfig) -> bool:
     return 2.0 * config.delta * math.sqrt(config.n + 1) / config.mu < 0.5
 
 
-def _interval_constant(n, beta0, beta_n, mu, r, omega_n) -> float:
-    """Constant ``hat_c`` in the interval half-width ``sqrt(2*delta*hat_c)``.
-
-    Instantiated from the explicit perturbation bound
-    ``4 (n+1)^{3/2} beta_n (r+mu) delta / (beta0 x + mu)^2`` at its worst
-    point ``x = 0``, times the maximum of the denominator product over
-    ``[0, 1]``.
-    """
-    scale = mu**3 * beta0  # 0 once mu**3 underflows, and the constant is then infinite
-    c_tilde = 4.0 * (n + 1) ** 1.5 * (r + mu) / scale if scale else math.inf
-    return c_tilde * (beta0 + mu) * (beta_n + mu + omega_n)
-
-
 def localize_endemic(config: ModelConfig) -> LocalizationResult:
     """Decide whether an endemic equilibrium exists, and predict where it
-    lies by explicit intervals.
+    lies by the roots of the no-waning prevalence equation.
 
-    For positive ``beta[0]`` the intervals are centered at the roots of the
-    no-waning quadratic with half-width ``sqrt(2*delta*hat_c)``; for
-    ``beta[0] == 0`` the prevalence equation is linear and the width is
-    linear in ``delta``.  With no waning (``delta == 0``) the width is 0,
-    also where ``hat_c`` is infinite.  The roots and intervals are formed in
-    the time unit of :func:`waningsim.model.unit_rates`; ``exists`` is the
-    sign of ``G(0)``.
+    The roots are formed in the time unit of
+    :func:`waningsim.model.unit_rates`.  Where ``beta[0]`` is positive there
+    they are those of the quadratic ``Q`` (:func:`prevalence_quadratic`);
+    where it is 0 the equation is linear and has one root.  ``exists`` is
+    the sign of ``G(0)``.
     """
-    k, (beta0, beta_n, mu, r, omega_n, delta) = unit_rates(config)
-    validity = contraction_precondition_holds(config)
-
+    beta0, beta_n, mu, r, omega_n, _ = unit_rates(config)[1]
     if beta0 > 0.0:
-        # complex roots (None, None) give no interval, and a margin <= 0
+        # complex roots are (None, None), with a margin <= 0
         quad = prevalence_quadratic(config)
-        hat_c = _interval_constant(config.n, beta0, beta_n, mu, r, omega_n)
-        half = math.sqrt(2.0 * delta * hat_c) if delta else 0.0
         roots = (quad.y1, quad.y2)
     else:
-        hat_c = 4.0 * (config.n + 1) ** 1.5 * (beta_n + mu + omega_n) / mu**2 if mu**2 else math.inf
-        half = hat_c * delta if delta else 0.0
         # with beta_n == 0 as well no tier transmits: the equation has no root;
         # two quotients, since the product beta_n * (r + mu) can underflow
         root = mu / (r + mu) - (omega_n + mu) / beta_n if beta_n else None
         roots = (root, None)
-
-    intervals = []
-    for y in roots:
-        if y is None:
-            continue
-        lo, hi = max(y - half, 0.0), min(y + half, 1.0)
-        if hi >= lo and hi > 0.0:
-            intervals.append((lo, hi))
-
     exists = "unique" if _equilibrium_condition(config, 0.0) < 0.0 else "none"
-    hat_c *= math.ldexp(1.0, k)  # back to the given time unit
-    return LocalizationResult(tuple(intervals), half, hat_c, exists, validity, roots, existence_margin(config))
+    return LocalizationResult(exists, contraction_precondition_holds(config), roots, existence_margin(config))
 
 
 @dataclass(frozen=True, eq=False)

@@ -426,6 +426,13 @@ def _bounds_for(template: ModelConfig, names):
     return bounds
 
 
+def _require_start_year(first: int, last: int, start_year: int) -> None:
+    # every observation time years - start_year + YEAR_END_OFFSET is
+    # positive, and the int64 difference years - start_year cannot wrap
+    if not last - 2**63 < start_year <= first:
+        raise ConfigError(f"start year must lie in [{last - 2**63 + 1}, {first}], got {start_year}")
+
+
 def simulate_annual_prevalence(
     config: ModelConfig,
     years,
@@ -444,13 +451,17 @@ def simulate_annual_prevalence(
     trial point beyond its configuration.
 
     Raises:
-        ValueError: when the years do not increase strictly from after
-            ``start_year``, or ``i0`` lies outside ``[0, 1]``.
+        ValueError: naming ``start_year``, when the years do not increase
+            strictly from it on or it comes ``2**63`` or more years before
+            the last, or when ``i0`` lies outside ``[0, 1]``.
         IntegrationError: when the kernel fails.
     """
-    t_obs = np.asarray(years, dtype=int) - start_year + YEAR_END_OFFSET
-    if t_obs.ndim != 1 or not t_obs.size or t_obs[0] <= 0 or (t_obs[1:] <= t_obs[:-1]).any():
-        raise ValueError("observation years must increase strictly and come after the simulation start")
+    years = np.asarray(years, dtype=int)
+    if years.ndim != 1 or not years.size or (years[1:] <= years[:-1]).any() or start_year > int(years[0]):
+        raise ValueError(f"observation years must increase strictly and come after the simulation start "
+                         f"in {start_year}")
+    _require_start_year(int(years[0]), int(years[-1]), start_year)
+    t_obs = years - start_year + YEAR_END_OFFSET
     _require_start_prevalence(i0)
     y0 = np.zeros(config.n + 2)
     y0[-2] = 1.0 - i0
@@ -736,10 +747,7 @@ def fit(
         raise ConfigError(f"fit bounds must be finite with lower < upper, got {box}")
     first, last = int(timeseries.years[0]), int(timeseries.years[-1])
     start_year = opts.start_year if opts.start_year is not None else first - 1
-    # every observation time years - start_year + 1 is positive, and the
-    # int64 difference cannot wrap
-    if not (start_year <= first and last - start_year < 2**63):
-        raise ConfigError(f"start year must lie in [{last - 2**63 + 1}, {first}], got {start_year}")
+    _require_start_year(first, last, start_year)
 
     defaults = {
         "beta_scale": 1.0,

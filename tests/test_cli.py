@@ -149,6 +149,12 @@ class TestSimulate:
         assert main(["simulate", "--config", endemic_config_path, "--t-end", "5", "--samples", samples]) == 2
         assert f"--samples must be >= 0, got {samples}" in capsys.readouterr().err
 
+    def test_more_samples_than_steps_exits_2_before_the_grid(self, endemic_config_path, capsys):
+        # a grid of 10**30 + 1 times cannot be allocated; the check comes first
+        assert main(["simulate", "--config", endemic_config_path, "--t-end", "5", "--samples", str(10**30)]) == 2
+        err = capsys.readouterr().err
+        assert f"--samples {10**30} exceeds --max-steps 5000000" in err
+
     def test_nan_initial_prevalence_exits_2(self, endemic_config_path, capsys):
         assert main(["simulate", "--config", endemic_config_path, "--t-end", "5", "--i0", "nan"]) == 2
         assert "not NaN" in capsys.readouterr().err
@@ -183,6 +189,15 @@ class TestAnalyze:
         assert data["endemic"] is None
         assert not data["localization"]["validity"]  # waning beyond certificate
         assert data["consistency"]["consistent"]
+
+    @pytest.mark.parametrize("factor", [1.0, 5.0], ids=["pertussis", "pertussis-beta-x5"])
+    def test_localization_is_the_no_waning_roots_and_the_margin(self, tmp_path, capsys, pertussis, factor):
+        path = tmp_path / "config.json"
+        path.write_text(config_to_json(pertussis.replace(beta=factor * pertussis.beta)))
+        assert main(["analyze", "--config", str(path)]) == 0
+        loc = json.loads(capsys.readouterr().out)["data"]["localization"]
+        assert set(loc) == {"exists", "validity", "roots", "margin"}
+        assert None not in (loc["exists"], loc["validity"], loc["margin"], *loc["roots"])
 
     def test_supercritical_certified_report(self, endemic_config_path, capsys):
         assert main(["analyze", "--config", endemic_config_path]) == 0
@@ -323,8 +338,8 @@ class TestAnalyze:
             "stale-noise-root", "linear-root-product-underflows", "birth-rate-below-rounding-at-one",
             "profile-overflows-off-root", "margin-underflows"])
     def test_vanishing_birth_rate_is_reported(self, tmp_path, capsys, request, pertussis, fields, expected):
-        # mu/rho, rho the largest rate, is tiny, so hat_c ~ 1/mu^2 or 1/mu^3
-        # overflows, and the eigenvalue -mu sits in the marginal band
+        # mu/rho, rho the largest rate, is tiny, so the eigenvalue -mu sits in
+        # the marginal band
         path = tmp_path / "tiny_mu.json"
         path.write_text(config_to_json(pertussis.replace(mu=1e-300, **fields)))
         assert main(["analyze", "--config", str(path)]) == 0
@@ -333,14 +348,11 @@ class TestAnalyze:
         assert (endemic.get("i_star"), endemic.get("certification"), data["endemic_error"]) == expected
         if request.node.callspec.id == "linear-root-product-underflows":
             # every rate is 1e-300 or 0, so no rate is small beside the others:
-            # 4 2^1.5 (beta_n + mu + omega_n)/mu^2 is a finite double, and the
-            # eigenvalues -1e-300 lie outside the band 1e-10 rho (mu**2 underflowed,
-            # and the band held them, only in the given time unit)
-            assert data["localization"]["hat_c"] == pytest.approx(2.2627416997969523e301, rel=1e-15, abs=0.0)
+            # the eigenvalues -1e-300 lie outside the band 1e-10 rho (mu**2
+            # underflowed, and the band held them, only in the given time unit)
             assert data["consistency"] == {"checked": True, "consistent": True,
                                            "note": "stable DFE and no endemic equilibrium"}
         else:
-            assert data["localization"]["hat_c"] is None  # infinite
             assert not data["consistency"]["checked"]
 
     def test_tiny_rate_endemic_states_lie_on_the_simplex(self, tmp_path, capsys):
@@ -566,7 +578,10 @@ class TestSweep:
         ({"start": 0.1, "stop": 0.3, "num": -1}, "grid num must be >= 2, got -1"),
         ({"start": 0.1, "stop": 0.3, "num": 0}, "grid num must be >= 2, got 0"),
         ({"start": 0.1, "stop": 0.3, "num": 1}, "grid num must be >= 2, got 1"),
-    ], ids=["endpoint", "two-unknown", "negative-num", "zero-num", "one-num"])
+        ({"start": 0.1, "stop": 0.3, "num": 10**30}, f"grid num must be <= {cli.MAX_GRID_NUM}, got {10**30}"),
+        ({"start": 0.1, "stop": 0.3, "num": cli.MAX_GRID_NUM + 1},
+         f"grid num must be <= {cli.MAX_GRID_NUM}, got {cli.MAX_GRID_NUM + 1}"),
+    ], ids=["endpoint", "two-unknown", "negative-num", "zero-num", "one-num", "huge-num", "num-above-bound"])
     def test_bad_grid_object_exits_2(self, tmp_path, capsys, grid, message):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--spec", self.write_spec(tmp_path, grid=grid), "--out", str(out)]) == 2

@@ -11,7 +11,7 @@ import scipy.linalg
 from waningsim import stepper
 from waningsim._stepper_py import _A, _ERR
 from waningsim.dynamics import IntegrationError, integrate
-from waningsim.endemic import localize_endemic, refine_endemic
+from waningsim.endemic import refine_endemic
 from waningsim.model import StateVector, build_general, build_last_only, config_digest, epidemic_start, vector_field
 from waningsim.stability import endemic_spectrum
 
@@ -333,12 +333,12 @@ class TestDetectEquilibrium:
         np.testing.assert_array_equal(traj.final_state, y0)
 
     def test_supercritical_run_lands_in_localization_interval(self):
-        loc = localize_endemic(ENDEMIC_CFG)
         traj = integrate(
             ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 2000.0, stop_at_equilibrium=True
         )
         assert traj.terminal_status == "converged_endemic"
-        assert any(lo <= traj.final_prevalence <= hi for lo, hi in loc.intervals)
+        i_star = refine_endemic(ENDEMIC_CFG).i_star
+        assert traj.final_prevalence == pytest.approx(i_star, rel=0.0, abs=1e-7)
 
     def test_short_run_reports_max_time(self):
         traj = integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 0.5)

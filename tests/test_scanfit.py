@@ -630,6 +630,11 @@ class TestTrialPoint:
         with pytest.raises(ValueError, match="observation years"):
             simulate_annual_prevalence(FIT_TRUTH, years, 1999, 1e-4)
 
+    @pytest.mark.parametrize("start", [2**63, -(2**63) - 5], ids=["after-int64", "before-int64"])
+    def test_start_year_beyond_int64_is_named(self, start):
+        with pytest.raises(ValueError, match=f"{start}$"):
+            simulate_annual_prevalence(FIT_TRUTH, self.YEARS, start, 1e-4)
+
     @pytest.mark.parametrize("i0", [-1e-3, 1.5, float("nan")])
     def test_start_state_must_lie_on_the_simplex(self, i0):
         with pytest.raises(ValueError, match="non-negative, not NaN"):
