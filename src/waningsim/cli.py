@@ -3,11 +3,12 @@
 Subcommands: ``simulate``, ``analyze``, ``sweep``, ``fit``, ``dfe``, ``r0``.
 All input and output goes through files (or stdout); there is no network
 access.  Exit codes: 0 success, 2 configuration or input error (a
-non-finite reproduction-number threshold included), 3 integration failure,
-4 regime-consistency violation (a bug signal; should never fire in the
-small-waning regime).  Each ``cmd_*`` returns the configuration, the
-manifest options it adds and its result, or raises; :func:`main` alone
-writes the artifact and maps every outcome to its exit code.
+non-finite reproduction-number threshold and an input too large for memory
+included), 3 integration failure, 4 regime-consistency violation (a bug
+signal; should never fire in the small-waning regime).  Each ``cmd_*``
+returns the configuration, the manifest options it adds and its result, or
+raises; :func:`main` alone writes the artifact and maps every outcome to its
+exit code.
 
 Every artifact embeds a run manifest, whose options are the parsed
 arguments other than ``--config``, ``--spec`` and ``--out`` (a sweep adds
@@ -35,7 +36,7 @@ import sys
 
 import numpy as np
 
-from .dfe import NonFiniteThresholdError, basic_reproduction_number, solve_dfe_closed_form, solve_dfe_numeric
+from .dfe import NonFiniteThresholdError, basic_reproduction_number, solve_dfe_closed_form
 from .dynamics import IntegrationError, integrate
 from .model import ConfigError, _parse_json, config_from_dict, epidemic_start, json_number, load_config
 from .reports import analyze_config, build_manifest, json_document
@@ -94,11 +95,7 @@ def cmd_analyze(args):
 
 def cmd_dfe(args):
     config = load_config(args.config)
-    closed = solve_dfe_closed_form(config)
-    numeric = solve_dfe_numeric(config)
-    data = closed.to_dict()
-    data["numeric_gap"] = float(max(abs(a - b) for a, b in zip(closed.s, numeric.s)))
-    return config, {}, data
+    return config, {}, solve_dfe_closed_form(config).to_dict()
 
 
 def cmd_r0(args):
@@ -162,7 +159,8 @@ def cmd_fit(args):
     from .scanfit import FitOptions, fit, ingest_timeseries
 
     config = load_config(args.config)
-    data = ingest_timeseries(args.data)
+    with open(args.data, "r", encoding="utf-8") as fh:
+        data = ingest_timeseries(fh)
     options = FitOptions(
         start_year=args.start_year,
         initial_prevalence=args.i0,
@@ -204,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("dfe", parents=[common], help="disease-free equilibrium (closed form + numeric gap)")
+    p = sub.add_parser("dfe", parents=[common], help="disease-free equilibrium (closed form)")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_dfe)
 
@@ -274,7 +272,7 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
-    except (NonFiniteThresholdError, ValueError, OSError) as exc:
+    except (NonFiniteThresholdError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InconsistentReportError as exc:

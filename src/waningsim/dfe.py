@@ -4,9 +4,7 @@ The susceptible block of the model linearizes (at a fixed infection level)
 to a lower-bidiagonal matrix plus a dense first row carrying the vaccination
 return flows.  One prefix product of tier ratios solves the bidiagonal part
 and gives the steady susceptible profile, and with it the disease-free
-equilibrium, in closed form at any prevalence and any number of tiers.  An
-independent dense solve is the ``dfe`` command's explicit check of that
-form.
+equilibrium, in closed form at any prevalence and any number of tiers.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ __all__ = [
     "susceptible_block_matrix",
     "tier_weights",
     "solve_dfe_closed_form",
-    "solve_dfe_numeric",
     "basic_reproduction_number",
     "NonFiniteThresholdError",
 ]
@@ -134,31 +131,6 @@ def solve_dfe_closed_form(config: ModelConfig) -> DfeSolution:
     population ends up there.
     """
     return DfeSolution(s=_steady_profile(config, 0.0))
-
-
-def solve_dfe_numeric(config: ModelConfig) -> DfeSolution:
-    """Disease-free equilibrium by dense LU solve, the ``dfe`` command's check.
-
-    One iterative-refinement step with an extended-precision residual keeps
-    the forward error near machine level even for poorly scaled rate
-    combinations.
-
-    Raises:
-        numpy.linalg.LinAlgError: the matrix is singular to working
-            precision, as when ``mu`` is negligible beside the other rates
-            (the columns sum to ``-mu``).
-    """
-    n = config.n
-    a = susceptible_block_matrix(config, 0.0)
-    b = np.zeros(n + 1)
-    b[n] = -config.mu
-    try:
-        x = np.linalg.solve(a, b)
-        residual = b - (a.astype(np.longdouble) @ x.astype(np.longdouble)).astype(float)
-        x = x + np.linalg.solve(a, residual)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("susceptible block matrix is singular to working precision") from exc
-    return DfeSolution(s=x)
 
 
 @dataclass(frozen=True)

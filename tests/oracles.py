@@ -3,9 +3,10 @@ that the package's answer pipeline does not use, and SciPy's root finder,
 least-squares driver and LAPACK wrapper as the references for the
 package's own Brent's method, the fit's trust-region loop and its SVD.
 
-Among them: the closed-form solution of the infection-free waning chain, a
-fitted exponential convergence rate of a trajectory, the threshold locator
-(grid scan plus Brent's method on R0 - 1 or the existence margin) and the
+Among them: the dense LU solve of the disease-free equilibrium, the
+closed-form solution of the infection-free waning chain, a fitted
+exponential convergence rate of a trajectory, the threshold locator (grid
+scan plus Brent's method on R0 - 1 or the existence margin) and the
 explicit transmission threshold of a last-tier-only coverage scheme as a
 function of the last-tier return rate."""
 
@@ -19,7 +20,7 @@ import scipy.linalg.lapack
 import scipy.optimize
 from scipy.special import gammainc, gammaln
 
-from waningsim.dfe import basic_reproduction_number, susceptible_block_matrix, tier_weights
+from waningsim.dfe import DfeSolution, basic_reproduction_number, susceptible_block_matrix, tier_weights
 from waningsim.dynamics import Trajectory
 from waningsim.endemic import (
     BRENT_RTOL,
@@ -54,6 +55,32 @@ def matrix_determinant(config: ModelConfig, prevalence: float = 0.0) -> float:
     correction = math.fsum([1.0] + (-config.omega_i * w).tolist())
     det = math.prod((-ad).tolist()) * correction
     return det if det != 0.0 and math.isfinite(det) else math.nan
+
+
+def solve_dfe_numeric(config: ModelConfig) -> DfeSolution:
+    """Disease-free equilibrium by dense LU solve, the reference for the
+    closed form.
+
+    One iterative-refinement step with an extended-precision residual keeps
+    the forward error near machine level even for poorly scaled rate
+    combinations.
+
+    Raises:
+        numpy.linalg.LinAlgError: the matrix is singular to working
+            precision, as when ``mu`` is negligible beside the other rates
+            (the columns sum to ``-mu``).
+    """
+    n = config.n
+    a = susceptible_block_matrix(config, 0.0)
+    b = np.zeros(n + 1)
+    b[n] = -config.mu
+    try:
+        x = np.linalg.solve(a, b)
+        residual = b - (a.astype(np.longdouble) @ x.astype(np.longdouble)).astype(float)
+        x = x + np.linalg.solve(a, residual)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError("susceptible block matrix is singular to working precision") from exc
+    return DfeSolution(s=x)
 
 
 def equilibrium_transmission(config: ModelConfig, prevalence) -> float:

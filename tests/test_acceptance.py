@@ -15,7 +15,6 @@ from waningsim.data import pertussis_config
 from waningsim.dfe import (
     basic_reproduction_number,
     solve_dfe_closed_form,
-    solve_dfe_numeric,
     susceptible_block_matrix,
 )
 from waningsim.dynamics import integrate
@@ -46,6 +45,7 @@ from oracles import (
     equilibrium_transmission_no_waning,
     find_bifurcation,
     infection_free_solution,
+    solve_dfe_numeric,
     transmission_gap_bound,
 )
 

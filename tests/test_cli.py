@@ -16,11 +16,12 @@ import pytest
 
 from waningsim import cli, dfe, model, stepper
 from waningsim.cli import build_parser, main
-from waningsim.dfe import susceptible_block_matrix
+from waningsim.dfe import basic_reproduction_number, susceptible_block_matrix
 from waningsim.model import build_general, config_digest, config_to_json
 from waningsim.scanfit import simulate_annual_prevalence, substitute_parameter
 
 from conftest import child_env, tiny_rate_configs
+from oracles import solve_dfe_numeric
 
 ENDEMIC_CFG = build_general(2, (1.5, 2.0, 4.0), 0.02, 0.3, 1.2, 2.0, (0.0, 0.1, 0.5))
 # with mu = 1e-300, every product in the small-waning existence margin is subnormal
@@ -207,7 +208,7 @@ class TestAnalyze:
         assert data["endemic"]["certification"] == "certified-unique"
         assert data["endemic_stability"]["classification"] == "asymptotically_stable"
         assert data["consistency"]["checked"] and data["consistency"]["consistent"]
-        assert max(abs(a - b) for a, b in zip(data["dfe"]["s"], dfe.solve_dfe_numeric(ENDEMIC_CFG).s)) < 1e-10
+        assert max(abs(a - b) for a, b in zip(data["dfe"]["s"], solve_dfe_numeric(ENDEMIC_CFG).s)) < 1e-10
 
     def test_large_waning_uncertified_flagged(self, tmp_path, capsys):
         cfg = ENDEMIC_CFG.replace(delta=1.5)
@@ -414,11 +415,38 @@ class TestAnalyze:
         assert data["r0"]["r0"] == pytest.approx(oracle, rel=1e-12)
 
 class TestSmallCommands:
-    def test_dfe_document(self, config_path, capsys):
+    def test_dfe_document(self, config_path, pertussis, capsys):
         assert main(["dfe", "--config", config_path]) == 0
         data = json.loads(capsys.readouterr().out)["data"]
+        assert set(data) == {"s", "i"}
         assert abs(sum(data["s"]) - 1.0) < 1e-12
-        assert data["numeric_gap"] < 1e-10
+        assert max(abs(a - b) for a, b in zip(data["s"], solve_dfe_numeric(pertussis).s)) < 1e-10
+
+    def test_dfe_answers_without_a_dense_solve(self, config_path, pertussis, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise np.linalg.LinAlgError("the closed form needs no dense solve")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        assert main(["dfe", "--config", config_path]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert data["s"] == dfe.solve_dfe_closed_form(pertussis).s.tolist()
+
+    def test_dfe_on_tiny_rates_is_the_closed_form(self, tmp_path, capsys):
+        # a dense solve of these blocks is singular on some and off by up to
+        # 1.0 on others; dfe reports the profile that r0 and analyze use
+        path = tmp_path / "tiny_rates.json"
+        faults = []
+        for k, cfg in enumerate(tiny_rate_configs(1500, seed=5)):
+            path.write_text(config_to_json(cfg))
+            code = main(["dfe", "--config", str(path)])
+            captured = capsys.readouterr()
+            if code != 0:
+                faults.append((k, f"exit {code}: {captured.err.strip()}"))
+                continue
+            data = json.loads(captured.out)["data"]
+            if set(data) != {"s", "i"} or data["s"] != basic_reproduction_number(cfg).dfe.s.tolist():
+                faults.append((k, f"data {data!r}"))
+        assert not faults, f"{len(faults)} faults, first {faults[:3]}"
 
     def test_r0_document(self, config_path, capsys):
         assert main(["r0", "--config", config_path]) == 0
@@ -426,24 +454,37 @@ class TestSmallCommands:
         assert data["regime"] == "stable"
         assert 0 < data["r0"] < 1
 
-    @pytest.mark.parametrize("command, code", [("dfe", 2), ("analyze", 0)], ids=["dfe", "analyze"])
-    def test_singular_numeric_dfe_exits_2(self, tmp_path, capsys, command, code):
-        # only the dense check in dfe solves the singular matrix; analyze
-        # reports the closed forms, exact here
+    @pytest.mark.parametrize("command", ["dfe", "analyze"])
+    def test_singular_numeric_dfe_exits_2(self, tmp_path, capsys, command):
+        # the susceptible block is singular to working precision, which no
+        # command solves densely: both report the closed forms, exact here
         path = tmp_path / "singular.json"
         path.write_text(config_to_json(build_general(1, (1.0, 2.0), 0.5, 1e-300, 1.0, 1.0, (0.0, 0.5))))
-        assert main([command, "--config", str(path)]) == code
-        captured = capsys.readouterr()
+        assert main([command, "--config", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
         if command == "dfe":
-            assert captured.err == "error: susceptible block matrix is singular to working precision\n"
-            assert captured.out == ""
+            assert data == {"s": [0.5, 0.5], "i": 0.0}
             return
-        data = json.loads(captured.out)["data"]
         assert data["r0"]["r0"] == 1.5
         assert data["dfe"]["s"] == [0.5, 0.5]
         assert (data["endemic"]["i_star"], data["endemic"]["s_star"]) == (0.25, [0.5, 0.25])
         assert data["endemic_error"] is None
         assert "dfe_numeric_gap" not in data
+
+    @pytest.mark.parametrize("command, target, message", [
+        (["analyze"], (cli, "analyze_config"),
+         "Unable to allocate 74.5 GiB for an array with shape (100002, 100002) and data type float64"),
+        (["simulate", "--t-end", "10"], (stepper, "integrate_core"), "the C kernel could not allocate its step record"),
+    ], ids=["analyze", "simulate"])
+    def test_out_of_memory_exits_2(self, config_path, capsys, monkeypatch, command, target, message):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(*target, out_of_memory)
+        assert main([*command, "--config", config_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["r0", "analyze"])
     def test_non_finite_threshold_exits_2(self, config_path, capsys, monkeypatch, command):
@@ -656,6 +697,18 @@ class TestFit:
 
     def test_missing_data_file_exits_2(self, config_path, tmp_path):
         assert main(["fit", "--config", config_path, "--data", str(tmp_path / "none.csv")]) == 2
+
+    def test_data_path_with_a_newline_is_a_file(self, inputs, tmp_path, capsys):
+        # a string holding a newline is CSV text to ingest_timeseries, never
+        # to fit's --data
+        path = tmp_path / "we\nird.csv"
+        argv = ["fit", "--config", inputs["template"], "--data", str(path), "--i0", "1e-4", "--free", "omega",
+                "--start-year", "1999", "--max-iterations", "5", "--restarts", "0"]
+        assert main(argv) == 2
+        assert "No such file" in capsys.readouterr().err
+        path.write_bytes(Path(inputs["data"]).read_bytes())
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["data"]["parameters"]["omega"] > 0
 
     @pytest.mark.parametrize("option", [["--restarts", "-3"], ["--max-iterations", "0"]])
     def test_search_that_would_be_skipped_exits_2(self, config_path, option, capsys):

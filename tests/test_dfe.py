@@ -14,13 +14,12 @@ from waningsim.dfe import (
     NonFiniteThresholdError,
     basic_reproduction_number,
     solve_dfe_closed_form,
-    solve_dfe_numeric,
     susceptible_block_matrix,
 )
 from waningsim.model import ConfigError, build_all_but_last, build_general, build_last_only
 
 from conftest import random_config
-from oracles import last_only_transmission_threshold, matrix_determinant
+from oracles import last_only_transmission_threshold, matrix_determinant, solve_dfe_numeric
 
 
 class TestSusceptibleBlockMatrix:

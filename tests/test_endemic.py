@@ -12,7 +12,6 @@ from waningsim import endemic
 from waningsim.dfe import (
     basic_reproduction_number,
     solve_dfe_closed_form,
-    solve_dfe_numeric,
     susceptible_block_matrix,
     tier_weights,
 )
@@ -37,6 +36,7 @@ from oracles import (
     perturbation_norms,
     prevalence_linear_root,
     scipy_brentq,
+    solve_dfe_numeric,
     spelled_out_equilibrium_condition,
     spelled_out_tier_weights,
     transmission_gap_bound,
