@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from .dfe import NonFiniteThresholdError, basic_reproduction_number, solve_dfe_closed_form
-from .dynamics import IntegrationError, integrate
+from .dynamics import DEFAULT_ATOL, DEFAULT_MAX_STEPS, DEFAULT_RTOL, IntegrationError, integrate
 from .model import ConfigError, _parse_json, config_from_dict, epidemic_start, json_number, load_config
 from .reports import analyze_config, build_manifest, json_document
 
@@ -139,7 +139,7 @@ def _load_sweep_spec(path: str) -> SweepSpec:
             parameter=raw["parameter"],
             grid=grid,
             observable=raw["observable"],
-            t_end=json_number("t_end", raw.get("t_end", 2000.0)),
+            t_end=json_number("t_end", raw.get("t_end", SweepSpec.t_end)),
         )
     except KeyError as exc:
         raise ConfigError(f"sweep spec missing key {exc}") from exc
@@ -148,8 +148,10 @@ def _load_sweep_spec(path: str) -> SweepSpec:
 def cmd_sweep(args):
     from .scanfit import sweep
 
+    if args.jobs != 1:
+        raise ConfigError(f"--jobs must be 1, got {args.jobs}: sweeps run in one process")
     spec = _load_sweep_spec(args.spec)
-    result = sweep(spec, jobs=args.jobs)
+    result = sweep(spec)
     extra = {"parameter": spec.parameter, "observable": spec.observable, "grid_size": int(spec.grid.size),
              "t_end": spec.t_end}
     return spec.base_config, extra, result
@@ -192,9 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", dest="t_end", type=float, required=True, help="horizon in years")
     p.add_argument("--samples", type=int, default=200, help="evenly spaced sample times (0 keeps every accepted step)")
     p.add_argument("--i0", type=float, default=1e-6, help="initial infectious proportion")
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=5_000_000)
+    p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
+    p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
+    p.add_argument("--max-steps", dest="max_steps", type=int, default=DEFAULT_MAX_STEPS)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_simulate)
 
@@ -213,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common], help="one-parameter sweep from a spec file")
     p.add_argument("--spec", required=True, help="sweep spec JSON (config, parameter, grid, observable)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers, at most one per grid point and per CPU (order-stable output; "
-                        "the manifest records the value given)")
+                   help="must be 1: sweeps run in one process (kept for scripts that pass it; "
+                        "the manifest records it)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_sweep)
 

@@ -1,8 +1,7 @@
 """Parameter sweeps, data ingestion, and fitting.
 
 Sweeps substitute one parameter along a grid and record an observable plus an
-equilibrium classification per point; grid points are independent, so they
-can be evaluated in a process pool with deterministic, grid-ordered output.
+equilibrium classification per point, in grid order, in one process.
 Time-series files are plain CSV (annual prevalence, or cases with
 population); fitting minimizes the sum of squared prevalence residuals by
 bounded trust-region reflective least squares (Branch, Coleman & Li, SIAM J.
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,8 +151,7 @@ class SweepResult:
 _CLASSIFICATION = {"stable": "dfe_stable", "unstable": "endemic", "critical": "critical"}
 
 
-def _evaluate_point(args) -> SweepPoint:
-    base, parameter, value, observable, t_end = args
+def _evaluate_point(base: ModelConfig, parameter: str, value: float, observable: str, t_end: float) -> SweepPoint:
     try:
         cfg = substitute_parameter(base, parameter, value)
     except ConfigError as exc:
@@ -181,37 +178,15 @@ def _evaluate_point(args) -> SweepPoint:
         return SweepPoint(value=value, observable=float("nan"), classification="error", error=str(exc))
 
 
-def sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Evaluate the observable over the grid.
+def sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate the observable at each grid point, in grid order.
 
-    Points run independently; with ``jobs > 1`` they are distributed over a
-    process pool with output order fixed by the grid, so results are
-    deterministic either way.  The pool has ``min(jobs, grid points, CPUs)``
-    workers, as a pool starts all of its workers at once, and the sweep runs
-    serially when that is 1; the manifest records ``jobs`` as given.  The
-    process pool's modules (:mod:`concurrent.futures.process` and
-    :mod:`multiprocessing`) are imported only when a pool starts, so a serial
-    sweep never loads them.  Per-point configuration violations are recorded
-    in the result rather than aborting the sweep.
-
-    Raises:
-        ConfigError: for ``jobs < 1``.
+    Per-point configuration violations and failures are recorded in the
+    result rather than aborting the sweep.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    tasks = [
-        (spec.base_config, spec.parameter, float(v), spec.observable, spec.t_end)
-        for v in spec.grid
-    ]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_evaluate_point, tasks))
-    else:
-        points = [_evaluate_point(t) for t in tasks]
-    return SweepResult(parameter=spec.parameter, observable=spec.observable, points=tuple(points))
+    points = tuple(_evaluate_point(spec.base_config, spec.parameter, float(v), spec.observable, spec.t_end)
+                   for v in spec.grid)
+    return SweepResult(parameter=spec.parameter, observable=spec.observable, points=points)
 
 
 class TimeSeriesError(ValueError):
@@ -239,19 +214,25 @@ class TimeSeries:
 def ingest_timeseries(source) -> TimeSeries:
     """Read annual prevalence from CSV.
 
-    Accepts a path, an open text file, or a CSV string.  Header must be
-    ``year,prevalence`` or ``year,cases,population`` (prevalence is then
-    ``cases / population``).  Lines starting with ``#`` are comments.
-    Malformed rows report their line number; a quoted field must close on
-    the line that opens it, before the next comma or the end of the line.
+    Accepts CSV text (a ``str``) or an open text file; a path is neither, so
+    the caller opens the file.  One leading UTF-8 byte-order mark is
+    dropped.  Header must be ``year,prevalence`` or
+    ``year,cases,population`` (prevalence is then ``cases / population``).
+    Lines starting with ``#`` are comments.  Malformed rows report their
+    line number; a quoted field must close on the line that opens it, before
+    the next comma or the end of the line.
+
+    Raises:
+        TypeError: for a source that is neither a ``str`` nor a file object.
     """
-    if hasattr(source, "read"):
+    if isinstance(source, str):
+        text = source
+    elif hasattr(source, "read"):
         text = source.read()
-    elif "\n" in str(source):
-        text = str(source)
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        raise TypeError(f"ingest_timeseries takes CSV text (str) or an open text file, "
+                        f"got {type(source).__name__}")
+    text = text.removeprefix("\ufeff")
 
     kept = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
             if (line := raw.strip()) and not line.startswith("#")]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -547,13 +546,6 @@ class TestSweep:
         assert len(d1.strip().splitlines()) == 12
         assert m1["command"] == "sweep"
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        spec = self.write_spec(tmp_path)
-        serial, parallel = tmp_path / "ser.csv", tmp_path / "par.csv"
-        assert main(["sweep", "--spec", spec, "--out", str(serial)]) == 0
-        assert main(["sweep", "--spec", spec, "--jobs", "3", "--out", str(parallel)]) == 0
-        assert split_csv_artifact(serial.read_text())[1] == split_csv_artifact(parallel.read_text())[1]
-
     def test_json_format(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, grid=[0.0, 0.1, 0.2])
         assert main(["sweep", "--spec", spec, "--format", "json"]) == 0
@@ -636,11 +628,14 @@ class TestSweep:
         rows = split_csv_artifact(out.read_text())[1].splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["0.1", "0.3"]
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_bad_jobs_exits_2(self, tmp_path, capsys, jobs):
+    @pytest.mark.parametrize("jobs", ["0", "-3", "2"])
+    def test_bad_jobs_exits_2(self, tmp_path, capsys, monkeypatch, jobs):
+        from waningsim import scanfit
+
+        monkeypatch.setattr(scanfit, "_evaluate_point", lambda *args: pytest.fail("a sweep point ran"))
         out = tmp_path / "s.csv"
         assert main(["sweep", "--spec", self.write_spec(tmp_path), "--jobs", jobs, "--out", str(out)]) == 2
-        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --jobs must be 1, got {jobs}: sweeps run in one process\n"
         assert not out.exists()
 
     def test_max_real_part_across_r0_one_is_the_closed_form(self, tmp_path, capsys, pertussis):
@@ -699,8 +694,7 @@ class TestFit:
         assert main(["fit", "--config", config_path, "--data", str(tmp_path / "none.csv")]) == 2
 
     def test_data_path_with_a_newline_is_a_file(self, inputs, tmp_path, capsys):
-        # a string holding a newline is CSV text to ingest_timeseries, never
-        # to fit's --data
+        # fit opens --data whatever its name holds
         path = tmp_path / "we\nird.csv"
         argv = ["fit", "--config", inputs["template"], "--data", str(path), "--i0", "1e-4", "--free", "omega",
                 "--start-year", "1999", "--max-iterations", "5", "--restarts", "0"]
@@ -747,6 +741,23 @@ class TestFit:
         monkeypatch.setattr(scanfit, "simulate_annual_prevalence", failing)
         assert main(["fit", "--config", config_path, "--data", str(synthetic_prevalence_path())]) == 2
         assert "start point cannot be evaluated" in capsys.readouterr().err
+
+    def test_data_with_a_byte_order_mark_fits_as_the_plain_file(self, tmp_path, capsys):
+        # spreadsheet programs export UTF-8 CSV with a leading U+FEFF
+        from waningsim.data import synthetic_prevalence_path, synthetic_truth_config
+
+        template = tmp_path / "template.json"
+        template.write_text(config_to_json(synthetic_truth_config().replace(omega=2.4)))
+        plain = synthetic_prevalence_path()
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        fits = []
+        for data in (plain, marked):
+            assert main(["fit", "--config", str(template), "--data", str(data), "--free", "omega", "--i0", "1e-4",
+                         "--start-year", "1999", "--max-iterations", "20", "--restarts", "0"]) == 0
+            fits.append(json.loads(capsys.readouterr().out)["data"])
+        assert fits[1] == fits[0]
+        assert fits[0]["parameters"]["omega"] != 2.4
 
     def test_shipped_synthetic_dataset_round_trip(self, tmp_path, capsys):
         from waningsim.data import synthetic_prevalence_path, synthetic_truth_config
@@ -1029,8 +1040,7 @@ class TestImportBoundary:
     """A command loads only the modules it runs: in a fresh interpreter,
     ``import waningsim.cli`` loads none of the modules below, ``r0``, ``dfe``
     and ``simulate`` none either, ``analyze`` the equation layers but not the
-    sweep and fit layer, and only a sweep that starts a pool loads the
-    pool's modules."""
+    sweep and fit layer, and no command loads a process pool's modules."""
 
     WATCHED = ("waningsim.scanfit", "waningsim.endemic", "waningsim.stability", "csv", "concurrent.futures",
                "concurrent.futures.process", "multiprocessing", "subprocess")
@@ -1069,11 +1079,6 @@ class TestImportBoundary:
             argv = command + files.get(command[0], ["--config", inputs["config"]]) + ["--out", str(inputs["dir"] / "out")]
         assert self.run(argv) == sorted(loaded)
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs at least two CPUs")
-    def test_sweep_that_starts_a_pool_loads_it(self, inputs):
-        loaded = self.run(["sweep", "--spec", inputs["spec"], "--jobs", "2", "--out", str(inputs["dir"] / "out")])
-        assert set(self.SCANFIT) | {"concurrent.futures.process", "multiprocessing"} <= set(loaded)
-
 
 class TestManifestOptions:
     """The manifest records every parsed option except the files read and
@@ -1092,8 +1097,8 @@ class TestManifestOptions:
         (["r0"], {}),
         (["sweep"],
          {"parameter": "delta", "observable": "r0", "grid_size": 11, "t_end": 2000.0, "jobs": 1, "format": "csv"}),
-        (["sweep", "--jobs", "2", "--format", "json"],
-         {"parameter": "delta", "observable": "r0", "grid_size": 11, "t_end": 2000.0, "jobs": 2, "format": "json"}),
+        (["sweep", "--format", "json"],
+         {"parameter": "delta", "observable": "r0", "grid_size": 11, "t_end": 2000.0, "jobs": 1, "format": "json"}),
         (["fit", "--free", " omega, delta ", "--i0", "1e-4", "--start-year", "1999", "--max-iterations", "5",
           "--restarts", "0", "--log-sse"],
          {"data": "DATA", "free": ["omega", "delta"], "start_year": 1999, "i0": 0.0001, "log_sse": True,

@@ -60,7 +60,7 @@ def random_value(rng, depth: int = 0):
 
 
 def max_real_part_sweep_point(cfg):
-    point = _evaluate_point((cfg, "omega", cfg.omega, "max_real_part", 1.0))
+    point = _evaluate_point(cfg, "omega", cfg.omega, "max_real_part", 1.0)
     assert point.error is None
     return point
 

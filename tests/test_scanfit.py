@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import io
 import warnings
 from types import SimpleNamespace
@@ -62,38 +61,6 @@ class TestSweep:
         spec = SweepSpec(BASE, "delta", np.linspace(0.0, 1.0, 21), "r0")
         a, b = sweep(spec), sweep(spec)
         assert a == b  # frozen dataclasses compare by value; floats bitwise
-
-    def test_parallel_matches_serial(self):
-        spec = SweepSpec(BASE, "omega", np.linspace(0.0, 10.0, 9), "r0")
-        assert sweep(spec, jobs=2) == sweep(spec, jobs=1)
-
-    # a spec holds at least two grid points, so one CPU (or an unknown count)
-    # is how a large jobs value comes down to one worker
-    @pytest.mark.parametrize("cpus, pools", [(8, [3]), (2, [2]), (1, []), (None, [])],
-                             ids=["8-cpus", "2-cpus", "1-cpu", "unknown-cpus"])
-    def test_pool_has_at_most_one_worker_per_point_and_per_cpu(self, monkeypatch, cpus, pools):
-        spec = SweepSpec(BASE, "omega", np.linspace(0.0, 10.0, 3), "r0")
-        serial = sweep(spec)
-        built = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                built.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        # the sweep imports the pool class from its package when it starts one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(scanfit.os, "cpu_count", lambda: cpus)
-        assert sweep(spec, jobs=10**6) == serial
-        assert built == pools
 
     def test_per_point_errors_are_recorded(self):
         spec = SweepSpec(BASE, "beta0", np.array([1.0, 1.9, 2.5]), "r0")
@@ -265,9 +232,17 @@ class TestIngest:
         monkeypatch.setattr(scanfit, "csv", counted)
         path = tmp_path / "data.csv"
         path.write_text("\n".join(self.LINES) + "\n")
-        ts = ingest_timeseries(str(path))
+        with open(path, encoding="utf-8") as fh:
+            ts = ingest_timeseries(fh)
         assert ts.years.tolist() == [1990, 1991] and ts.prevalence.tolist() == [0.025, 0.03]
         assert len(readers) == 1
+
+    def test_a_path_is_neither_text_nor_a_file(self, tmp_path):
+        # a path whose name holds a newline once read as CSV text
+        path = tmp_path / "we\nird.csv"
+        path.write_text("year,prevalence\n2000,0.25\n")
+        with pytest.raises(TypeError, match=r"CSV text \(str\) or an open text file, got \w*Path"):
+            ingest_timeseries(path)
 
 
 FIT_TRUTH = build_general(2, (1.2, 2.0, 3.6), 0.08, 0.25, 1.1, 1.5, (0.0, 0.1, 0.5))
