@@ -38,7 +38,7 @@ import numpy as np
 
 from .dfe import NonFiniteThresholdError, basic_reproduction_number, solve_dfe_closed_form
 from .dynamics import DEFAULT_ATOL, DEFAULT_MAX_STEPS, DEFAULT_RTOL, IntegrationError, integrate
-from .model import ConfigError, _parse_json, config_from_dict, epidemic_start, json_number, load_config
+from .model import ConfigError, epidemic_start, load_config
 from .reports import analyze_config, build_manifest, json_document
 
 EXIT_OK = 0
@@ -49,9 +49,6 @@ EXIT_INCONSISTENT = 4
 # parsed arguments that are not options of the run: the command itself and
 # the files it reads and writes
 _NOT_OPTIONS = ("command", "func", "config", "spec", "out")
-# the most points a sweep spec's grid object may ask for: each is one full
-# analysis or integration, and the grid is allocated before the first runs
-MAX_GRID_NUM = 1_000_000
 
 
 class InconsistentReportError(Exception):
@@ -103,54 +100,12 @@ def cmd_r0(args):
     return config, {}, basic_reproduction_number(config).to_dict()
 
 
-def _load_sweep_spec(path: str) -> SweepSpec:
-    from .scanfit import SweepSpec
-
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = _parse_json(fh.read())
-    if not isinstance(raw, dict):
-        raise ConfigError("sweep spec must be a JSON object")
-    unknown = sorted(set(raw) - {"config", "parameter", "grid", "observable", "t_end"})
-    if unknown:
-        raise ConfigError(f"unknown sweep spec keys: {', '.join(unknown)}")
-    try:
-        config = config_from_dict(raw["config"])
-        grid_spec = raw["grid"]
-        if isinstance(grid_spec, dict):
-            unknown = sorted(set(grid_spec) - {"start", "stop", "num"})
-            if unknown:
-                raise ConfigError(f"unknown grid keys: {', '.join(unknown)}")
-            num = grid_spec["num"]
-            if isinstance(num, bool) or not isinstance(num, int):
-                raise ConfigError(f"grid num must be an integer, got {num!r}")
-            if num < 2:
-                raise ConfigError(f"grid num must be >= 2, got {num}")
-            if num > MAX_GRID_NUM:
-                raise ConfigError(f"grid num must be <= {MAX_GRID_NUM}, got {num}")
-            grid = np.linspace(json_number("grid start", grid_spec["start"]),
-                               json_number("grid stop", grid_spec["stop"]), num)
-        elif isinstance(grid_spec, list):
-            grid = np.array([json_number(f"grid[{k}]", value) for k, value in enumerate(grid_spec)])
-        else:
-            raise ConfigError(f"grid must be a list of numbers or an object with start, stop and num, "
-                              f"got {grid_spec!r}")
-        return SweepSpec(
-            base_config=config,
-            parameter=raw["parameter"],
-            grid=grid,
-            observable=raw["observable"],
-            t_end=json_number("t_end", raw.get("t_end", SweepSpec.t_end)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"sweep spec missing key {exc}") from exc
-
-
 def cmd_sweep(args):
-    from .scanfit import sweep
+    from .scanfit import load_sweep_spec, sweep
 
     if args.jobs != 1:
         raise ConfigError(f"--jobs must be 1, got {args.jobs}: sweeps run in one process")
-    spec = _load_sweep_spec(args.spec)
+    spec = load_sweep_spec(args.spec)
     result = sweep(spec)
     extra = {"parameter": spec.parameter, "observable": spec.observable, "grid_size": int(spec.grid.size),
              "t_end": spec.t_end}

@@ -76,7 +76,9 @@ class ModelConfig:
             the last entry is stored as 0 since no compartment follows ``S_n``.
 
     Instances are immutable (arrays are read-only views) and safe to share
-    across worker processes and threads.
+    across threads.  Build them with :func:`build_general` or
+    :meth:`replace`, which set the derived rates; a ``dataclasses.replace``
+    copy has none and fails on first use.
     """
 
     n: int
@@ -86,8 +88,10 @@ class ModelConfig:
     r: float
     omega: float
     p: np.ndarray
-    omega_i: np.ndarray = field(repr=False, default=None)
-    delta_i: np.ndarray = field(repr=False, default=None)
+    # derived from p, omega and delta by build_general and replace, so that
+    # a dataclasses.replace copy has none rather than another config's
+    omega_i: np.ndarray = field(init=False, repr=False)
+    delta_i: np.ndarray = field(init=False, repr=False)
 
     @property
     def beta_strictly_increasing(self) -> bool:
@@ -167,19 +171,10 @@ class ModelConfig:
         omega = fields.get("omega", self.omega)
         delta = fields.get("delta", self.delta)
         _check_outflow(delta, omega, fields.get("mu", self.mu), fields.get("beta", self.beta)[-1])
-        omega_i = _omega_i(p, omega) if "p" in fields or "omega" in fields else self.omega_i
-        delta_i = _delta_i(p, delta) if "p" in fields or "delta" in fields else self.delta_i
-        return ModelConfig(
-            n=self.n,
-            beta=fields.get("beta", self.beta),
-            delta=delta,
-            mu=fields.get("mu", self.mu),
-            r=fields.get("r", self.r),
-            omega=omega,
-            p=p,
-            omega_i=omega_i,
-            delta_i=delta_i,
-        )
+        config = ModelConfig(n=self.n, beta=fields.get("beta", self.beta), delta=delta, mu=fields.get("mu", self.mu),
+                             r=fields.get("r", self.r), omega=omega, p=p)
+        return _with_rates(config, _omega_i(p, omega) if "p" in fields or "omega" in fields else self.omega_i,
+                           _delta_i(p, delta) if "p" in fields or "delta" in fields else self.delta_i)
 
 
 # (name, smallest value, that bound in messages); below the smallest normal
@@ -254,6 +249,13 @@ def _delta_i(p: np.ndarray, delta: float) -> np.ndarray:
     return delta_i
 
 
+def _with_rates(config: ModelConfig, omega_i: np.ndarray, delta_i: np.ndarray) -> ModelConfig:
+    """``config`` with its derived rates set, right after construction."""
+    object.__setattr__(config, "omega_i", omega_i)
+    object.__setattr__(config, "delta_i", delta_i)
+    return config
+
+
 def build_general(
     n: int,
     beta: Sequence[float],
@@ -275,12 +277,8 @@ def build_general(
     n = int(n)
     checked = _validated(n, {"beta": beta, "p": p, "delta": delta, "mu": mu, "r": r, "omega": omega})
     _check_outflow(checked["delta"], checked["omega"], checked["mu"], checked["beta"][-1])
-    return ModelConfig(
-        n=n,
-        **checked,
-        omega_i=_omega_i(checked["p"], checked["omega"]),
-        delta_i=_delta_i(checked["p"], checked["delta"]),
-    )
+    return _with_rates(ModelConfig(n=n, **checked), _omega_i(checked["p"], checked["omega"]),
+                       _delta_i(checked["p"], checked["delta"]))
 
 
 def build_all_but_last(
@@ -485,32 +483,46 @@ def config_from_dict(data: dict) -> ModelConfig:
     Strictness is deliberate: a typo in a scientific config should fail
     loudly instead of silently falling back to a default.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    missing = [k for k in CONFIG_KEYS if k not in data]
-    if missing:
-        raise ConfigError(f"missing config keys: {', '.join(missing)}")
+    _json_object("config", data, CONFIG_KEYS)
     for key in ("delta", "mu", "r", "omega"):
         json_number(key, data[key])
-    for key in ("beta", "p"):
-        values = data[key]
-        if not isinstance(values, list):
-            raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
-        if not _JSON_NUMBER_TYPES.issuperset(map(type, values)):  # each element on its own, for its message
-            for k, value in enumerate(values):
-                json_number(f"{key}[{k}]", value)
     return build_general(
         n=data["n"],
-        beta=data["beta"],
+        beta=_json_numbers("beta", data["beta"]),
         delta=data["delta"],
         mu=data["mu"],
         r=data["r"],
         omega=data["omega"],
-        p=data["p"],
+        p=_json_numbers("p", data["p"]),
     )
+
+
+def _json_object(what: str, data, keys, optional=()) -> dict:
+    """``data`` if it is a JSON object holding every one of ``keys`` and no
+    key outside ``keys`` and ``optional``, else a :class:`ConfigError`
+    naming ``what``: the rule of a config, a sweep spec and a grid object."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data).difference(keys, optional))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ConfigError(f"missing {what} keys: {', '.join(missing)}")
+    return data
+
+
+def _json_numbers(name: str, values, each: bool = False) -> list:
+    """``values`` if it is a list of JSON numbers, else a :class:`ConfigError`
+    naming ``name`` or its first entry that is not one, as ``name[k]``.  One
+    pass over the types accepts a list of numbers, an integer beyond the
+    double range included; ``each`` sends every entry through
+    :func:`json_number`, which names that integer too, and returns floats."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    if each or not _JSON_NUMBER_TYPES.issuperset(map(type, values)):
+        return [json_number(f"{name}[{k}]", value) for k, value in enumerate(values)]
+    return values
 
 
 def json_number(name: str, value) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,15 @@ import numpy as np
 from .dfe import basic_reproduction_number
 from .dynamics import DEFAULT_MAX_STEPS, IntegrationError, _run_kernel, integrate
 from .endemic import NoEndemicEquilibriumError, refine_endemic
-from .model import ConfigError, ModelConfig, _require_start_prevalence, config_to_dict, epidemic_start
+from .model import (ConfigError, ModelConfig, _json_numbers, _json_object, _parse_json, _require_start_prevalence,
+                    config_from_dict, config_to_dict, epidemic_start, json_number)
 from .stability import _dfe_max_real_part
 
 __all__ = [
     "SWEEP_PARAMETERS",
     "SWEEP_OBSERVABLES",
     "SweepSpec",
+    "load_sweep_spec",
     "SweepPoint",
     "SweepResult",
     "substitute_parameter",
@@ -51,6 +54,9 @@ __all__ = [
 
 SWEEP_PARAMETERS = ("beta0", "omega", "delta", "omega_n", "p_n")
 SWEEP_OBSERVABLES = ("terminal_prevalence", "r0", "endemic_I", "max_real_part")
+# the most points a sweep spec's grid object may ask for: each is one full
+# analysis or integration, and the grid is allocated before the first runs
+MAX_GRID_NUM = 1_000_000
 
 
 def substitute_parameter(config: ModelConfig, parameter: str, value: float) -> ModelConfig:
@@ -104,6 +110,38 @@ class SweepSpec:
             raise ConfigError(f"t_end must be finite and positive, got {self.t_end}")
         if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
             raise ConfigError("grid must be a strictly increasing vector with >= 2 points")
+        if self.parameter == "omega_n" and not self.base_config.p[-1] > 0.0:
+            # substitute_parameter's check, made once: no point could run
+            raise ConfigError("omega_n sweep requires positive coverage of the last tier")
+
+
+def load_sweep_spec(path) -> SweepSpec:
+    """The sweep spec in the JSON file at ``path``: keys ``config``,
+    ``parameter``, ``grid`` (a list of numbers or ``{"start", "stop",
+    "num"}``), ``observable`` and optionally ``t_end``.  A :class:`ConfigError`
+    names the first fault, from the spec's keys, then the config, the grid
+    and the spec's own rules."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = _json_object("sweep spec", _parse_json(fh.read()), ("config", "parameter", "grid", "observable"),
+                           ("t_end",))
+    config = config_from_dict(raw["config"])
+    grid = raw["grid"]
+    if isinstance(grid, dict):
+        _json_object("grid", grid, ("start", "stop", "num"))
+        num = grid["num"]
+        if isinstance(num, bool) or not isinstance(num, int):
+            raise ConfigError(f"grid num must be an integer, got {num!r}")
+        if num < 2:
+            raise ConfigError(f"grid num must be >= 2, got {num}")
+        if num > MAX_GRID_NUM:
+            raise ConfigError(f"grid num must be <= {MAX_GRID_NUM}, got {num}")
+        grid = np.linspace(json_number("grid start", grid["start"]), json_number("grid stop", grid["stop"]), num)
+    elif isinstance(grid, list):
+        grid = np.array(_json_numbers("grid", grid, each=True))
+    else:
+        raise ConfigError(f"grid must be a list of numbers or an object with start, stop and num, got {grid!r}")
+    return SweepSpec(base_config=config, parameter=raw["parameter"], grid=grid, observable=raw["observable"],
+                     t_end=json_number("t_end", raw.get("t_end", SweepSpec.t_end)))
 
 
 @dataclass(frozen=True)
@@ -154,11 +192,7 @@ _CLASSIFICATION = {"stable": "dfe_stable", "unstable": "endemic", "critical": "c
 def _evaluate_point(base: ModelConfig, parameter: str, value: float, observable: str, t_end: float) -> SweepPoint:
     try:
         cfg = substitute_parameter(base, parameter, value)
-    except ConfigError as exc:
-        return SweepPoint(value=value, observable=float("nan"), classification="error", error=str(exc))
-    try:
         r0 = basic_reproduction_number(cfg)
-        classification = _CLASSIFICATION[r0.regime]
         if observable == "r0":
             obs = r0.r0
         elif observable == "max_real_part":
@@ -168,13 +202,10 @@ def _evaluate_point(base: ModelConfig, parameter: str, value: float, observable:
                 obs = refine_endemic(cfg).i_star
             except NoEndemicEquilibriumError:
                 obs = float("nan")
-        elif observable == "terminal_prevalence":
-            traj = integrate(cfg, epidemic_start(cfg), t_end, stop_at_equilibrium=True)
-            obs = traj.final_prevalence
-        else:  # unreachable; SweepSpec validates
-            raise ConfigError(observable)
-        return SweepPoint(value=value, observable=float(obs), classification=classification)
-    except Exception as exc:  # per-point failures are recorded, not raised
+        else:  # terminal_prevalence, the one observable left that SweepSpec admits
+            obs = integrate(cfg, epidemic_start(cfg), t_end, stop_at_equilibrium=True).final_prevalence
+        return SweepPoint(value=value, observable=float(obs), classification=_CLASSIFICATION[r0.regime])
+    except Exception as exc:  # per-point failures, a configuration the value breaks included, are recorded
         return SweepPoint(value=value, observable=float("nan"), classification="error", error=str(exc))
 
 
@@ -191,6 +222,12 @@ def sweep(spec: SweepSpec) -> SweepResult:
 
 class TimeSeriesError(ValueError):
     """Malformed or inconsistent time-series input."""
+
+
+# the plain ASCII decimals a year and a number cell may hold; int() and
+# float() read more (underscores, non-ASCII digits, "inf", "nan")
+_PLAIN_YEAR = re.compile(r"[+-]?[0-9]+")
+_PLAIN_NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,9 +255,11 @@ def ingest_timeseries(source) -> TimeSeries:
     the caller opens the file.  One leading UTF-8 byte-order mark is
     dropped.  Header must be ``year,prevalence`` or
     ``year,cases,population`` (prevalence is then ``cases / population``).
-    Lines starting with ``#`` are comments.  Malformed rows report their
-    line number; a quoted field must close on the line that opens it, before
-    the next comma or the end of the line.
+    Lines starting with ``#`` are comments.  Each cell is a plain ASCII
+    decimal (no digit separators, no ``inf`` or ``nan``) within the double
+    range.  Malformed rows report their line number; a quoted field must
+    close on the line that opens it, before the next comma or the end of the
+    line.
 
     Raises:
         TypeError: for a source that is neither a ``str`` nor a file object.
@@ -261,6 +300,12 @@ def ingest_timeseries(source) -> TimeSeries:
             numbers = [float(c) for c in cells[1:]]
         except ValueError as exc:
             raise TimeSeriesError(f"line {lineno}: {exc}") from exc
+        for name, cell in zip(header, cells):
+            if not (_PLAIN_YEAR if name == "year" else _PLAIN_NUMBER).fullmatch(cell):
+                raise TimeSeriesError(f"line {lineno}: {name} {cell!r} is not a plain decimal number")
+        for name, cell, number in zip(header[1:], cells[1:], numbers):
+            if not math.isfinite(number):  # a plain decimal whose exponent overflows
+                raise TimeSeriesError(f"line {lineno}: {name} {cell} is beyond the double range")
         if len(header) == 3:
             cases, population = numbers
             if population <= 0:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg.lapack
 import scipy.optimize
+from scipy.optimize._lsq.common import solve_lsq_trust_region
 from scipy.special import gammainc, gammaln
 
 from waningsim.dfe import DfeSolution, basic_reproduction_number, susceptible_block_matrix, tier_weights
@@ -298,6 +299,14 @@ def scipy_trust_region_reflective(fun, jac, x0, lo, hi, max_nfev):
         max_nfev=max_nfev,
     )
     return result.x, result.fun, result.status > 0
+
+
+def scipy_levenberg_step(m, uf, s, V, radius, alpha):
+    """The trust-region step and Levenberg-Marquardt parameter of SciPy's
+    ``solve_lsq_trust_region``, as its bounded driver calls it: a drop-in
+    for ``scanfit._levenberg_step``."""
+    p, alpha, _ = solve_lsq_trust_region(s.size, m, uf, s, V, radius, initial_alpha=alpha)
+    return p, alpha
 
 
 def scipy_brentq(f, a, b, xtol, maxiter):

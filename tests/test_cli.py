@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from waningsim import cli, dfe, model, stepper
+from waningsim import cli, dfe, model, scanfit, stepper
 from waningsim.cli import build_parser, main
 from waningsim.dfe import basic_reproduction_number, susceptible_block_matrix
 from waningsim.model import build_general, config_digest, config_to_json
@@ -611,14 +611,43 @@ class TestSweep:
         ({"start": 0.1, "stop": 0.3, "num": -1}, "grid num must be >= 2, got -1"),
         ({"start": 0.1, "stop": 0.3, "num": 0}, "grid num must be >= 2, got 0"),
         ({"start": 0.1, "stop": 0.3, "num": 1}, "grid num must be >= 2, got 1"),
-        ({"start": 0.1, "stop": 0.3, "num": 10**30}, f"grid num must be <= {cli.MAX_GRID_NUM}, got {10**30}"),
-        ({"start": 0.1, "stop": 0.3, "num": cli.MAX_GRID_NUM + 1},
-         f"grid num must be <= {cli.MAX_GRID_NUM}, got {cli.MAX_GRID_NUM + 1}"),
-    ], ids=["endpoint", "two-unknown", "negative-num", "zero-num", "one-num", "huge-num", "num-above-bound"])
+        ({"start": 0.1, "stop": 0.3, "num": 10**30}, f"grid num must be <= {scanfit.MAX_GRID_NUM}, got {10**30}"),
+        ({"start": 0.1, "stop": 0.3, "num": scanfit.MAX_GRID_NUM + 1},
+         f"grid num must be <= {scanfit.MAX_GRID_NUM}, got {scanfit.MAX_GRID_NUM + 1}"),
+        ({"start": 0.1, "num": 3}, "missing grid keys: stop"),
+        ({"num": 3, "Stop": 0.3}, "unknown grid keys: Stop"),
+        ({}, "missing grid keys: start, stop, num"),
+    ], ids=["endpoint", "two-unknown", "negative-num", "zero-num", "one-num", "huge-num", "num-above-bound",
+            "missing-stop", "unknown-before-missing", "empty"])
     def test_bad_grid_object_exits_2(self, tmp_path, capsys, grid, message):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--spec", self.write_spec(tmp_path, grid=grid), "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ([0.1, 0.2], "sweep spec must be a JSON object, got list"),
+        ("delta", "sweep spec must be a JSON object, got str"),
+        # missing spec keys are named before the config, itself incomplete, is read
+        ({"config": {"n": 1}, "parameter": "delta"}, "missing sweep spec keys: grid, observable"),
+        ({"config": {}, "parameter": "delta", "grid": {"start": 0.1, "num": 3}, "observable": "r0"},
+         "missing config keys: n, beta, delta, mu, r, omega, p"),
+    ], ids=["list", "string", "missing-spec-keys", "missing-config-keys"])
+    def test_spec_that_is_no_spec_object_exits_2(self, tmp_path, capsys, spec, message):
+        path, out = tmp_path / "spec.json", tmp_path / "s.csv"
+        path.write_text(json.dumps(spec))
+        assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_omega_n_sweep_without_last_tier_coverage_runs_no_point(self, tmp_path, capsys, monkeypatch):
+        # every point would fail substitute_parameter's check, so the spec does
+        monkeypatch.setattr(scanfit, "_evaluate_point", lambda *args: pytest.fail("a sweep point ran"))
+        config = json.loads(config_to_json(ENDEMIC_CFG.replace(p=(0.0, 0.5, 0.0))))
+        out = tmp_path / "s.csv"
+        spec = self.write_spec(tmp_path, config=config, parameter="omega_n", grid=[0.1, 0.2, 0.3])
+        assert main(["sweep", "--spec", spec, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: omega_n sweep requires positive coverage of the last tier\n"
         assert not out.exists()
 
     def test_two_point_grid_object(self, tmp_path):

@@ -218,6 +218,16 @@ class TestPrevalenceQuadratic:
         quad = prevalence_quadratic(cfg)
         assert quad.y2 == pytest.approx(bisect_no_waning_root(cfg), abs=1e-10)
 
+    def test_double_root_rounded_to_a_complex_pair(self):
+        # the discriminant is (u - v + 1)^2 + 4 mu (1/beta0 - 1/beta_n), with
+        # u = (mu + omega_n)/beta_n and v = (mu + r)/beta0: 0 at equal betas
+        # and r = beta + omega_n, where rounding leaves it just below 0
+        cfg = build_last_only(1, (0.5, 0.5), 0.0, 0.1, 0.75, 0.25, 1.0)
+        quad = prevalence_quadratic(cfg)
+        assert (quad.real, quad.y1, quad.y2) == (False, None, None)
+        assert quad.a == pytest.approx(1.4, rel=1e-15) and quad.b == pytest.approx(0.49, rel=1e-15)
+        assert -1e-15 < quad.a * quad.a - 4.0 * quad.b < 0.0
+
     def test_beta0_zero_directed_to_linear_case(self):
         cfg = build_general(1, (0.0, 2.0), 0.1, 0.5, 0.5, 0.0, (0.0, 0.0))
         with pytest.raises(ValueError, match="linear"):

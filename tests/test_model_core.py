@@ -15,7 +15,7 @@ import pytest
 
 from waningsim import model
 from waningsim.data import pertussis_config
-from waningsim.dfe import _profile_terms, _steady_profile, solve_dfe_closed_form, tier_weights
+from waningsim.dfe import _profile_terms, _steady_profile, basic_reproduction_number, solve_dfe_closed_form, tier_weights
 from waningsim.dynamics import integrate
 from waningsim.endemic import _equilibrium_condition, refine_endemic, solve_susceptible_block
 from waningsim.model import (
@@ -72,6 +72,9 @@ class TestBuilders:
             dict(beta=(-1.0, 2.0)),
             dict(p=(0.0, math.nan)),
             dict(p=(0.0, -0.5)),
+            dict(n=0),
+            dict(n=True),
+            dict(n=1.0),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -79,6 +82,11 @@ class TestBuilders:
         base.update(kwargs)
         with pytest.raises(ConfigError):
             build_general(**base)
+
+    @pytest.mark.parametrize("n, interior", [(2, ()), (2, (0.1, 0.2)), (1, (0.5,)), (3, ((0.1, 0.2),))])
+    def test_interior_coverage_must_have_n_minus_one_entries(self, n, interior):
+        with pytest.raises(ConfigError, match=rf"p_interior must have length n-1={n - 1}, got shape"):
+            build_all_but_last(n, np.arange(n + 1.0), 0.1, 0.1, 1.0, 5.0, interior)
 
     def test_birth_rate_below_the_smallest_normal_rejected(self):
         # 1/|d_0| = 1/mu would overflow in the tier weights
@@ -176,6 +184,11 @@ class TestStateVector:
 
     def test_within_tolerance_accepted(self):
         StateVector(s=np.array([0.3, 0.5 + 5e-10]), i=0.2)
+
+    @pytest.mark.parametrize("s", [[0.8], [[0.4], [0.4]], 0.8, []])
+    def test_susceptibles_must_be_a_vector_of_two_or_more_tiers(self, s):
+        with pytest.raises(ValueError, match="s must be a vector of length n\\+1 >= 2, got shape"):
+            StateVector(s=s, i=0.2)
 
     def test_explicit_normalization(self):
         st = StateVector.from_array(np.array([0.2, 0.3, 0.5 + 8e-10])).normalized()
@@ -331,6 +344,11 @@ class TestConfigJson:
         data = config_to_dict(pertussis)
         del data["mu"]
         with pytest.raises(ConfigError, match="missing config keys: mu"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("data", [[], "config", None, 3.0])
+    def test_config_must_be_an_object(self, data):
+        with pytest.raises(ConfigError, match=f"^config must be a JSON object, got {type(data).__name__}$"):
             config_from_dict(data)
 
     def test_malformed_json_reports_position(self):
@@ -521,3 +539,12 @@ class TestReplace:
     def test_unknown_field_rejected(self, pertussis):
         with pytest.raises(TypeError, match="omega_i"):
             pertussis.replace(omega_i=np.zeros(3))
+
+    def test_dataclasses_replace_copy_keeps_no_derived_rates(self, pertussis):
+        # the derived rates are not init fields, so such a copy cannot carry
+        # the omega = 20 vectors into an omega = 40 configuration
+        copy = dataclasses.replace(pertussis, omega=40.0)
+        with pytest.raises(AttributeError, match="has no attribute '(omega|delta)_i'"):
+            basic_reproduction_number(copy)
+        assert not hasattr(copy, "omega_i") and not hasattr(copy, "delta_i")
+        assert basic_reproduction_number(pertussis.replace(omega=40.0)).r0 == 0.7616215306530043

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from waningsim import dfe, stepper
+from waningsim import dfe, endemic, stepper
 from waningsim.dynamics import integrate
 from waningsim.model import build_general, epidemic_start
 from waningsim.reports import analyze_config, json_document
@@ -92,6 +92,21 @@ def test_max_real_part_sweep_point_needs_no_eigensolve(pertussis, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", no_eigensolve)
     for cfg, value in zip(configs, expected):
         assert max_real_part_sweep_point(cfg).observable.hex() == value.hex()
+
+
+def test_refinement_failure_is_reported_not_raised(monkeypatch):
+    # Brent's method failing on the bracket leaves the report without an
+    # endemic point, and says why
+    def failing(*args):
+        raise RuntimeError("failed to converge after 5 iterations")
+
+    monkeypatch.setattr(endemic, "_brentq", failing)
+    cfg = build_general(2, (1.5, 2.0, 4.0), 0.02, 0.3, 1.2, 2.0, (0.0, 0.1, 0.5))
+    report = analyze_config(cfg)
+    assert report["r0"]["regime"] == "unstable"
+    assert report["endemic"] is None and report["endemic_stability"] is None
+    assert report["endemic_error"].startswith("Brent's method failed on the bracket [")
+    assert report["endemic_error"].endswith("]: failed to converge after 5 iterations")
 
 
 def reference(manifest, data) -> str:

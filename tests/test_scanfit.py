@@ -118,6 +118,26 @@ class TestSweep:
         with pytest.raises(ConfigError, match="t_end must be finite and positive"):
             SweepSpec(BASE, "delta", np.array([0.1, 0.2]), "terminal_prevalence", t_end=t_end)
 
+    def test_omega_n_sweep_needs_last_tier_coverage(self):
+        # no point of such a sweep could be substituted, so the spec is refused
+        cfg = BASE.replace(p=(0.0, 0.5, 0.0))
+        with pytest.raises(ConfigError, match="^omega_n sweep requires positive coverage of the last tier$"):
+            SweepSpec(cfg, "omega_n", np.array([0.1, 0.2, 0.3]), "r0")
+        assert len(SweepSpec(cfg, "omega", np.array([0.1, 0.2, 0.3]), "r0").grid) == 3
+
+    def test_a_point_that_fails_to_integrate_is_recorded(self, monkeypatch):
+        # a failure other than a ConfigError, here the kernel's, is one error row too
+        def exhausted(config, *args, **kwargs):
+            if config.delta == 0.05:
+                raise IntegrationError("step budget exhausted", 12.5)
+            return integrate(config, *args, **kwargs)
+
+        monkeypatch.setattr(scanfit, "integrate", exhausted)
+        points = sweep(SweepSpec(BASE, "delta", np.array([0.001, 0.05]), "terminal_prevalence", t_end=50.0)).points
+        assert points[0].error is None and points[0].classification == "endemic"
+        assert np.isnan(points[1].observable)
+        assert (points[1].classification, points[1].error) == ("error", "step budget exhausted at t=12.5")
+
 
 class TestBifurcation:
     def test_last_only_zero_waning_analytic_threshold(self):
@@ -205,13 +225,38 @@ class TestIngest:
         (7, '1991,"30"0,1000', "',' expected after '\"'"),
         (7, f"{2**63},30,1000", f"year {2**63} outside the 64-bit integer range"),
         (7, "1990,30,1000", "years must be strictly increasing, got 1990 after 1990"),
+        # int() and float() read these, but none is a plain ASCII decimal
+        (7, "1_991,30,1000", "year '1_991' is not a plain decimal number"),
+        (7, "\uff11\uff19\uff19\uff11,30,1000", "year '\uff11\uff19\uff19\uff11' is not a plain decimal number"),
+        (7, "1991,1_0e-2,1000", "cases '1_0e-2' is not a plain decimal number"),
+        (7, "1991,30,inf", "population 'inf' is not a plain decimal number"),
+        (7, "1991,30,1e400", "population 1e400 is beyond the double range"),
     ], ids=["float", "fields", "population", "range", "open-quote", "open-quote-last-line", "after-quote",
-            "year-beyond-int64", "year-repeated"])
+            "year-beyond-int64", "year-repeated", "year-underscore", "year-full-width", "cases-underscore",
+            "population-inf", "population-overflows"])
     def test_every_error_names_its_line(self, lineno, row, message):
         lines = list(self.LINES)
         lines[lineno - 1] = row
         with pytest.raises(TimeSeriesError, match=f"^line {lineno}: {message}"):
             ingest_timeseries("\n".join(lines) + "\n")
+
+    def test_a_prevalence_column_holds_plain_decimals(self):
+        with pytest.raises(TimeSeriesError, match="^line 3: prevalence '1_0e-2' is not a plain decimal number$"):
+            ingest_timeseries("year,prevalence\n2000,0.25\n2001,1_0e-2\n")
+        assert ingest_timeseries("year,prevalence\n2000,.25\n2001,1.\n2002,+2.5E-1\n").prevalence.tolist() == [
+            0.25, 1.0, 0.25]
+
+    @pytest.mark.parametrize("years, prevalence, message", [
+        ([2000, 2001], [0.1], "years and prevalence must be matching non-empty vectors"),
+        ([], [], "years and prevalence must be matching non-empty vectors"),
+        ([2001, 2000], [0.1, 0.2], "years must be strictly increasing"),
+        ([2000, 2000], [0.1, 0.2], "years must be strictly increasing"),
+        ([2000, 2001], [0.1, 1.5], r"prevalence must lie in \[0, 1\]"),
+        ([2000, 2001], [-0.1, 0.2], r"prevalence must lie in \[0, 1\]"),
+    ], ids=["sizes-differ", "empty", "decreasing", "repeated", "above-one", "negative"])
+    def test_series_built_directly_is_checked(self, years, prevalence, message):
+        with pytest.raises(TimeSeriesError, match=f"^{message}$"):
+            TimeSeries(years=years, prevalence=prevalence)
 
     def test_years_a_full_int64_range_apart(self):
         # their difference wraps in int64
@@ -469,8 +514,8 @@ def trust_region_cases() -> dict:
         # the start 2.2 is clipped onto the upper bound 1.4, below the truth 1.5
         "clipped-start": (["omega"], {"omega": 2.2}, {"omega": (0.5, 1.4)}, False),
     }
-    # this seed's set takes every kind of step: inside the box, stepped back
-    # from a bound, reflected off one, and along the scaled gradient
+    # this seed's set steps inside the box, reflects off a bound and follows
+    # the scaled gradient
     rng = np.random.default_rng(4)
     for k in range(10):
         free = [["omega"], ["delta"], ["beta_scale", "omega"], ["delta", "omega"], ["beta_scale", "delta", "omega"]][k % 5]
@@ -482,6 +527,11 @@ def trust_region_cases() -> dict:
             if name != "beta_scale":
                 changes[name] = float(rng.uniform(0.5 * lower, 1.5 * upper))
         cases[f"box-{k}"] = (free, changes, bounds, bool(k % 2))
+    # the truth lies beyond the delta and omega boxes, so a trust-region step
+    # leaves the box and, stepped back from the bound it meets, beats both
+    # its reflection and the gradient step
+    cases["stepped-back"] = (["beta_scale", "delta", "omega"], {"delta": 0.17, "omega": 1.17},
+                             {"beta_scale": (0.31, 1.49), "delta": (0.117, 0.134), "omega": (0.55, 0.89)}, False)
     return cases
 
 
@@ -522,6 +572,45 @@ class TestTrustRegion:
         assert ours.parameters == theirs.parameters
         assert ours.sse == theirs.sse and ours.residuals.tobytes() == theirs.residuals.tobytes()
         assert ours.evaluations == theirs.evaluations and ours.converged == theirs.converged
+
+    def test_the_cases_take_every_kind_of_step(self, monkeypatch):
+        # kinds told apart by direction, so only where there are two or more
+        # parameters: in one dimension every step is parallel to the others
+        select, kinds = scanfit._select_step, set()
+
+        def parallel(u, v):
+            return u.dot(v) >= (1 - 1e-12) * np.sqrt(u.dot(u) * v.dot(v)) > 0
+
+        def classified(x, J_h, diag_h, g_h, p_h, *args):
+            step, step_h, predicted = select(x, J_h, diag_h, g_h, p_h, *args)
+            if p_h.size > 1:
+                kinds.add("inside" if step_h is p_h else "stepped back" if parallel(step_h, p_h)
+                          else "gradient" if parallel(step_h, -g_h) else "reflected")
+            return step, step_h, predicted
+
+        monkeypatch.setattr(scanfit, "_select_step", classified)
+        for case in self.CASES:
+            self.fit_case(case)
+        assert kinds == {"inside", "stepped back", "reflected", "gradient"}
+
+    @pytest.mark.parametrize("m, alpha", [(1, 0.0), (4, 0.0), (4, 0.3)])
+    def test_rank_deficient_step_is_scipys(self, m, alpha):
+        # two equal columns and a zero Coleman-Li diagonal give the scaled
+        # Jacobian rank one, so no Gauss-Newton step is tried; at m = 1 there
+        # are also fewer residuals than parameters
+        from oracles import scipy_levenberg_step
+
+        rng = np.random.default_rng(m)
+        column = rng.standard_normal(m)
+        U, s, Vt = scanfit._svd(np.vstack((np.column_stack((column, column)), np.zeros((2, 2)))))
+        uf = U.T.dot(np.concatenate((rng.standard_normal(m), np.zeros(2))))
+        assert m < s.size or not s[-1] > np.finfo(float).eps * m * s[0]
+        for radius in (1e-3, 0.5, 10.0):
+            ours = scanfit._levenberg_step(m, uf, s, Vt.T, radius, alpha)
+            theirs = scipy_levenberg_step(m, uf, s, Vt.T, radius, alpha)
+            np.testing.assert_allclose(ours[0], theirs[0], rtol=1e-12, atol=0)
+            assert ours[1] == pytest.approx(theirs[1], rel=1e-12, abs=0)
+            assert np.linalg.norm(ours[0]) == pytest.approx(radius, rel=1e-12)
 
     def test_svd_factors_are_lapacks_bit_for_bit(self):
         from oracles import scipy_svd
