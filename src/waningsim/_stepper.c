@@ -1,9 +1,11 @@
-/* Compiled adaptive Runge-Kutta 5(4) stepper (Dormand-Prince pair): the
- * statement-by-statement twin of _stepper_py.integrate_core; keep the two in
- * sync.  Also the artifact writers' float formatter, ws_format, which writes
- * doubles byte for byte as Python's float.__repr__ does.  Plain C99 without
- * Python or NumPy headers, compiled by stepper.py on first import and called
- * through ctypes. */
+/* Compiled adaptive stepper, Dormand-Prince 5(4) and then, once the run turns
+ * stiff, a linearly implicit Rosenbrock 4(3) step: the statement-by-statement
+ * twin of _stepper_py.integrate_core, whose docstring describes the two
+ * phases, the stiffness test, the O(n) solve and the stop rule; keep the two
+ * in sync.  Also the artifact writers' float formatter, ws_format, which
+ * writes doubles byte for byte as Python's float.__repr__ does.  Plain C99
+ * without Python or NumPy headers, compiled by stepper.py on first import
+ * and called through ctypes. */
 
 #include <math.h>
 #include <stdint.h>
@@ -16,6 +18,9 @@ enum { REACHED_END = 0, CONVERGED = 1, UNDERFLOW = -1, MAX_STEPS = -2, NONFINITE
 static const double NEG_CLAMP = 1e-12, MIN_FACTOR = 0.2, MAX_FACTOR = 10.0, SAFETY = 0.9;
 static const double EQUILIBRIUM_VF_TOL = 1e-10; /* equilibrium: |f| below this ... */
 static const int64_t EQUILIBRIUM_RUN = 50;      /* ... over this many accepted steps in a row */
+static const double STIFF_LIMIT = 3.25;     /* Hairer's test: h |lambda| above this ... */
+static const int64_t STIFF_RUN = 15;        /* ... on this many accepted steps switches to Rosenbrock; */
+static const int64_t NONSTIFF_RESET = 6;    /* this many in a row below it restart the count */
 static const double TINY = 2.2250738585072014e-308; /* DBL_MIN, np.finfo(float).tiny */
 static const double H_START = 0x1p-48; /* 16 ulp(1): the floor of the first step's bounds */
 static const int64_t INITIAL_CAPACITY = 4096; /* rows */
@@ -26,7 +31,7 @@ static const int64_t INITIAL_CAPACITY = 4096; /* rows */
 
 typedef struct {
     double *rows; /* n_rows x (m + 1) */
-    int64_t n_rows, n_accepted, n_rejected;
+    int64_t n_rows, n_accepted, n_rejected, n_implicit;
     double t_reached;
 } ws_record;
 
@@ -41,6 +46,13 @@ static const double A_TAB[6][6] = {
 };
 static const double E_TAB[7] = {71.0 / 57600, 0.0, -71.0 / 16695, 71.0 / 1920, -17253.0 / 339200,
                                 22.0 / 525, -1.0 / 40};
+
+/* Shampine's Rosenbrock 4(3) parameters (see _stepper_py) */
+static const double ROS_GAMMA = 0.5, ROS_A21 = 2.0, ROS_A31 = 48.0 / 25, ROS_A32 = 6.0 / 25;
+static const double ROS_C21 = -8.0, ROS_C31 = 372.0 / 25, ROS_C32 = 12.0 / 5;
+static const double ROS_C41 = -112.0 / 125, ROS_C42 = -54.0 / 125, ROS_C43 = -2.0 / 5;
+static const double ROS_B[4] = {19.0 / 9, 1.0 / 2, 25.0 / 108, 125.0 / 108};
+static const double ROS_E[4] = {17.0 / 54, 7.0 / 36, 0.0, 125.0 / 108};
 
 /* Model right-hand side for the state y = (S_0, ..., S_n, I). */
 static void rhs(int64_t n, const double *beta, const double *omega_i, const double *delta_i,
@@ -57,6 +69,121 @@ static void rhs(int64_t n, const double *beta, const double *omega_i, const doub
                  - beta[j] * i * y[j] - mu * y[j];
     out[n] += mu; /* births enter the least-immune tier */
     out[n + 1] = transmission * i - r * i - mu * i;
+}
+
+/* What implicit_solve needs of sigma I - J(y) (_stepper_py._implicit_factors):
+ * five vectors of n + 1 and two scalars. */
+typedef struct {
+    double *q, *lower, *zd, *w, *v;
+    double vz, schur;
+} factors;
+
+/* x = B^-1 b on the waning chain (_stepper_py._chain_solve); x may be b */
+static void chain_solve(int64_t n, const factors *fc, const double *b, double *x)
+{
+    x[0] = b[0] * fc->q[0];
+    for (int64_t j = 1; j < n + 1; j++)
+        x[j] = b[j] * fc->q[j] + fc->lower[j] * x[j - 1];
+}
+
+static void implicit_factors(int64_t n, const double *beta, const double *omega_i, const double *delta_i,
+                             double mu, double r, const double *y, double sigma, factors *fc)
+{
+    double i = y[n + 1], zsum = 0.0, zbeta = 0.0, ow = 0.0, vw = 0.0, vz = 0.0, transmission = 0.0;
+    double *q = fc->q, *lower = fc->lower, *zd = fc->zd, *w = fc->w, *v = fc->v;
+    for (int64_t j = 0; j < n + 1; j++)
+        q[j] = 1.0 / (sigma + delta_i[j] + omega_i[j] + mu + beta[j] * i);
+    lower[0] = 0.0;
+    zd[0] = q[0];
+    for (int64_t j = 1; j < n + 1; j++) {
+        lower[j] = delta_i[j - 1] * q[j];
+        zd[j] = lower[j] * zd[j - 1];
+    }
+    for (int64_t j = 0; j < n + 1; j++) {
+        zsum += zd[j];
+        zbeta += (mu + i * beta[j]) * zd[j];
+        w[j] = -beta[j] * y[j];
+    }
+    double denom = sigma * zsum + zbeta;
+    w[0] += r;
+    chain_solve(n, fc, w, w);
+    for (int64_t j = 0; j < n + 1; j++) {
+        zd[j] /= denom;
+        ow += omega_i[j] * w[j];
+    }
+    for (int64_t j = 0; j < n + 1; j++) {
+        w[j] += ow * zd[j];
+        v[j] = beta[j] * i;
+        transmission += beta[j] * y[j];
+        vw += v[j] * w[j];
+        vz += v[j] * zd[j];
+    }
+    fc->schur = sigma - (transmission - r - mu) - vw;
+    fc->vz = vz;
+}
+
+/* (sigma I - J) x = b in place: b holds the right-hand side and gets x */
+static void implicit_solve(int64_t n, const factors *fc, const double *omega_i, double *b)
+{
+    double b_i = b[n + 1], wx = 0.0, vx = 0.0;
+    chain_solve(n, fc, b, b);
+    for (int64_t j = 0; j < n + 1; j++) {
+        wx += omega_i[j] * b[j];
+        vx += fc->v[j] * b[j];
+    }
+    double x_i = (b_i + vx + wx * fc->vz) / fc->schur;
+    for (int64_t j = 0; j < n + 1; j++)
+        b[j] = b[j] + wx * fc->zd[j] + x_i * fc->w[j];
+    b[n + 1] = x_i;
+}
+
+/* One Rosenbrock 4(3) step of size h from y, f0 = f(y) (_stepper_py._rosenbrock_step):
+ * the solution into y_new and the error estimate into err; g holds the four
+ * increments, stage and f one point and its derivative. */
+static void rosenbrock_step(int64_t n, const double *beta, const double *omega_i, const double *delta_i,
+                            double mu, double r, const double *y, const double *f0, double h, factors *fc,
+                            double *g, double *stage, double *f, double *y_new, double *err)
+{
+    int64_t m = n + 2;
+    double *g1 = g, *g2 = g + m, *g3 = g + 2 * m, *g4 = g + 3 * m;
+    implicit_factors(n, beta, omega_i, delta_i, mu, r, y, 1.0 / (ROS_GAMMA * h), fc);
+    memcpy(g1, f0, (size_t)m * sizeof(double));
+    implicit_solve(n, fc, omega_i, g1);
+    for (int64_t j = 0; j < m; j++)
+        stage[j] = y[j] + ROS_A21 * g1[j];
+    rhs(n, beta, omega_i, delta_i, mu, r, stage, f);
+    for (int64_t j = 0; j < m; j++)
+        g2[j] = f[j] + ROS_C21 * g1[j] / h;
+    implicit_solve(n, fc, omega_i, g2);
+    for (int64_t j = 0; j < m; j++)
+        stage[j] = y[j] + ROS_A31 * g1[j] + ROS_A32 * g2[j];
+    rhs(n, beta, omega_i, delta_i, mu, r, stage, f);
+    for (int64_t j = 0; j < m; j++)
+        g3[j] = f[j] + (ROS_C31 * g1[j] + ROS_C32 * g2[j]) / h;
+    implicit_solve(n, fc, omega_i, g3);
+    for (int64_t j = 0; j < m; j++)
+        g4[j] = f[j] + (ROS_C41 * g1[j] + ROS_C42 * g2[j] + ROS_C43 * g3[j]) / h;
+    implicit_solve(n, fc, omega_i, g4);
+    for (int64_t j = 0; j < m; j++) {
+        y_new[j] = y[j] + (ROS_B[0] * g1[j] + ROS_B[1] * g2[j] + ROS_B[2] * g3[j] + ROS_B[3] * g4[j]);
+        err[j] = ROS_E[0] * g1[j] + ROS_E[1] * g2[j] + ROS_E[2] * g3[j] + ROS_E[3] * g4[j];
+    }
+}
+
+/* (sigma I - J(y)) x = b for the m = n + 2 component model, by
+ * implicit_factors and implicit_solve: the tests' check of the O(n) solve
+ * against a dense one.  Returns 0, or NO_MEMORY. */
+int ws_implicit_solve(int64_t m, const double *beta, const double *omega_i, const double *delta_i,
+                      double mu, double r, const double *y, double sigma, const double *b, double *x)
+{
+    double *work = malloc((size_t)(5 * m) * sizeof(double));
+    if (work == NULL) return NO_MEMORY;
+    factors fc = {work, work + m, work + 2 * m, work + 3 * m, work + 4 * m, 0.0, 0.0};
+    implicit_factors(m - 2, beta, omega_i, delta_i, mu, r, y, sigma, &fc);
+    memcpy(x, b, (size_t)m * sizeof(double));
+    implicit_solve(m - 2, &fc, omega_i, x);
+    free(work);
+    return 0;
 }
 
 /* Python's math.ulp(max(abs(t), 1.0)) */
@@ -95,10 +222,14 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
 {
     int64_t n = m - 2, cap = INITIAL_CAPACITY;
     double t_end = targets[n_targets - 1];
-    double *k = malloc((size_t)(10 * m) * sizeof(double)); /* seven stage rows, then three states */
-    *rec = (ws_record){malloc((size_t)(cap * (m + 1)) * sizeof(double)), 0, 0, 0, 0.0};
+    /* seven stage rows, three states, the error, four Rosenbrock increments,
+     * a derivative and the five vectors of the factors */
+    double *k = malloc((size_t)(21 * m) * sizeof(double));
+    *rec = (ws_record){malloc((size_t)(cap * (m + 1)) * sizeof(double)), 0, 0, 0, 0, 0.0};
     if (k == NULL || rec->rows == NULL) { free(k); return NO_MEMORY; }
-    double *y = k + 7 * m, *y_new = y + m, *stage_y = y_new + m;
+    double *y = k + 7 * m, *y_new = y + m, *stage_y = y_new + m, *err = stage_y + m, *g = err + m;
+    double *f = g + 4 * m, *work = f + m;
+    factors fc = {work, work + m, work + 2 * m, work + 3 * m, work + 4 * m, 0.0, 0.0};
     memcpy(y, y0, (size_t)m * sizeof(double));
     record(rec, &cap, m, 0.0, y);
     rhs(n, beta, omega_i, delta_i, mu, r, y, k);
@@ -115,9 +246,10 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
     h = PY_MIN(h, PY_MAX(t_end / 10.0, H_START));
     h = PY_MIN(h, PY_MAX(targets[0], H_START));
 
-    double t = 0.0;
-    int64_t idx = 0, n_accepted = 0, n_rejected = 0, quiet_run = 0;
-    int status = REACHED_END;
+    double t = 0.0, quiet_since = 0.0; /* the time the trailing quiet run began */
+    int64_t idx = 0, n_accepted = 0, n_rejected = 0, n_implicit = 0, quiet_run = 0;
+    int64_t stiff_run = 0, nonstiff_run = 0;
+    int implicit = 0, status = REACHED_END;
     while (t < t_end) {
         if (n_accepted + n_rejected >= max_steps) { status = MAX_STEPS; break; }
         if (h < 16.0 * ulp_from_one(t)) { status = UNDERFLOW; break; }
@@ -128,16 +260,28 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
         int clipped = 1.02 * h >= target - t;
         double h_use = clipped ? target - t : h;
 
-        /* seven stages; k[6] is the derivative at the proposed solution (FSAL) */
-        for (int stage = 1; stage < 7; stage++) {
-            double *dest = stage == 6 ? y_new : stage_y;
-            for (int64_t j = 0; j < m; j++) {
-                double acc = A_TAB[stage - 1][0] * k[j];
-                for (int jj = 1; jj < stage; jj++)
-                    acc += A_TAB[stage - 1][jj] * k[jj * m + j];
-                dest[j] = y[j] + h_use * acc;
+        if (implicit) {
+            rosenbrock_step(n, beta, omega_i, delta_i, mu, r, y, k, h_use, &fc, g, stage_y, f, y_new, err);
+        } else {
+            /* seven stages; k[6] is the derivative at the proposed solution
+             * (FSAL), and stage_y keeps the sixth stage's point for the
+             * stiffness test */
+            for (int stage = 1; stage < 7; stage++) {
+                double *dest = stage == 6 ? y_new : stage_y;
+                for (int64_t j = 0; j < m; j++) {
+                    double acc = A_TAB[stage - 1][0] * k[j];
+                    for (int jj = 1; jj < stage; jj++)
+                        acc += A_TAB[stage - 1][jj] * k[jj * m + j];
+                    dest[j] = y[j] + h_use * acc;
+                }
+                rhs(n, beta, omega_i, delta_i, mu, r, dest, k + stage * m);
             }
-            rhs(n, beta, omega_i, delta_i, mu, r, dest, k + stage * m);
+            for (int64_t j = 0; j < m; j++) {
+                double err_j = 0.0;
+                for (int stage = 0; stage < 7; stage++)
+                    err_j += E_TAB[stage] * k[stage * m + j];
+                err[j] = err_j * h_use;
+            }
         }
 
         int finite = 1, negative = 0;
@@ -149,12 +293,8 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
 
         double err_norm = 0.0;
         for (int64_t j = 0; j < m; j++) {
-            double err_j = 0.0;
-            for (int stage = 0; stage < 7; stage++)
-                err_j += E_TAB[stage] * k[stage * m + j];
-            err_j *= h_use;
             double sc = atol + rtol * PY_MAX(fabs(y[j]), fabs(y_new[j]));
-            err_norm += (err_j / sc) * (err_j / sc);
+            err_norm += (err[j] / sc) * (err[j] / sc);
         }
         err_norm = sqrt(err_norm / m);
         int accept = err_norm <= 1.0;
@@ -169,6 +309,21 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
         }
 
         if (accept) {
+            if (!implicit) {
+                /* Hairer's estimate of h |lambda| from the last two stages */
+                double num = 0.0, den = 0.0;
+                for (int64_t j = 0; j < m; j++) {
+                    double dk = k[6 * m + j] - k[5 * m + j], dy = y_new[j] - stage_y[j];
+                    num += dk * dk;
+                    den += dy * dy;
+                }
+                if (h_use * h_use * num > STIFF_LIMIT * STIFF_LIMIT * den) { /* h ||dk||/||dy|| > limit */
+                    stiff_run++;
+                    nonstiff_run = 0;
+                } else if (++nonstiff_run == NONSTIFF_RESET) {
+                    stiff_run = 0;
+                }
+            }
             t = clipped ? target : t + h_use;
             idx += clipped;
             /* the clamp: a negative component, or a positive one below TINY,
@@ -183,9 +338,14 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
             for (int64_t j = 0; j < m; j++)
                 if (y_new[j] < TINY && y_new[j] != 0.0) { y_new[j] = 0.0; clamped = 1; }
             memcpy(y, y_new, (size_t)m * sizeof(double));
-            if (clamped)
-                rhs(n, beta, omega_i, delta_i, mu, r, y, k + 6 * m);
-            memcpy(k, k + 6 * m, (size_t)m * sizeof(double));
+            if (implicit) {
+                n_implicit++;
+                rhs(n, beta, omega_i, delta_i, mu, r, y, k);
+            } else {
+                if (clamped)
+                    rhs(n, beta, omega_i, delta_i, mu, r, y, k + 6 * m);
+                memcpy(k, k + 6 * m, (size_t)m * sizeof(double));
+            }
             n_accepted++;
             if (!record(rec, &cap, m, t, y)) { status = NO_MEMORY; break; }
 
@@ -193,12 +353,14 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
             for (int64_t j = 0; j < m; j++)
                 fnorm += k[j] * k[j];
             quiet_run = sqrt(fnorm) < EQUILIBRIUM_VF_TOL ? quiet_run + 1 : 0;
+            if (!quiet_run)
+                quiet_since = t;
             if (stop_at_equilibrium && quiet_run >= EQUILIBRIUM_RUN) { status = CONVERGED; break; }
         } else {
             n_rejected++;
         }
 
-        double factor = err_norm == 0.0 ? MAX_FACTOR : SAFETY * pow(err_norm, -0.2);
+        double factor = err_norm == 0.0 ? MAX_FACTOR : SAFETY * pow(err_norm, implicit ? -0.25 : -0.2);
         factor = PY_MIN(MAX_FACTOR, PY_MAX(MIN_FACTOR, factor));
         if (!accept)
             h = h_use * PY_MIN(factor, 1.0);
@@ -206,14 +368,17 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
             h = PY_MAX(h, h_use * factor);
         else
             h = h_use * factor;
+        implicit = implicit || stiff_run >= STIFF_RUN;
     }
 
-    if (status == REACHED_END
-        && (quiet_run >= EQUILIBRIUM_RUN || (quiet_run == n_accepted && n_accepted >= 1)))
+    if (status == REACHED_END && quiet_run >= 1
+        && (quiet_run >= EQUILIBRIUM_RUN || quiet_run == n_accepted
+            || (n_implicit >= 1 && 2.0 * quiet_since <= t)))
         status = CONVERGED;
     free(k);
     rec->n_accepted = n_accepted;
     rec->n_rejected = n_rejected;
+    rec->n_implicit = n_implicit;
     rec->t_reached = t;
     return status;
 }

@@ -2,9 +2,14 @@
 
 Integration uses an adaptive embedded Runge-Kutta 5(4) pair (Dormand-Prince)
 with defaults tight enough that trajectories double as equilibrium oracles
-(absolute tolerance 1e-12, relative 1e-10).  Steps are clipped to requested
-sample times, so sampled values carry no interpolation error.  Stiff blow-ups
-are reported with the failing time instead of silently switching methods.
+(absolute tolerance 1e-12, relative 1e-10).  Once Hairer's stiffness
+estimate says the explicit step is held at its stability limit (``h |lambda|``
+above ``STIFF_LIMIT`` on ``STIFF_RUN`` accepted steps), the run finishes on a
+linearly implicit Rosenbrock 4(3) step whose linear solves cost O(n), at the
+same tolerances.  The switch is never silent: ``Trajectory.n_implicit``
+counts the implicit steps, so a record says how it was integrated.  Steps
+are clipped to requested sample times, so sampled values carry no
+interpolation error.  A failing run is reported with the time it reached.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ DEFAULT_MAX_STEPS = 5_000_000
 DFE_PREVALENCE_THRESHOLD = 1e-10
 
 _STATUS_MESSAGES = {
-    stepper.STATUS_UNDERFLOW: "step size underflow (stiff regime)",
-    stepper.STATUS_MAX_STEPS: "step budget exhausted (stiff regime)",
+    stepper.STATUS_UNDERFLOW: "step size underflow",
+    stepper.STATUS_MAX_STEPS: "step budget exhausted",
     stepper.STATUS_NONFINITE: "non-finite state encountered",
     stepper.STATUS_NEGATIVE: "state component fell below the -1e-12 negativity threshold",
 }
@@ -48,7 +53,9 @@ class Trajectory:
 
     ``times`` are strictly increasing and include every requested sample time
     exactly.  ``terminal_status`` is ``"converged_dfe"``,
-    ``"converged_endemic"`` or ``"max_time"``.  ``t_end`` is the horizon of
+    ``"converged_endemic"`` or ``"max_time"``.  ``n_implicit`` of the
+    ``n_accepted`` steps are Rosenbrock steps, taken after the stiffness
+    switch (0 for a run that never switched).  ``t_end`` is the horizon of
     the integration, which a converged or restricted record ends before.
     ``config`` is the integrated configuration; its digest is computed only
     when asked for.
@@ -59,6 +66,7 @@ class Trajectory:
     terminal_status: str
     n_accepted: int
     n_rejected: int
+    n_implicit: int
     rtol: float
     atol: float
     t_end: float
@@ -129,6 +137,7 @@ class Trajectory:
             "terminal_status": self.terminal_status,
             "n_accepted": self.n_accepted,
             "n_rejected": self.n_rejected,
+            "n_implicit": self.n_implicit,
             "times": self.times,
             "states": self.states,
         }
@@ -142,7 +151,7 @@ def _run_kernel(config: ModelConfig, y0, rtol, atol, targets, max_steps, stop_at
     ``(0, horizon]``, both checked by the caller; the tolerances and the step
     budget are checked here, and a failing status becomes the one
     :class:`IntegrationError`.  Returns ``(times, states, status,
-    n_accepted, n_rejected)``.
+    n_accepted, n_rejected, n_implicit)``.
 
     Raises:
         ValueError: on bad ``rtol``/``atol`` or ``max_steps``.
@@ -152,7 +161,7 @@ def _run_kernel(config: ModelConfig, y0, rtol, atol, targets, max_steps, stop_at
         raise ValueError(f"rtol and atol must be finite, >= 0 and not both 0, got rtol={rtol}, atol={atol}")
     if not 1 <= max_steps < 2**63:  # the compiled kernel takes an int64
         raise ValueError(f"max_steps must be >= 1 and < 2**63, got {max_steps}")
-    times, states, status, n_acc, n_rej, t_reached = stepper.integrate_core(
+    times, states, status, n_acc, n_rej, n_impl, t_reached = stepper.integrate_core(
         config.beta,
         config.omega_i,
         config.delta_i,
@@ -167,7 +176,7 @@ def _run_kernel(config: ModelConfig, y0, rtol, atol, targets, max_steps, stop_at
     )
     if status < 0:
         raise IntegrationError(_STATUS_MESSAGES[status], t_reached)
-    return times, states, status, n_acc, n_rej
+    return times, states, status, n_acc, n_rej, n_impl
 
 
 def integrate(
@@ -200,6 +209,8 @@ def integrate(
         stop_at_equilibrium: stop early once the derivative norm stays below
             ``EQUILIBRIUM_VF_TOL`` for ``EQUILIBRIUM_RUN`` accepted steps in a
             row (constants of ``_stepper_py``, twinned in ``_stepper.c``).
+            A run that reaches ``t_end`` with every step of its implicit
+            phase that quiet has converged too.
 
     Raises:
         ValueError: on a bad ``t_end``, ``rtol``/``atol``, ``max_steps`` or
@@ -226,7 +237,7 @@ def integrate(
     # within the allowance above it
     targets = np.append(targets[(targets > 0) & (targets < t_end)], t_end)
 
-    times, states, status, n_acc, n_rej = _run_kernel(
+    times, states, status, n_acc, n_rej, n_impl = _run_kernel(
         config, y0, rtol, atol, targets, max_steps, stop_at_equilibrium
     )
     if status == stepper.STATUS_CONVERGED:
@@ -243,6 +254,7 @@ def integrate(
         terminal_status=terminal,
         n_accepted=n_acc,
         n_rejected=n_rej,
+        n_implicit=n_impl,
         rtol=rtol,
         atol=atol,
         t_end=t_end,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dfe import basic_reproduction_number
 from .dynamics import DEFAULT_MAX_STEPS, IntegrationError, _run_kernel, integrate
-from .endemic import NoEndemicEquilibriumError, refine_endemic
+from .endemic import NoEndemicEquilibriumError, RefinementError, refine_endemic
 from .model import (ConfigError, ModelConfig, _json_numbers, _json_object, _parse_json, _require_start_prevalence,
                     config_from_dict, config_to_dict, epidemic_start, json_number)
 from .stability import _dfe_max_real_part
@@ -205,7 +205,11 @@ def _evaluate_point(base: ModelConfig, parameter: str, value: float, observable:
         else:  # terminal_prevalence, the one observable left that SweepSpec admits
             obs = integrate(cfg, epidemic_start(cfg), t_end, stop_at_equilibrium=True).final_prevalence
         return SweepPoint(value=value, observable=float(obs), classification=_CLASSIFICATION[r0.regime])
-    except Exception as exc:  # per-point failures, a configuration the value breaks included, are recorded
+    # per-point failures, a configuration the value breaks included, are
+    # recorded: ValueError covers ConfigError, NoEndemicEquilibriumError and
+    # StaleSolutionError, ArithmeticError NonFiniteThresholdError.  Anything
+    # else is a programming error and propagates, as it does from fit.
+    except (ValueError, ArithmeticError, IntegrationError, RefinementError) as exc:
         return SweepPoint(value=value, observable=float("nan"), classification="error", error=str(exc))
 
 
@@ -213,7 +217,8 @@ def sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the observable at each grid point, in grid order.
 
     Per-point configuration violations and failures are recorded in the
-    result rather than aborting the sweep.
+    result rather than aborting the sweep; any other exception, a
+    programming error, propagates.
     """
     points = tuple(_evaluate_point(spec.base_config, spec.parameter, float(v), spec.observable, spec.t_end)
                    for v in spec.grid)

@@ -48,6 +48,7 @@ class _Record(ctypes.Structure):
         ("n_rows", ctypes.c_int64),
         ("n_accepted", ctypes.c_int64),
         ("n_rejected", ctypes.c_int64),
+        ("n_implicit", ctypes.c_int64),
         ("t_reached", ctypes.c_double),
     ]
 
@@ -139,7 +140,7 @@ def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, ma
         ctypes.memmove(rows.ctypes.data, rec.rows, rows.nbytes)
     finally:
         _lib.ws_free(ctypes.byref(rec))
-    return rows[:, 0], rows[:, 1:], status, rec.n_accepted, rec.n_rejected, rec.t_reached
+    return rows[:, 0], rows[:, 1:], status, rec.n_accepted, rec.n_rejected, rec.n_implicit, rec.t_reached
 
 
 def _c_format_floats(values: np.ndarray, cols: int, sep: str, row_sep: str) -> str | None:

@@ -3,8 +3,9 @@ that the package's answer pipeline does not use, and SciPy's root finder,
 least-squares driver and LAPACK wrapper as the references for the
 package's own Brent's method, the fit's trust-region loop and its SVD.
 
-Among them: the dense LU solve of the disease-free equilibrium, the
-closed-form solution of the infection-free waning chain, a fitted
+Among them: the dense LU solve of the disease-free equilibrium, SciPy's
+DOP853 trajectories, the closed-form solution of the infection-free waning
+chain, a fitted
 exponential convergence rate of a trajectory, the threshold locator (grid
 scan plus Brent's method on R0 - 1 or the existence margin) and the
 explicit transmission threshold of a last-tier-only coverage scheme as a
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.integrate
 import scipy.linalg.lapack
 import scipy.optimize
 from scipy.optimize._lsq.common import solve_lsq_trust_region
@@ -30,7 +32,7 @@ from waningsim.endemic import (
     localize_endemic,
     solve_susceptible_block,
 )
-from waningsim.model import ConfigError, ModelConfig
+from waningsim.model import ConfigError, ModelConfig, vector_field
 from waningsim.scanfit import FIT_FTOL, FIT_XTOL, SweepSpec, substitute_parameter
 from waningsim.stability import _require_fresh, dfe_spectrum, jacobian
 
@@ -389,6 +391,16 @@ class InfectionFreeSolution:
         result = self.propagator(t) @ s0
         result[self.n] += 1.0 - math.exp(-self.mu * t)  # birth inflow integral
         return result
+
+
+def dop853_states(config: ModelConfig, y0, times) -> np.ndarray:
+    """States at ``times`` (sorted, from 0) by SciPy's DOP853 at rtol 1e-13:
+    the reference for both phases of the package's integrator."""
+    times = np.asarray(times, dtype=float)
+    result = scipy.integrate.solve_ivp(lambda t, y: vector_field(config, y), (0.0, times[-1]), y0,
+                                       method="DOP853", rtol=1e-13, atol=1e-16, t_eval=times)
+    assert result.success, result.message
+    return result.y.T
 
 
 def infection_free_solution(config: ModelConfig) -> InfectionFreeSolution:

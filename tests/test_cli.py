@@ -173,11 +173,20 @@ class TestSimulate:
         assert doc["data"]["times"][-1] == 1e-15 and len(doc["data"]["times"]) == 201
 
     def test_stiff_blowup_exits_3(self, tmp_path, capsys):
+        # the run needs about 430 attempted steps to reach 1000 y
         stiff = tmp_path / "stiff.json"
         stiff.write_text(config_to_json(build_general(1, (1e6, 1e6), 0.0, 1.0, 1.0, 0.0, (0.0, 0.0))))
-        code = main(["simulate", "--config", str(stiff), "--t-end", "1000", "--max-steps", "2000"])
+        code = main(["simulate", "--config", str(stiff), "--t-end", "1000", "--max-steps", "200"])
         assert code == 3
         assert "integration failed" in capsys.readouterr().err
+
+    def test_stiff_run_completes_on_the_implicit_step(self, tmp_path, capsys):
+        stiff = tmp_path / "stiff.json"
+        stiff.write_text(config_to_json(build_general(1, (1e6, 1e6), 0.0, 1.0, 1.0, 0.0, (0.0, 0.0))))
+        assert main(["simulate", "--config", str(stiff), "--t-end", "1000", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert data["times"][-1] == 1000.0
+        assert 0 < data["n_implicit"] < data["n_accepted"]
 
 
 class TestAnalyze:
@@ -765,7 +774,7 @@ class TestFit:
         from waningsim.dynamics import IntegrationError
 
         def failing(*args, **kwargs):
-            raise IntegrationError("step budget exhausted (stiff regime)", 0.5)
+            raise IntegrationError("step budget exhausted", 0.5)
 
         monkeypatch.setattr(scanfit, "simulate_annual_prevalence", failing)
         assert main(["fit", "--config", config_path, "--data", str(synthetic_prevalence_path())]) == 2

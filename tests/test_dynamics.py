@@ -125,30 +125,44 @@ class TestIntegrate:
                                    rtol=0, atol=1e-14)
 
     def test_stiff_budget_exhaustion_reports_time(self):
-        # near its endemic point this config has a contraction rate ~1e6/yr,
-        # which caps explicit steps at ~1e-6 years: stability-limited forever
+        # near its endemic point this config has a contraction rate ~1e6/yr;
+        # its run reaches 1000 y in about 430 attempted steps, most of them
+        # explicit steps before the switch to the implicit step, so a budget
+        # of 200 runs out on the way
         stiff = build_general(1, (1e6, 1e6), 0.0, 1.0, 1.0, 0.0, (0.0, 0.0))
-        with pytest.raises(IntegrationError, match="stiff") as exc_info:
-            integrate(stiff, epidemic_start(stiff), 1000.0, max_steps=2000)
+        with pytest.raises(IntegrationError, match="step budget exhausted") as exc_info:
+            integrate(stiff, epidemic_start(stiff), 1000.0, max_steps=200)
         assert 0.0 <= exc_info.value.t_reached < 1000.0
 
-    def test_deep_trough_negativity_is_retried_not_fatal(self):
-        # interepidemic troughs push the prevalence to ~1e-20, where the RMS
-        # error controller permits dips past -1e-12; those steps must be
-        # rejected and retried smaller rather than aborting the run
-        cfg = build_general(
-            1,
-            (2.1137067898803426, 13.832407591446508),
-            4.131923257730322e-05,
-            0.5988729732430255,
-            3.336228921140153,
-            0.7072302365475842,
-            (0.0, 0.9878715818465336),
-        )
-        traj = integrate(cfg, epidemic_start(cfg), 2000.0, stop_at_equilibrium=True)
-        assert traj.n_rejected > 50  # the retries actually happened
+    def test_stiff_run_finishes_on_the_implicit_step(self):
+        # the same config under the default budget: explicit steps capped at
+        # ~1e-6 years would need about 1e9 of them; the stiffness test hands
+        # the run to the Rosenbrock step, which reaches the horizon
+        stiff = build_general(1, (1e6, 1e6), 0.0, 1.0, 1.0, 0.0, (0.0, 0.0))
+        traj = integrate(stiff, epidemic_start(stiff), 1000.0)
+        assert traj.times[-1] == 1000.0
+        assert traj.n_implicit > 0 and traj.n_accepted + traj.n_rejected < 1000
+        assert traj.final_prevalence == pytest.approx(refine_endemic(stiff).i_star, rel=0.0, abs=1e-9)
+
+    def test_deep_trough_negativity_is_retried_not_fatal(self, monkeypatch, pertussis):
+        # at loose tolerances the subcritical pertussis run's decaying
+        # prevalence dips past -1e-12 on steps the error controller accepts;
+        # those steps must be rejected and retried smaller rather than
+        # aborting the run.  With the retry switched off (an infinite
+        # threshold) the run differs, so the retries actually happened.
+        python_kernel = stepper.kernels()["python"]
+        monkeypatch.setattr(stepper, "integrate_core", python_kernel.integrate_core)
+
+        def run():
+            return integrate(pertussis, epidemic_start(pertussis), 2000.0, rtol=1e-8, atol=1e-8,
+                             stop_at_equilibrium=True)
+
+        traj = run()
+        monkeypatch.setattr(python_kernel, "NEG_CLAMP", math.inf)
+        unguarded = run()
+        assert traj.n_rejected > unguarded.n_rejected
         assert np.min(traj.states) >= 0.0
-        assert abs(traj.final_prevalence - refine_endemic(cfg).i_star) < 1e-7
+        assert traj.terminal_status == "converged_dfe" and traj.final_prevalence < 1e-10
 
     def test_rejects_off_simplex_start(self):
         with pytest.raises(ValueError):
@@ -343,6 +357,33 @@ class TestDetectEquilibrium:
     def test_short_run_reports_max_time(self):
         traj = integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 0.5)
         assert traj.terminal_status == "max_time"
+
+    def test_near_zero_waning_run_converges_to_its_endemic_point(self):
+        # the retry test's former config: waning 4e-5/yr and 99% last-tier
+        # coverage; the explicit steps alone ran the whole 2000 y (1,688
+        # accepted, 507 rejected) and ended max_time
+        cfg = build_general(1, (2.1137067898803426, 13.832407591446508), 4.131923257730322e-05,
+                            0.5988729732430255, 3.336228921140153, 0.7072302365475842, (0.0, 0.9878715818465336))
+        traj = integrate(cfg, epidemic_start(cfg), 2000.0, stop_at_equilibrium=True)
+        assert traj.terminal_status == "converged_endemic"
+        assert np.min(traj.states) >= 0.0
+        assert abs(traj.final_prevalence - refine_endemic(cfg).i_star) < 1e-7
+
+    @pytest.mark.parametrize("beta0, scale", [(18.0, 1.0), (19.0, 1.0), (20.0, 1.0), (None, 3.0), (None, 5.0)],
+                             ids=["beta0=18", "beta0=19", "beta0=20", "beta*3", "beta*5"])
+    def test_stop_rule_fires_past_the_explicit_noise_floor(self, pertussis, beta0, scale):
+        # explicit steps at their stability limit keep |f| near 1e-10, so
+        # these runs used to go the whole 2000 y (26,792-498,994 steps) and
+        # end max_time; the implicit phase's few long steps reach the
+        # horizon quiet
+        beta = pertussis.beta * scale
+        if beta0 is not None:
+            beta[0] = beta0
+        cfg = pertussis.replace(beta=beta)
+        traj = integrate(cfg, epidemic_start(cfg), 2000.0, stop_at_equilibrium=True)
+        assert traj.terminal_status == "converged_endemic"
+        assert traj.n_implicit > 0 and traj.n_accepted + traj.n_rejected <= 1000
+        assert abs(traj.final_prevalence - refine_endemic(cfg).i_star) < 1e-9
 
 
 class TestStateVectorBridge:

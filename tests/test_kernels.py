@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib
 import shlex
@@ -13,18 +14,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from waningsim import stepper
+from waningsim import _stepper_py, stepper
 from waningsim._stepper_py import TINY, _rhs
 from waningsim.data import pertussis_config
 from waningsim.dynamics import integrate
 from waningsim.model import build_general, epidemic_start, vector_field
+from waningsim.stability import jacobian
 
 from conftest import random_config, random_simplex_state
+from oracles import dop853_states
 
 CFG = build_general(2, (1.5, 2.0, 4.0), 0.05, 0.3, 1.2, 2.0, (0.0, 0.1, 0.5))
 
 
-def run_kernel(impl, cfg, t_end=50.0):
+def run_kernel(impl, cfg, t_end=50.0, targets=None):
     y0 = epidemic_start(cfg).as_array()
     return impl.integrate_core(
         cfg.beta,
@@ -35,7 +38,7 @@ def run_kernel(impl, cfg, t_end=50.0):
         y0,
         1e-10,
         1e-12,
-        np.array([t_end]),
+        np.array([t_end]) if targets is None else targets,
         1_000_000,
         False,
     )
@@ -148,8 +151,10 @@ class TestCompiledKernel:
         assert stepper.active_kernel() == "c"
 
     def test_step_record_grows_past_initial_capacity(self, pertussis):
-        # 4096 rows are allocated up front; this run records about 5000
-        results = {name: run_kernel(impl, pertussis, t_end=1200.0) for name, impl in stepper.kernels().items()}
+        # 4096 rows are allocated up front; 5000 sample times are 5000 rows
+        # and more, whichever step the run is on
+        targets = np.linspace(0.0, 1200.0, 5001)[1:]
+        results = {name: run_kernel(impl, pertussis, targets=targets) for name, impl in stepper.kernels().items()}
         py, c = results["python"], results["c"]
         assert c[3] > 4096
         assert c[0].shape == (c[3] + 1,) and c[1].shape == (c[3] + 1, pertussis.n + 2)
@@ -215,3 +220,90 @@ def test_unusable_compiler_falls_back_to_python(monkeypatch, tmp_path):
                 assert list(stepper.kernels()) == ["python"]
         finally:
             importlib.reload(stepper)
+
+
+def implicit_solve(name, cfg, y, sigma, b):
+    """``(sigma I - J(y)) x = b`` by the named kernel's O(n) solve."""
+    if name == "python":
+        factors = _stepper_py._implicit_factors(cfg.beta, cfg.omega_i, cfg.delta_i, cfg.mu, cfg.r, y, sigma)
+        return _stepper_py._implicit_solve(factors, b, np.empty_like(b))
+    solve = stepper._lib.ws_implicit_solve
+    address = ctypes.c_void_p
+    solve.restype = ctypes.c_int
+    solve.argtypes = [ctypes.c_int64, address, address, address, ctypes.c_double, ctypes.c_double, address,
+                      ctypes.c_double, address, address]
+    x = np.empty_like(b)
+    status = solve(y.size, cfg.beta.ctypes.data, cfg.omega_i.ctypes.data, cfg.delta_i.ctypes.data, cfg.mu, cfg.r,
+                   y.ctypes.data, sigma, b.ctypes.data, x.ctypes.data)
+    assert status == 0
+    return x
+
+
+def implicit_solve_cases():
+    """Seeded configs with each rate that can vanish or sit at the bottom of
+    the normal range doing so, up to n = 2048."""
+    rng = np.random.default_rng(73)
+    cases = []
+    variants = ("plain", "delta=0", "omega=0", "p_n=0", "mu=tiny")
+    for n, variant in [(n, v) for n in (1, 3, 12, 40) for v in variants] + [(2048, "plain"), (2048, "mu=tiny")]:
+        cfg = random_config(rng, n_range=(n, n), rate_low=1e-3, rate_high=50.0)
+        if variant == "delta=0":
+            cfg = cfg.replace(delta=0.0)
+        elif variant == "omega=0":
+            cfg = cfg.replace(omega=0.0)
+        elif variant == "p_n=0":
+            cfg = cfg.replace(p=np.append(cfg.p[:-1], 0.0))
+        elif variant == "mu=tiny":
+            cfg = cfg.replace(mu=TINY)
+        y = random_simplex_state(rng, n)
+        b = rng.standard_normal(n + 2)
+        sigma = float(10.0 ** rng.uniform(-2, 4))
+        cases.append(pytest.param(cfg, y, sigma, b, id=f"n{n}-{variant}"))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(stepper.kernels()))
+@pytest.mark.parametrize("cfg, y, sigma, b", implicit_solve_cases())
+def test_implicit_solve_matches_dense_solve(name, cfg, y, sigma, b):
+    # the Rosenbrock step's O(n) solve of (sigma I - J) x = b: chain
+    # substitution, Sherman-Morrison and a Schur complement, no matrix
+    matrix = sigma * np.eye(cfg.n + 2) - jacobian(cfg, y)
+    x = implicit_solve(name, cfg, y, sigma, b)
+    dense = np.linalg.solve(matrix, b)
+    scale = np.abs(matrix).sum(axis=1).max()
+    assert np.abs(matrix @ x - b).max() <= 1e-12 * scale * np.abs(x).max()
+    np.testing.assert_allclose(x, dense, rtol=1e-8, atol=1e-12 * np.abs(dense).max())
+
+
+@functools.cache
+def sampled_run(name, delta):
+    # the bundled config over 600 y, 200 samples: the run switches to the
+    # implicit step within its first decade
+    cfg = pertussis_config().replace(delta=delta)
+    targets = np.linspace(0.0, 600.0, 201)[1:]
+    return cfg, stepper.kernels()[name].integrate_core(
+        cfg.beta, cfg.omega_i, cfg.delta_i, cfg.mu, cfg.r, epidemic_start(cfg).as_array(), 1e-10, 1e-12, targets,
+        1_000_000, False)
+
+
+@pytest.mark.parametrize("name", list(stepper.kernels()))
+@pytest.mark.parametrize("delta", [0.17, 0.26], ids=["below-R0=1", "above-R0=1"])
+def test_both_phases_match_dop853(name, delta):
+    cfg, (times, states, status, n_accepted, n_rejected, n_implicit, t_reached) = sampled_run(name, delta)
+    assert t_reached == 600.0 and 0 < n_implicit < n_accepted
+    samples = np.linspace(0.0, 600.0, 201)
+    idx = np.searchsorted(times, samples)
+    np.testing.assert_array_equal(times[idx], samples)
+    reference = dop853_states(cfg, states[0], samples)
+    np.testing.assert_allclose(states[idx], reference, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.skipif("c" not in stepper.kernels(), reason="compiled kernel not built")
+@pytest.mark.parametrize("delta", [0.17, 0.26], ids=["below-R0=1", "above-R0=1"])
+def test_kernel_parity_through_the_switch(delta):
+    _, py = sampled_run("python", delta)
+    _, c = sampled_run("c", delta)
+    assert py[2] == c[2] and py[5] == c[5] > 0  # status, implicit steps
+    samples = np.linspace(0.0, 600.0, 201)
+    np.testing.assert_allclose(py[1][np.searchsorted(py[0], samples)], c[1][np.searchsorted(c[0], samples)],
+                               rtol=1e-7, atol=1e-10)

@@ -69,6 +69,18 @@ class TestSweep:
         assert result.points[2].classification == "error"
         assert "non-decreasing" in result.points[2].error
 
+    @pytest.mark.parametrize("observable, target", [("r0", "basic_reproduction_number"),
+                                                    ("endemic_I", "refine_endemic"),
+                                                    ("terminal_prevalence", "integrate")])
+    def test_programming_errors_propagate(self, monkeypatch, observable, target):
+        # a point's own failures become error rows; a bug is not one of them
+        def broken(*args, **kwargs):
+            raise TypeError("not a per-point failure")
+
+        monkeypatch.setattr(scanfit, target, broken)
+        with pytest.raises(TypeError, match="not a per-point failure"):
+            sweep(SweepSpec(BASE, "delta", np.array([0.05, 0.1]), observable))
+
     def test_last_only_omega_n_sweep_strictly_decreasing(self):
         cfg = build_last_only(2, (0.5, 1.0, 2.5), 0.3, 0.1, 1.5, 1.0, 0.8)
         spec = SweepSpec(cfg, "omega_n", np.linspace(0.01, 30, 50), "r0")
@@ -416,7 +428,7 @@ class TestFit:
         def flaky(config, *args, **kwargs):
             calls.append(config.omega)
             if len(calls) in (2, 3):
-                raise IntegrationError("step budget exhausted (stiff regime)", 0.5)
+                raise IntegrationError("step budget exhausted", 0.5)
             return simulate_annual_prevalence(config, *args, **kwargs)
 
         monkeypatch.setattr(scanfit, "simulate_annual_prevalence", flaky)
@@ -442,7 +454,7 @@ class TestFit:
         def flaky(config, *args, **kwargs):
             calls.append(config.omega)
             if len(calls) == 2:
-                raise IntegrationError("step budget exhausted (stiff regime)", 0.5)
+                raise IntegrationError("step budget exhausted", 0.5)
             return simulate_annual_prevalence(config, *args, **kwargs)
 
         monkeypatch.setattr(scanfit, "simulate_annual_prevalence", flaky)
@@ -484,7 +496,7 @@ class TestFit:
 
     def test_start_point_that_fails_is_a_config_error(self, monkeypatch):
         def failing(*args, **kwargs):
-            raise IntegrationError("step budget exhausted (stiff regime)", 0.5)
+            raise IntegrationError("step budget exhausted", 0.5)
 
         monkeypatch.setattr(scanfit, "simulate_annual_prevalence", failing)
         data = synthetic_series(FIT_TRUTH, np.arange(2000, 2005), i0=1e-4)
@@ -706,10 +718,10 @@ class TestTrialPoint:
 
     def test_kernel_failure_is_an_integration_error(self, monkeypatch):
         def exhausted(*args):
-            return np.zeros(1), np.zeros((1, 4)), stepper.STATUS_MAX_STEPS, 7, 0, 0.25
+            return np.zeros(1), np.zeros((1, 4)), stepper.STATUS_MAX_STEPS, 7, 0, 0, 0.25
 
         monkeypatch.setattr(stepper, "integrate_core", exhausted)
-        with pytest.raises(IntegrationError, match=r"step budget exhausted \(stiff regime\) at t=0.25"):
+        with pytest.raises(IntegrationError, match=r"step budget exhausted at t=0.25"):
             simulate_annual_prevalence(FIT_TRUTH, self.YEARS, 1999, 1e-4)
 
     @pytest.mark.parametrize("i0", [0.0, 1.0, -1.0, 2.0, float("nan"), float("inf")])
