@@ -1,11 +1,12 @@
-/* Compiled adaptive stepper, Dormand-Prince 5(4) and then, once the run turns
- * stiff, a linearly implicit Rosenbrock 4(3) step: the statement-by-statement
- * twin of _stepper_py.integrate_core, whose docstring describes the two
- * phases, the stiffness test, the O(n) solve and the stop rule; keep the two
- * in sync.  Also the artifact writers' float formatter, ws_format, which
- * writes doubles byte for byte as Python's float.__repr__ does.  Plain C99
- * without Python or NumPy headers, compiled by stepper.py on first import
- * and called through ctypes. */
+/* Compiled adaptive stepper, Dormand-Prince 8(5,3) (Hairer's DOP853) and
+ * then, once the run turns stiff and for as long as it gains, a linearly
+ * implicit Rosenbrock 4(3) step: the statement-by-statement twin of
+ * _stepper_py.integrate_core, whose docstring describes the two phases, the
+ * error norm, the stiffness test, the implicit windows, the O(n) solve and
+ * the stop rule; keep the two in sync.  Also the artifact writers' float
+ * formatter, ws_format, which writes doubles byte for byte as Python's
+ * float.__repr__ does.  Plain C99 without Python or NumPy headers, compiled
+ * by stepper.py on first import and called through ctypes. */
 
 #include <math.h>
 #include <stdint.h>
@@ -18,9 +19,12 @@ enum { REACHED_END = 0, CONVERGED = 1, UNDERFLOW = -1, MAX_STEPS = -2, NONFINITE
 static const double NEG_CLAMP = 1e-12, MIN_FACTOR = 0.2, MAX_FACTOR = 10.0, SAFETY = 0.9;
 static const double EQUILIBRIUM_VF_TOL = 1e-10; /* equilibrium: |f| below this ... */
 static const int64_t EQUILIBRIUM_RUN = 50;      /* ... over this many accepted steps in a row */
-static const double STIFF_LIMIT = 3.25;     /* Hairer's test: h |lambda| above this ... */
+static const double STIFF_LIMIT = 6.1;      /* Hairer's test: h |lambda| above this ... */
 static const int64_t STIFF_RUN = 15;        /* ... on this many accepted steps switches to Rosenbrock; */
 static const int64_t NONSTIFF_RESET = 6;    /* this many in a row below it restart the count */
+static const double IMPLICIT_GAIN = 2.0;    /* a window of STIFF_RUN implicit steps shorter than this
+                                               many times STIFF_RUN of the last explicit step goes
+                                               back to DOP853 */
 static const double TINY = 2.2250738585072014e-308; /* DBL_MIN, np.finfo(float).tiny */
 static const double H_START = 0x1p-48; /* 16 ulp(1): the floor of the first step's bounds */
 static const int64_t INITIAL_CAPACITY = 4096; /* rows */
@@ -35,17 +39,52 @@ typedef struct {
     double t_reached;
 } ws_record;
 
-/* Dormand-Prince 5(4) tableau (FSAL: stage 7 equals the propagated solution) */
-static const double A_TAB[6][6] = {
-    {1.0 / 5},
-    {3.0 / 40, 9.0 / 40},
-    {44.0 / 45, -56.0 / 15, 32.0 / 9},
-    {19372.0 / 6561, -25360.0 / 2187, 64448.0 / 6561, -212.0 / 729},
-    {9017.0 / 3168, -355.0 / 33, 46732.0 / 5247, 49.0 / 176, -5103.0 / 18656},
-    {35.0 / 384, 0.0, 500.0 / 1113, 125.0 / 192, -2187.0 / 6784, 11.0 / 84},
+/* Dormand-Prince 8(5,3) tableau (Hairer's DOP853), the decimal literals of
+ * _stepper_py: the stage rows A_TAB (stage 12 sits at c = 1), the propagated
+ * weights B_TAB, the fifth-order error weights E5_TAB, and BHH1..3, the
+ * third-order weights of stages 1, 9 and 12 */
+static const double A_TAB[11][11] = {
+    {5.26001519587677318785587544488e-2},
+    {1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2},
+    {2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2},
+    {2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1},
+    {3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1},
+    {3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+     -1.7578125e-2},
+    {3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3},
+    {6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1},
+    {4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2},
+    {-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022},
+    {2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1},
 };
-static const double E_TAB[7] = {71.0 / 57600, 0.0, -71.0 / 16695, 71.0 / 1920, -17253.0 / 339200,
-                                22.0 / 525, -1.0 / 40};
+static const double B_TAB[12] = {5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+                                 4.45031289275240888144113950566, 1.89151789931450038304281599044,
+                                 -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+                                 -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+                                 4.47106157277725905176885569043e-2};
+static const double E5_TAB[12] = {0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+                                  -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+                                  0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+                                  0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+                                  -0.2235530786388629525884427845e-1};
+static const double BHH1 = 0.244094488188976377952755905512, BHH2 = 0.733846688281611857341361741547,
+                    BHH3 = 0.220588235294117647058823529412e-1;
 
 /* Shampine's Rosenbrock 4(3) parameters (see _stepper_py) */
 static const double ROS_GAMMA = 0.5, ROS_A21 = 2.0, ROS_A31 = 48.0 / 25, ROS_A32 = 6.0 / 25;
@@ -222,12 +261,12 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
 {
     int64_t n = m - 2, cap = INITIAL_CAPACITY;
     double t_end = targets[n_targets - 1];
-    /* seven stage rows, three states, the error, four Rosenbrock increments,
-     * a derivative and the five vectors of the factors */
-    double *k = malloc((size_t)(21 * m) * sizeof(double));
+    /* twelve stage rows, three states, the error, four Rosenbrock
+     * increments, a derivative and the five vectors of the factors */
+    double *k = malloc((size_t)(26 * m) * sizeof(double));
     *rec = (ws_record){malloc((size_t)(cap * (m + 1)) * sizeof(double)), 0, 0, 0, 0, 0.0};
     if (k == NULL || rec->rows == NULL) { free(k); return NO_MEMORY; }
-    double *y = k + 7 * m, *y_new = y + m, *stage_y = y_new + m, *err = stage_y + m, *g = err + m;
+    double *y = k + 12 * m, *y_new = y + m, *stage_y = y_new + m, *err = stage_y + m, *g = err + m;
     double *f = g + 4 * m, *work = f + m;
     factors fc = {work, work + m, work + 2 * m, work + 3 * m, work + 4 * m, 0.0, 0.0};
     memcpy(y, y0, (size_t)m * sizeof(double));
@@ -248,7 +287,11 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
 
     double t = 0.0, quiet_since = 0.0; /* the time the trailing quiet run began */
     int64_t idx = 0, n_accepted = 0, n_rejected = 0, n_implicit = 0, quiet_run = 0;
-    int64_t stiff_run = 0, nonstiff_run = 0;
+    /* the stiff run that switches, doubled after each implicit window that
+     * gains too little; the window's steps and start, and the last explicit
+     * step */
+    int64_t stiff_run = 0, nonstiff_run = 0, stiff_needed = STIFF_RUN, trial = 0;
+    double t_switch = 0.0, h_explicit = 0.0;
     int implicit = 0, status = REACHED_END;
     while (t < t_end) {
         if (n_accepted + n_rejected >= max_steps) { status = MAX_STEPS; break; }
@@ -260,28 +303,43 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
         int clipped = 1.02 * h >= target - t;
         double h_use = clipped ? target - t : h;
 
+        double err_norm = 0.0;
         if (implicit) {
             rosenbrock_step(n, beta, omega_i, delta_i, mu, r, y, k, h_use, &fc, g, stage_y, f, y_new, err);
+            for (int64_t j = 0; j < m; j++) {
+                double sc = atol + rtol * PY_MAX(fabs(y[j]), fabs(y_new[j]));
+                err_norm += (err[j] / sc) * (err[j] / sc);
+            }
+            err_norm = sqrt(err_norm / m);
         } else {
-            /* seven stages; k[6] is the derivative at the proposed solution
-             * (FSAL), and stage_y keeps the sixth stage's point for the
-             * stiffness test */
-            for (int stage = 1; stage < 7; stage++) {
-                double *dest = stage == 6 ? y_new : stage_y;
+            /* eleven new stages; stage_y keeps the last one's point (c = 1)
+             * for the stiffness test */
+            for (int stage = 1; stage < 12; stage++) {
                 for (int64_t j = 0; j < m; j++) {
                     double acc = A_TAB[stage - 1][0] * k[j];
                     for (int jj = 1; jj < stage; jj++)
                         acc += A_TAB[stage - 1][jj] * k[jj * m + j];
-                    dest[j] = y[j] + h_use * acc;
+                    stage_y[j] = y[j] + acc * h_use;
                 }
-                rhs(n, beta, omega_i, delta_i, mu, r, dest, k + stage * m);
+                rhs(n, beta, omega_i, delta_i, mu, r, stage_y, k + stage * m);
             }
+            /* Hairer's norm: the fifth-order estimate, damped where the
+             * third-order one is small beside it */
+            double err5 = 0.0, err3 = 0.0;
             for (int64_t j = 0; j < m; j++) {
-                double err_j = 0.0;
-                for (int stage = 0; stage < 7; stage++)
-                    err_j += E_TAB[stage] * k[stage * m + j];
-                err[j] = err_j * h_use;
+                double increment = 0.0, e5 = 0.0;
+                for (int stage = 0; stage < 12; stage++) {
+                    increment += B_TAB[stage] * k[stage * m + j];
+                    e5 += E5_TAB[stage] * k[stage * m + j];
+                }
+                double e3 = increment - BHH1 * k[j] - BHH2 * k[8 * m + j] - BHH3 * k[11 * m + j];
+                y_new[j] = y[j] + increment * h_use;
+                double sc = atol + rtol * PY_MAX(fabs(y[j]), fabs(y_new[j]));
+                err5 += (e5 / sc) * (e5 / sc);
+                err3 += (e3 / sc) * (e3 / sc);
             }
+            double deno = err5 + 0.01 * err3;
+            err_norm = deno > 0.0 ? h_use * err5 / sqrt(deno * m) : 0.0;
         }
 
         int finite = 1, negative = 0;
@@ -290,13 +348,6 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
             negative |= y_new[j] < -NEG_CLAMP;
         }
         if (!finite) { status = NONFINITE; break; }
-
-        double err_norm = 0.0;
-        for (int64_t j = 0; j < m; j++) {
-            double sc = atol + rtol * PY_MAX(fabs(y[j]), fabs(y_new[j]));
-            err_norm += (err[j] / sc) * (err[j] / sc);
-        }
-        err_norm = sqrt(err_norm / m);
         int accept = err_norm <= 1.0;
 
         if (accept && negative) {
@@ -309,11 +360,36 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
         }
 
         if (accept) {
-            if (!implicit) {
-                /* Hairer's estimate of h |lambda| from the last two stages */
+            t = clipped ? target : t + h_use;
+            idx += clipped;
+            /* the clamp: a negative component, or a positive one below TINY,
+             * becomes 0; an exact 0 or -0 is left alone.  A positive
+             * component moves by less than 2.2e-308, some 296 orders under
+             * the default atol of 1e-12, and I = 0 is absorbing: an infection
+             * decayed out of the normal range is extinct from here on,
+             * instead of carried through every later step as subnormal
+             * operands, which cost about 3x as much per step on x86. */
+            for (int64_t j = 0; j < m; j++)
+                if (y_new[j] < TINY && y_new[j] != 0.0) y_new[j] = 0.0;
+            memcpy(y, y_new, (size_t)m * sizeof(double));
+            rhs(n, beta, omega_i, delta_i, mu, r, y, k); /* the next step's first stage */
+            if (implicit) {
+                n_implicit++;
+                if (++trial == STIFF_RUN) {
+                    /* the implicit steps gain too little: back to DOP853 */
+                    if (t - t_switch < IMPLICIT_GAIN * STIFF_RUN * h_explicit) {
+                        implicit = 0;
+                        stiff_needed *= 2;
+                    }
+                    trial = 0;
+                    t_switch = t;
+                }
+            } else {
+                h_explicit = h_use;
+                /* Hairer's estimate of h |lambda| from the last stage and the new point */
                 double num = 0.0, den = 0.0;
                 for (int64_t j = 0; j < m; j++) {
-                    double dk = k[6 * m + j] - k[5 * m + j], dy = y_new[j] - stage_y[j];
+                    double dk = k[j] - k[11 * m + j], dy = y[j] - stage_y[j];
                     num += dk * dk;
                     den += dy * dy;
                 }
@@ -323,28 +399,6 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
                 } else if (++nonstiff_run == NONSTIFF_RESET) {
                     stiff_run = 0;
                 }
-            }
-            t = clipped ? target : t + h_use;
-            idx += clipped;
-            /* the clamp: a negative component, or a positive one below TINY,
-             * becomes 0; an exact 0 or -0 is left alone, so an empty tier
-             * costs no extra evaluation.  A positive component moves by less
-             * than 2.2e-308, some 296 orders under the default atol of 1e-12,
-             * and I = 0 is absorbing: an infection decayed out of the normal
-             * range is extinct from here on, instead of carried through every
-             * later step as subnormal operands, which cost about 3x as much
-             * per step on x86. */
-            int clamped = 0;
-            for (int64_t j = 0; j < m; j++)
-                if (y_new[j] < TINY && y_new[j] != 0.0) { y_new[j] = 0.0; clamped = 1; }
-            memcpy(y, y_new, (size_t)m * sizeof(double));
-            if (implicit) {
-                n_implicit++;
-                rhs(n, beta, omega_i, delta_i, mu, r, y, k);
-            } else {
-                if (clamped)
-                    rhs(n, beta, omega_i, delta_i, mu, r, y, k + 6 * m);
-                memcpy(k, k + 6 * m, (size_t)m * sizeof(double));
             }
             n_accepted++;
             if (!record(rec, &cap, m, t, y)) { status = NO_MEMORY; break; }
@@ -360,7 +414,7 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
             n_rejected++;
         }
 
-        double factor = err_norm == 0.0 ? MAX_FACTOR : SAFETY * pow(err_norm, implicit ? -0.25 : -0.2);
+        double factor = err_norm == 0.0 ? MAX_FACTOR : SAFETY * pow(err_norm, implicit ? -0.25 : -0.125);
         factor = PY_MIN(MAX_FACTOR, PY_MAX(MIN_FACTOR, factor));
         if (!accept)
             h = h_use * PY_MIN(factor, 1.0);
@@ -368,7 +422,11 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
             h = PY_MAX(h, h_use * factor);
         else
             h = h_use * factor;
-        implicit = implicit || stiff_run >= STIFF_RUN;
+        if (!implicit && stiff_run >= stiff_needed) {
+            implicit = 1;
+            stiff_run = trial = 0;
+            t_switch = t;
+        }
     }
 
     if (status == REACHED_END && quiet_run >= 1

@@ -1,24 +1,39 @@
-"""Pure-NumPy adaptive stepper: Dormand-Prince 5(4), then a linearly implicit
-Rosenbrock 4(3) step once the run turns stiff.
+"""Pure-NumPy adaptive stepper: Dormand-Prince 8(5,3), then a linearly
+implicit Rosenbrock 4(3) step once the run turns stiff.
 
 Reference implementation of the integration kernel.  The compiled C twin in
 ``_stepper.c`` mirrors this algorithm statement by statement; keep the two
 in sync.  The kernel works on raw parameter arrays and integrates from t = 0
 to the last of its sample times, ``targets[-1]``.
 
-A run has two phases.  It starts on the explicit Dormand-Prince pair.  After
-each accepted step the kernel computes Hairer's stiffness estimate of
-``h |lambda|``, ``h ||k7 - k6|| / ||y7 - y6||`` (the last two stages and the
-points they were evaluated at; Hairer & Wanner, *Solving ODEs II*, §IV.2).
-Once it has exceeded ``STIFF_LIMIT`` on ``STIFF_RUN`` accepted steps (the
-count restarts after ``NONSTIFF_RESET`` steps in a row below it), the step
-is bound by stability, not accuracy, and the run goes on to its horizon on
-Shampine's Rosenbrock 4(3) step (``gamma = 1/2``; Shampine, *ACM TOMS* 8,
-1982; the parameter set of Numerical Recipes' ``stiff``): three derivative
-evaluations and four solves of ``(sigma I - J) x = b``, ``sigma = 1/(gamma
-h)``, per step, with the same tolerances, error norm, clipping, clamp,
-negativity retry and stop rule, and the controller exponent ``-1/4``.  A
-run whose estimate never fires is a plain Dormand-Prince run.
+A run has two phases.  It starts on the explicit Dormand-Prince 8(5,3) pair
+(Hairer's DOP853; Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.10):
+twelve stages, the derivative at the accepted point reused as the next
+step's first stage, and Hairer's error norm ``h err5^2 / sqrt((err5^2 + 0.01
+err3^2) m)``, which damps the fifth-order estimate ``err5`` where the
+third-order one ``err3`` is small beside it, both scaled by ``atol + rtol
+max(|y|, |y_new|)``; the controller exponent is ``-1/8``.  After each
+accepted step the kernel computes Hairer's stiffness estimate of ``h
+|lambda|``, ``h ||f(y_new) - k12|| / ||y_new - y12||`` (stage 12 sits at c =
+1; Hairer & Wanner, *Solving ODEs II*, §IV.2).  Once it has exceeded
+``STIFF_LIMIT`` on ``STIFF_RUN`` accepted steps (the count restarts after
+``NONSTIFF_RESET`` steps in a row below it), the step is bound by
+stability, not accuracy, and the run goes on to Shampine's Rosenbrock 4(3)
+step (``gamma = 1/2``; Shampine, *ACM TOMS* 8, 1982; the parameter set of
+Numerical Recipes' ``stiff``): three derivative evaluations and four solves
+of ``(sigma I - J) x = b``, ``sigma = 1/(gamma h)``, per step, with the same
+tolerances, clipping, clamp, negativity retry and stop rule, the
+root-mean-square error norm and the controller exponent ``-1/4``.
+
+The implicit phase is kept only while it gains.  It runs in windows of
+``STIFF_RUN`` accepted steps, and a window that covers less than
+``IMPLICIT_GAIN`` times as much time as ``STIFF_RUN`` of the last explicit
+step sends the run back to DOP853; the next switch then needs twice the
+stiff run.  On a long Erlang chain the explicit step is held at its
+stability limit, yet the solution moves on that time scale too, so the
+Rosenbrock step is no longer, and its error estimate lets it drift off the
+flow.  Near an equilibrium its steps are 25 to several thousand times
+longer.  A run whose estimate never fires is a plain DOP853 run.
 
 ``J`` is the model's Jacobian: the lower-bidiagonal waning chain, plus the
 vaccination row ``e_0 omega^T``, bordered by the ``I`` row and column
@@ -51,7 +66,7 @@ an exact 0 is left alone.  A positive component thus moves by less than
 ``I = 0`` is invariant under the flow, so an infection that decays out of the
 normal range is extinct from then on, rather than carried through every later
 step as subnormal operands (about 3x slower per step in the compiled kernel).
-A clamped step re-evaluates the derivative at the clamped state.
+The derivative at the new point is evaluated at the clamped state.
 
 The first step is the least of the derivative estimate ``0.01 d0/d1``, a
 tenth of the horizon and the first sample time.  The last two bounds are
@@ -78,23 +93,62 @@ NEG_CLAMP = 1e-12
 EQUILIBRIUM_VF_TOL = 1e-10
 EQUILIBRIUM_RUN = 50
 
-# Hairer's DOPRI5 stiffness test: h |lambda| above STIFF_LIMIT on STIFF_RUN
+# Hairer's DOP853 stiffness test: h |lambda| above STIFF_LIMIT on STIFF_RUN
 # accepted steps switches the run to the Rosenbrock step; NONSTIFF_RESET
 # accepted steps in a row below it restart the count
-STIFF_LIMIT = 3.25
+STIFF_LIMIT = 6.1
 STIFF_RUN = 15
 NONSTIFF_RESET = 6
+# the implicit phase runs in windows of STIFF_RUN accepted steps; a window
+# shorter than IMPLICIT_GAIN times as many of the last explicit step sends the
+# run back to DOP853, and the next switch needs twice the stiff run
+IMPLICIT_GAIN = 2.0
 
-# Dormand-Prince 5(4) tableau (FSAL: stage 7 equals the propagated solution)
+# Dormand-Prince 8(5,3) tableau (Hairer's DOP853), as Hairer's decimal
+# literals, which _stepper.c spells the same way: the stage rows _A (stage 12
+# sits at c = 1), the propagated weights _B, the fifth-order error weights
+# _E5, and _BHH, the third-order weights of stages 1, 9 and 12
 _A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+     -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
 )
-_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_B = np.array([5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+               1.89151789931450038304281599044, -5.8012039600105847814672114227,
+               3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+               2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2])
+_E5 = np.array([0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
+                -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+                -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+                0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1])
+_BHH = (0.244094488188976377952755905512, 0.733846688281611857341361741547,
+        0.220588235294117647058823529412e-1)
+_A_ROWS = tuple(np.array(row) for row in _A)
 
 # Shampine's Rosenbrock 4(3) parameters for an autonomous system: the stage
 # points y + A21 g1 and y + A31 g1 + A32 g2, the couplings C../h, the
@@ -229,7 +283,7 @@ def integrate_core(
     targets = np.ascontiguousarray(targets, dtype=float)
     t_end = float(targets[-1])
 
-    k = np.empty((7, m))
+    k = np.empty((12, m))
     rows = list(k)  # stage rows as views made once, not on every step
     y_new, acc, err = np.empty(m), np.empty(m), np.empty(m)
     g = np.empty((4, m))
@@ -248,6 +302,10 @@ def integrate_core(
     quiet_since = 0.0  # the time the trailing quiet run began
     stiff_run = 0
     nonstiff_run = 0
+    stiff_needed = STIFF_RUN  # the stiff run that switches; doubled after each window that gains too little
+    trial = 0  # implicit steps since the window began, at t_switch
+    t_switch = 0.0
+    h_explicit = 0.0  # the last explicit step
     implicit = False
     status = STATUS_REACHED_END
 
@@ -266,23 +324,32 @@ def integrate_core(
         if implicit:
             _rosenbrock_step(beta, omega_i, delta_i, mu, r, y, rows[0], h_use, g, y_new, err)
         else:
-            # seven stages; rows[6] is the derivative at the proposed solution
-            # (FSAL), and acc keeps the sixth stage's point for the stiffness test
-            for stage in range(1, 7):
-                dest = y_new if stage == 6 else acc
-                np.multiply(rows[0], _A[stage - 1][0], out=dest)
-                for j in range(1, stage):
-                    dest += _A[stage - 1][j] * rows[j]
-                np.multiply(dest, h_use, out=dest)
-                np.add(y, dest, out=dest)
-                _rhs(beta, omega_i, delta_i, mu, r, dest, rows[stage])
-            np.multiply(_ERR @ k, h_use, out=err)
+            # eleven new stages; acc keeps the last one's point (c = 1) for
+            # the stiffness test, err the fifth-order error and err3 the
+            # third-order one
+            for stage, a in enumerate(_A_ROWS, start=1):
+                np.dot(a, k[:stage], out=acc)
+                acc *= h_use
+                acc += y
+                _rhs(beta, omega_i, delta_i, mu, r, acc, rows[stage])
+            increment = _B @ k
+            np.multiply(increment, h_use, out=y_new)
+            y_new += y
+            np.dot(_E5, k, out=err)
+            err3 = increment - _BHH[0] * rows[0] - _BHH[1] * rows[8] - _BHH[2] * rows[11]
 
         if not np.isfinite(y_new).all():
             return _finish(times, states, STATUS_NONFINITE, n_accepted, n_rejected, n_implicit, t)
 
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        if implicit:
+            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        else:
+            # Hairer's norm: the fifth-order estimate, damped where the
+            # third-order one is small beside it
+            err5 = float(np.sum((err / scale) ** 2))
+            deno = err5 + 0.01 * float(np.sum((err3 / scale) ** 2))
+            err_norm = h_use * err5 / math.sqrt(deno * m) if deno > 0.0 else 0.0
         accept = err_norm <= 1.0
 
         if accept and (y_new < -NEG_CLAMP).any():
@@ -295,10 +362,28 @@ def integrate_core(
             continue
 
         if accept:
-            if not implicit:
-                # Hairer's estimate of h |lambda| from the last two stages
-                num = float((rows[6] - rows[5]) @ (rows[6] - rows[5]))
-                den = float((y_new - acc) @ (y_new - acc))
+            t = target if clipped else t + h_use
+            if clipped:
+                idx += 1
+            # the clamp of the module docstring
+            y_new[(y_new < TINY) & (y_new != 0.0)] = 0.0
+            y[:] = y_new
+            _rhs(beta, omega_i, delta_i, mu, r, y, rows[0])  # the next step's first stage
+            if implicit:
+                n_implicit += 1
+                trial += 1
+                if trial == STIFF_RUN:
+                    # the implicit steps gain too little: back to DOP853
+                    if t - t_switch < IMPLICIT_GAIN * STIFF_RUN * h_explicit:
+                        implicit = False
+                        stiff_needed *= 2
+                    trial = 0
+                    t_switch = t
+            else:
+                h_explicit = h_use
+                # Hairer's estimate of h |lambda| from the last stage and the new point
+                num = float((rows[0] - rows[11]) @ (rows[0] - rows[11]))
+                den = float((y - acc) @ (y - acc))
                 if h_use * h_use * num > STIFF_LIMIT * STIFF_LIMIT * den:  # h ||dk||/||dy|| > limit
                     stiff_run += 1
                     nonstiff_run = 0
@@ -306,21 +391,6 @@ def integrate_core(
                     nonstiff_run += 1
                     if nonstiff_run == NONSTIFF_RESET:
                         stiff_run = 0
-            t = target if clipped else t + h_use
-            if clipped:
-                idx += 1
-            # the clamp of the module docstring
-            below = (y_new < TINY) & (y_new != 0.0)
-            clamped = below.any()
-            y_new[below] = 0.0
-            y[:] = y_new
-            if implicit:
-                n_implicit += 1
-                _rhs(beta, omega_i, delta_i, mu, r, y, rows[0])
-            else:
-                if clamped:
-                    _rhs(beta, omega_i, delta_i, mu, r, y, rows[6])
-                rows[0][:] = rows[6]
             n_accepted += 1
             times.append(t)
             states.append(y.copy())
@@ -334,7 +404,7 @@ def integrate_core(
         else:
             n_rejected += 1
 
-        factor = MAX_FACTOR if err_norm == 0.0 else SAFETY * err_norm ** (-0.25 if implicit else -0.2)
+        factor = MAX_FACTOR if err_norm == 0.0 else SAFETY * err_norm ** (-0.25 if implicit else -0.125)
         factor = min(MAX_FACTOR, max(MIN_FACTOR, factor))
         if not accept:
             h = h_use * min(factor, 1.0)
@@ -343,7 +413,10 @@ def integrate_core(
             h = max(h, h_use * factor)
         else:
             h = h_use * factor
-        implicit = implicit or stiff_run >= STIFF_RUN
+        if not implicit and stiff_run >= stiff_needed:
+            implicit = True
+            stiff_run = trial = 0
+            t_switch = t
 
     if quiet_run >= 1 and (quiet_run >= EQUILIBRIUM_RUN or quiet_run == n_accepted
                            or (n_implicit >= 1 and 2.0 * quiet_since <= t)):

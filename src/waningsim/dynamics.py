@@ -1,15 +1,18 @@
 """Time integration.
 
-Integration uses an adaptive embedded Runge-Kutta 5(4) pair (Dormand-Prince)
-with defaults tight enough that trajectories double as equilibrium oracles
-(absolute tolerance 1e-12, relative 1e-10).  Once Hairer's stiffness
-estimate says the explicit step is held at its stability limit (``h |lambda|``
-above ``STIFF_LIMIT`` on ``STIFF_RUN`` accepted steps), the run finishes on a
-linearly implicit Rosenbrock 4(3) step whose linear solves cost O(n), at the
-same tolerances.  The switch is never silent: ``Trajectory.n_implicit``
-counts the implicit steps, so a record says how it was integrated.  Steps
-are clipped to requested sample times, so sampled values carry no
-interpolation error.  A failing run is reported with the time it reached.
+Integration uses the adaptive embedded Runge-Kutta 8(5,3) pair of Dormand
+and Prince (Hairer's DOP853) with defaults tight enough that trajectories
+double as equilibrium oracles (absolute tolerance 1e-12, relative 1e-10);
+at such tolerances the step is bound by accuracy, where an eighth-order pair
+takes long steps.  Once Hairer's stiffness estimate says the explicit step
+is held at its stability limit (``h |lambda|`` above ``STIFF_LIMIT`` on
+``STIFF_RUN`` accepted steps), the run goes on to a linearly implicit
+Rosenbrock 4(3) step whose linear solves cost O(n), at the same tolerances,
+for as long as its steps are ``IMPLICIT_GAIN`` times as long as the explicit
+ones were.  The switch is never silent: ``Trajectory.n_implicit`` counts the
+implicit steps, so a record says how it was integrated.  Steps are clipped
+to requested sample times, so sampled values carry no interpolation error.
+A failing run is reported with the time it reached.
 """
 
 from __future__ import annotations

@@ -48,38 +48,48 @@ def build_manifest(command: str, config: ModelConfig | None, options: dict) -> d
 def _consistency(report: dict) -> dict:
     """Cross-check the threshold classification against the equilibria found.
 
-    Existence and uniqueness of the endemic equilibrium follow from R0 at
-    every waning rate (:mod:`waningsim.endemic`), but its stability is proven
-    only in the small-waning regime, so the check is strict only where the
-    contraction certificate holds, R0 is clearly on one side of 1 and no
-    spectrum sits inside the marginal band.
+    Two kinds of claim are checked, each where it is proven.  Existence: an
+    endemic equilibrium exists iff R0 > 1, at every waning rate
+    (:mod:`waningsim.endemic`), so it is checked on every configuration
+    outside the ``critical`` regime.  Stability: the DFE is unstable iff R0 >
+    1 and the endemic equilibrium is stable, which is proven only in the
+    small-waning regime, so it is checked only where the contraction
+    certificate holds and no spectrum sits inside the marginal band.  The
+    note names the claims that were checked.
     """
-    loc = report["localization"]
     r0 = report["r0"]
-    if not loc["validity"]:
-        return {"checked": False, "consistent": True, "note": "contraction certificate failed; theory silent"}
     if r0["regime"] == "critical":
         return {"checked": False, "consistent": True, "note": "near-critical configuration"}
-    # a birth rate below the band width puts an eigenvalue near -mu inside it
-    spectra = (report["dfe_stability"], report["endemic_stability"])
-    if any(verdict is not None and verdict["classification"] == "marginal" for verdict in spectra):
-        return {"checked": False, "consistent": True, "note": "spectrum inside the marginal band"}
     supercritical = r0["regime"] == "unstable"
     endemic = report["endemic"]
-    endemic_stab = report["endemic_stability"]
-    if supercritical:
-        ok = (
-            endemic is not None
-            and endemic["i_star"] > 0
-            and endemic_stab is not None
-            and endemic_stab["classification"] == "asymptotically_stable"
-            and report["dfe_stability"]["classification"] == "unstable"
-        )
-        note = "unstable DFE with a unique stable endemic equilibrium" if ok else "endemic equilibrium missing or unstable despite supercritical thresholds"
+    if supercritical and (endemic is None or not endemic["i_star"] > 0):
+        return {"checked": True, "consistent": False,
+                "note": "no endemic equilibrium found despite supercritical thresholds"}
+    if not supercritical and endemic is not None:
+        return {"checked": True, "consistent": False,
+                "note": "found an endemic equilibrium despite subcritical thresholds"}
+    # a birth rate below the band width puts an eigenvalue near -mu inside it
+    spectra = (report["dfe_stability"], report["endemic_stability"])
+    if not report["localization"]["validity"]:
+        unchecked = "contraction certificate failed"
+    elif any(verdict is not None and verdict["classification"] == "marginal" for verdict in spectra):
+        unchecked = "spectrum inside the marginal band"
     else:
-        ok = endemic is None and report["dfe_stability"]["classification"] == "asymptotically_stable"
-        note = "stable DFE and no endemic equilibrium" if ok else "found an endemic equilibrium despite subcritical thresholds"
-    return {"checked": True, "consistent": bool(ok), "note": note}
+        endemic_stab = report["endemic_stability"]
+        if supercritical:
+            ok = (
+                endemic_stab is not None
+                and endemic_stab["classification"] == "asymptotically_stable"
+                and report["dfe_stability"]["classification"] == "unstable"
+            )
+            note = ("unstable DFE with a unique stable endemic equilibrium" if ok
+                    else "unstable endemic equilibrium or stable DFE despite supercritical thresholds")
+        else:
+            ok = report["dfe_stability"]["classification"] == "asymptotically_stable"
+            note = "stable DFE and no endemic equilibrium" if ok else "unstable DFE despite subcritical thresholds"
+        return {"checked": True, "consistent": bool(ok), "note": note}
+    existence = "an endemic equilibrium" if supercritical else "no endemic equilibrium"
+    return {"checked": True, "consistent": True, "note": f"{existence}; stability not checked: {unchecked}"}
 
 
 def analyze_config(config: ModelConfig) -> dict:

@@ -173,7 +173,7 @@ class TestSimulate:
         assert doc["data"]["times"][-1] == 1e-15 and len(doc["data"]["times"]) == 201
 
     def test_stiff_blowup_exits_3(self, tmp_path, capsys):
-        # the run needs about 430 attempted steps to reach 1000 y
+        # the run needs about 300 attempted steps to reach 1000 y
         stiff = tmp_path / "stiff.json"
         stiff.write_text(config_to_json(build_general(1, (1e6, 1e6), 0.0, 1.0, 1.0, 0.0, (0.0, 0.0))))
         code = main(["simulate", "--config", str(stiff), "--t-end", "1000", "--max-steps", "200"])
@@ -226,7 +226,9 @@ class TestAnalyze:
         data = json.loads(capsys.readouterr().out)["data"]
         assert not data["localization"]["validity"]
         assert data["endemic"]["certification"] == "certified-unique"
-        assert not data["consistency"]["checked"]
+        # existence is proven at every waning rate, stability only under the certificate
+        assert data["consistency"] == {"checked": True, "consistent": True, "note": (
+            "an endemic equilibrium; stability not checked: contraction certificate failed")}
 
     def test_fast_rates_fresh_solution_accepted(self, tmp_path, capsys):
         # a certified solution whose residual |beta . S* - (r + mu)| is
@@ -362,7 +364,12 @@ class TestAnalyze:
             assert data["consistency"] == {"checked": True, "consistent": True,
                                            "note": "stable DFE and no endemic equilibrium"}
         else:
-            assert not data["consistency"]["checked"]
+            # existence is checked at every birth rate, stability only under
+            # the certificate and outside the band
+            consistency = data["consistency"]
+            existence = "no endemic equilibrium" if data["endemic"] is None else "an endemic equilibrium"
+            assert consistency["checked"] and consistency["consistent"]
+            assert consistency["note"].startswith(f"{existence}; stability not checked: ")
 
     def test_tiny_rate_endemic_states_lie_on_the_simplex(self, tmp_path, capsys):
         path = tmp_path / "tiny_rates.json"
@@ -400,6 +407,20 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.err == "regime consistency violated: planted contradiction\n"
         assert captured.out == ""
+        assert not out.exists()
+
+    def test_endemic_root_below_the_threshold_exits_4(self, config_path, tmp_path, capsys, monkeypatch):
+        # the bundled config is subcritical and outside the certificate, so
+        # only the existence claim is checked, and a planted root breaks it
+        from waningsim import endemic
+
+        planted = endemic.refine_endemic(ENDEMIC_CFG)
+        monkeypatch.setattr(endemic, "refine_endemic", lambda config: planted)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", config_path, "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ("regime consistency violated: found an endemic equilibrium despite subcritical "
+                                "thresholds\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("delta, omega", [(15.0, 2.0), (0.005, 0.05)], ids=["products-overflow", "products-underflow"])

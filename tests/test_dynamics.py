@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from waningsim import stepper
-from waningsim._stepper_py import _A, _ERR
+from waningsim._stepper_py import _A, _B, _BHH, _E5
 from waningsim.dynamics import IntegrationError, integrate
 from waningsim.endemic import refine_endemic
 from waningsim.model import StateVector, build_general, build_last_only, config_digest, epidemic_start, vector_field
@@ -102,36 +103,46 @@ class TestIntegrate:
 
     def test_tableau_linear_order_conditions(self):
         # b . A^(k-1) . 1 = 1/k! for k up to the order: what a linear system
-        # such as the waning chain sees of a Runge-Kutta method
-        a = np.zeros((7, 7))
+        # such as the waning chain sees of a Runge-Kutta method.  The sums
+        # are exact over the tableau's doubles, so only the literals' own
+        # rounding is left; in floating point the cancellations in the
+        # eighth-order weights would cost more than the tolerance
+        a = [[Fraction(0)] * 12 for _ in range(12)]
         for row, coefficients in enumerate(_A, start=1):
-            a[row, : len(coefficients)] = coefficients
-        b = a[6]  # FSAL: the last stage row is the propagated weights
-        b_hat = b - _ERR  # the error estimate is the fifth- minus the fourth-order solution
-        for weights, order in ((b, 5), (b_hat, 4)):
-            terms = [weights @ np.linalg.matrix_power(a, k - 1) @ np.ones(7) for k in range(1, order + 2)]
-            expected = [1.0 / math.factorial(k) for k in range(1, order + 2)]
-            np.testing.assert_allclose(terms[:order], expected[:order], rtol=1e-14)
+            a[row][: len(coefficients)] = map(Fraction, coefficients)
+        b = [Fraction(w) for w in _B]
+        fifth = [w - Fraction(e) for w, e in zip(b, _E5)]  # the fifth-order error is b minus these weights
+        third = [Fraction(0)] * 12  # the third-order error is b minus these weights
+        third[0], third[8], third[11] = map(Fraction, _BHH)
+        for weights, order in ((b, 8), (fifth, 5), (third, 3)):
+            power, terms = [Fraction(1)] * 12, []
+            for _ in range(order + 1):
+                terms.append(sum(w * x for w, x in zip(weights, power)))
+                power = [sum(a_ij * x for a_ij, x in zip(row, power)) for row in a]
+            expected = [Fraction(1, math.factorial(k)) for k in range(1, order + 2)]
+            np.testing.assert_allclose([float(x) for x in terms[:order]], [float(x) for x in expected[:order]],
+                                       rtol=1e-14)
             assert abs(terms[order] - expected[order]) > 1e-6 * expected[order]  # and no higher
 
     def test_first_step_is_one_dormand_prince_step(self):
+        # one DOP853 step: eleven stages after f(y0), then the eighth-order weights
         y0 = epidemic_start(ENDEMIC_CFG).as_array()
         traj = integrate(ENDEMIC_CFG, y0, 10.0)
         h = traj.times[1]
         k = [vector_field(ENDEMIC_CFG, y0)]
         for coefficients in _A:
             k.append(vector_field(ENDEMIC_CFG, y0 + h * sum(c * kj for c, kj in zip(coefficients, k))))
-        np.testing.assert_allclose(traj.states[1], y0 + h * sum(c * kj for c, kj in zip(_A[-1], k)),
+        np.testing.assert_allclose(traj.states[1], y0 + h * sum(c * kj for c, kj in zip(_B, k)),
                                    rtol=0, atol=1e-14)
 
     def test_stiff_budget_exhaustion_reports_time(self):
         # near its endemic point this config has a contraction rate ~1e6/yr;
-        # its run reaches 1000 y in about 430 attempted steps, most of them
+        # its run reaches 1000 y in about 110 attempted steps, most of them
         # explicit steps before the switch to the implicit step, so a budget
-        # of 200 runs out on the way
+        # of 50 runs out on the way
         stiff = build_general(1, (1e6, 1e6), 0.0, 1.0, 1.0, 0.0, (0.0, 0.0))
         with pytest.raises(IntegrationError, match="step budget exhausted") as exc_info:
-            integrate(stiff, epidemic_start(stiff), 1000.0, max_steps=200)
+            integrate(stiff, epidemic_start(stiff), 1000.0, max_steps=50)
         assert 0.0 <= exc_info.value.t_reached < 1000.0
 
     def test_stiff_run_finishes_on_the_implicit_step(self):

@@ -16,9 +16,10 @@ import pytest
 
 from waningsim import _stepper_py, stepper
 from waningsim._stepper_py import TINY, _rhs
-from waningsim.data import pertussis_config
+from waningsim.data import pertussis_config, synthetic_truth_config
 from waningsim.dynamics import integrate
 from waningsim.model import build_general, epidemic_start, vector_field
+from waningsim.scanfit import simulate_annual_prevalence
 from waningsim.stability import jacobian
 
 from conftest import random_config, random_simplex_state
@@ -307,3 +308,45 @@ def test_kernel_parity_through_the_switch(delta):
     samples = np.linspace(0.0, 600.0, 201)
     np.testing.assert_allclose(py[1][np.searchsorted(py[0], samples)], c[1][np.searchsorted(c[0], samples)],
                                rtol=1e-7, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", list(stepper.kernels()))
+def test_tight_tolerance_runs_take_few_steps(monkeypatch, name):
+    # at the tolerances the package fits and simulates at, the explicit step
+    # is bound by accuracy, where an eighth-order pair takes long steps.
+    # A Dormand-Prince 5(4) pair took 198 steps for one fit trial point and
+    # 458 for the bundled run's first 5 years (SciPy's DOP853: 81)
+    runs = []
+    kernel = stepper.kernels()[name].integrate_core
+
+    def counting(*args):
+        runs.append(kernel(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(stepper, "integrate_core", counting)
+    simulate_annual_prevalence(synthetic_truth_config(), np.arange(2000, 2025), 1999, 1e-4, rtol=1e-9, atol=1e-12)
+    pertussis = pertussis_config()
+    integrate(pertussis, epidemic_start(pertussis), 5.0)
+    (_, _, fit_status, fit_accepted, _, _, fit_reached), (_, _, status, accepted, _, implicit, reached) = runs
+    assert fit_status == status == stepper.STATUS_REACHED_END and (fit_reached, reached) == (26.0, 5.0)
+    assert fit_accepted <= 70
+    assert accepted <= 120 and implicit == 0
+
+
+@pytest.mark.parametrize("name", list(stepper.kernels()))
+def test_long_erlang_chain_stays_on_the_flow(name):
+    # an Erlang delay of 5 y over 640 tiers, beta only on the last one: the
+    # explicit step is held at its stability limit, where the Rosenbrock
+    # step is no longer and drifts off the flow (1.4e-4 when the run stayed
+    # implicit); the implicit windows that gain too little send it back
+    n = 640
+    cfg = build_general(n, np.append(np.zeros(n), 200.0), n / 5.0, 0.02, 17.0, 0.0, np.zeros(n + 1))
+    samples = np.linspace(0.0, 200.0, 201)
+    prevalence = []
+    for rtol, atol in ((1e-6, 1e-9), (1e-10, 1e-12)):
+        times, states, status, *_ = stepper.kernels()[name].integrate_core(
+            cfg.beta, cfg.omega_i, cfg.delta_i, cfg.mu, cfg.r, epidemic_start(cfg).as_array(), rtol, atol,
+            samples[1:], 1_000_000, False)
+        assert status == stepper.STATUS_REACHED_END
+        prevalence.append(states[np.searchsorted(times, samples), -1])
+    assert np.abs(prevalence[0] - prevalence[1]).max() <= 1e-5
