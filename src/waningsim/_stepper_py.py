@@ -108,7 +108,7 @@ IMPLICIT_GAIN = 2.0
 # literals, which _stepper.c spells the same way: the stage rows _A (stage 12
 # sits at c = 1), the propagated weights _B, the fifth-order error weights
 # _E5, and _BHH, the third-order weights of stages 1, 9 and 12
-_A = (
+_A = tuple(np.array(row) for row in (
     (5.26001519587677318785587544488e-2,),
     (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
     (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
@@ -137,7 +137,7 @@ _A = (
      2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
      -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
      6.43392746015763530355970484046e-1),
-)
+))
 _B = np.array([5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
                1.89151789931450038304281599044, -5.8012039600105847814672114227,
                3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
@@ -148,7 +148,6 @@ _E5 = np.array([0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.122515
                 0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1])
 _BHH = (0.244094488188976377952755905512, 0.733846688281611857341361741547,
         0.220588235294117647058823529412e-1)
-_A_ROWS = tuple(np.array(row) for row in _A)
 
 # Shampine's Rosenbrock 4(3) parameters for an autonomous system: the stage
 # points y + A21 g1 and y + A31 g1 + A32 g2, the couplings C../h, the
@@ -327,7 +326,7 @@ def integrate_core(
             # eleven new stages; acc keeps the last one's point (c = 1) for
             # the stiffness test, err the fifth-order error and err3 the
             # third-order one
-            for stage, a in enumerate(_A_ROWS, start=1):
+            for stage, a in enumerate(_A, start=1):
                 np.dot(a, k[:stage], out=acc)
                 acc *= h_use
                 acc += y
