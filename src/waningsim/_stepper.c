@@ -3,9 +3,10 @@
  * implicit Rosenbrock 4(3) step: the statement-by-statement twin of
  * _stepper_py.integrate_core, whose docstring describes the two phases, the
  * error norm, the stiffness test, the implicit windows, the O(n) solve and
- * the stop rule; keep the two in sync.  Also the artifact writers' float
- * formatter, ws_format, which writes doubles byte for byte as Python's
- * float.__repr__ does.  Plain C99 without Python or NumPy headers, compiled
+ * the equilibrium verdict at the horizon, which every run reaches unless it
+ * fails; keep the two in sync.  Also the artifact writers' float formatter,
+ * ws_format, which writes doubles byte for byte as Python's float.__repr__
+ * does.  Plain C99 without Python or NumPy headers, compiled
  * by stepper.py on first import and called through ctypes. */
 
 #include <math.h>
@@ -17,8 +18,8 @@ enum { REACHED_END = 0, CONVERGED = 1, UNDERFLOW = -1, MAX_STEPS = -2, NONFINITE
        NO_MEMORY = -5 };
 
 static const double NEG_CLAMP = 1e-12, MIN_FACTOR = 0.2, MAX_FACTOR = 10.0, SAFETY = 0.9;
-static const double EQUILIBRIUM_VF_TOL = 1e-10; /* equilibrium: |f| below this ... */
-static const int64_t EQUILIBRIUM_RUN = 50;      /* ... over this many accepted steps in a row */
+static const double EQUILIBRIUM_VF_TOL = 1e-10; /* at rest at the horizon: |f| below this ... */
+static const int64_t EQUILIBRIUM_RUN = 50;      /* ... on this many accepted steps in a row up to it */
 static const double STIFF_LIMIT = 6.1;      /* Hairer's test: h |lambda| above this ... */
 static const int64_t STIFF_RUN = 15;        /* ... on this many accepted steps switches to Rosenbrock; */
 static const int64_t NONSTIFF_RESET = 6;    /* this many in a row below it restart the count */
@@ -256,8 +257,7 @@ void ws_free(ws_record *rec) { free(rec->rows); }
  * ws_free.  Returns a _stepper_py status code, or NO_MEMORY. */
 int ws_integrate(int64_t m, const double *beta, const double *omega_i, const double *delta_i,
                  double mu, double r, const double *y0, double rtol, double atol,
-                 const double *targets, int64_t n_targets, int64_t max_steps,
-                 int stop_at_equilibrium, ws_record *rec)
+                 const double *targets, int64_t n_targets, int64_t max_steps, ws_record *rec)
 {
     int64_t n = m - 2, cap = INITIAL_CAPACITY;
     double t_end = targets[n_targets - 1];
@@ -409,7 +409,6 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
             quiet_run = sqrt(fnorm) < EQUILIBRIUM_VF_TOL ? quiet_run + 1 : 0;
             if (!quiet_run)
                 quiet_since = t;
-            if (stop_at_equilibrium && quiet_run >= EQUILIBRIUM_RUN) { status = CONVERGED; break; }
         } else {
             n_rejected++;
         }

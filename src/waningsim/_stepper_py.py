@@ -4,7 +4,8 @@ implicit Rosenbrock 4(3) step once the run turns stiff.
 Reference implementation of the integration kernel.  The compiled C twin in
 ``_stepper.c`` mirrors this algorithm statement by statement; keep the two
 in sync.  The kernel works on raw parameter arrays and integrates from t = 0
-to the last of its sample times, ``targets[-1]``.
+to the last of its sample times, ``targets[-1]``; only a failure ends a run
+before it.
 
 A run has two phases.  It starts on the explicit Dormand-Prince 8(5,3) pair
 (Hairer's DOP853; Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.10):
@@ -22,7 +23,7 @@ stability, not accuracy, and the run goes on to Shampine's Rosenbrock 4(3)
 step (``gamma = 1/2``; Shampine, *ACM TOMS* 8, 1982; the parameter set of
 Numerical Recipes' ``stiff``): three derivative evaluations and four solves
 of ``(sigma I - J) x = b``, ``sigma = 1/(gamma h)``, per step, with the same
-tolerances, clipping, clamp, negativity retry and stop rule, the
+tolerances, clipping, clamp, negativity retry and count of quiet steps, the
 root-mean-square error norm and the controller exponent ``-1/4``.
 
 The implicit phase is kept only while it gains.  It runs in windows of
@@ -47,11 +48,11 @@ Schur complement for ``I``.
 Status codes returned by :func:`integrate_core`:
 
 *  0 - reached ``targets[-1]``
-*  1 - equilibrium detected: the derivative norm was below
-       ``EQUILIBRIUM_VF_TOL`` after ``EQUILIBRIUM_RUN`` accepted steps in a
-       row.  At the horizon a shorter trailing quiet run counts too if it
-       covers the whole run or, once the run has gone implicit, at least the
-       second half of ``[0, t_end]``: the implicit phase's few long steps
+*  1 - reached ``targets[-1]`` at an equilibrium: the derivative norm was
+       below ``EQUILIBRIUM_VF_TOL`` on the last ``EQUILIBRIUM_RUN`` or more
+       accepted steps in a row.  A shorter trailing quiet run counts too if
+       it covers the whole run or, once the run has gone implicit, at least
+       the second half of ``[0, t_end]``: the implicit phase's few long steps
        reach the horizon well before ``EQUILIBRIUM_RUN`` of them
 * -1 - step size underflow
 * -2 - step budget exhausted
@@ -251,19 +252,7 @@ def _rosenbrock_step(beta, omega_i, delta_i, mu, r, y, f0, h, g, y_new, err):
     np.copyto(err, _ROS_E[0] * g[0] + _ROS_E[1] * g[1] + _ROS_E[2] * g[2] + _ROS_E[3] * g[3])
 
 
-def integrate_core(
-    beta,
-    omega_i,
-    delta_i,
-    mu,
-    r,
-    y0,
-    rtol,
-    atol,
-    targets,
-    max_steps,
-    stop_at_equilibrium,
-):
+def integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_steps):
     """Integrate the model ODE from t=0 to ``t_end = targets[-1]``.
 
     ``targets`` is a non-empty sorted array of times in ``(0, t_end]``; steps
@@ -306,7 +295,6 @@ def integrate_core(
     t_switch = 0.0
     h_explicit = 0.0  # the last explicit step
     implicit = False
-    status = STATUS_REACHED_END
 
     while t < t_end:
         if n_accepted + n_rejected >= max_steps:
@@ -398,8 +386,6 @@ def integrate_core(
             quiet_run = quiet_run + 1 if fnorm < EQUILIBRIUM_VF_TOL else 0
             if not quiet_run:
                 quiet_since = t
-            if stop_at_equilibrium and quiet_run >= EQUILIBRIUM_RUN:
-                return _finish(times, states, STATUS_CONVERGED, n_accepted, n_rejected, n_implicit, t)
         else:
             n_rejected += 1
 
@@ -417,9 +403,9 @@ def integrate_core(
             stiff_run = trial = 0
             t_switch = t
 
-    if quiet_run >= 1 and (quiet_run >= EQUILIBRIUM_RUN or quiet_run == n_accepted
-                           or (n_implicit >= 1 and 2.0 * quiet_since <= t)):
-        status = STATUS_CONVERGED
+    at_rest = quiet_run >= 1 and (quiet_run >= EQUILIBRIUM_RUN or quiet_run == n_accepted
+                                  or (n_implicit >= 1 and 2.0 * quiet_since <= t))
+    status = STATUS_CONVERGED if at_rest else STATUS_REACHED_END
     return _finish(times, states, status, n_accepted, n_rejected, n_implicit, t)
 
 

@@ -12,7 +12,8 @@ for as long as its steps are ``IMPLICIT_GAIN`` times as long as the explicit
 ones were.  The switch is never silent: ``Trajectory.n_implicit`` counts the
 implicit steps, so a record says how it was integrated.  Steps are clipped
 to requested sample times, so sampled values carry no interpolation error.
-A failing run is reported with the time it reached.
+Every run goes to its horizon, where the kernel says whether the flow has
+come to rest; a failing run is reported with the time it reached.
 """
 
 from __future__ import annotations
@@ -55,11 +56,12 @@ class Trajectory:
     Records compare by identity: two integrations are two records.
 
     ``times`` are strictly increasing and include every requested sample time
-    exactly.  ``terminal_status`` is ``"converged_dfe"``,
-    ``"converged_endemic"`` or ``"max_time"``.  ``n_implicit`` of the
-    ``n_accepted`` steps are Rosenbrock steps, taken after the stiffness
-    switch (0 for a run that never switched).  ``t_end`` is the horizon of
-    the integration, which a converged or restricted record ends before.
+    exactly.  ``terminal_status`` is the verdict at the horizon:
+    ``"converged_dfe"`` or ``"converged_endemic"`` where the flow had come to
+    rest there, else ``"max_time"``.  ``n_implicit`` of the ``n_accepted``
+    steps are Rosenbrock steps, taken after the stiffness switch (0 for a run
+    that never switched).  ``t_end`` is the horizon of the integration, which
+    only a restricted record ends before.
     ``config`` is the integrated configuration; its digest is computed only
     when asked for.
     """
@@ -146,7 +148,7 @@ class Trajectory:
         }
 
 
-def _run_kernel(config: ModelConfig, y0, rtol, atol, targets, max_steps, stop_at_equilibrium):
+def _run_kernel(config: ModelConfig, y0, rtol, atol, targets, max_steps):
     """The package's one call of the active kernel, ``stepper.integrate_core``
     (looked up per call, so a test or a tracer can replace it).
 
@@ -165,18 +167,8 @@ def _run_kernel(config: ModelConfig, y0, rtol, atol, targets, max_steps, stop_at
     if not 1 <= max_steps < 2**63:  # the compiled kernel takes an int64
         raise ValueError(f"max_steps must be >= 1 and < 2**63, got {max_steps}")
     times, states, status, n_acc, n_rej, n_impl, t_reached = stepper.integrate_core(
-        config.beta,
-        config.omega_i,
-        config.delta_i,
-        config.mu,
-        config.r,
-        y0,
-        float(rtol),
-        float(atol),
-        targets,
-        int(max_steps),
-        bool(stop_at_equilibrium),
-    )
+        config.beta, config.omega_i, config.delta_i, config.mu, config.r, y0, float(rtol), float(atol), targets,
+        int(max_steps))
     if status < 0:
         raise IntegrationError(_STATUS_MESSAGES[status], t_reached)
     return times, states, status, n_acc, n_rej, n_impl
@@ -190,7 +182,6 @@ def integrate(
     atol: float = DEFAULT_ATOL,
     t_eval=None,
     max_steps: int = DEFAULT_MAX_STEPS,
-    stop_at_equilibrium: bool = False,
 ) -> Trajectory:
     """Integrate the model from a simplex state over ``[0, t_end]``.
 
@@ -209,11 +200,13 @@ def integrate(
         t_eval: optional sample times in ``[0, t_end]``; each is hit exactly
             by step clipping.  ``t_end`` is always included, and a time less
             than 1e-12 above it counts as ``t_end``.
-        stop_at_equilibrium: stop early once the derivative norm stays below
-            ``EQUILIBRIUM_VF_TOL`` for ``EQUILIBRIUM_RUN`` accepted steps in a
-            row (constants of ``_stepper_py``, twinned in ``_stepper.c``).
-            A run that reaches ``t_end`` with every step of its implicit
-            phase that quiet has converged too.
+
+    Returns:
+        The record to ``t_end``.  It has converged if the derivative norm
+        stayed below ``EQUILIBRIUM_VF_TOL`` over the last ``EQUILIBRIUM_RUN``
+        accepted steps, or over a shorter trailing run that covers the whole
+        run or, after an implicit step, its second half (constants of
+        ``_stepper_py``, twinned in ``_stepper.c``).
 
     Raises:
         ValueError: on a bad ``t_end``, ``rtol``/``atol``, ``max_steps`` or
@@ -240,15 +233,9 @@ def integrate(
     # within the allowance above it
     targets = np.append(targets[(targets > 0) & (targets < t_end)], t_end)
 
-    times, states, status, n_acc, n_rej, n_impl = _run_kernel(
-        config, y0, rtol, atol, targets, max_steps, stop_at_equilibrium
-    )
+    times, states, status, n_acc, n_rej, n_impl = _run_kernel(config, y0, rtol, atol, targets, max_steps)
     if status == stepper.STATUS_CONVERGED:
-        terminal = (
-            "converged_dfe"
-            if states[-1, -1] < DFE_PREVALENCE_THRESHOLD
-            else "converged_endemic"
-        )
+        terminal = "converged_dfe" if states[-1, -1] < DFE_PREVALENCE_THRESHOLD else "converged_endemic"
     else:
         terminal = "max_time"
     return Trajectory(

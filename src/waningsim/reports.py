@@ -45,18 +45,25 @@ def build_manifest(command: str, config: ModelConfig | None, options: dict) -> d
     }
 
 
-def _consistency(report: dict) -> dict:
-    """Cross-check the threshold classification against the equilibria found.
+def _consistency(config: ModelConfig, report: dict) -> dict:
+    """Cross-check the threshold classification against the equilibria and
+    spectra found.
 
-    Two kinds of claim are checked, each where it is proven.  Existence: an
+    Three kinds of claim are checked, each where it is proven.  Existence: an
     endemic equilibrium exists iff R0 > 1, at every waning rate
     (:mod:`waningsim.endemic`), so it is checked on every configuration
-    outside the ``critical`` regime.  Stability: the DFE is unstable iff R0 >
-    1 and the endemic equilibrium is stable, which is proven only in the
+    outside the ``critical`` regime.  The DFE verdict: the DFE is unstable
+    iff R0 > 1, also at every waning rate (the closed form of
+    :func:`waningsim.stability.dfe_spectrum`), and the largest real part of
+    the DFE eigensolve falls in the closed form's class; it is checked
+    wherever the DFE spectrum lies outside the marginal band.  Endemic
+    stability: the endemic equilibrium is stable, which is proven only in the
     small-waning regime, so it is checked only where the contraction
     certificate holds and no spectrum sits inside the marginal band.  The
     note names the claims that were checked.
     """
+    from .stability import _classify
+
     r0 = report["r0"]
     if r0["regime"] == "critical":
         return {"checked": False, "consistent": True, "note": "near-critical configuration"}
@@ -69,27 +76,35 @@ def _consistency(report: dict) -> dict:
         return {"checked": True, "consistent": False,
                 "note": "found an endemic equilibrium despite subcritical thresholds"}
     # a birth rate below the band width puts an eigenvalue near -mu inside it
-    spectra = (report["dfe_stability"], report["endemic_stability"])
+    dfe = report["dfe_stability"]
+    if dfe["classification"] == "marginal":
+        existence = "an endemic equilibrium" if supercritical else "no endemic equilibrium"
+        return {"checked": True, "consistent": True,
+                "note": f"{existence}; stability not checked: spectrum inside the marginal band"}
+    expected = "unstable" if supercritical else "asymptotically_stable"
+    if dfe["classification"] != expected:
+        return {"checked": True, "consistent": False, "note": (
+            "stable DFE despite supercritical thresholds" if supercritical
+            else "unstable DFE despite subcritical thresholds")}
+    eigensolve = float(dfe["eigenvalues"][:, 0].max())
+    if _classify(config, eigensolve) != expected:
+        return {"checked": True, "consistent": False, "note": (
+            f"DFE eigensolve's largest real part {eigensolve!r} is not in the class of the closed form "
+            f"{dfe['max_real_part']!r}")}
+    if not supercritical:
+        return {"checked": True, "consistent": True, "note": "stable DFE and no endemic equilibrium"}
+    endemic_stab = report["endemic_stability"]
     if not report["localization"]["validity"]:
         unchecked = "contraction certificate failed"
-    elif any(verdict is not None and verdict["classification"] == "marginal" for verdict in spectra):
+    elif endemic_stab["classification"] == "marginal":
         unchecked = "spectrum inside the marginal band"
+    elif endemic_stab["classification"] == "asymptotically_stable":
+        return {"checked": True, "consistent": True, "note": "unstable DFE with a unique stable endemic equilibrium"}
     else:
-        endemic_stab = report["endemic_stability"]
-        if supercritical:
-            ok = (
-                endemic_stab is not None
-                and endemic_stab["classification"] == "asymptotically_stable"
-                and report["dfe_stability"]["classification"] == "unstable"
-            )
-            note = ("unstable DFE with a unique stable endemic equilibrium" if ok
-                    else "unstable endemic equilibrium or stable DFE despite supercritical thresholds")
-        else:
-            ok = report["dfe_stability"]["classification"] == "asymptotically_stable"
-            note = "stable DFE and no endemic equilibrium" if ok else "unstable DFE despite subcritical thresholds"
-        return {"checked": True, "consistent": bool(ok), "note": note}
-    existence = "an endemic equilibrium" if supercritical else "no endemic equilibrium"
-    return {"checked": True, "consistent": True, "note": f"{existence}; stability not checked: {unchecked}"}
+        return {"checked": True, "consistent": False,
+                "note": "unstable endemic equilibrium despite supercritical thresholds"}
+    return {"checked": True, "consistent": True,
+            "note": f"unstable DFE and an endemic equilibrium; endemic stability not checked: {unchecked}"}
 
 
 def analyze_config(config: ModelConfig) -> dict:
@@ -128,7 +143,7 @@ def analyze_config(config: ModelConfig) -> dict:
         "endemic_stability": endemic_verdict,
         "endemic_error": endemic_error,
     }
-    report["consistency"] = _consistency(report)
+    report["consistency"] = _consistency(config, report)
     return report
 
 

@@ -203,7 +203,7 @@ def _evaluate_point(base: ModelConfig, parameter: str, value: float, observable:
             except NoEndemicEquilibriumError:
                 obs = float("nan")
         else:  # terminal_prevalence, the one observable left that SweepSpec admits
-            obs = integrate(cfg, epidemic_start(cfg), t_end, stop_at_equilibrium=True).final_prevalence
+            obs = integrate(cfg, epidemic_start(cfg), t_end).final_prevalence
         return SweepPoint(value=value, observable=float(obs), classification=_CLASSIFICATION[r0.regime])
     # per-point failures, a configuration the value breaks included, are
     # recorded: ValueError covers ConfigError, NoEndemicEquilibriumError and
@@ -497,7 +497,7 @@ def simulate_annual_prevalence(
     y0 = np.zeros(config.n + 2)
     y0[-2] = 1.0 - i0
     y0[-1] = i0
-    times, states, *_ = _run_kernel(config, y0, rtol, atol, t_obs, DEFAULT_MAX_STEPS, False)
+    times, states, *_ = _run_kernel(config, y0, rtol, atol, t_obs, DEFAULT_MAX_STEPS)
     return states[times.searchsorted(t_obs), -1]
 
 

@@ -95,8 +95,7 @@ def _load_library():
         lib.ws_integrate.restype = ctypes.c_int
         lib.ws_integrate.argtypes = [
             ctypes.c_int64, address, address, address, ctypes.c_double, ctypes.c_double, address,
-            ctypes.c_double, ctypes.c_double, address, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int, ctypes.POINTER(_Record),
+            ctypes.c_double, ctypes.c_double, address, ctypes.c_int64, ctypes.c_int64, ctypes.POINTER(_Record),
         ]
         lib.ws_free.restype = None
         lib.ws_free.argtypes = [ctypes.POINTER(_Record)]
@@ -110,7 +109,7 @@ def _load_library():
 _lib = _load_library()
 
 
-def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_steps, stop_at_equilibrium):
+def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_steps):
     """See ``_stepper_py.integrate_core``; identical contract."""
     # arrays of any dtype and layout are converted below; anything else is
     # converted here, a scalar to a vector of one
@@ -129,8 +128,7 @@ def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, ma
     rec = _Record()
     status = _lib.ws_integrate(
         m, at, at + rate_bytes, at + 2 * rate_bytes, float(mu), float(r), at + 3 * rate_bytes, float(rtol),
-        float(atol), at + 3 * rate_bytes + 8 * m, targets.size, int(max_steps), bool(stop_at_equilibrium),
-        ctypes.byref(rec),
+        float(atol), at + 3 * rate_bytes + 8 * m, targets.size, int(max_steps), ctypes.byref(rec),
     )
     try:
         if status == _NO_MEMORY:

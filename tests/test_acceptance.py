@@ -188,7 +188,7 @@ def test_criterion_4_endemic_oracle_dichotomy():
 
     for cfg in draw_certified_supercritical(rng, 50):
         sol = refine_endemic(cfg)
-        traj = integrate(cfg, epidemic_start(cfg), 2000.0, stop_at_equilibrium=True)
+        traj = integrate(cfg, epidemic_start(cfg), 2000.0)
         gap = abs(sol.i_star - traj.final_prevalence)
         if gap >= 1e-7:
             failures.append(f"supercritical gap {gap:.2e} vs tol 1e-7")
@@ -198,7 +198,7 @@ def test_criterion_4_endemic_oracle_dichotomy():
         if loc.exists != "none":
             failures.append(f"subcritical config localized {loc.exists}")
             continue
-        traj = integrate(cfg, epidemic_start(cfg), 2000.0, stop_at_equilibrium=True)
+        traj = integrate(cfg, epidemic_start(cfg), 2000.0)
         if traj.final_prevalence >= 1e-10:
             failures.append(f"subcritical terminal prevalence {traj.final_prevalence:.2e}")
 
@@ -328,8 +328,8 @@ def test_criterion_8_reconstructed_pertussis_structure():
         failures.append(f"no interior beta0 threshold: {beta0_star}")
     low = substitute_parameter(base, "beta0", max(beta0_star - 2.0, 0.0))
     high = substitute_parameter(base, "beta0", beta0_star + 2.0)
-    t_low = integrate(low, epidemic_start(low), 500.0, stop_at_equilibrium=True).final_prevalence
-    t_high = integrate(high, epidemic_start(high), 500.0, stop_at_equilibrium=True).final_prevalence
+    t_low = integrate(low, epidemic_start(low), 500.0).final_prevalence
+    t_high = integrate(high, epidemic_start(high), 500.0).final_prevalence
     if not (t_low < 1e-10 <= 1e-8 < t_high):
         failures.append(f"outcomes do not flip across beta0*: {t_low:.2e} vs {t_high:.2e}")
 

@@ -226,9 +226,10 @@ class TestAnalyze:
         data = json.loads(capsys.readouterr().out)["data"]
         assert not data["localization"]["validity"]
         assert data["endemic"]["certification"] == "certified-unique"
-        # existence is proven at every waning rate, stability only under the certificate
+        # existence and the DFE verdict are proven at every waning rate,
+        # endemic stability only under the certificate
         assert data["consistency"] == {"checked": True, "consistent": True, "note": (
-            "an endemic equilibrium; stability not checked: contraction certificate failed")}
+            "unstable DFE and an endemic equilibrium; endemic stability not checked: contraction certificate failed")}
 
     def test_fast_rates_fresh_solution_accepted(self, tmp_path, capsys):
         # a certified solution whose residual |beta . S* - (r + mu)| is
@@ -364,12 +365,17 @@ class TestAnalyze:
             assert data["consistency"] == {"checked": True, "consistent": True,
                                            "note": "stable DFE and no endemic equilibrium"}
         else:
-            # existence is checked at every birth rate, stability only under
-            # the certificate and outside the band
+            # existence is checked at every birth rate, the DFE verdict
+            # outside the band, endemic stability only under the certificate
+            # and outside the band
             consistency = data["consistency"]
             existence = "no endemic equilibrium" if data["endemic"] is None else "an endemic equilibrium"
             assert consistency["checked"] and consistency["consistent"]
-            assert consistency["note"].startswith(f"{existence}; stability not checked: ")
+            if data["dfe_stability"]["classification"] == "marginal":
+                assert consistency["note"] == f"{existence}; stability not checked: spectrum inside the marginal band"
+            else:
+                assert consistency["note"].startswith(
+                    f"unstable DFE and {existence}; endemic stability not checked: ")
 
     def test_tiny_rate_endemic_states_lie_on_the_simplex(self, tmp_path, capsys):
         path = tmp_path / "tiny_rates.json"
@@ -407,6 +413,20 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.err == "regime consistency violated: planted contradiction\n"
         assert captured.out == ""
+        assert not out.exists()
+
+    def test_dfe_eigensolve_against_the_closed_form_exits_4(self, config_path, tmp_path, capsys, monkeypatch):
+        # the bundled config is subcritical (R0 0.979) and outside the
+        # certificate; the DFE verdict is checked there all the same, and an
+        # eigensolve whose largest real part is +1 contradicts the closed form
+        from waningsim import stability
+
+        eigenvalues = stability._eigenvalues
+        monkeypatch.setattr(stability, "_eigenvalues", lambda config, state: np.append(
+            eigenvalues(config, state)[:-1], 1.0 + 0.0j))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", config_path, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("regime consistency violated: DFE eigensolve's largest real part 1.0")
         assert not out.exists()
 
     def test_endemic_root_below_the_threshold_exits_4(self, config_path, tmp_path, capsys, monkeypatch):

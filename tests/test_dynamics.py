@@ -49,9 +49,7 @@ class TestIntegrate:
 
     def test_terminal_prevalence_matches_refined_equilibrium(self):
         sol = refine_endemic(ENDEMIC_CFG)
-        traj = integrate(
-            ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 2000.0, stop_at_equilibrium=True
-        )
+        traj = integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 2000.0)
         assert traj.terminal_status == "converged_endemic"
         assert abs(traj.final_prevalence - sol.i_star) < 1e-7
 
@@ -165,8 +163,7 @@ class TestIntegrate:
         monkeypatch.setattr(stepper, "integrate_core", python_kernel.integrate_core)
 
         def run():
-            return integrate(pertussis, epidemic_start(pertussis), 2000.0, rtol=1e-8, atol=1e-8,
-                             stop_at_equilibrium=True)
+            return integrate(pertussis, epidemic_start(pertussis), 2000.0, rtol=1e-8, atol=1e-8)
 
         traj = run()
         monkeypatch.setattr(python_kernel, "NEG_CLAMP", math.inf)
@@ -348,7 +345,7 @@ class TestConvergenceRate:
 
 
 class TestDetectEquilibrium:
-    """The kernels' equilibrium stop rule, seen through ``terminal_status``."""
+    """The kernels' equilibrium verdict at the horizon, seen through ``terminal_status``."""
 
     def test_dfe_start_converges_immediately(self):
         cfg = build_general(2, (0.0, 1.0, 2.0), 0.3, 0.05, 2.0, 8.0, (0.0, 0.4, 0.0))
@@ -358,9 +355,7 @@ class TestDetectEquilibrium:
         np.testing.assert_array_equal(traj.final_state, y0)
 
     def test_supercritical_run_lands_in_localization_interval(self):
-        traj = integrate(
-            ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 2000.0, stop_at_equilibrium=True
-        )
+        traj = integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 2000.0)
         assert traj.terminal_status == "converged_endemic"
         i_star = refine_endemic(ENDEMIC_CFG).i_star
         assert traj.final_prevalence == pytest.approx(i_star, rel=0.0, abs=1e-7)
@@ -375,7 +370,7 @@ class TestDetectEquilibrium:
         # accepted, 507 rejected) and ended max_time
         cfg = build_general(1, (2.1137067898803426, 13.832407591446508), 4.131923257730322e-05,
                             0.5988729732430255, 3.336228921140153, 0.7072302365475842, (0.0, 0.9878715818465336))
-        traj = integrate(cfg, epidemic_start(cfg), 2000.0, stop_at_equilibrium=True)
+        traj = integrate(cfg, epidemic_start(cfg), 2000.0)
         assert traj.terminal_status == "converged_endemic"
         assert np.min(traj.states) >= 0.0
         assert abs(traj.final_prevalence - refine_endemic(cfg).i_star) < 1e-7
@@ -391,7 +386,7 @@ class TestDetectEquilibrium:
         if beta0 is not None:
             beta[0] = beta0
         cfg = pertussis.replace(beta=beta)
-        traj = integrate(cfg, epidemic_start(cfg), 2000.0, stop_at_equilibrium=True)
+        traj = integrate(cfg, epidemic_start(cfg), 2000.0)
         assert traj.terminal_status == "converged_endemic"
         assert traj.n_implicit > 0 and traj.n_accepted + traj.n_rejected <= 1000
         assert abs(traj.final_prevalence - refine_endemic(cfg).i_star) < 1e-9

@@ -310,7 +310,7 @@ class TestLocalization:
         cfg = build_general(2, (2.0, 4.0, 8.0), 1e-5, 0.5, 2.0, 3.0, (0.0, 0.2, 0.62))
         loc = localize_endemic(cfg)
         assert loc.exists == "unique" and loc.validity
-        traj = integrate(cfg, epidemic_start(cfg), 2000.0, stop_at_equilibrium=True)
+        traj = integrate(cfg, epidemic_start(cfg), 2000.0)
         assert traj.final_prevalence == pytest.approx(refine_endemic(cfg).i_star, rel=0.0, abs=1e-7)
 
 

@@ -41,7 +41,6 @@ def run_kernel(impl, cfg, t_end=50.0, targets=None):
         1e-12,
         np.array([t_end]) if targets is None else targets,
         1_000_000,
-        False,
     )
 
 
@@ -97,7 +96,7 @@ class TestCompiledKernel:
         for name, impl in stepper.kernels().items():
             out[name] = impl.integrate_core(
                 CFG.beta, CFG.omega_i, CFG.delta_i, CFG.mu, CFG.r, y0,
-                1e-10, 1e-12, np.array([2000.0]), 5_000_000, True,
+                1e-10, 1e-12, np.array([2000.0]), 5_000_000,
             )
         assert out["python"][2] == out["c"][2] == stepper.STATUS_CONVERGED
         np.testing.assert_allclose(
@@ -113,9 +112,9 @@ class TestCompiledKernel:
         targets = np.array([1, 5, 20])
         assert not beta.flags.c_contiguous and targets.dtype.kind == "i"
         got = c.integrate_core(beta, CFG.omega_i, CFG.delta_i, CFG.mu, CFG.r, y0, 1e-10, 1e-12, targets,
-                               1_000_000, False)
+                               1_000_000)
         want = c.integrate_core(np.array(CFG.beta), CFG.omega_i, CFG.delta_i, CFG.mu, CFG.r, y0, 1e-10, 1e-12,
-                                targets.astype(np.float64), 1_000_000, False)
+                                targets.astype(np.float64), 1_000_000)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert got[2:] == want[2:]
@@ -127,9 +126,9 @@ class TestCompiledKernel:
         c = stepper.kernels()["c"]
         y0 = epidemic_start(CFG).as_array()
         got = c.integrate_core(CFG.beta.tolist(), CFG.omega_i.tolist(), CFG.delta_i.tolist(), CFG.mu, CFG.r,
-                               y0.tolist(), 1e-10, 1e-12, targets, 1_000_000, False)
+                               y0.tolist(), 1e-10, 1e-12, targets, 1_000_000)
         want = c.integrate_core(CFG.beta, CFG.omega_i, CFG.delta_i, CFG.mu, CFG.r, y0, 1e-10, 1e-12,
-                                np.atleast_1d(np.asarray(targets, dtype=float)), 1_000_000, False)
+                                np.atleast_1d(np.asarray(targets, dtype=float)), 1_000_000)
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
         assert got[2:] == want[2:]
 
@@ -144,7 +143,7 @@ class TestCompiledKernel:
     def test_bad_shapes_are_rejected_before_the_kernel_runs(self, change, message):
         args = dict(beta=CFG.beta, omega_i=CFG.omega_i, delta_i=CFG.delta_i, mu=CFG.mu, r=CFG.r,
                     y0=epidemic_start(CFG).as_array(), rtol=1e-10, atol=1e-12, targets=np.array([5.0]),
-                    max_steps=1_000_000, stop_at_equilibrium=False)
+                    max_steps=1_000_000)
         with pytest.raises(ValueError, match=message):
             stepper.kernels()["c"].integrate_core(**{**args, **change})
 
@@ -170,7 +169,7 @@ def subcritical_run(name):
     y0 = epidemic_start(cfg, 1e-6).as_array()
     targets = np.linspace(0.0, 600.0, 201)[1:]
     return stepper.kernels()[name].integrate_core(
-        cfg.beta, cfg.omega_i, cfg.delta_i, cfg.mu, cfg.r, y0, 1e-10, 1e-12, targets, 1_000_000, False
+        cfg.beta, cfg.omega_i, cfg.delta_i, cfg.mu, cfg.r, y0, 1e-10, 1e-12, targets, 1_000_000
     )
 
 
@@ -284,7 +283,7 @@ def sampled_run(name, delta):
     targets = np.linspace(0.0, 600.0, 201)[1:]
     return cfg, stepper.kernels()[name].integrate_core(
         cfg.beta, cfg.omega_i, cfg.delta_i, cfg.mu, cfg.r, epidemic_start(cfg).as_array(), 1e-10, 1e-12, targets,
-        1_000_000, False)
+        1_000_000)
 
 
 @pytest.mark.parametrize("name", list(stepper.kernels()))
@@ -346,7 +345,7 @@ def test_long_erlang_chain_stays_on_the_flow(name):
     for rtol, atol in ((1e-6, 1e-9), (1e-10, 1e-12)):
         times, states, status, *_ = stepper.kernels()[name].integrate_core(
             cfg.beta, cfg.omega_i, cfg.delta_i, cfg.mu, cfg.r, epidemic_start(cfg).as_array(), rtol, atol,
-            samples[1:], 1_000_000, False)
+            samples[1:], 1_000_000)
         assert status == stepper.STATUS_REACHED_END
         prevalence.append(states[np.searchsorted(times, samples), -1])
     assert np.abs(prevalence[0] - prevalence[1]).max() <= 1e-5

@@ -12,6 +12,7 @@ import pytest
 from waningsim import scanfit, stepper
 from waningsim.dfe import basic_reproduction_number
 from waningsim.dynamics import IntegrationError, integrate
+from waningsim.endemic import refine_endemic
 from waningsim.model import ConfigError, build_general, build_last_only, config_digest, epidemic_start
 from waningsim.scanfit import (
     FitOptions,
@@ -25,6 +26,7 @@ from waningsim.scanfit import (
     sweep,
 )
 
+from conftest import random_config
 from oracles import find_bifurcation
 
 
@@ -108,6 +110,19 @@ class TestSweep:
         terminal = sweep(spec).observables
         refined = sweep(endemic_spec).observables
         np.testing.assert_allclose(terminal, refined, atol=1e-7)
+
+    @pytest.mark.parametrize("name", sorted(stepper.kernels()))
+    def test_terminal_prevalence_is_read_at_the_horizon(self, monkeypatch, name):
+        # a run that comes to rest long before t_end still goes to it: an
+        # early stop once left this point at t = 1487.84, 6.6e-13 from i*
+        rng = np.random.default_rng(3)
+        cfg = [random_config(rng) for _ in range(300)][17]
+        monkeypatch.setattr(stepper, "integrate_core", stepper.kernels()[name].integrate_core)
+        point = sweep(SweepSpec(cfg, "delta", np.array([cfg.delta, 0.2]), "terminal_prevalence", t_end=2000.0)).points[0]
+        traj = integrate(cfg, epidemic_start(cfg), 2000.0)
+        assert point.observable == traj.final_prevalence
+        assert traj.times[-1] == 2000.0 and traj.terminal_status == "converged_endemic"
+        assert abs(traj.final_prevalence - refine_endemic(cfg).i_star) <= 1e-13
 
     def test_csv_shape(self):
         spec = SweepSpec(BASE, "delta", np.array([0.0, 0.5]), "r0")
