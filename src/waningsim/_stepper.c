@@ -3,8 +3,8 @@
  * implicit Rosenbrock 4(3) step: the statement-by-statement twin of
  * _stepper_py.integrate_core, whose docstring describes the two phases, the
  * error norm, the stiffness test, the implicit windows, the O(n) solve and
- * the equilibrium verdict at the horizon, which every run reaches unless it
- * fails; keep the two in sync.  Also the artifact writers' float formatter,
+ * the |f| column of the record, from which dynamics judges the horizon; keep
+ * the two in sync.  Also the artifact writers' float formatter,
  * ws_format, which writes doubles byte for byte as Python's float.__repr__
  * does.  Plain C99 without Python or NumPy headers, compiled
  * by stepper.py on first import and called through ctypes. */
@@ -14,12 +14,9 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { REACHED_END = 0, CONVERGED = 1, UNDERFLOW = -1, MAX_STEPS = -2, NONFINITE = -3, NEGATIVE = -4,
-       NO_MEMORY = -5 };
+enum { REACHED_END = 0, UNDERFLOW = -1, MAX_STEPS = -2, NONFINITE = -3, NEGATIVE = -4, NO_MEMORY = -5 };
 
 static const double NEG_CLAMP = 1e-12, MIN_FACTOR = 0.2, MAX_FACTOR = 10.0, SAFETY = 0.9;
-static const double EQUILIBRIUM_VF_TOL = 1e-10; /* at rest at the horizon: |f| below this ... */
-static const int64_t EQUILIBRIUM_RUN = 50;      /* ... on this many accepted steps in a row up to it */
 static const double STIFF_LIMIT = 6.1;      /* Hairer's test: h |lambda| above this ... */
 static const int64_t STIFF_RUN = 15;        /* ... on this many accepted steps switches to Rosenbrock; */
 static const int64_t NONSTIFF_RESET = 6;    /* this many in a row below it restart the count */
@@ -35,7 +32,7 @@ static const int64_t INITIAL_CAPACITY = 4096; /* rows */
 #define PY_MAX(a, b) ((b) > (a) ? (b) : (a))
 
 typedef struct {
-    double *rows; /* n_rows x (m + 1) */
+    double *rows; /* n_rows x (m + 2) */
     int64_t n_rows, n_accepted, n_rejected, n_implicit;
     double t_reached;
 } ws_record;
@@ -233,18 +230,22 @@ static double ulp_from_one(double t)
     return nextafter(x, INFINITY) - x;
 }
 
-/* Append the row (t, y), doubling the capacity when full; 0 if out of memory. */
-static int record(ws_record *rec, int64_t *cap, int64_t m, double t, const double *y)
+/* Append the row (t, y, |f|) for f = f(y), doubling the capacity when full;
+ * 0 if out of memory. */
+static int record(ws_record *rec, int64_t *cap, int64_t m, double t, const double *y, const double *f)
 {
     if (rec->n_rows == *cap) {
-        double *grown = realloc(rec->rows, (size_t)(2 * *cap * (m + 1)) * sizeof(double));
+        double *grown = realloc(rec->rows, (size_t)(2 * *cap * (m + 2)) * sizeof(double));
         if (grown == NULL) return 0;
         rec->rows = grown;
         *cap *= 2;
     }
-    double *row = rec->rows + rec->n_rows++ * (m + 1);
+    double *row = rec->rows + rec->n_rows++ * (m + 2), fnorm = 0.0;
     row[0] = t;
     memcpy(row + 1, y, (size_t)m * sizeof(double));
+    for (int64_t j = 0; j < m; j++)
+        fnorm += f[j] * f[j];
+    row[m + 1] = sqrt(fnorm);
     return 1;
 }
 
@@ -253,8 +254,8 @@ void ws_free(ws_record *rec) { free(rec->rows); }
 /* Integrate the m = n + 2 component model ODE from t = 0 to the last of the
  * n_targets >= 1 sample times, t_end = targets[n_targets - 1] (see
  * _stepper_py.integrate_core), recording every accepted step as a row
- * (t, y_0, ..., y_{m-1}) in rec->rows, grown with realloc and released by
- * ws_free.  Returns a _stepper_py status code, or NO_MEMORY. */
+ * (t, y_0, ..., y_{m-1}, |f(y)|) in rec->rows, grown with realloc and
+ * released by ws_free.  Returns a _stepper_py status code, or NO_MEMORY. */
 int ws_integrate(int64_t m, const double *beta, const double *omega_i, const double *delta_i,
                  double mu, double r, const double *y0, double rtol, double atol,
                  const double *targets, int64_t n_targets, int64_t max_steps, ws_record *rec)
@@ -264,14 +265,14 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
     /* twelve stage rows, three states, the error, four Rosenbrock
      * increments, a derivative and the five vectors of the factors */
     double *k = malloc((size_t)(26 * m) * sizeof(double));
-    *rec = (ws_record){malloc((size_t)(cap * (m + 1)) * sizeof(double)), 0, 0, 0, 0, 0.0};
+    *rec = (ws_record){malloc((size_t)(cap * (m + 2)) * sizeof(double)), 0, 0, 0, 0, 0.0};
     if (k == NULL || rec->rows == NULL) { free(k); return NO_MEMORY; }
     double *y = k + 12 * m, *y_new = y + m, *stage_y = y_new + m, *err = stage_y + m, *g = err + m;
     double *f = g + 4 * m, *work = f + m;
     factors fc = {work, work + m, work + 2 * m, work + 3 * m, work + 4 * m, 0.0, 0.0};
     memcpy(y, y0, (size_t)m * sizeof(double));
-    record(rec, &cap, m, 0.0, y);
     rhs(n, beta, omega_i, delta_i, mu, r, y, k);
+    record(rec, &cap, m, 0.0, y, k);
 
     double d0 = 0.0, d1 = 0.0;
     for (int64_t j = 0; j < m; j++) {
@@ -285,12 +286,11 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
     h = PY_MIN(h, PY_MAX(t_end / 10.0, H_START));
     h = PY_MIN(h, PY_MAX(targets[0], H_START));
 
-    double t = 0.0, quiet_since = 0.0; /* the time the trailing quiet run began */
-    int64_t idx = 0, n_accepted = 0, n_rejected = 0, n_implicit = 0, quiet_run = 0;
+    double t = 0.0;
+    int64_t idx = 0, n_accepted = 0, n_rejected = 0, n_implicit = 0;
     /* the stiff run that switches, doubled after each implicit window that
-     * gains too little; the window's steps and start, and the last explicit
-     * step */
-    int64_t stiff_run = 0, nonstiff_run = 0, stiff_needed = STIFF_RUN, trial = 0;
+     * gains too little; the window's start, and the last explicit step */
+    int64_t stiff_run = 0, nonstiff_run = 0, stiff_needed = STIFF_RUN;
     double t_switch = 0.0, h_explicit = 0.0;
     int implicit = 0, status = REACHED_END;
     while (t < t_end) {
@@ -374,14 +374,14 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
             memcpy(y, y_new, (size_t)m * sizeof(double));
             rhs(n, beta, omega_i, delta_i, mu, r, y, k); /* the next step's first stage */
             if (implicit) {
-                n_implicit++;
-                if (++trial == STIFF_RUN) {
+                /* an implicit phase starts and ends on a multiple of
+                 * STIFF_RUN implicit steps, so this is a window's end */
+                if (++n_implicit % STIFF_RUN == 0) {
                     /* the implicit steps gain too little: back to DOP853 */
                     if (t - t_switch < IMPLICIT_GAIN * STIFF_RUN * h_explicit) {
                         implicit = 0;
                         stiff_needed *= 2;
                     }
-                    trial = 0;
                     t_switch = t;
                 }
             } else {
@@ -401,14 +401,7 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
                 }
             }
             n_accepted++;
-            if (!record(rec, &cap, m, t, y)) { status = NO_MEMORY; break; }
-
-            double fnorm = 0.0;
-            for (int64_t j = 0; j < m; j++)
-                fnorm += k[j] * k[j];
-            quiet_run = sqrt(fnorm) < EQUILIBRIUM_VF_TOL ? quiet_run + 1 : 0;
-            if (!quiet_run)
-                quiet_since = t;
+            if (!record(rec, &cap, m, t, y, k)) { status = NO_MEMORY; break; }
         } else {
             n_rejected++;
         }
@@ -423,15 +416,11 @@ int ws_integrate(int64_t m, const double *beta, const double *omega_i, const dou
             h = h_use * factor;
         if (!implicit && stiff_run >= stiff_needed) {
             implicit = 1;
-            stiff_run = trial = 0;
+            stiff_run = 0;
             t_switch = t;
         }
     }
 
-    if (status == REACHED_END && quiet_run >= 1
-        && (quiet_run >= EQUILIBRIUM_RUN || quiet_run == n_accepted
-            || (n_implicit >= 1 && 2.0 * quiet_since <= t)))
-        status = CONVERGED;
     free(k);
     rec->n_accepted = n_accepted;
     rec->n_rejected = n_rejected;

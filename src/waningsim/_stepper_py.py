@@ -23,8 +23,8 @@ stability, not accuracy, and the run goes on to Shampine's Rosenbrock 4(3)
 step (``gamma = 1/2``; Shampine, *ACM TOMS* 8, 1982; the parameter set of
 Numerical Recipes' ``stiff``): three derivative evaluations and four solves
 of ``(sigma I - J) x = b``, ``sigma = 1/(gamma h)``, per step, with the same
-tolerances, clipping, clamp, negativity retry and count of quiet steps, the
-root-mean-square error norm and the controller exponent ``-1/4``.
+tolerances, clipping, clamp and negativity retry, the root-mean-square
+error norm and the controller exponent ``-1/4``.
 
 The implicit phase is kept only while it gains.  It runs in windows of
 ``STIFF_RUN`` accepted steps, and a window that covers less than
@@ -45,15 +45,12 @@ denominator ``1 - omega . z`` is ``sigma sum(z) + (mu + I beta) . z``, a sum
 of positive terms: the algebra of ``dfe._steady_profile``), and a scalar
 Schur complement for ``I``.
 
-Status codes returned by :func:`integrate_core`:
+The kernel only integrates.  Each recorded row carries ``|f(y)|``, the
+derivative norm the next step's first stage already holds, and
+:mod:`waningsim.dynamics` judges from that column whether the flow has come
+to rest at the horizon.  Status codes returned by :func:`integrate_core`:
 
 *  0 - reached ``targets[-1]``
-*  1 - reached ``targets[-1]`` at an equilibrium: the derivative norm was
-       below ``EQUILIBRIUM_VF_TOL`` on the last ``EQUILIBRIUM_RUN`` or more
-       accepted steps in a row.  A shorter trailing quiet run counts too if
-       it covers the whole run or, once the run has gone implicit, at least
-       the second half of ``[0, t_end]``: the implicit phase's few long steps
-       reach the horizon well before ``EQUILIBRIUM_RUN`` of them
 * -1 - step size underflow
 * -2 - step budget exhausted
 * -3 - non-finite state encountered
@@ -84,15 +81,12 @@ import numpy as np
 KERNEL_NAME = "python"
 
 STATUS_REACHED_END = 0
-STATUS_CONVERGED = 1
 STATUS_UNDERFLOW = -1
 STATUS_MAX_STEPS = -2
 STATUS_NONFINITE = -3
 STATUS_NEGATIVE = -4
 
 NEG_CLAMP = 1e-12
-EQUILIBRIUM_VF_TOL = 1e-10
-EQUILIBRIUM_RUN = 50
 
 # Hairer's DOP853 stiffness test: h |lambda| above STIFF_LIMIT on STIFF_RUN
 # accepted steps switches the run to the Rosenbrock step; NONSTIFF_RESET
@@ -260,8 +254,8 @@ def integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_s
     error at sample times).  Every accepted step is recorded.
 
     Returns ``(times, states, status, n_accepted, n_rejected, n_implicit,
-    t_reached)``; ``n_implicit`` of the ``n_accepted`` steps are Rosenbrock
-    steps.
+    t_reached, fnorm)``; ``n_implicit`` of the ``n_accepted`` steps are
+    Rosenbrock steps, and ``fnorm[i]`` is ``|f(states[i])|``.
     """
     beta = np.ascontiguousarray(beta, dtype=float)
     omega_i = np.ascontiguousarray(omega_i, dtype=float)
@@ -275,10 +269,10 @@ def integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_s
     rows = list(k)  # stage rows as views made once, not on every step
     y_new, acc, err = np.empty(m), np.empty(m), np.empty(m)
     g = np.empty((4, m))
+    _rhs(beta, omega_i, delta_i, mu, r, y, rows[0])
     times = [0.0]
     states = [y.copy()]
-
-    _rhs(beta, omega_i, delta_i, mu, r, y, rows[0])
+    fnorms = [float(np.sqrt(rows[0] @ rows[0]))]
     h = _initial_step(rows[0], y, t_end, atol, rtol, targets[0])
 
     t = 0.0
@@ -286,21 +280,18 @@ def integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_s
     n_accepted = 0
     n_rejected = 0
     n_implicit = 0
-    quiet_run = 0
-    quiet_since = 0.0  # the time the trailing quiet run began
     stiff_run = 0
     nonstiff_run = 0
     stiff_needed = STIFF_RUN  # the stiff run that switches; doubled after each window that gains too little
-    trial = 0  # implicit steps since the window began, at t_switch
-    t_switch = 0.0
+    t_switch = 0.0  # the time the implicit window began
     h_explicit = 0.0  # the last explicit step
     implicit = False
 
     while t < t_end:
         if n_accepted + n_rejected >= max_steps:
-            return _finish(times, states, STATUS_MAX_STEPS, n_accepted, n_rejected, n_implicit, t)
+            return _finish(times, states, fnorms, STATUS_MAX_STEPS, n_accepted, n_rejected, n_implicit, t)
         if h < 16.0 * math.ulp(max(abs(t), 1.0)):
-            return _finish(times, states, STATUS_UNDERFLOW, n_accepted, n_rejected, n_implicit, t)
+            return _finish(times, states, fnorms, STATUS_UNDERFLOW, n_accepted, n_rejected, n_implicit, t)
 
         # clip to the next requested sample time; the 2% stretch prevents a
         # sliver step from being left behind after a near-exact hit
@@ -326,7 +317,7 @@ def integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_s
             err3 = increment - _BHH[0] * rows[0] - _BHH[1] * rows[8] - _BHH[2] * rows[11]
 
         if not np.isfinite(y_new).all():
-            return _finish(times, states, STATUS_NONFINITE, n_accepted, n_rejected, n_implicit, t)
+            return _finish(times, states, fnorms, STATUS_NONFINITE, n_accepted, n_rejected, n_implicit, t)
 
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         if implicit:
@@ -343,7 +334,7 @@ def integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_s
             # a component dipped below the roundoff clamp: retry smaller, and
             # only give up once the step cannot shrink any further
             if h_use <= 32.0 * math.ulp(max(abs(t), 1.0)):
-                return _finish(times, states, STATUS_NEGATIVE, n_accepted, n_rejected, n_implicit, t)
+                return _finish(times, states, fnorms, STATUS_NEGATIVE, n_accepted, n_rejected, n_implicit, t)
             n_rejected += 1
             h = h_use * 0.25
             continue
@@ -358,13 +349,13 @@ def integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_s
             _rhs(beta, omega_i, delta_i, mu, r, y, rows[0])  # the next step's first stage
             if implicit:
                 n_implicit += 1
-                trial += 1
-                if trial == STIFF_RUN:
+                # an implicit phase starts and ends on a multiple of STIFF_RUN
+                # implicit steps, so this is a window's end
+                if n_implicit % STIFF_RUN == 0:
                     # the implicit steps gain too little: back to DOP853
                     if t - t_switch < IMPLICIT_GAIN * STIFF_RUN * h_explicit:
                         implicit = False
                         stiff_needed *= 2
-                    trial = 0
                     t_switch = t
             else:
                 h_explicit = h_use
@@ -381,11 +372,7 @@ def integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_s
             n_accepted += 1
             times.append(t)
             states.append(y.copy())
-
-            fnorm = float(np.sqrt(rows[0] @ rows[0]))
-            quiet_run = quiet_run + 1 if fnorm < EQUILIBRIUM_VF_TOL else 0
-            if not quiet_run:
-                quiet_since = t
+            fnorms.append(float(np.sqrt(rows[0] @ rows[0])))
         else:
             n_rejected += 1
 
@@ -400,14 +387,11 @@ def integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_s
             h = h_use * factor
         if not implicit and stiff_run >= stiff_needed:
             implicit = True
-            stiff_run = trial = 0
+            stiff_run = 0
             t_switch = t
 
-    at_rest = quiet_run >= 1 and (quiet_run >= EQUILIBRIUM_RUN or quiet_run == n_accepted
-                                  or (n_implicit >= 1 and 2.0 * quiet_since <= t))
-    status = STATUS_CONVERGED if at_rest else STATUS_REACHED_END
-    return _finish(times, states, status, n_accepted, n_rejected, n_implicit, t)
+    return _finish(times, states, fnorms, STATUS_REACHED_END, n_accepted, n_rejected, n_implicit, t)
 
 
-def _finish(times, states, status, n_accepted, n_rejected, n_implicit, t):
-    return np.array(times), np.array(states), status, n_accepted, n_rejected, n_implicit, t
+def _finish(times, states, fnorms, status, n_accepted, n_rejected, n_implicit, t):
+    return np.array(times), np.array(states), status, n_accepted, n_rejected, n_implicit, t, np.array(fnorms)

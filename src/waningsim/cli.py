@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -60,6 +61,9 @@ def _free_parameters(text: str) -> list:
 
 
 def cmd_simulate(args):
+    # integrate's check, made before the sample grid is built from t_end
+    if not (math.isfinite(args.t_end) and args.t_end > 0):
+        raise ConfigError(f"t_end must be finite and positive, got {args.t_end}")
     if args.samples < 0:
         raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     if args.samples > args.max_steps:

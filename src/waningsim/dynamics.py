@@ -12,8 +12,9 @@ for as long as its steps are ``IMPLICIT_GAIN`` times as long as the explicit
 ones were.  The switch is never silent: ``Trajectory.n_implicit`` counts the
 implicit steps, so a record says how it was integrated.  Steps are clipped
 to requested sample times, so sampled values carry no interpolation error.
-Every run goes to its horizon, where the kernel says whether the flow has
-come to rest; a failing run is reported with the time it reached.
+Every run goes to its horizon, where :func:`integrate` judges from the
+record's ``|f|`` column whether the flow has come to rest; a failing run is
+reported with the time it reached.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 DEFAULT_MAX_STEPS = 5_000_000
 DFE_PREVALENCE_THRESHOLD = 1e-10
+EQUILIBRIUM_VF_TOL = 1e-10  # at rest at the horizon: |f| below this ...
+EQUILIBRIUM_RUN = 50  # ... on this many accepted steps in a row up to it
 
 _STATUS_MESSAGES = {
     stepper.STATUS_UNDERFLOW: "step size underflow",
@@ -56,7 +59,8 @@ class Trajectory:
     Records compare by identity: two integrations are two records.
 
     ``times`` are strictly increasing and include every requested sample time
-    exactly.  ``terminal_status`` is the verdict at the horizon:
+    exactly.  ``terminal_status`` is the verdict at the horizon, judged by
+    :func:`integrate` from the kernel's ``|f|`` column:
     ``"converged_dfe"`` or ``"converged_endemic"`` where the flow had come to
     rest there, else ``"max_time"``.  ``n_implicit`` of the ``n_accepted``
     steps are Rosenbrock steps, taken after the stiffness switch (0 for a run
@@ -155,8 +159,8 @@ def _run_kernel(config: ModelConfig, y0, rtol, atol, targets, max_steps):
     ``y0`` is a simplex state and ``targets`` a sorted float array in
     ``(0, horizon]``, both checked by the caller; the tolerances and the step
     budget are checked here, and a failing status becomes the one
-    :class:`IntegrationError`.  Returns ``(times, states, status,
-    n_accepted, n_rejected, n_implicit)``.
+    :class:`IntegrationError`.  Returns ``(times, states, fnorm, n_accepted,
+    n_rejected, n_implicit)``, ``fnorm`` the ``|f|`` of each recorded state.
 
     Raises:
         ValueError: on bad ``rtol``/``atol`` or ``max_steps``.
@@ -166,12 +170,22 @@ def _run_kernel(config: ModelConfig, y0, rtol, atol, targets, max_steps):
         raise ValueError(f"rtol and atol must be finite, >= 0 and not both 0, got rtol={rtol}, atol={atol}")
     if not 1 <= max_steps < 2**63:  # the compiled kernel takes an int64
         raise ValueError(f"max_steps must be >= 1 and < 2**63, got {max_steps}")
-    times, states, status, n_acc, n_rej, n_impl, t_reached = stepper.integrate_core(
+    times, states, status, n_acc, n_rej, n_impl, t_reached, fnorm = stepper.integrate_core(
         config.beta, config.omega_i, config.delta_i, config.mu, config.r, y0, float(rtol), float(atol), targets,
         int(max_steps))
     if status < 0:
         raise IntegrationError(_STATUS_MESSAGES[status], t_reached)
-    return times, states, status, n_acc, n_rej, n_impl
+    return times, states, fnorm, n_acc, n_rej, n_impl
+
+
+def _at_rest(times, fnorm, n_implicit) -> bool:
+    """Whether the flow had come to rest at the record's horizon, by the rule
+    of :func:`integrate`'s Returns.  Row 0 is the start state, not an
+    accepted step, and a NaN norm is not quiet."""
+    loud = np.flatnonzero(~(fnorm[1:] < EQUILIBRIUM_VF_TOL))
+    last = int(loud[-1]) + 1 if loud.size else 0  # the last loud row, or the start
+    # a record that ends on a loud row, at t_end > 0, fails every clause
+    return times.size - 1 - last >= EQUILIBRIUM_RUN or last == 0 or (n_implicit >= 1 and 2.0 * times[last] <= times[-1])
 
 
 def integrate(
@@ -202,11 +216,13 @@ def integrate(
             than 1e-12 above it counts as ``t_end``.
 
     Returns:
-        The record to ``t_end``.  It has converged if the derivative norm
-        stayed below ``EQUILIBRIUM_VF_TOL`` over the last ``EQUILIBRIUM_RUN``
-        accepted steps, or over a shorter trailing run that covers the whole
-        run or, after an implicit step, its second half (constants of
-        ``_stepper_py``, twinned in ``_stepper.c``).
+        The record to ``t_end``.  Its ``terminal_status`` is judged here,
+        from the ``|f|`` of each recorded state that the kernel returns:
+        converged if the norm stayed below ``EQUILIBRIUM_VF_TOL`` over the
+        last ``EQUILIBRIUM_RUN`` accepted steps, or over a shorter trailing
+        run that covers the whole run or, after an implicit step, its second
+        half: the implicit phase's few long steps reach the horizon well
+        before ``EQUILIBRIUM_RUN`` of them.
 
     Raises:
         ValueError: on a bad ``t_end``, ``rtol``/``atol``, ``max_steps`` or
@@ -233,8 +249,8 @@ def integrate(
     # within the allowance above it
     targets = np.append(targets[(targets > 0) & (targets < t_end)], t_end)
 
-    times, states, status, n_acc, n_rej, n_impl = _run_kernel(config, y0, rtol, atol, targets, max_steps)
-    if status == stepper.STATUS_CONVERGED:
+    times, states, fnorm, n_acc, n_rej, n_impl = _run_kernel(config, y0, rtol, atol, targets, max_steps)
+    if _at_rest(times, fnorm, n_impl):
         terminal = "converged_dfe" if states[-1, -1] < DFE_PREVALENCE_THRESHOLD else "converged_endemic"
     else:
         terminal = "max_time"

@@ -29,7 +29,6 @@ import numpy as np
 from . import _stepper_py
 
 STATUS_REACHED_END = _stepper_py.STATUS_REACHED_END
-STATUS_CONVERGED = _stepper_py.STATUS_CONVERGED
 STATUS_UNDERFLOW = _stepper_py.STATUS_UNDERFLOW
 STATUS_MAX_STEPS = _stepper_py.STATUS_MAX_STEPS
 STATUS_NONFINITE = _stepper_py.STATUS_NONFINITE
@@ -41,7 +40,7 @@ _SOURCE = Path(__file__).with_name("_stepper.c")
 
 
 class _Record(ctypes.Structure):
-    """``ws_record`` of ``_stepper.c``: one row ``(t, *state)`` per accepted step."""
+    """``ws_record`` of ``_stepper.c``: one row ``(t, *state, |f(state)|)`` per accepted step."""
 
     _fields_ = [
         ("rows", ctypes.POINTER(ctypes.c_double)),
@@ -133,12 +132,12 @@ def _c_integrate_core(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, ma
     try:
         if status == _NO_MEMORY:
             raise MemoryError("the C kernel could not allocate its step record")
-        # the one copy of the record; times and states are views into it
-        rows = np.empty((rec.n_rows, m + 1))
+        # the one copy of the record; times, states and norms are views into it
+        rows = np.empty((rec.n_rows, m + 2))
         ctypes.memmove(rows.ctypes.data, rec.rows, rows.nbytes)
     finally:
         _lib.ws_free(ctypes.byref(rec))
-    return rows[:, 0], rows[:, 1:], status, rec.n_accepted, rec.n_rejected, rec.n_implicit, rec.t_reached
+    return rows[:, 0], rows[:, 1:-1], status, rec.n_accepted, rec.n_rejected, rec.n_implicit, rec.t_reached, rows[:, -1]
 
 
 def _c_format_floats(values: np.ndarray, cols: int, sep: str, row_sep: str) -> str | None:

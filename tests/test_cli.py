@@ -144,6 +144,12 @@ class TestSimulate:
         assert main(["simulate", "--config", endemic_config_path, "--t-end", "nan"]) == 2
         assert "t_end must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_end", ["inf", "1e309"])
+    def test_infinite_horizon_exits_2_before_the_grid(self, endemic_config_path, capsys, t_end):
+        # the sample grid linspace(0, inf, 201) would warn of an invalid value
+        assert main(["simulate", "--config", endemic_config_path, "--t-end", t_end]) == 2
+        assert capsys.readouterr().err == "error: t_end must be finite and positive, got inf\n"
+
     @pytest.mark.parametrize("samples", ["-1", "-5"])
     def test_negative_samples_exits_2(self, endemic_config_path, samples, capsys):
         assert main(["simulate", "--config", endemic_config_path, "--t-end", "5", "--samples", samples]) == 2

@@ -11,7 +11,7 @@ import scipy.linalg
 
 from waningsim import stepper
 from waningsim._stepper_py import _A, _B, _BHH, _E5
-from waningsim.dynamics import IntegrationError, integrate
+from waningsim.dynamics import DFE_PREVALENCE_THRESHOLD, IntegrationError, integrate
 from waningsim.endemic import refine_endemic
 from waningsim.model import StateVector, build_general, build_last_only, config_digest, epidemic_start, vector_field
 from waningsim.stability import endemic_spectrum
@@ -344,8 +344,69 @@ class TestConvergenceRate:
             convergence_rate(traj, np.array([0.0, 1.0, 0.0]))
 
 
+QUIET, LOUD = 1e-11, 1e-3  # |f| below and above the at-rest tolerance, 1e-10
+
+
+def judged(monkeypatch, fnorm, times=None, n_implicit=0, prevalence=0.5):
+    """``terminal_status`` of :func:`integrate` over a crafted record: rows at
+    ``times`` (default evenly spaced over [0, 100]), each accepted but row 0,
+    with the ``|f|`` column ``fnorm`` and the last prevalence ``prevalence``."""
+    fnorm = np.asarray(fnorm, dtype=float)
+    times = np.linspace(0.0, 100.0, fnorm.size) if times is None else np.asarray(times, dtype=float)
+
+    def kernel(beta, omega_i, delta_i, mu, r, y0, rtol, atol, targets, max_steps):
+        assert targets[-1] == times[-1]
+        states = np.tile(y0, (times.size, 1))
+        states[-1, -1] = prevalence
+        return times, states, stepper.STATUS_REACHED_END, times.size - 1, 0, n_implicit, times[-1], fnorm
+
+    monkeypatch.setattr(stepper, "integrate_core", kernel)
+    return integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), times[-1]).terminal_status
+
+
 class TestDetectEquilibrium:
-    """The kernels' equilibrium verdict at the horizon, seen through ``terminal_status``."""
+    """The equilibrium verdict that :func:`integrate` reads off the record at
+    the horizon, seen through ``terminal_status``."""
+
+    @pytest.mark.parametrize("quiet, status", [(49, "max_time"), (50, "converged_endemic")])
+    def test_trailing_explicit_run_needs_fifty_quiet_steps(self, monkeypatch, quiet, status):
+        assert judged(monkeypatch, [LOUD] * 11 + [QUIET] * quiet) == status
+
+    @pytest.mark.parametrize("norm, status", [(1e-10, "max_time"), (math.nextafter(1e-10, 0.0), "converged_endemic")],
+                             ids=["at-tolerance", "just-below"])
+    def test_quiet_means_strictly_below_the_tolerance(self, monkeypatch, norm, status):
+        assert judged(monkeypatch, [LOUD] * 10 + [norm] + [QUIET] * 49) == status
+
+    @pytest.mark.parametrize("quiet", [1, 49])
+    def test_run_quiet_from_its_first_step_is_at_rest(self, monkeypatch, quiet):
+        # row 0 is the start state, not an accepted step: its norm does not count
+        assert judged(monkeypatch, [LOUD] + [QUIET] * quiet) == "converged_endemic"
+        assert judged(monkeypatch, [QUIET, LOUD] + [QUIET] * quiet) == "max_time"
+
+    @pytest.mark.parametrize("last_loud, n_implicit, status", [
+        (50.0, 1, "converged_endemic"),
+        (math.nextafter(50.0, math.inf), 1, "max_time"),
+        (50.0, 0, "max_time"),
+    ], ids=["implicit-quiet-since-half", "implicit-quiet-since-just-after", "explicit-quiet-since-half"])
+    def test_implicit_run_quiet_since_half_the_horizon(self, monkeypatch, last_loud, n_implicit, status):
+        times = [0.0, 10.0, 20.0, 30.0, 40.0, last_loud, 75.0, 100.0]
+        assert judged(monkeypatch, [LOUD] * 6 + [QUIET] * 2, times, n_implicit) == status
+
+    @pytest.mark.parametrize("where, status", [(None, "converged_endemic"), (-30, "max_time"), (-1, "max_time")],
+                             ids=["no-nan", "nan-mid-run", "nan-last"])
+    def test_nan_norm_is_not_quiet(self, monkeypatch, where, status):
+        fnorm = np.array([LOUD] + [QUIET] * 59)
+        if where is not None:
+            fnorm[where] = math.nan
+        assert judged(monkeypatch, fnorm) == status
+
+    @pytest.mark.parametrize("prevalence, status", [
+        (DFE_PREVALENCE_THRESHOLD, "converged_endemic"),
+        (math.nextafter(DFE_PREVALENCE_THRESHOLD, 0.0), "converged_dfe"),
+        (0.0, "converged_dfe"),
+    ], ids=["at-threshold", "just-below", "zero"])
+    def test_dfe_against_endemic_at_the_threshold(self, monkeypatch, prevalence, status):
+        assert judged(monkeypatch, [LOUD] + [QUIET] * 5, prevalence=prevalence) == status
 
     def test_dfe_start_converges_immediately(self):
         cfg = build_general(2, (0.0, 1.0, 2.0), 0.3, 0.05, 2.0, 8.0, (0.0, 0.4, 0.0))

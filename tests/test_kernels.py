@@ -66,7 +66,8 @@ def test_python_kernel_is_deterministic():
     a = run_kernel(stepper.kernels()["python"], CFG)
     b = run_kernel(stepper.kernels()["python"], CFG)
     np.testing.assert_array_equal(a[1], b[1])
-    assert a[2:] == b[2:]
+    assert a[2:7] == b[2:7]
+    np.testing.assert_array_equal(a[7], b[7])
 
 
 @pytest.mark.skipif("c" not in stepper.kernels(), reason="compiled kernel not built")
@@ -90,18 +91,14 @@ class TestCompiledKernel:
         b = run_kernel(stepper.kernels()["c"], CFG)
         np.testing.assert_array_equal(a[1], b[1])
 
-    def test_equilibrium_early_stop_parity(self):
-        y0 = epidemic_start(CFG).as_array()
-        out = {}
+    def test_equilibrium_early_stop_parity(self, monkeypatch):
+        # integrate judges each kernel's record at the horizon
+        runs = {}
         for name, impl in stepper.kernels().items():
-            out[name] = impl.integrate_core(
-                CFG.beta, CFG.omega_i, CFG.delta_i, CFG.mu, CFG.r, y0,
-                1e-10, 1e-12, np.array([2000.0]), 5_000_000,
-            )
-        assert out["python"][2] == out["c"][2] == stepper.STATUS_CONVERGED
-        np.testing.assert_allclose(
-            out["python"][1][-1], out["c"][1][-1], rtol=1e-7, atol=1e-10
-        )
+            monkeypatch.setattr(stepper, "integrate_core", impl.integrate_core)
+            runs[name] = integrate(CFG, epidemic_start(CFG), 2000.0)
+        assert runs["python"].terminal_status == runs["c"].terminal_status == "converged_endemic"
+        np.testing.assert_allclose(runs["python"].final_state, runs["c"].final_state, rtol=1e-7, atol=1e-10)
 
     def test_strided_and_integer_arguments_match_float64_copies(self):
         # the C kernel reads raw addresses: the wrapper must pass contiguous
@@ -117,7 +114,8 @@ class TestCompiledKernel:
                                 targets.astype(np.float64), 1_000_000)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
-        assert got[2:] == want[2:]
+        assert got[2:7] == want[2:7]
+        np.testing.assert_array_equal(got[7], want[7])
         assert got[0][-1] == 20.0
 
     @pytest.mark.parametrize("targets", [[1, 5], np.array(5.0), 5.0], ids=["list", "0-d-array", "scalar"])
@@ -130,7 +128,7 @@ class TestCompiledKernel:
         want = c.integrate_core(CFG.beta, CFG.omega_i, CFG.delta_i, CFG.mu, CFG.r, y0, 1e-10, 1e-12,
                                 np.atleast_1d(np.asarray(targets, dtype=float)), 1_000_000)
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
-        assert got[2:] == want[2:]
+        assert got[2:7] == want[2:7] and got[7].tobytes() == want[7].tobytes()
 
     @pytest.mark.parametrize("change, message", [
         ({"beta": CFG.beta[:-1]}, "rate arrays must have length 3"),
@@ -157,7 +155,10 @@ class TestCompiledKernel:
         results = {name: run_kernel(impl, pertussis, targets=targets) for name, impl in stepper.kernels().items()}
         py, c = results["python"], results["c"]
         assert c[3] > 4096
-        assert c[0].shape == (c[3] + 1,) and c[1].shape == (c[3] + 1, pertussis.n + 2)
+        assert c[0].shape == c[7].shape == (c[3] + 1,) and c[1].shape == (c[3] + 1, pertussis.n + 2)
+        # the norm column stays in step with the states across the regrowth
+        for row in (0, 4095, 4096, -1):
+            assert c[7][row] == pytest.approx(np.linalg.norm(vector_field(pertussis, c[1][row])), rel=1e-9, abs=1e-13)
         assert py[2] == c[2]
         np.testing.assert_allclose(py[1][-1], c[1][-1], rtol=1e-7, atol=1e-10)
 
@@ -289,8 +290,10 @@ def sampled_run(name, delta):
 @pytest.mark.parametrize("name", list(stepper.kernels()))
 @pytest.mark.parametrize("delta", [0.17, 0.26], ids=["below-R0=1", "above-R0=1"])
 def test_both_phases_match_dop853(name, delta):
-    cfg, (times, states, status, n_accepted, n_rejected, n_implicit, t_reached) = sampled_run(name, delta)
+    cfg, (times, states, status, n_accepted, n_rejected, n_implicit, t_reached, fnorm) = sampled_run(name, delta)
     assert t_reached == 600.0 and 0 < n_implicit < n_accepted
+    # each row's |f|, on either step, is that of its recorded state
+    np.testing.assert_allclose(fnorm, [np.linalg.norm(vector_field(cfg, y)) for y in states], rtol=1e-9, atol=1e-13)
     samples = np.linspace(0.0, 600.0, 201)
     idx = np.searchsorted(times, samples)
     np.testing.assert_array_equal(times[idx], samples)
@@ -326,8 +329,11 @@ def test_tight_tolerance_runs_take_few_steps(monkeypatch, name):
     simulate_annual_prevalence(synthetic_truth_config(), np.arange(2000, 2025), 1999, 1e-4, rtol=1e-9, atol=1e-12)
     pertussis = pertussis_config()
     integrate(pertussis, epidemic_start(pertussis), 5.0)
-    (_, _, fit_status, fit_accepted, _, _, fit_reached), (_, _, status, accepted, _, implicit, reached) = runs
+    fit_run, run = runs
+    _, _, fit_status, fit_accepted, _, _, fit_reached, fit_fnorm = fit_run
+    _, _, status, accepted, _, implicit, reached, fnorm = run
     assert fit_status == status == stepper.STATUS_REACHED_END and (fit_reached, reached) == (26.0, 5.0)
+    assert fit_fnorm.shape == (fit_accepted + 1,) and fnorm.shape == (accepted + 1,)
     assert fit_accepted <= 70
     assert accepted <= 120 and implicit == 0
 

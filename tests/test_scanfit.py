@@ -733,7 +733,7 @@ class TestTrialPoint:
 
     def test_kernel_failure_is_an_integration_error(self, monkeypatch):
         def exhausted(*args):
-            return np.zeros(1), np.zeros((1, 4)), stepper.STATUS_MAX_STEPS, 7, 0, 0, 0.25
+            return np.zeros(1), np.zeros((1, 4)), stepper.STATUS_MAX_STEPS, 7, 0, 0, 0.25, np.zeros(1)
 
         monkeypatch.setattr(stepper, "integrate_core", exhausted)
         with pytest.raises(IntegrationError, match=r"step budget exhausted at t=0.25"):
