@@ -71,6 +71,9 @@ def cmd_simulate(args):
                           "each sample time costs at least one step")
     config = load_config(args.config)
     grid = np.linspace(0.0, args.t_end, args.samples + 1) if args.samples else None
+    if grid is not None and not (np.diff(grid) > 0).all():
+        raise ConfigError(f"--t-end {args.t_end} is too short for --samples {args.samples}: "
+                          "the sample grid repeats a time")
     trajectory = integrate(
         config,
         epidemic_start(config, args.i0),

@@ -35,6 +35,7 @@ DEFAULT_MAX_STEPS = 5_000_000
 DFE_PREVALENCE_THRESHOLD = 1e-10
 EQUILIBRIUM_VF_TOL = 1e-10  # at rest at the horizon: |f| below this ...
 EQUILIBRIUM_RUN = 50  # ... on this many accepted steps in a row up to it
+HORIZON_ALLOWANCE = 1e-12  # a sample time at most this far above t_end is t_end
 
 _STATUS_MESSAGES = {
     stepper.STATUS_UNDERFLOW: "step size underflow",
@@ -99,11 +100,11 @@ class Trajectory:
     def _indices(self, times) -> tuple:
         """``(times, idx)``: the requested times as floats and the index of
         each in the stored grid, on exact hits only.  On a record that ends at
-        its horizon a time at most 1e-12 above it is the horizon, as in
-        :func:`integrate`'s ``t_eval``."""
+        its horizon a time at most ``HORIZON_ALLOWANCE`` above it is the
+        horizon, as in :func:`integrate`'s ``t_eval``."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if self.times[-1] == self.t_end:
-            times = np.where((times > self.t_end) & (times <= self.t_end + 1e-12), self.t_end, times)
+            times = np.where((times > self.t_end) & (times <= self.t_end + HORIZON_ALLOWANCE), self.t_end, times)
         idx = np.minimum(np.searchsorted(self.times, times), self.times.size - 1)
         bad = self.times[idx] != times
         if bad.any():
@@ -118,8 +119,11 @@ class Trajectory:
         return float(np.max(np.abs(self.states.sum(axis=1) - 1.0)))
 
     def at_times(self, times) -> "Trajectory":
-        """Restriction of the record to a subset of stored times."""
+        """Restriction of the record to stored times, hit as in :meth:`sample`;
+        ``ValueError`` unless they are non-empty and strictly increasing."""
         times, idx = self._indices(times)
+        if not (times.size and (np.diff(times) > 0).all()):
+            raise ValueError(f"a restriction's times must be non-empty and strictly increasing, got {times}")
         return replace(self, times=times, states=self.states[idx])
 
     def to_csv(self) -> str:
@@ -212,8 +216,8 @@ def integrate(
 
     Args:
         t_eval: optional sample times in ``[0, t_end]``; each is hit exactly
-            by step clipping.  ``t_end`` is always included, and a time less
-            than 1e-12 above it counts as ``t_end``.
+            by step clipping.  ``t_end`` is always included, and a time at
+            most ``HORIZON_ALLOWANCE`` (1e-12) above it counts as ``t_end``.
 
     Returns:
         The record to ``t_end``.  Its ``terminal_status`` is judged here,
@@ -243,7 +247,7 @@ def integrate(
     targets = np.unique(np.asarray(() if t_eval is None else t_eval, dtype=float))
     if not np.isfinite(targets).all():
         raise ValueError("t_eval times must be finite")
-    if targets.size and (targets[0] < 0 or targets[-1] > t_end + 1e-12):
+    if targets.size and (targets[0] < 0 or targets[-1] > t_end + HORIZON_ALLOWANCE):
         raise ValueError("t_eval times must lie in [0, t_end]")
     # the kernel's horizon is targets[-1]: t_end exactly, which absorbs times
     # within the allowance above it

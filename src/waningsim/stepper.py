@@ -10,8 +10,11 @@ build imports :mod:`subprocess`, so an import that finds the library cached
 never loads it.
 
 The same library formats floats: :func:`format_floats` writes a run of
-doubles byte for byte as ``float.__repr__`` writes each.  It is ``None``
-when the library is not loaded, and the writers then format in Python.
+doubles byte for byte as ``float.__repr__`` writes each.  Its table of
+powers of ten is not in the source: the library derives it with exact
+integers when it is loaded, before any call.  :func:`format_floats` is
+``None`` when the library is not loaded, and the writers then format in
+Python.
 """
 
 from __future__ import annotations
@@ -88,6 +91,9 @@ def _load_library():
         if not path.exists():
             _build(compiler, path)
         lib = ctypes.CDLL(str(path))
+        # the formatter's power-of-ten table, derived once before any call
+        lib.ws_init.restype = None
+        lib.ws_init()
         # a raw address: the caller makes each array C-contiguous float64 and
         # checks its length first, which ndpointer would check again per call
         address = ctypes.c_void_p

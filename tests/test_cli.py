@@ -150,6 +150,12 @@ class TestSimulate:
         assert main(["simulate", "--config", endemic_config_path, "--t-end", t_end]) == 2
         assert capsys.readouterr().err == "error: t_end must be finite and positive, got inf\n"
 
+    def test_grid_that_repeats_a_time_exits_2(self, endemic_config_path, capsys):
+        # linspace(0, 5e-324, 5) rounds onto 0.0 and 5e-324 alone
+        assert main(["simulate", "--config", endemic_config_path, "--t-end", "5e-324", "--samples", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --t-end 5e-324 is too short for --samples 4: the sample grid repeats a time\n"
+
     @pytest.mark.parametrize("samples", ["-1", "-5"])
     def test_negative_samples_exits_2(self, endemic_config_path, samples, capsys):
         assert main(["simulate", "--config", endemic_config_path, "--t-end", "5", "--samples", samples]) == 2

@@ -92,6 +92,13 @@ class TestIntegrate:
             traj.at_times([5.0]).sample([5.0 + 5e-13])
         np.testing.assert_array_equal(late.at_times([20.0 + 5e-13]).times, [20.0])
 
+    @pytest.mark.parametrize("times", [[10.0, 5.0], [], [5.0, 5.0], [20.0, 20.0 + 5e-13]])
+    def test_restriction_times_must_increase(self, times):
+        # each would give a record whose times repeat or go backwards, or none
+        traj = integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 20.0, t_eval=[5.0, 10.0])
+        with pytest.raises(ValueError, match="non-empty and strictly increasing"):
+            traj.at_times(times)
+
     def test_sample_time_within_allowance_folds_into_t_end(self):
         traj = integrate(ENDEMIC_CFG, epidemic_start(ENDEMIC_CFG), 20.0, t_eval=[5.0, 20.0 + 5e-13])
         assert traj.times[-1] == 20.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import importlib
+import os
 import shlex
 import shutil
 import subprocess
@@ -50,6 +51,37 @@ def test_compiled_source_has_no_warnings():
     proc = subprocess.run(["gcc", "-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-fsyntax-only", str(source)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+UBSAN_RUN = """
+import json, math, sys
+import numpy as np
+from waningsim import stepper
+from waningsim.cli import main
+
+assert stepper.active_kernel() == "c", stepper.active_kernel()
+values = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+for t in (float(f"1e{k}") for k in range(-323, 309)):
+    values += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
+values += [-v for v in values]
+text = stepper.format_floats(np.array(values), 1, "\\n", "\\n")
+assert text.split("\\n") == list(map(repr, values))
+assert main(["simulate", "--config", sys.argv[1], "--t-end", "600", "--format", "json", "--out", "run.json"]) == 0
+assert json.load(open("run.json"))["data"]["n_implicit"] > 0
+"""
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not on PATH")
+def test_compiled_library_runs_clean_under_ubsan(tmp_path):
+    # stepper builds and loads the instrumented library itself, into an empty
+    # cache; undefined behaviour anywhere in it, the table derivation of
+    # ws_init included, aborts the run
+    package = Path(stepper.__file__).parent
+    env = dict(os.environ, CC="gcc -fsanitize=undefined -fno-sanitize-recover=all", XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=str(package.parent))
+    proc = subprocess.run([sys.executable, "-c", UBSAN_RUN, str(package / "data" / "pertussis_reconstructed.json")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-4000:]
 
 
 def test_python_rhs_matches_vector_field():
